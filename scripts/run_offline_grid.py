@@ -13,15 +13,16 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import tempfile
 from pathlib import Path
 
-from atc_icl.cli import make_gateway
-from atc_icl.config import BackendConfig, RunConfig, run_label
+from atc_icl.cli import run_experiment
+from atc_icl.config import BackendConfig, RunConfig
 from atc_icl.corpus import load_corpus
-from atc_icl.ensemble import IclConfig, run_ensemble
-from atc_icl.metrics import aggregate_runs, render_report
-from atc_icl.prompting import PromptConfig, build_info_block
+from atc_icl.ensemble import IclConfig
+from atc_icl.metrics import render_report
+from atc_icl.prompting import PromptConfig
 from atc_icl.selection import SelectionStrategy
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 
@@ -51,28 +52,23 @@ def main() -> None:
             corpus_dir = Path(tmp) / "corpus"
             generate_corpus(corpus_dir, small_shape(40, 28), seed=5)
         corpus = load_corpus(corpus_dir, corpus_dir / SPLIT_FILE_NAME)
-        pool = corpus.train_essays()
-        queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
-        print(f"corpus: {len(corpus.essays)} essays, {len(queries)} test queries\n")
+        print(f"corpus: {len(corpus.essays)} essays, {len(corpus.test_essays())} test queries\n")
 
-        for strategy, k, n, info_flag, essay_flag, fts_flag, model in GRID:
+        for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model) in enumerate(GRID):
             icl = IclConfig(
                 strategy=strategy, k=k, n_rounds=n,
                 prompt=PromptConfig(include_info=info_flag, include_essay=essay_flag,
                                     include_fts=fts_flag),
                 run_seed=args.seed, model_name=model,
             )
-            run_config = RunConfig(
+            report = run_experiment(RunConfig(
                 corpus_dir=corpus_dir, split_file=corpus_dir / SPLIT_FILE_NAME,
-                out_dir=Path(tmp) / "out",
+                out_dir=Path(tmp) / "out" / f"row{row}",
                 icl=icl,
                 backend=BackendConfig(chat="mock", mock_mode=args.mock),
-            )
-            gateway = make_gateway(run_config, corpus)
-            info = build_info_block(corpus) if info_flag else None
-            records = [run_ensemble(query, pool, icl, gateway, info=info) for query in queries]
-            report = aggregate_runs(records, corpus, run_label=f"{run_label(icl)} ({model})")
-            print(render_report(report).splitlines()[1])
+            ))
+            labelled = dataclasses.replace(report, run_label=f"{report.run_label} ({model})")
+            print(render_report(labelled).splitlines()[1])
 
 
 if __name__ == "__main__":

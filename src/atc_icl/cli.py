@@ -18,24 +18,22 @@ import click
 
 from . import __version__
 from .config import RunConfig, config_digest, load_run_config, run_label
-from .corpus import Corpus, LABELS, Scope, Split, compute_stats, load_corpus
+from .corpus import Corpus, Essay, LABELS, Scope, Split, compute_stats, load_corpus
 from .ensemble import PredictionRecord, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
 from .gateway import (
     BackendTag,
-    CacheChatBackend,
-    CacheEmbeddingBackend,
     Gateway,
     HashEmbeddingBackend,
     LiveChatBackend,
     LiveEmbeddingBackend,
     MockChatBackend,
-    ReplayChatBackend,
-    ReplayEmbeddingBackend,
     ResponseStore,
+    StoreChatBackend,
+    StoreEmbeddingBackend,
 )
-from .metrics import aggregate_runs, render_report
+from .metrics import EvaluationReport, aggregate_runs, render_report
 from .mocks import constant_label_responder, gold_echo_responder
 from .prompting import PromptMode, build_info_block, load_class_definitions
 from .selection import SelectionStrategy
@@ -47,50 +45,46 @@ REPORT_TEXT_NAME = "report.txt"
 
 
 def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
-    """Wire chat and embedding backends according to the run config."""
+    """Wire chat and embedding backends according to the run config.
+
+    ``cache`` puts the store in front of the configured upstream; ``replay``
+    is the store with no upstream.
+    """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
 
-    def mock_chat() -> MockChatBackend:
+    chat_kind = backend.cache_upstream if backend.chat == "cache" else backend.chat
+    chat = None
+    if chat_kind == "mock":
         if backend.mock_mode == "gold_echo":
             if corpus is None:
                 raise AtcError("gold-echo mock needs a loaded corpus")
-            return MockChatBackend(responder=gold_echo_responder(corpus))
-        label = {l.display_name: l for l in LABELS}.get(backend.mock_constant_label)
-        if label is None:
-            raise AtcError(f"unknown mock constant label {backend.mock_constant_label!r}")
-        return MockChatBackend(responder=constant_label_responder(label))
-
-    if backend.chat == "mock":
-        chat = mock_chat()
-    elif backend.chat == "live":
-        chat = LiveChatBackend(backend.base_url, backend.api_key_env)
-    elif backend.chat == "cache":
-        inner = mock_chat() if backend.cache_upstream == "mock" else LiveChatBackend(
-            backend.base_url, backend.api_key_env
-        )
-        chat = CacheChatBackend(store, inner)
-    else:
-        chat = ReplayChatBackend(store)
-
-    if backend.embedding == "hash":
-        embedder = HashEmbeddingBackend(dim=backend.embedding_dim)
-    elif backend.embedding == "live":
-        embedder = LiveEmbeddingBackend(
-            backend.base_url, backend.embedding_model, backend.api_key_env
-        )
-    elif backend.embedding == "cache":
-        if backend.embedding_upstream == "hash":
-            inner_embed = HashEmbeddingBackend(dim=backend.embedding_dim)
+            chat = MockChatBackend(responder=gold_echo_responder(corpus))
         else:
-            inner_embed = LiveEmbeddingBackend(
-                backend.base_url, backend.embedding_model, backend.api_key_env
-            )
-        embedder = CacheEmbeddingBackend(store, inner_embed)
-    else:
-        embedder = ReplayEmbeddingBackend(store, backend.embedding_model)
+            label = {l.display_name: l for l in LABELS}.get(backend.mock_constant_label)
+            if label is None:
+                raise AtcError(f"unknown mock constant label {backend.mock_constant_label!r}")
+            chat = MockChatBackend(responder=constant_label_responder(label))
+    elif chat_kind == "live":
+        chat = LiveChatBackend(backend.base_url, backend.api_key_env)
+    if backend.chat in ("cache", "replay"):
+        chat = StoreChatBackend(store, chat)
+
+    embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
+    embedder = None
+    if embed_kind == "hash":
+        embedder = HashEmbeddingBackend(dim=backend.embedding_dim)
+    elif embed_kind == "live":
+        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env)
+    if backend.embedding in ("cache", "replay"):
+        model_name = backend.embedding_model if embedder is None else embedder.model_name
+        embedder = StoreEmbeddingBackend(store, model_name, embedder)
 
     return Gateway(chat_backend=chat, embedding_backend=embedder)
+
+
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _print_stats(stats, scope: Scope) -> None:
@@ -122,9 +116,7 @@ def stats(corpus_dir: Path, split_file: Path, scope: str, json_out: Path | None)
     result = compute_stats(corpus, Scope(scope))
     _print_stats(result, Scope(scope))
     if json_out is not None:
-        json_out.write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(json_out, result.to_dict())
         click.echo(f"wrote {json_out}")
 
 
@@ -138,12 +130,12 @@ def embed(config_path: Path) -> None:
     gateway = make_gateway(config, corpus)
     for essay in corpus.essays:
         gateway.embed(essay.title)
-    tags = [tag for kind, tag in gateway.audit if kind == "embed"]
-    fetched = sum(1 for tag in tags if tag is BackendTag.LIVE)
-    cached = sum(1 for tag in tags if tag is BackendTag.CACHE)
-    other = len(tags) - fetched - cached
+    total = gateway.calls("embed")
+    fetched = gateway.counts["embed", BackendTag.LIVE]
+    cached = gateway.counts["embed", BackendTag.CACHE]
+    other = total - fetched - cached
     click.echo(
-        f"embedded {len(tags)} titles ({fetched} live fetches, {cached} cache hits, "
+        f"embedded {total} titles ({fetched} live fetches, {cached} cache hits, "
         f"{other} replay/mock)"
     )
 
@@ -157,12 +149,64 @@ def _load_records(path: Path) -> list[PredictionRecord]:
     return records
 
 
-def _estimate_requests(essays, icl) -> tuple[int, int]:
-    if icl.prompt.mode is PromptMode.ONE_BY_ONE:
-        chat_calls = icl.n_rounds * sum(e.m for e in essays)
-    else:
-        chat_calls = icl.n_rounds * len(essays)
-    return chat_calls, len(essays)
+def _pending(config: RunConfig) -> tuple[Corpus, list[Essay], list[PredictionRecord], list[Essay]]:
+    """The corpus, its test essays, the records already in ``out_dir``, and the
+    test essays still to run. Reads only."""
+    corpus = load_corpus(config.corpus_dir, config.split_file)
+    queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
+    records = _load_records(config.out_dir / RECORDS_NAME)
+    done_ids = {record.essay_id for record in records}
+    return corpus, queries, records, [e for e in queries if e.essay_id not in done_ids]
+
+
+def run_experiment(config: RunConfig) -> EvaluationReport:
+    """Run the test split through selection, prompting and voting into ``out_dir``.
+
+    Essays already recorded in ``out_dir`` are skipped, so an interrupted run
+    resumes where it stopped. Each new record is flushed as soon as it is
+    written; the report and manifest cover every record in the directory.
+    """
+    icl = config.icl
+    label = run_label(icl)
+    digest = config_digest(icl)
+    corpus, _, records, remaining = _pending(config)
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    gateway = make_gateway(config, corpus)
+    definitions = (
+        load_class_definitions(config.class_definitions) if config.class_definitions else None
+    )
+    info = build_info_block(corpus, definitions) if icl.prompt.include_info else None
+    pool = corpus.train_essays()
+
+    started = time.monotonic()
+    with open(out_dir / RECORDS_NAME, "a", encoding="utf-8") as handle:
+        for essay in remaining:
+            record = run_ensemble(essay, pool, icl, gateway, info=info)
+            handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+            handle.flush()
+            records.append(record)
+    elapsed = time.monotonic() - started
+
+    records.sort(key=lambda record: record.essay_id)
+    report = aggregate_runs(records, corpus, run_label=label, config_digest=digest)
+    _write_json(out_dir / REPORT_JSON_NAME, report.to_dict())
+    (out_dir / REPORT_TEXT_NAME).write_text(render_report(report) + "\n", encoding="utf-8")
+    _write_json(out_dir / MANIFEST_NAME, {
+        "artifact_version": __version__,
+        "run_label": label,
+        "config_digest": digest,
+        "run_seed": icl.run_seed,
+        "backend_tags_used": sorted(tag.value for tag in gateway.tags_used()),
+        "essay_ids": [record.essay_id for record in records],
+        "records_file": RECORDS_NAME,
+        "report_file": REPORT_JSON_NAME,
+        "chat_calls": gateway.calls("chat"),
+        "embed_calls": gateway.calls("embed"),
+        "wall_clock_seconds": round(elapsed, 3),
+    })
+    return report
 
 
 @main.command()
@@ -173,77 +217,28 @@ def run(config_path: Path, dry_run: bool) -> None:
     """Run the selection + prompting + ensembling loop over the test split."""
     config = load_run_config(config_path)
     icl = config.icl
-    label = run_label(icl)
-    digest = config_digest(icl)
-    corpus = load_corpus(config.corpus_dir, config.split_file)
-    queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
-    pool = corpus.train_essays()
-
     if not icl.is_standard_grid():
         click.echo(
             f"note: k={icl.k}, n={icl.n_rounds} is outside the standard grid "
             f"(k in {{3,5}}, n in {{3,5}})",
             err=True,
         )
-
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / RECORDS_NAME
-    existing = _load_records(records_path)
-    done_ids = {record.essay_id for record in existing}
-    remaining = [e for e in queries if e.essay_id not in done_ids]
-
-    chat_calls, embed_calls = _estimate_requests(remaining, icl)
     if dry_run:
-        click.echo(f"run label:       {label}")
-        click.echo(f"config digest:   {digest}")
+        corpus, queries, _, remaining = _pending(config)
+        per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else 1 for e in remaining]
+        click.echo(f"run label:       {run_label(icl)}")
+        click.echo(f"config digest:   {config_digest(icl)}")
         click.echo(f"essays to run:   {len(remaining)} (of {len(queries)} test essays)")
-        click.echo(f"chat requests:   ~{chat_calls} (excluding parse retries)")
+        click.echo(f"chat requests:   ~{icl.n_rounds * sum(per_essay)} (excluding parse retries)")
         if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0:
-            click.echo(f"embedding calls: <= {len(pool) + len(queries)} (cached after first run)")
+            pool_size = len(corpus.train_essays())
+            click.echo(f"embedding calls: <= {pool_size + len(queries)} (cached after first run)")
         return
 
-    gateway = make_gateway(config, corpus)
-    definitions = (
-        load_class_definitions(config.class_definitions) if config.class_definitions else None
-    )
-    info = build_info_block(corpus, definitions) if icl.prompt.include_info else None
-
-    started = time.monotonic()
-    with open(records_path, "a", encoding="utf-8") as handle:
-        for essay in remaining:
-            record = run_ensemble(essay, pool, icl, gateway, info=info)
-            handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
-            handle.flush()
-            existing.append(record)
-    elapsed = time.monotonic() - started
-
-    existing.sort(key=lambda record: record.essay_id)
-    report = aggregate_runs(existing, corpus, run_label=label, config_digest=digest)
-    (out_dir / REPORT_JSON_NAME).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    report_text = render_report(report)
-    (out_dir / REPORT_TEXT_NAME).write_text(report_text + "\n", encoding="utf-8")
-
-    manifest = {
-        "artifact_version": __version__,
-        "run_label": label,
-        "config_digest": digest,
-        "run_seed": icl.run_seed,
-        "backend_tags_used": sorted(tag.value for tag in gateway.tags_used()),
-        "essay_ids": [record.essay_id for record in existing],
-        "records_file": RECORDS_NAME,
-        "report_file": REPORT_JSON_NAME,
-        "chat_calls": sum(1 for kind, _ in gateway.audit if kind == "chat"),
-        "embed_calls": sum(1 for kind, _ in gateway.audit if kind == "embed"),
-        "wall_clock_seconds": round(elapsed, 3),
-    }
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    click.echo(report_text)
-    click.echo(f"\nwrote {records_path}, {out_dir / REPORT_JSON_NAME}, {out_dir / MANIFEST_NAME}")
+    report = run_experiment(config)
+    out_dir = config.out_dir
+    click.echo(render_report(report))
+    click.echo(f"\nwrote {out_dir / RECORDS_NAME}, {out_dir / REPORT_JSON_NAME}, {out_dir / MANIFEST_NAME}")
 
 
 @main.command("eval")
@@ -260,9 +255,7 @@ def eval_cmd(records_path: Path, corpus_dir: Path, split_file: Path, json_out: P
     report = aggregate_runs(records, corpus)
     click.echo(render_report(report))
     if json_out is not None:
-        json_out.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(json_out, report.to_dict())
         click.echo(f"wrote {json_out}")
 
 

@@ -23,6 +23,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -234,8 +235,12 @@ class MockChatBackend:
         return ChatResponse(text=text, usage=Usage(), backend_tag=BackendTag.MOCK)
 
 
-class LiveChatBackend:
-    """OpenAI-compatible chat completions over HTTP JSON."""
+class _OpenAIHttp:
+    """Base of the live backends: authenticated JSON POSTs to an OpenAI-compatible endpoint.
+
+    Maps transport failures and 429/5xx answers to the retriable gateway
+    errors, and other 4xx answers to :class:`GatewayConfigError`.
+    """
 
     def __init__(
         self,
@@ -274,6 +279,10 @@ class LiveChatBackend:
             raise GatewayConfigError(f"{response.status_code} from {path}: {response.text[:200]}")
         return response.json()
 
+
+class LiveChatBackend(_OpenAIHttp):
+    """OpenAI-compatible chat completions over HTTP JSON."""
+
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = self._post(
             "/chat/completions",
@@ -302,12 +311,19 @@ class LiveChatBackend:
         )
 
 
-class CacheChatBackend:
-    """Read-through cache; at most one inner fetch per distinct request."""
+class StoreChatBackend:
+    """Chat answers served from a :class:`ResponseStore`.
 
-    def __init__(self, store: ResponseStore, inner: ChatBackend) -> None:
+    A stored answer comes back tagged ``CACHE`` when an upstream exists and
+    ``REPLAY`` when none does. A miss asks the upstream once and stores its
+    answer; with no upstream a miss raises :class:`ReplayMiss` and never
+    falls through to the network.
+    """
+
+    def __init__(self, store: ResponseStore, upstream: ChatBackend | None = None) -> None:
         self.store = store
-        self.inner = inner
+        self.upstream = upstream
+        self._hit_tag = BackendTag.REPLAY if upstream is None else BackendTag.CACHE
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = chat_request_digest(request)
@@ -317,30 +333,13 @@ class CacheChatBackend:
             return ChatResponse(
                 text=record["response"]["text"],
                 usage=Usage(usage["prompt_tokens"], usage["completion_tokens"]),
-                backend_tag=BackendTag.CACHE,
+                backend_tag=self._hit_tag,
             )
-        response = self.inner.complete(request)
+        if self.upstream is None:
+            raise ReplayMiss(f"no recorded chat response for digest {digest}")
+        response = self.upstream.complete(request)
         self.store.put_chat(digest, request, response)
         return response
-
-
-class ReplayChatBackend:
-    """Read-only store access; misses are fatal, never a network fallback."""
-
-    def __init__(self, store: ResponseStore) -> None:
-        self.store = store
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = chat_request_digest(request)
-        record = self.store.get_chat(digest)
-        if record is None:
-            raise ReplayMiss(f"no recorded chat response for digest {digest}")
-        usage = record["response"]["usage"]
-        return ChatResponse(
-            text=record["response"]["text"],
-            usage=Usage(usage["prompt_tokens"], usage["completion_tokens"]),
-            backend_tag=BackendTag.REPLAY,
-        )
 
 
 class MappingEmbeddingBackend:
@@ -393,7 +392,7 @@ class HashEmbeddingBackend:
         return vector, BackendTag.MOCK
 
 
-class LiveEmbeddingBackend:
+class LiveEmbeddingBackend(_OpenAIHttp):
     """OpenAI-compatible embeddings endpoint."""
 
     def __init__(
@@ -404,11 +403,11 @@ class LiveEmbeddingBackend:
         timeout: float = 120.0,
         session=None,
     ) -> None:
+        super().__init__(base_url, api_key_env, timeout, session)
         self.model_name = model_name
-        self._http = LiveChatBackend(base_url, api_key_env, timeout, session)
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
-        body = self._http._post("/embeddings", {"model": self.model_name, "input": [text]})
+        body = self._post("/embeddings", {"model": self.model_name, "input": [text]})
         try:
             values = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -421,11 +420,21 @@ class LiveEmbeddingBackend:
         return vector, BackendTag.LIVE
 
 
-class CacheEmbeddingBackend:
-    def __init__(self, store: ResponseStore, inner: EmbeddingBackend) -> None:
+class StoreEmbeddingBackend:
+    """Embeddings served from a :class:`ResponseStore`, keyed by ``model_name``.
+
+    Hits, misses and tags behave as in :class:`StoreChatBackend`. With an
+    upstream, ``model_name`` must be the upstream's, so that stored vectors
+    are filed under the model that produced them.
+    """
+
+    def __init__(
+        self, store: ResponseStore, model_name: str, upstream: EmbeddingBackend | None = None
+    ) -> None:
         self.store = store
-        self.inner = inner
-        self.model_name = inner.model_name
+        self.model_name = model_name
+        self.upstream = upstream
+        self._hit_tag = BackendTag.REPLAY if upstream is None else BackendTag.CACHE
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
         digest = embedding_digest(self.model_name, text)
@@ -436,28 +445,17 @@ class CacheEmbeddingBackend:
                 model_name=record["model_name"],
                 source_text_digest=digest,
             )
-            return vector, BackendTag.CACHE
-        vector, tag = self.inner.embed(text)
+            return vector, self._hit_tag
+        if self.upstream is None:
+            raise ReplayMiss(f"no recorded embedding for digest {digest}")
+        vector, tag = self.upstream.embed(text)
         self.store.put_embedding(digest, self.model_name, text, vector.values)
         return vector, tag
 
 
-class ReplayEmbeddingBackend:
-    def __init__(self, store: ResponseStore, model_name: str) -> None:
-        self.store = store
-        self.model_name = model_name
-
-    def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
-        digest = embedding_digest(self.model_name, text)
-        record = self.store.get_embedding(digest)
-        if record is None:
-            raise ReplayMiss(f"no recorded embedding for digest {digest}")
-        vector = EmbeddingVector(
-            values=tuple(float(x) for x in record["vector"]),
-            model_name=record["model_name"],
-            source_text_digest=digest,
-        )
-        return vector, BackendTag.REPLAY
+# Earlier names, still imported by perfbench/.
+CacheChatBackend = StoreChatBackend
+ReplayEmbeddingBackend = StoreEmbeddingBackend
 
 
 @dataclass
@@ -473,15 +471,15 @@ class RetryPolicy:
 class Gateway:
     """Facade over one chat backend and one embedding backend.
 
-    Records an audit trail of (operation, backend tag) pairs so tests and run
-    manifests can assert which backends actually served a run, in particular
-    that replay-only runs performed zero network operations.
+    Counts calls per (operation, backend tag) so tests and run manifests can
+    assert which backends actually served a run, in particular that
+    replay-only runs performed zero network operations.
     """
 
     chat_backend: ChatBackend | None = None
     embedding_backend: EmbeddingBackend | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    audit: list[tuple[str, BackendTag]] = field(default_factory=list)
+    counts: Counter[tuple[str, BackendTag]] = field(default_factory=Counter)
 
     def _with_retry(self, operation: Callable):
         last: Exception | None = None
@@ -499,7 +497,7 @@ class Gateway:
         if self.chat_backend is None:
             raise GatewayConfigError("no chat backend configured")
         response = self._with_retry(lambda: self.chat_backend.complete(request))
-        self.audit.append(("chat", response.backend_tag))
+        self.counts["chat", response.backend_tag] += 1
         return response
 
     def embed(self, text: str) -> EmbeddingVector:
@@ -508,11 +506,14 @@ class Gateway:
         if not text:
             raise ValueError("cannot embed empty text")
         vector, tag = self._with_retry(lambda: self.embedding_backend.embed(text))
-        self.audit.append(("embed", tag))
+        self.counts["embed", tag] += 1
         return vector
 
+    def calls(self, operation: str) -> int:
+        return sum(n for (op, _), n in self.counts.items() if op == operation)
+
     def tags_used(self) -> set[BackendTag]:
-        return {tag for _, tag in self.audit}
+        return {tag for _, tag in self.counts}
 
     def live_calls(self) -> int:
-        return sum(1 for _, tag in self.audit if tag is BackendTag.LIVE)
+        return sum(n for (_, tag), n in self.counts.items() if tag is BackendTag.LIVE)

@@ -9,8 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 from atc_icl.gateway import (
     BackendTag,
-    CacheChatBackend,
-    CacheEmbeddingBackend,
     ChatRequest,
     ChatResponse,
     DimensionMismatch,
@@ -23,16 +21,17 @@ from atc_icl.gateway import (
     MappingEmbeddingBackend,
     MockChatBackend,
     RateLimited,
-    ReplayChatBackend,
-    ReplayEmbeddingBackend,
     ReplayMiss,
     ResponseStore,
     RetryPolicy,
+    StoreChatBackend,
+    StoreEmbeddingBackend,
     TransportError,
     Usage,
     ZeroNorm,
     cosine_similarity,
     chat_request_digest,
+    embedding_digest,
 )
 
 
@@ -87,24 +86,69 @@ def test_chat_request_validation():
         ChatRequest(system_text="s", user_text="u", model_name="m", max_output_tokens=0)
 
 
-def test_cache_fetches_once_and_replays_bytes(tmp_path):
+def _chat_case(store, upstream):
+    backend = StoreChatBackend(store, upstream)
+
+    def call(key):
+        response = backend.complete(req(user=key))
+        return (response.text, response.usage), response.backend_tag
+
+    return call, "chat", lambda key: chat_request_digest(req(user=key))
+
+
+def _embedding_case(store, upstream):
+    backend = StoreEmbeddingBackend(store, "m", upstream)
+
+    def call(key):
+        vector, tag = backend.embed(key)
+        assert vector.model_name == "m"
+        return vector.values, tag
+
+    return call, "embed", lambda key: embedding_digest("m", key)
+
+
+@pytest.mark.parametrize("with_upstream", [True, False], ids=["cache", "replay"])
+@pytest.mark.parametrize("operation", ["chat", "embedding"])
+def test_store_backend_hits_misses_and_writes(tmp_path, operation, with_upstream):
     store = ResponseStore(tmp_path / "store")
-    inner = CountingChatBackend()
-    cache = CacheChatBackend(store, inner)
-    first = cache.complete(req())
-    second = cache.complete(req())
-    third = cache.complete(req())
-    assert inner.calls == 1
-    assert first.backend_tag is BackendTag.LIVE
-    assert second.backend_tag is BackendTag.CACHE and third.backend_tag is BackendTag.CACHE
-    assert first.text == second.text == third.text
-    assert second.usage == Usage(10, 2)
+    if operation == "chat":
+        upstream = CountingChatBackend()
+        expected, upstream_tag, make = ("1. Premise", Usage(10, 2)), BackendTag.LIVE, _chat_case
+    else:
+        upstream = MappingEmbeddingBackend({"T": [0.5, 0.5], "U": [1.0, 0.0]}, model_name="m")
+        expected, upstream_tag, make = (0.5, 0.5), BackendTag.MOCK, _embedding_case
+
+    record, kind, digest = make(store, upstream)
+
+    def stored():
+        return sorted(p.stem for p in (tmp_path / "store" / kind).glob("*"))
+
+    # Recording through the upstream: one fetch, one store write under the request digest.
+    assert record("T") == (expected, upstream_tag)
+    assert upstream.calls == 1
+    assert stored() == [digest("T")]
+
+    call, _, _ = make(store, upstream if with_upstream else None)
+    hit_tag = BackendTag.CACHE if with_upstream else BackendTag.REPLAY
+    assert call("T") == (expected, hit_tag)
+    assert call("T") == (expected, hit_tag)
+    assert upstream.calls == 1
+
+    if with_upstream:
+        call("U")
+        assert upstream.calls == 2
+        assert stored() == sorted([digest("T"), digest("U")])
+    else:
+        with pytest.raises(ReplayMiss):
+            call("U")
+        assert upstream.calls == 1
+        assert stored() == [digest("T")]
 
 
 def test_cache_key_separates_models_and_temperatures(tmp_path):
     store = ResponseStore(tmp_path / "store")
     inner = CountingChatBackend()
-    cache = CacheChatBackend(store, inner)
+    cache = StoreChatBackend(store, inner)
     cache.complete(req(model="gpt-4"))
     cache.complete(req(model="gpt-3.5-turbo"))
     cache.complete(req(model="gpt-4", temperature=0.7))
@@ -113,21 +157,10 @@ def test_cache_key_separates_models_and_temperatures(tmp_path):
                 chat_request_digest(req(model="gpt-4", temperature=0.7))}) == 3
 
 
-def test_replay_serves_recorded_and_misses_fatally(tmp_path):
-    store = ResponseStore(tmp_path / "store")
-    CacheChatBackend(store, CountingChatBackend()).complete(req())
-    replay = ReplayChatBackend(store)
-    response = replay.complete(req())
-    assert response.text == "1. Premise"
-    assert response.backend_tag is BackendTag.REPLAY
-    with pytest.raises(ReplayMiss):
-        replay.complete(req(user="something never recorded"))
-
-
 def test_replay_only_gateway_performs_zero_network_calls(tmp_path):
     store = ResponseStore(tmp_path / "store")
-    CacheChatBackend(store, CountingChatBackend()).complete(req())
-    gateway = Gateway(chat_backend=ReplayChatBackend(store), retry=no_sleep_policy())
+    StoreChatBackend(store, CountingChatBackend()).complete(req())
+    gateway = Gateway(chat_backend=StoreChatBackend(store), retry=no_sleep_policy())
     gateway.chat(req())
     gateway.chat(req())
     assert gateway.live_calls() == 0
@@ -205,29 +238,6 @@ def test_cosine_symmetric_and_scale_invariant(values, scale):
     assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-9)
     scaled = vec(*[v * scale for v in values])
     assert cosine_similarity(scaled, b) == pytest.approx(cosine_similarity(a, b), abs=1e-9)
-
-
-def test_embedding_cache_single_fetch(tmp_path):
-    store = ResponseStore(tmp_path / "store")
-    inner = MappingEmbeddingBackend({"T": [1.0, 0.0, 0.0]})
-    cache = CacheEmbeddingBackend(store, inner)
-    gateway = Gateway(embedding_backend=cache, retry=no_sleep_policy())
-    first = gateway.embed("T")
-    second = gateway.embed("T")
-    assert inner.calls == 1
-    assert first.values == second.values == (1.0, 0.0, 0.0)
-
-
-def test_embedding_replay_roundtrip_and_miss(tmp_path):
-    store = ResponseStore(tmp_path / "store")
-    cache = CacheEmbeddingBackend(store, MappingEmbeddingBackend({"T": [0.5, 0.5]}, model_name="m"))
-    cache.embed("T")
-    replay = ReplayEmbeddingBackend(store, model_name="m")
-    vector, tag = replay.embed("T")
-    assert vector.values == (0.5, 0.5)
-    assert tag is BackendTag.REPLAY
-    with pytest.raises(ReplayMiss):
-        replay.embed("unknown")
 
 
 def test_embed_empty_text_rejected():
