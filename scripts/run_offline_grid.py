@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the published prompt grid fully offline against a synthetic corpus.
 
-Demonstrates the whole pipeline without credentials: every grid row runs
-over the synthetic test split with a mock chat backend and prints its report
-row. ``gold_echo`` must land macro F1 = 1.0 on every row; ``constant``
-shows what an always-Premise baseline scores.
+Demonstrates the whole pipeline without credentials: every grid row is one
+``run_experiment`` over the synthetic test split with a mock chat backend,
+in its own run directory, and prints its report row. ``gold_echo`` must land
+macro F1 = 1.0 on every row, and the script exits 1 when a row does not;
+``constant`` shows what an always-Premise baseline scores.
 
 Usage:
     python3 scripts/run_offline_grid.py [--corpus DIR] [--mock gold_echo|constant]
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,13 +40,13 @@ GRID = [
 ]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus", type=Path, default=None,
                         help="corpus directory (default: generate a 40-essay synthetic one)")
     parser.add_argument("--mock", choices=("gold_echo", "constant"), default="gold_echo")
     parser.add_argument("--seed", type=int, default=17)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         corpus_dir = args.corpus
@@ -54,6 +56,7 @@ def main() -> None:
         corpus = load_corpus(corpus_dir, corpus_dir / SPLIT_FILE_NAME)
         print(f"corpus: {len(corpus.essays)} essays, {len(corpus.test_essays())} test queries\n")
 
+        imperfect = 0
         for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model) in enumerate(GRID):
             icl = IclConfig(
                 strategy=strategy, k=k, n_rounds=n,
@@ -67,9 +70,15 @@ def main() -> None:
                 icl=icl,
                 backend=BackendConfig(chat="mock", mock_mode=args.mock),
             ))
+            imperfect += report.macro_f1 < 1.0
             labelled = dataclasses.replace(report, run_label=f"{report.run_label} ({model})")
             print(render_report(labelled).splitlines()[1])
 
+    if args.mock == "gold_echo" and imperfect:
+        print(f"error: {imperfect} gold_echo rows scored below macro F1 1.0", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

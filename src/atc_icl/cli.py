@@ -141,17 +141,55 @@ def embed(config_path: Path) -> None:
 
 
 def _load_records(path: Path) -> list[PredictionRecord]:
+    """Decode every complete line of a records file.
+
+    Bytes after the last newline are a record torn by an interrupted run and
+    are left out; :func:`run_experiment` truncates them before appending.
+    """
+    if not path.exists():
+        return []
+    data = path.read_bytes()
     records = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
+    for number, line in enumerate(data[: data.rfind(b"\n") + 1].split(b"\n")[:-1], start=1):
+        if line.strip():
+            try:
                 records.append(PredictionRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise AtcError(f"{path}, line {number}: not a prediction record ({exc})") from exc
     return records
+
+
+def _drop_torn_tail(path: Path) -> None:
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        with open(path, "r+b") as handle:
+            handle.truncate(keep)
+        click.echo(f"warning: {path}: dropped {len(data) - keep} bytes of a torn last record", err=True)
+
+
+def _check_config_digest(out_dir: Path, digest: str) -> None:
+    """Refuse to resume a run directory that was written by another config."""
+    manifest_path = out_dir / MANIFEST_NAME
+    if not manifest_path.exists():
+        return
+    try:
+        recorded = json.loads(manifest_path.read_text(encoding="utf-8"))["config_digest"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise AtcError(f"{manifest_path}: unreadable manifest ({exc})") from exc
+    if recorded != digest:
+        raise AtcError(
+            f"{out_dir} holds a run with config digest {recorded}, but this config has "
+            f"digest {digest}; use another out_dir"
+        )
 
 
 def _pending(config: RunConfig) -> tuple[Corpus, list[Essay], list[PredictionRecord], list[Essay]]:
     """The corpus, its test essays, the records already in ``out_dir``, and the
     test essays still to run. Reads only."""
+    _check_config_digest(config.out_dir, config_digest(config.icl))
     corpus = load_corpus(config.corpus_dir, config.split_file)
     queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
     records = _load_records(config.out_dir / RECORDS_NAME)
@@ -163,8 +201,10 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     """Run the test split through selection, prompting and voting into ``out_dir``.
 
     Essays already recorded in ``out_dir`` are skipped, so an interrupted run
-    resumes where it stopped. Each new record is flushed as soon as it is
-    written; the report and manifest cover every record in the directory.
+    resumes where it stopped; a torn last record is truncated and run again,
+    and a directory written by another config is refused. Each new record is
+    flushed as soon as it is written; the report and manifest cover every
+    record in the directory.
     """
     icl = config.icl
     label = run_label(icl)
@@ -172,6 +212,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     corpus, _, records, remaining = _pending(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    _drop_torn_tail(out_dir / RECORDS_NAME)
 
     gateway = make_gateway(config, corpus)
     definitions = (

@@ -1,18 +1,22 @@
 """Uniform gateway to chat-completion and text-embedding services.
 
-All network effects in the system pass through this module. Four backend
-kinds exist for both chat and embeddings:
+All network effects in the system pass through this module. Backends for
+both chat and embeddings:
 
 * live:   HTTP JSON calls against an OpenAI-compatible endpoint,
-* cache:  read-through cache around any inner backend (one fetch per
-          distinct request, ever),
-* replay: read-only cache; a miss is fatal and never falls through to the
-          network,
-* mock:   scripted or computed responses for tests and offline runs.
+* mock:   scripted or computed responses for tests and offline runs
+          (the hash embeddings are the offline embedding mock),
+* store:  :class:`StoreChatBackend` and :class:`StoreEmbeddingBackend` serve
+          answers from an on-disk :class:`ResponseStore`. Given an upstream
+          backend they act as the read-through *cache* (one upstream fetch per
+          distinct request, ever); given none they act as *replay*, where a
+          miss is fatal and never falls through to the network.
 
-Cache and replay share an on-disk content-addressed store of JSON records,
-keyed by a digest over (model name, prompt texts, temperature), so recorded
-fixtures can be committed to a repository and replayed bit-identically.
+The store is content-addressed: chat records are keyed by a digest over
+(model name, system text, user text, temperature, max output tokens),
+embeddings by a digest over (model name, text), so recorded fixtures can be
+committed to a repository and replayed bit-identically. :class:`Gateway`
+counts the calls each (operation, backend tag) served.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -111,6 +114,7 @@ def chat_request_digest(request: ChatRequest) -> str:
             "system": request.system_text,
             "user": request.user_text,
             "temperature": request.temperature,
+            "max_output_tokens": request.max_output_tokens,
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -139,32 +143,37 @@ class ResponseStore:
 
     Layout: ``<dir>/chat/<digest>.json`` and ``<dir>/embed/<digest>.json``.
     Each chat record keeps the full request next to the response so fixtures
-    are auditable. Writes go through a single lock and a temp-file rename.
+    are auditable. Each write goes to a uniquely named temp file in the target
+    directory and is renamed into place, so writers that share a store, in
+    one process or several, never see or leave a partial record.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     def _path(self, kind: str, digest: str) -> Path:
         return self.root / kind / f"{digest}.json"
 
     def _read(self, kind: str, digest: str) -> dict | None:
         path = self._path(kind, digest)
-        if not path.exists():
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise AtcError(f"corrupt store record {path}: {exc}") from exc
 
     def _write(self, kind: str, digest: str, record: dict) -> None:
         path = self._path(kind, digest)
-        with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            tmp.replace(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get_chat(self, digest: str) -> dict | None:
         return self._read("chat", digest)

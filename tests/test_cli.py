@@ -10,6 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from atc_icl.cli import main
+from atc_icl.config import config_digest, load_run_config
+from atc_icl.errors import AtcError
 from atc_icl.synth import SPLIT_FILE_NAME
 
 
@@ -256,3 +258,82 @@ def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
     result = runner.invoke(main, ["embed", "--config", str(config_path)])
     assert result.exit_code != 0
     assert isinstance(result.exception, Exception)
+
+
+@pytest.mark.parametrize("cut", ["first_byte", "middle", "before_newline"])
+def test_run_resumes_after_torn_tail(runner, small_dir, tmp_path, cut):
+    full_dir = tmp_path / "full"
+    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+                  catch_exceptions=False)
+    full_records = (full_dir / "records.jsonl").read_bytes()
+
+    # Simulate a run killed while writing its last record.
+    last_start = full_records.rstrip(b"\n").rfind(b"\n") + 1
+    last_length = len(full_records) - 1 - last_start
+    keep = {"first_byte": 1, "middle": last_length // 2, "before_newline": last_length}[cut]
+    torn = full_records[: last_start + keep]
+    resumed_dir = tmp_path / "resumed"
+    resumed_dir.mkdir()
+    records_path = resumed_dir / "records.jsonl"
+    records_path.write_bytes(torn)
+    config = write_config(tmp_path / "resume.yaml", small_dir, resumed_dir)
+
+    # Dry runs and eval read the complete records only and never truncate.
+    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    assert "essays to run:   1 (of 4 test essays)" in dry.output
+    evaluated = runner.invoke(main, ["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                              catch_exceptions=False)
+    assert evaluated.exit_code == 0
+    assert records_path.read_bytes() == torn
+
+    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert f"warning: {records_path}: dropped {keep} bytes" in result.stderr
+    assert records_path.read_bytes() == full_records
+    assert (resumed_dir / "report.json").read_bytes() == (full_dir / "report.json").read_bytes()
+
+
+def test_run_rejects_undecodable_record_line(runner, small_dir, tmp_path):
+    out_dir = tmp_path / "bad"
+    config = write_config(tmp_path / "bad.yaml", small_dir, out_dir)
+    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    first_line = (out_dir / "records.jsonl").read_bytes().split(b"\n")[0]
+    (out_dir / "records.jsonl").write_bytes(first_line + b"\nnot json\n")
+    for args in (["run", "--config", str(config)], ["run", "--config", str(config), "--dry-run"]):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, AtcError)
+        assert f"{out_dir / 'records.jsonl'}, line 2" in str(result.exception)
+
+
+def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path):
+    out_dir = tmp_path / "shared"
+    first = write_config(tmp_path / "k3.yaml", small_dir, out_dir)
+    runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+    recorded_digest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["config_digest"]
+    before = {name: (out_dir / name).read_bytes() for name in ("records.jsonl", "report.json", "manifest.json")}
+
+    second = write_config(tmp_path / "k1.yaml", small_dir, out_dir, icl={"k": 1})
+    new_digest = config_digest(load_run_config(second).icl)
+    assert new_digest != recorded_digest
+    for args in (["run", "--config", str(second)], ["run", "--config", str(second), "--dry-run"]):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, AtcError)
+        assert recorded_digest in str(result.exception) and new_digest in str(result.exception)
+    assert {name: (out_dir / name).read_bytes() for name in before} == before
+
+
+def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
+    out_dir = tmp_path / "separators"
+    config = write_config(tmp_path / "separators.yaml", small_dir, out_dir)
+    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    records_path = out_dir / "records.jsonl"
+    # Raw response texts are kept unescaped; U+2028 inside one is not a line break.
+    first = json.loads(records_path.read_text(encoding="utf-8").splitlines()[0])
+    first["responses"][0][0] += " \x85"
+    lines = records_path.read_text(encoding="utf-8").split("\n")
+    lines[0] = json.dumps(first, sort_keys=True, ensure_ascii=False)
+    records_path.write_text("\n".join(lines), encoding="utf-8")
+    result = runner.invoke(main, ["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                           catch_exceptions=False)
+    assert result.exit_code == 0
+    assert "macro F1: 1.0000" in result.output

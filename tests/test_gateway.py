@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from atc_icl.errors import AtcError
 from atc_icl.gateway import (
     BackendTag,
     ChatRequest,
@@ -35,8 +37,9 @@ from atc_icl.gateway import (
 )
 
 
-def req(user="classify this", model="gpt-4", temperature=0.0):
-    return ChatRequest(system_text="sys", user_text=user, model_name=model, temperature=temperature)
+def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
+    return ChatRequest(system_text="sys", user_text=user, model_name=model, temperature=temperature,
+                       max_output_tokens=max_output_tokens)
 
 
 def vec(*values, model="m"):
@@ -149,12 +152,43 @@ def test_cache_key_separates_models_and_temperatures(tmp_path):
     store = ResponseStore(tmp_path / "store")
     inner = CountingChatBackend()
     cache = StoreChatBackend(store, inner)
-    cache.complete(req(model="gpt-4"))
-    cache.complete(req(model="gpt-3.5-turbo"))
-    cache.complete(req(model="gpt-4", temperature=0.7))
-    assert inner.calls == 3
-    assert len({chat_request_digest(req(model="gpt-4")), chat_request_digest(req(model="gpt-3.5-turbo")),
-                chat_request_digest(req(model="gpt-4", temperature=0.7))}) == 3
+    requests = [req(model="gpt-4"), req(model="gpt-3.5-turbo"), req(model="gpt-4", temperature=0.7),
+                req(model="gpt-4", max_output_tokens=16)]
+    for request in requests:
+        cache.complete(request)
+    assert inner.calls == 4
+    assert len({chat_request_digest(request) for request in requests}) == 4
+
+
+def test_corrupt_store_record_names_the_file(tmp_path):
+    store = ResponseStore(tmp_path / "store")
+    path = tmp_path / "store" / "chat" / f"{chat_request_digest(req())}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text('{"response": {"text": "1. Prem', encoding="utf-8")
+    with pytest.raises(AtcError, match="corrupt store record .*" + path.name):
+        StoreChatBackend(store).complete(req())
+
+
+def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
+    # A second writer records the same request between the first writer's
+    # temp-file write and its rename, as another process sharing the store may.
+    first, second = ResponseStore(tmp_path / "store"), ResponseStore(tmp_path / "store")
+    response = ChatResponse(text="1. Claim", usage=Usage(3, 1), backend_tag=BackendTag.LIVE)
+    digest = chat_request_digest(req())
+    real_replace = os.replace
+    interleaved = []
+
+    def replace(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            second.put_chat(digest, req(), response)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    first.put_chat(digest, req(), response)
+    assert interleaved
+    assert first.get_chat(digest)["response"]["text"] == "1. Claim"
+    assert [p.name for p in (tmp_path / "store" / "chat").iterdir()] == [f"{digest}.json"]
 
 
 def test_replay_only_gateway_performs_zero_network_calls(tmp_path):
