@@ -212,6 +212,10 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     corpus, _, records, remaining = _pending(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not (out_dir / MANIFEST_NAME).exists():
+        # Stamp the digest now, so a run stopped before its full manifest is
+        # still checked on resume.
+        _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest})
     _drop_torn_tail(out_dir / RECORDS_NAME)
 
     gateway = make_gateway(config, corpus)
@@ -272,8 +276,11 @@ def run(config_path: Path, dry_run: bool) -> None:
         click.echo(f"essays to run:   {len(remaining)} (of {len(queries)} test essays)")
         click.echo(f"chat requests:   ~{icl.n_rounds * sum(per_essay)} (excluding parse retries)")
         if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0:
-            pool_size = len(corpus.train_essays())
-            click.echo(f"embedding calls: <= {pool_size + len(queries)} (cached after first run)")
+            # Each essay embeds its own title and every pool title once.
+            pool = corpus.train_essays() if remaining else []
+            titles = {e.title for e in [*pool, *remaining]}
+            click.echo(f"embedding calls: {len(remaining) * (len(pool) + 1)} "
+                       f"({len(titles)} distinct titles)")
         return
 
     report = run_experiment(config)

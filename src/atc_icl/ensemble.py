@@ -2,8 +2,10 @@
 
 Each round independently selects demonstration essays (seeded per round, so
 rounds differ while the whole run stays reproducible) and classifies the
-query essay. Final labels come from a per-component majority vote over the
-rounds, ties broken by train-set frequency: Premise > Claim > Major Claim.
+query essay. A neighborhood ranking that ignores its seed is computed once
+per essay; each round then only subsamples it. Final labels come from a
+per-component majority vote over the rounds, ties broken by train-set
+frequency: Premise > Claim > Major Claim.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import AtcError, ConfigError
 from .gateway import Gateway
 from .prompting import InfoBlock, PromptConfig, PromptMode, Unparseable
 from .prompting import classify_essay
-from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
+from .selection import SelectionOutcome, SelectionStrategy, rank_neighbors, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
 #: no-ensembling row); anything else is accepted but reported as nonstandard.
@@ -154,6 +156,10 @@ def run_ensemble(
     rounds: list[tuple[Label, ...]] = []
     selections: list[SelectionOutcome] = []
     responses: list[tuple[str, ...]] = []
+    shared_neighbors = None
+    if config.k > 0 and not config.strategy.uses_rank_seed:
+        # The seed is ignored, so any value gives every round's neighborhood.
+        shared_neighbors = rank_neighbors(query, pool, config.strategy, config.n_neighbors, 0, gateway)
 
     for round_index in range(1, config.n_rounds + 1):
         if config.k > 0:
@@ -165,6 +171,7 @@ def run_ensemble(
                 rank_seed=derive_round_seed(config.run_seed, query.essay_id, round_index, "rank"),
                 pick_seed=derive_round_seed(config.run_seed, query.essay_id, round_index, "pick"),
                 gateway=gateway,
+                neighbors=shared_neighbors,
             )
             demos = [pool_by_id[essay_id] for essay_id in outcome.chosen_ids]
         else:

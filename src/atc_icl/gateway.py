@@ -21,6 +21,7 @@ counts the calls each (operation, backend tag) served.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -106,6 +107,11 @@ class EmbeddingVector:
     model_name: str
     source_text_digest: str
 
+    @functools.cached_property
+    def norm(self) -> float:
+        """Euclidean length, computed on first use and kept with the vector."""
+        return math.sqrt(math.fsum(x * x for x in self.values))
+
 
 def chat_request_digest(request: ChatRequest) -> str:
     payload = json.dumps(
@@ -130,12 +136,10 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """dot(a, b) / (|a| |b|), clamped into [-1, 1]."""
     if len(a.values) != len(b.values):
         raise DimensionMismatch(f"{len(a.values)} vs {len(b.values)}")
-    norm_a = math.sqrt(math.fsum(x * x for x in a.values))
-    norm_b = math.sqrt(math.fsum(x * x for x in b.values))
-    if norm_a == 0.0 or norm_b == 0.0:
+    if a.norm == 0.0 or b.norm == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm vectors")
     dot = math.fsum(x * y for x, y in zip(a.values, b.values))
-    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+    return max(-1.0, min(1.0, dot / (a.norm * b.norm)))
 
 
 class ResponseStore:

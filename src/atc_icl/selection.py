@@ -36,6 +36,15 @@ class SelectionStrategy(Enum):
     KNN_LEN = "knn_len"
     KNN_TITLE = "knn_title"
 
+    @property
+    def uses_rank_seed(self) -> bool:
+        """Whether the ranking depends on its seed; only random ranking does.
+
+        A ranking that ignores the seed is the same in every round, so it can
+        be computed once per query and shared by all rounds.
+        """
+        return self is SelectionStrategy.KRN
+
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -111,9 +120,16 @@ def select_demonstrations(
     rank_seed: int,
     pick_seed: int,
     gateway: Gateway | None = None,
+    neighbors: Sequence[str] | None = None,
 ) -> SelectionOutcome:
-    """Rank a 2k neighborhood, then sample k demonstrations from it."""
-    neighbors = rank_neighbors(query, pool, strategy, 2 * k, rank_seed, gateway)
+    """Rank a 2k neighborhood, then sample k demonstrations from it.
+
+    ``neighbors``, when given, is the 2k neighborhood already ranked for
+    ``query`` and is used instead of ranking again; pass it only for a
+    strategy that ignores ``rank_seed``.
+    """
+    if neighbors is None:
+        neighbors = rank_neighbors(query, pool, strategy, 2 * k, rank_seed, gateway)
     chosen = subsample(neighbors, k, pick_seed)
     return SelectionOutcome(
         neighbor_ids=tuple(neighbors),

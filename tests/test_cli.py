@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from atc_icl import cli
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
 from atc_icl.errors import AtcError
@@ -337,3 +338,60 @@ def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
                            catch_exceptions=False)
     assert result.exit_code == 0
     assert "macro F1: 1.0000" in result.output
+
+
+def test_dry_run_embedding_calls_match_the_real_run(runner, small_dir, small_corpus, tmp_path):
+    out_dir = tmp_path / "knn-title"
+    config = write_config(tmp_path / "title.yaml", small_dir, out_dir,
+                          icl={"strategy": "knn_title", "n": 5}, backend={"embedding": "hash"})
+    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    pool, queries = small_corpus.train_essays(), small_corpus.test_essays()
+    titles = {e.title for e in [*pool, *queries]}
+    expected = len(queries) * (len(pool) + 1)
+    assert f"embedding calls: {expected} ({len(titles)} distinct titles)" in dry.output
+
+    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["embed_calls"] == expected
+
+    rerun = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    assert "embedding calls: 0 (0 distinct titles)" in rerun.output
+
+
+def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_dir, tmp_path, monkeypatch):
+    full_dir = tmp_path / "full"
+    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+                  catch_exceptions=False)
+
+    out_dir = tmp_path / "stopped"
+    first = write_config(tmp_path / "k3.yaml", small_dir, out_dir)
+    real_run_ensemble = cli.run_ensemble
+    started = []
+
+    def dies_on_second_essay(query, *args, **kwargs):
+        if started:
+            raise RuntimeError("chat backend went away")
+        started.append(query.essay_id)
+        return real_run_ensemble(query, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", dies_on_second_essay)
+    stopped = runner.invoke(main, ["run", "--config", str(first)])
+    assert isinstance(stopped.exception, RuntimeError)
+    monkeypatch.undo()
+    assert len((out_dir / "records.jsonl").read_bytes().splitlines()) == 1
+    recorded_digest = config_digest(load_run_config(first).icl)
+    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8")) == {
+        "config_digest": recorded_digest
+    }
+
+    second = write_config(tmp_path / "k1.yaml", small_dir, out_dir, icl={"k": 1})
+    new_digest = config_digest(load_run_config(second).icl)
+    for args in (["run", "--config", str(second)], ["run", "--config", str(second), "--dry-run"]):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, AtcError)
+        assert recorded_digest in str(result.exception) and new_digest in str(result.exception)
+
+    resumed = runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+    assert resumed.exit_code == 0
+    for name in ("records.jsonl", "report.json"):
+        assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -18,9 +19,9 @@ from atc_icl.ensemble import (
     run_ensemble,
 )
 from atc_icl.errors import ConfigError
-from atc_icl.gateway import Gateway, MockChatBackend
-from atc_icl.prompting import PromptConfig, PromptMode, render_labels
-from atc_icl.selection import SelectionStrategy
+from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend
+from atc_icl.prompting import PromptConfig, PromptMode, classify_essay, render_labels
+from atc_icl.selection import SelectionStrategy, select_demonstrations
 from conftest import simple_essay
 
 
@@ -221,3 +222,71 @@ def test_prediction_record_dict_round_trip():
     config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, prompt=prompt_config(), run_seed=13)
     record = run_ensemble(query, make_pool(), config, echo_gateway(query))
     assert PredictionRecord.from_dict(record.to_dict()) == record
+
+
+def prompt_hash_gateway(query):
+    """Answers that depend on the whole prompt, so other demonstrations give other votes."""
+
+    def responder(request):
+        h = hashlib.sha256(request.user_text.encode("utf-8")).digest()
+        return render_labels([LABELS[h[j] % 3] for j in range(query.m)])
+
+    return Gateway(chat_backend=MockChatBackend(responder=responder),
+                   embedding_backend=HashEmbeddingBackend(dim=8))
+
+
+@pytest.mark.parametrize("strategy", list(SelectionStrategy))
+def test_run_ensemble_matches_independent_rounds(strategy):
+    query = simple_essay("q", "Query topic", [Label.CLAIM, Label.PREMISE, Label.PREMISE])
+    pool = make_pool()
+    config = IclConfig(strategy, k=3, n_rounds=5, prompt=prompt_config(), run_seed=29)
+    record = run_ensemble(query, pool, config, prompt_hash_gateway(query))
+
+    # Oracle: every round selects from scratch with that round's own seeds.
+    gateway = prompt_hash_gateway(query)
+    pool_by_id = {e.essay_id: e for e in pool}
+    selections, rounds, responses = [], [], []
+    for round_index in range(1, 6):
+        outcome = select_demonstrations(
+            query, pool, strategy, 3,
+            rank_seed=derive_round_seed(29, "q", round_index, "rank"),
+            pick_seed=derive_round_seed(29, "q", round_index, "pick"),
+            gateway=gateway,
+        )
+        labels, raw = classify_essay(query, [pool_by_id[i] for i in outcome.chosen_ids],
+                                     config.prompt, gateway)
+        selections.append(outcome)
+        rounds.append(tuple(labels))
+        responses.append(tuple(raw))
+    per_component = list(zip(*rounds))
+    expected = PredictionRecord(
+        essay_id="q",
+        rounds=tuple(rounds),
+        final=tuple(brute_force_vote(votes) for votes in per_component),
+        vote_counts=tuple({label.value: votes.count(label) for label in set(votes)}
+                          for votes in per_component),
+        selections=tuple(selections),
+        responses=tuple(responses),
+    )
+    assert record == expected
+    assert record.to_dict() == expected.to_dict()
+    assert len({s.chosen_ids for s in record.selections}) > 1
+
+
+def test_run_ensemble_embeds_each_title_once_per_essay():
+    pool = make_pool()
+    config = IclConfig(SelectionStrategy.KNN_TITLE, k=3, n_rounds=5, prompt=prompt_config(), run_seed=2)
+    queries = [simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM]) for i in range(3)]
+    backend = HashEmbeddingBackend(dim=8)
+    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: render_labels([Label.CLAIM])),
+                      embedding_backend=backend)
+    for number, query in enumerate(queries, start=1):
+        run_ensemble(query, pool, config, gateway)
+        assert backend.calls == number * (len(pool) + 1)
+
+
+def test_run_ensemble_krn_ranks_every_round_anew():
+    query = simple_essay("q", "Query topic", [Label.CLAIM])
+    config = IclConfig(SelectionStrategy.KRN, k=3, n_rounds=5, prompt=prompt_config(), run_seed=4)
+    record = run_ensemble(query, make_pool(), config, echo_gateway(query))
+    assert len({frozenset(s.neighbor_ids) for s in record.selections}) > 1

@@ -274,6 +274,30 @@ def test_cosine_symmetric_and_scale_invariant(values, scale):
     assert cosine_similarity(scaled, b) == pytest.approx(cosine_similarity(a, b), abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [8, 1536])
+def test_cosine_with_cached_norms_is_bit_identical_to_inline_formula(dim):
+    backend = HashEmbeddingBackend(dim=dim)
+    vectors = [backend.embed(f"Title {i}")[0] for i in range(12)]
+
+    def inline(a, b):  # the formula before norms were cached on the vector
+        norm_a = math.sqrt(math.fsum(x * x for x in a.values))
+        norm_b = math.sqrt(math.fsum(x * x for x in b.values))
+        dot = math.fsum(x * y for x, y in zip(a.values, b.values))
+        return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
+
+    for a in vectors:
+        for b in vectors:
+            assert cosine_similarity(a, b) == inline(a, b)
+
+
+def test_cached_norm_leaves_equality_and_hash_alone():
+    a, b = vec(3, 4), vec(3, 4)
+    assert a.norm == 5.0
+    assert "norm" in vars(a) and "norm" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_embed_empty_text_rejected():
     gateway = Gateway(embedding_backend=HashEmbeddingBackend(dim=4))
     with pytest.raises(ValueError):
