@@ -170,15 +170,22 @@ def _drop_torn_tail(path: Path) -> None:
         click.echo(f"warning: {path}: dropped {len(data) - keep} bytes of a torn last record", err=True)
 
 
-def _check_config_digest(out_dir: Path, digest: str) -> None:
-    """Refuse to resume a run directory that was written by another config."""
+def _read_manifest(out_dir: Path) -> dict:
+    """The manifest an earlier session left in ``out_dir``; empty when there is none."""
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
-        return
+        return {}
     try:
-        recorded = json.loads(manifest_path.read_text(encoding="utf-8"))["config_digest"]
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["config_digest"]  # every manifest, the first stub too, names its config
     except (ValueError, KeyError, TypeError) as exc:
         raise AtcError(f"{manifest_path}: unreadable manifest ({exc})") from exc
+    return manifest
+
+
+def _check_config_digest(out_dir: Path, digest: str) -> None:
+    """Refuse to resume a run directory that was written by another config."""
+    recorded = _read_manifest(out_dir).get("config_digest", digest)
     if recorded != digest:
         raise AtcError(
             f"{out_dir} holds a run with config digest {recorded}, but this config has "
@@ -204,7 +211,9 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     resumes where it stopped; a torn last record is truncated and run again,
     and a directory written by another config is refused. Each new record is
     flushed as soon as it is written; the report and manifest cover every
-    record in the directory.
+    record in the directory. The manifest's call counts and wall clock add up
+    over the sessions, each counted up to its last written record: a session
+    that fails leaves its counts next to the config digest for the next one.
     """
     icl = config.icl
     label = run_label(icl)
@@ -212,7 +221,8 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     corpus, _, records, remaining = _pending(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not (out_dir / MANIFEST_NAME).exists():
+    earlier = _read_manifest(out_dir)
+    if not earlier:
         # Stamp the digest now, so a run stopped before its full manifest is
         # still checked on resume.
         _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest})
@@ -226,13 +236,27 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     pool = corpus.train_essays()
 
     started = time.monotonic()
-    with open(out_dir / RECORDS_NAME, "a", encoding="utf-8") as handle:
-        for essay in remaining:
-            record = run_ensemble(essay, pool, icl, gateway, info=info)
-            handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
-            handle.flush()
-            records.append(record)
-    elapsed = time.monotonic() - started
+
+    def counts() -> dict:
+        """Calls and seconds of the sessions so far, this one included."""
+        return {
+            "chat_calls": earlier.get("chat_calls", 0) + gateway.calls("chat"),
+            "embed_calls": earlier.get("embed_calls", 0) + gateway.calls("embed"),
+            "wall_clock_seconds": round(earlier.get("wall_clock_seconds", 0) + time.monotonic() - started, 3),
+        }
+
+    counted = counts()
+    try:
+        with open(out_dir / RECORDS_NAME, "a", encoding="utf-8") as handle:
+            for essay in remaining:
+                record = run_ensemble(essay, pool, icl, gateway, info=info)
+                handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
+                handle.flush()
+                records.append(record)
+                counted = counts()
+    except BaseException:
+        _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest, **counted})
+        raise
 
     records.sort(key=lambda record: record.essay_id)
     report = aggregate_runs(records, corpus, run_label=label, config_digest=digest)
@@ -247,9 +271,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         "essay_ids": [record.essay_id for record in records],
         "records_file": RECORDS_NAME,
         "report_file": REPORT_JSON_NAME,
-        "chat_calls": gateway.calls("chat"),
-        "embed_calls": gateway.calls("embed"),
-        "wall_clock_seconds": round(elapsed, 3),
+        **counted,
     })
     return report
 

@@ -15,8 +15,12 @@ both chat and embeddings:
 The store is content-addressed: chat records are keyed by a digest over
 (model name, system text, user text, temperature, max output tokens),
 embeddings by a digest over (model name, text), so recorded fixtures can be
-committed to a repository and replayed bit-identically. :class:`Gateway`
-counts the calls each (operation, backend tag) served.
+committed to a repository and replayed bit-identically. An embedding record
+holds its vector as packed little-endian float64 (hex text), so a replay
+reads it back with no decimal parsing; records written earlier, with a JSON
+list of floats, still replay. :class:`Gateway` counts the calls each
+(operation, backend tag) served, and retries transport errors and 429s with
+exponential backoff, waiting at least as long as a 429's ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,7 +47,14 @@ class TransportError(AtcError):
 
 
 class RateLimited(AtcError):
-    """The remote endpoint throttled the request; retriable."""
+    """The remote endpoint throttled the request; retriable.
+
+    ``retry_after`` is the wait in seconds the endpoint asked for, if it named one.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ReplayMiss(AtcError):
@@ -110,7 +123,7 @@ class EmbeddingVector:
     @functools.cached_property
     def norm(self) -> float:
         """Euclidean length, computed on first use and kept with the vector."""
-        return math.sqrt(math.fsum(x * x for x in self.values))
+        return math.sqrt(math.fsum(map(operator.mul, self.values, self.values)))
 
 
 def chat_request_digest(request: ChatRequest) -> str:
@@ -138,8 +151,28 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise DimensionMismatch(f"{len(a.values)} vs {len(b.values)}")
     if a.norm == 0.0 or b.norm == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm vectors")
-    dot = math.fsum(x * y for x, y in zip(a.values, b.values))
+    dot = math.fsum(map(operator.mul, a.values, b.values))
     return max(-1.0, min(1.0, dot / (a.norm * b.norm)))
+
+
+def embedding_values(record: dict, where: object) -> tuple[float, ...]:
+    """The vector of an embedding store record, bit for bit as it was stored.
+
+    Reads the packed ``vector_f64`` field, or the JSON float list ``vector``
+    of a record written before vectors were packed. A record with neither, or
+    one that does not decode, raises :class:`AtcError` naming ``where``.
+    """
+    try:
+        if "vector_f64" in record:
+            raw = bytes.fromhex(record["vector_f64"])
+            if len(raw) % 8:
+                raise ValueError(f"{len(raw)} bytes are not a whole number of float64 values")
+            return struct.unpack(f"<{len(raw) // 8}d", raw)
+        return tuple(map(float, record["vector"]))
+    except KeyError:
+        raise AtcError(f"malformed embedding record {where}: no vector_f64 or vector field") from None
+    except (TypeError, ValueError) as exc:
+        raise AtcError(f"malformed embedding record {where}: {exc}") from exc
 
 
 class ResponseStore:
@@ -147,9 +180,12 @@ class ResponseStore:
 
     Layout: ``<dir>/chat/<digest>.json`` and ``<dir>/embed/<digest>.json``.
     Each chat record keeps the full request next to the response so fixtures
-    are auditable. Each write goes to a uniquely named temp file in the target
-    directory and is renamed into place, so writers that share a store, in
-    one process or several, never see or leave a partial record.
+    are auditable. Each embedding record keeps its model name and text next
+    to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
+    text; read it back with :func:`embedding_values`. Each write goes to a
+    uniquely named temp file in the target directory and is renamed into
+    place, so writers that share a store, in one process or several, never
+    see or leave a partial record.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -208,11 +244,8 @@ class ResponseStore:
         return self._read("embed", digest)
 
     def put_embedding(self, digest: str, model_name: str, text: str, values: Sequence[float]) -> None:
-        self._write(
-            "embed",
-            digest,
-            {"model_name": model_name, "text": text, "vector": list(values)},
-        )
+        packed = struct.pack(f"<{len(values)}d", *values).hex()
+        self._write("embed", digest, {"model_name": model_name, "text": text, "vector_f64": packed})
 
 
 class ChatBackend(Protocol):
@@ -246,6 +279,15 @@ class MockChatBackend:
         else:
             raise RuntimeError("mock chat backend has no scripted response left")
         return ChatResponse(text=text, usage=Usage(), backend_tag=BackendTag.MOCK)
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a numeric ``Retry-After`` header; None when it is missing or not a number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class _OpenAIHttp:
@@ -285,7 +327,7 @@ class _OpenAIHttp:
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         if response.status_code == 429:
-            raise RateLimited(f"429 from {path}")
+            raise RateLimited(f"429 from {path}", _retry_after(response.headers.get("Retry-After")))
         if response.status_code >= 500:
             raise TransportError(f"{response.status_code} from {path}")
         if response.status_code >= 400:
@@ -454,8 +496,8 @@ class StoreEmbeddingBackend:
         record = self.store.get_embedding(digest)
         if record is not None:
             vector = EmbeddingVector(
-                values=tuple(float(x) for x in record["vector"]),
-                model_name=record["model_name"],
+                values=embedding_values(record, digest),
+                model_name=self.model_name,
                 source_text_digest=digest,
             )
             return vector, self._hit_tag
@@ -473,7 +515,10 @@ ReplayEmbeddingBackend = StoreEmbeddingBackend
 
 @dataclass
 class RetryPolicy:
-    """Bounded exponential backoff on transport and rate-limit errors only."""
+    """Bounded exponential backoff on transport and rate-limit errors only.
+
+    A 429 that names a ``Retry-After`` waits at least that long.
+    """
 
     attempts: int = 3
     base_delay: float = 1.0
@@ -502,7 +547,8 @@ class Gateway:
             except (TransportError, RateLimited) as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
-                    self.retry.sleep(self.retry.base_delay * (2**attempt))
+                    backoff = self.retry.base_delay * (2**attempt)
+                    self.retry.sleep(max(backoff, getattr(exc, "retry_after", None) or 0.0))
         assert last is not None
         raise last
 

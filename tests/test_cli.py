@@ -380,9 +380,9 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     monkeypatch.undo()
     assert len((out_dir / "records.jsonl").read_bytes().splitlines()) == 1
     recorded_digest = config_digest(load_run_config(first).icl)
-    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8")) == {
-        "config_digest": recorded_digest
-    }
+    stub = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert stub.keys() == {"config_digest", "chat_calls", "embed_calls", "wall_clock_seconds"}
+    assert (stub["config_digest"], stub["chat_calls"], stub["embed_calls"]) == (recorded_digest, 3, 0)
 
     second = write_config(tmp_path / "k1.yaml", small_dir, out_dir, icl={"k": 1})
     new_digest = config_digest(load_run_config(second).icl)
@@ -395,3 +395,52 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     assert resumed.exit_code == 0
     for name in ("records.jsonl", "report.json"):
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
+
+
+def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monkeypatch):
+    def run(out_dir):
+        config = write_config(tmp_path / f"{out_dir.name}.yaml", small_dir, out_dir,
+                              icl={"strategy": "knn_title"}, backend={"embedding": "hash"})
+        return runner.invoke(main, ["run", "--config", str(config)])
+
+    def manifest(out_dir):
+        return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+
+    full_dir = tmp_path / "full"
+    assert run(full_dir).exit_code == 0
+
+    # The chat backend goes away on the second essay, once its titles are ranked:
+    # the first essay takes 3 rounds and gold echo never retries.
+    real_make_gateway = cli.make_gateway
+    answered = []
+
+    def make_gateway(config, corpus=None):
+        gateway = real_make_gateway(config, corpus)
+        real_complete = gateway.chat_backend.complete
+
+        def complete(request):
+            if len(answered) == 3:
+                raise RuntimeError("chat backend went away")
+            answered.append(request)
+            return real_complete(request)
+
+        gateway.chat_backend.complete = complete
+        return gateway
+
+    stopped_dir = tmp_path / "stopped"
+    monkeypatch.setattr(cli, "make_gateway", make_gateway)
+    assert isinstance(run(stopped_dir).exception, RuntimeError)
+    monkeypatch.undo()
+    assert len((stopped_dir / "records.jsonl").read_bytes().splitlines()) == 1
+    stub = manifest(stopped_dir)
+    assert (stub["chat_calls"], stub["embed_calls"]) == (3, 9)  # one essay: 3 rounds, pool of 8 + 1
+
+    assert run(stopped_dir).exit_code == 0
+    resumed, full = manifest(stopped_dir), manifest(full_dir)
+    assert (resumed["chat_calls"], resumed["embed_calls"]) == (full["chat_calls"], full["embed_calls"]) == (12, 36)
+    assert resumed["wall_clock_seconds"] >= stub["wall_clock_seconds"]
+    assert (stopped_dir / "records.jsonl").read_bytes() == (full_dir / "records.jsonl").read_bytes()
+
+    # A rerun with nothing left to do keeps the counts.
+    assert run(stopped_dir).exit_code == 0
+    assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (12, 36)

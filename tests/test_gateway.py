@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import struct
+import tempfile
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -34,6 +37,7 @@ from atc_icl.gateway import (
     cosine_similarity,
     chat_request_digest,
     embedding_digest,
+    embedding_values,
 )
 
 
@@ -320,10 +324,11 @@ def test_mapping_backend_unknown_text_fails_loudly():
 
 
 class FakeHttpResponse:
-    def __init__(self, status_code=200, body=None, text=""):
+    def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body or {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -396,3 +401,88 @@ def test_live_embedding_backend_parses_openai_shape(monkeypatch):
     assert vector.values == (0.1, 0.2)
     assert vector.model_name == "text-embedding-ada-002"
     assert tag is BackendTag.LIVE
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [({"Retry-After": "7"}, 7.0), ({"Retry-After": "0.25"}, 0.25), ({}, None),
+     ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None), ({"Retry-After": "nan"}, None),
+     ({"Retry-After": "-3"}, None)],
+    ids=["seconds", "fraction", "missing", "http-date", "nan", "negative"],
+)
+def test_rate_limit_carries_a_numeric_retry_after(monkeypatch, header, expected):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    session = FakeSession([FakeHttpResponse(status_code=429, headers=header)])
+    backend = LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session)
+    with pytest.raises(RateLimited) as raised:
+        backend.complete(req())
+    assert raised.value.retry_after == expected
+
+
+def test_retry_waits_at_least_the_retry_after(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    ok = FakeHttpResponse(body={"choices": [{"message": {"content": "1. Claim"}}]})
+    session = FakeSession([
+        FakeHttpResponse(status_code=429, headers={"Retry-After": "5"}),  # longer than the backoff
+        FakeHttpResponse(status_code=429, headers={"Retry-After": "0.5"}),  # shorter than the backoff
+        FakeHttpResponse(status_code=429, headers={"Retry-After": "soon"}),  # not a number
+        ok,
+    ])
+    slept = []
+    gateway = Gateway(
+        chat_backend=LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session),
+        retry=RetryPolicy(attempts=4, base_delay=1.0, sleep=slept.append),
+    )
+    assert gateway.chat(req()).text == "1. Claim"
+    assert slept == [5.0, 2.0, 4.0]
+    assert not session.responses
+
+
+def _f64(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+                min_size=1, max_size=64))
+def test_packed_records_replay_bit_identically(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResponseStore(tmp)
+        store.put_embedding(embedding_digest("m", "T"), "m", "T", values)
+        record = json.loads((store.root / "embed" / f"{embedding_digest('m', 'T')}.json").read_text())
+        assert set(record) == {"model_name", "text", "vector_f64"}
+        vector, tag = StoreEmbeddingBackend(store, "m").embed("T")
+    assert tag is BackendTag.REPLAY
+    assert isinstance(vector.values, tuple)
+    assert _f64(vector.values) == _f64(values)
+
+
+def test_legacy_float_list_record_still_replays(tmp_path):
+    values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 1 / 3]
+    path = tmp_path / "embed" / f"{embedding_digest('m', 'T')}.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"model_name": "m", "text": "T", "vector": values}, indent=2), encoding="utf-8")
+    vector, tag = StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")
+    assert tag is BackendTag.REPLAY
+    assert vector.values == tuple(values)
+    assert _f64(vector.values) == _f64(values)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"vector_f64_": "00" * 8}, "no vector_f64 or vector field"),
+     ({"vector_f64": "zz" * 8}, "non-hexadecimal"),
+     ({"vector_f64": "00" * 12}, "12 bytes")],
+    ids=["no-vector", "bad-hex", "not-a-multiple-of-8"],
+)
+def test_malformed_embedding_record_names_its_digest(tmp_path, fields, message):
+    digest = embedding_digest("m", "T")
+    path = tmp_path / "embed" / f"{digest}.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"model_name": "m", "text": "T", **fields}), encoding="utf-8")
+    with pytest.raises(AtcError, match=f"malformed embedding record {digest}: .*{message}"):
+        StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")
+    with pytest.raises(AtcError, match=f"malformed embedding record {path}"):
+        embedding_values(json.loads(path.read_text(encoding="utf-8")), path)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atc_icl.corpus import Label
-from atc_icl.gateway import Gateway, MappingEmbeddingBackend, cosine_similarity
+from atc_icl.gateway import (
+    Gateway,
+    HashEmbeddingBackend,
+    MappingEmbeddingBackend,
+    ResponseStore,
+    StoreEmbeddingBackend,
+    cosine_similarity,
+    embedding_values,
+)
 from atc_icl.selection import (
     BadK,
     EmbeddingUnavailable,
@@ -169,3 +178,29 @@ def test_select_demonstrations_is_deterministic(seed, k):
     assert len(first.chosen_ids) == k
     assert set(first.chosen_ids) <= set(first.neighbor_ids)
     assert "q" not in first.neighbor_ids
+
+
+def test_knn_title_over_a_store_mixing_packed_and_legacy_records(tmp_path, small_corpus):
+    hashed = HashEmbeddingBackend(dim=1536)
+    store = ResponseStore(tmp_path)
+    recorder = StoreEmbeddingBackend(store, hashed.model_name, hashed)
+    for essay in small_corpus.essays:
+        recorder.embed(essay.title)
+    # Rewrite every other record the way vectors were stored before they were packed.
+    paths = sorted((tmp_path / "embed").glob("*.json"))
+    for path in paths[::2]:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["vector"] = list(embedding_values(record, path))
+        del record["vector_f64"]
+        path.write_text(json.dumps(record, indent=2), encoding="utf-8")
+    forms = [set(json.loads(path.read_text(encoding="utf-8"))) & {"vector", "vector_f64"} for path in paths]
+    assert forms.count({"vector"}) == (len(paths) + 1) // 2 and forms.count({"vector_f64"}) == len(paths) // 2
+
+    replay = Gateway(embedding_backend=StoreEmbeddingBackend(store, hashed.model_name))
+    direct = Gateway(embedding_backend=HashEmbeddingBackend(dim=1536))
+    pool = small_corpus.train_essays()
+    for query in small_corpus.test_essays():
+        ranked = [rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 6, 0, gateway)
+                  for gateway in (replay, direct)]
+        assert ranked[0] == ranked[1]
+    assert replay.live_calls() == 0
