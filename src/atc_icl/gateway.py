@@ -20,7 +20,8 @@ holds its vector as packed little-endian float64 (hex text), so a replay
 reads it back with no decimal parsing; records written earlier, with a JSON
 list of floats, still replay. :class:`Gateway` counts the calls each
 (operation, backend tag) served, and retries transport errors and 429s with
-exponential backoff, waiting at least as long as a 429's ``Retry-After``.
+exponential backoff, waiting at least as long as a 429's ``Retry-After``
+unless it asks for more than :data:`MAX_RETRY_AFTER_S`.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class ResponseStore:
     def _read(self, kind: str, digest: str) -> dict | None:
         path = self._path(kind, digest)
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return json.loads(path.read_bytes())
         except FileNotFoundError:
             return None
         except ValueError as exc:
@@ -332,7 +333,10 @@ class _OpenAIHttp:
             raise TransportError(f"{response.status_code} from {path}")
         if response.status_code >= 400:
             raise GatewayConfigError(f"{response.status_code} from {path}: {response.text[:200]}")
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise TransportError(f"non-JSON body from {path}: {exc}") from exc
 
 
 class LiveChatBackend(_OpenAIHttp):
@@ -353,17 +357,13 @@ class LiveChatBackend(_OpenAIHttp):
         )
         try:
             text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, not a string")
+            usage = body.get("usage") or {}
+            tokens = Usage(int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0)))
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise TransportError(f"malformed chat completion body: {exc}") from exc
-        usage = body.get("usage") or {}
-        return ChatResponse(
-            text=text,
-            usage=Usage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            ),
-            backend_tag=BackendTag.LIVE,
-        )
+        return ChatResponse(text=text, usage=tokens, backend_tag=BackendTag.LIVE)
 
 
 class StoreChatBackend:
@@ -513,11 +513,16 @@ CacheChatBackend = StoreChatBackend
 ReplayEmbeddingBackend = StoreEmbeddingBackend
 
 
+# The longest Retry-After a run waits for; a 429 asking for more fails at once.
+MAX_RETRY_AFTER_S = 300.0
+
+
 @dataclass
 class RetryPolicy:
     """Bounded exponential backoff on transport and rate-limit errors only.
 
-    A 429 that names a ``Retry-After`` waits at least that long.
+    A 429 that names a ``Retry-After`` waits at least that long, unless it
+    asks for more than :data:`MAX_RETRY_AFTER_S`, which is not retried.
     """
 
     attempts: int = 3
@@ -546,9 +551,16 @@ class Gateway:
                 return operation()
             except (TransportError, RateLimited) as exc:
                 last = exc
+                retry_after = getattr(exc, "retry_after", None) or 0.0
+                if retry_after > MAX_RETRY_AFTER_S:
+                    raise RateLimited(
+                        f"{exc}: Retry-After asks for {retry_after:g} s, more than the"
+                        f" {MAX_RETRY_AFTER_S:g} s a run waits",
+                        retry_after,
+                    ) from exc
                 if attempt + 1 < self.retry.attempts:
                     backoff = self.retry.base_delay * (2**attempt)
-                    self.retry.sleep(max(backoff, getattr(exc, "retry_after", None) or 0.0))
+                    self.retry.sleep(max(backoff, retry_after))
         assert last is not None
         raise last
 

@@ -9,6 +9,8 @@ prompt order.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Essay
 from .errors import AtcError
-from .gateway import Gateway, cosine_similarity
+from .gateway import EmbeddingVector, Gateway, cosine_similarity
 
 
 class PoolTooSmall(AtcError):
@@ -90,12 +92,83 @@ def rank_neighbors(
 
     if gateway is None or gateway.embedding_backend is None:
         raise EmbeddingUnavailable("title-embedding ranking needs an embedding gateway")
-    query_vec = gateway.embed(query.title)
-    scored = [
-        (-cosine_similarity(gateway.embed(e.title), query_vec), e.essay_id)
-        for e in candidates
-    ]
-    scored.sort()
+    return _rank_by_title(gateway.embed(query.title), candidates, n_neighbors, gateway)
+
+
+# Bounds of the title-kNN prefilter; see _rank_by_title for why they hold.
+_COSINE_SLACK = 2.0**-40
+_SAFE_NORMS = (2.0**-400, 2.0**400)
+
+
+def _rank_by_title(
+    query_vec: EmbeddingVector, candidates: Sequence[Essay], n_neighbors: int, gateway: Gateway
+) -> list[str]:
+    """The ``n_neighbors`` candidates of highest ``cosine_similarity`` to ``query_vec``.
+
+    Returns what sorting every candidate by (-cosine_similarity, essay id)
+    would, but runs the exact ``fsum`` cosine only near the cut. Candidates
+    are embedded in the given order, and each is first bounded by a cheap
+    estimate from the law of cosines, |q - v|^2 = |q|^2 + |v|^2 - 2 q.v,
+    with ``math.hypot`` and ``math.dist``. A min-heap keeps the n best lower
+    bounds; its minimum, the cut, only grows. A vector is held only while its
+    upper bound reaches the cut, and the held ones get the exact cosine.
+    Every true top-n candidate survives: one whose upper bound is below the
+    cut has n candidates whose exact cosines all exceed its own.
+
+    Why ``est - slack <= cosine_similarity(v, q) <= est + slack`` holds, with
+    u = 2**-53, r = |q| / |v| and slack = _COSINE_SLACK * (r + 1/r + 1).
+    With both norms in _SAFE_NORMS and equal dimensions, no square, product
+    or difference overflows, and an underflowing product or square moves a
+    sum by at most 2**-1075 per coordinate, far below u |q| |v| >= 2**-853.
+
+    * ``hypot`` and ``dist`` are within 1 ulp (2u) of the exact norm in
+      CPython >= 3.10, and each coordinate difference rounds by at most u,
+      so hq, hv and d are within 3u of |q|, |v| and |q - v|. Rounding
+      hq^2 + hv^2 - d^2 then errs by at most 22u (|q|^2 + |v|^2), because
+      |q - v|^2 <= 2 (|q|^2 + |v|^2), and dividing by 2 hq hv adds 6u:
+      |est - cos| <= 11u (r + 1/r) + 6u.
+    * ``cosine_similarity`` sums the rounded products exactly with
+      ``fsum``, which is at most 2u |q| |v| off by Cauchy-Schwarz; its two
+      norms (2u each), their product and the division add 6u more:
+      |exact - cos| <= 8u. Clamping to [-1, 1] only moves it towards cos.
+
+    So the gap is below 16u (r + 1/r + 1), and the slack, 8192u (r + 1/r + 1),
+    is 512 times that. Any other vector (another dimension, or a norm that
+    is zero, subnormal, huge, inf or NaN) gets the exact cosine as soon as
+    it is reached, so DimensionMismatch and ZeroNorm rise at the same
+    candidate as they would without the prefilter.
+    """
+    q = query_vec.values
+    hq = math.hypot(*q)
+    lo, hi = _SAFE_NORMS
+    query_safe = lo <= hq <= hi
+    lower_bounds: list[float] = []  # min-heap of the n best lower bounds
+    held: list[tuple] = []  # min-heap of (upper bound, index, essay id, vector, exact cosine or None)
+    cut = -math.inf
+    for index, essay in enumerate(candidates):
+        vector = gateway.embed(essay.title)
+        hv = math.hypot(*vector.values)
+        if query_safe and lo <= hv <= hi and len(vector.values) == len(q):
+            d = math.dist(q, vector.values)
+            estimate = (hq * hq + hv * hv - d * d) / (2.0 * hq * hv)
+            slack = _COSINE_SLACK * (hq / hv + hv / hq + 1.0)
+            low, high, exact = estimate - slack, estimate + slack, None
+        else:
+            low = high = exact = cosine_similarity(vector, query_vec)
+        if len(lower_bounds) < n_neighbors:
+            heapq.heappush(lower_bounds, low)
+        elif low > lower_bounds[0]:
+            heapq.heapreplace(lower_bounds, low)
+        if len(lower_bounds) == n_neighbors:
+            cut = lower_bounds[0]
+        if high >= cut:
+            heapq.heappush(held, (high, index, essay.essay_id, vector, exact))
+        while held and held[0][0] < cut:
+            heapq.heappop(held)
+    scored = sorted(
+        (-(cosine_similarity(vector, query_vec) if exact is None else exact), essay_id)
+        for _, _, essay_id, vector, exact in held
+    )
     return [essay_id for _, essay_id in scored[:n_neighbors]]
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from atc_icl import cli
 from atc_icl.cli import main
@@ -444,3 +446,28 @@ def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monk
     # A rerun with nothing left to do keeps the counts.
     assert run(stopped_dir).exit_code == 0
     assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (12, 36)
+
+
+@pytest.fixture(scope="module")
+def finished_run(small_dir, tmp_path_factory):
+    """Records and report of an uninterrupted 4-essay gold-echo run."""
+    root = tmp_path_factory.mktemp("finished")
+    config = write_config(root / "full.yaml", small_dir, root / "full")
+    CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    return tuple((root / "full" / name).read_bytes() for name in ("records.jsonl", "report.json"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_run_resumes_after_a_cut_at_any_byte(small_dir, finished_run, data):
+    records, report = finished_run
+    cut = data.draw(st.integers(0, len(records)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "resumed"
+        out_dir.mkdir()
+        (out_dir / "records.jsonl").write_bytes(records[:cut])
+        config = write_config(Path(tmp) / "resume.yaml", small_dir, out_dir)
+        result = CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert (out_dir / "records.jsonl").read_bytes() == records
+        assert (out_dir / "report.json").read_bytes() == report

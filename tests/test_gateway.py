@@ -9,10 +9,12 @@ import struct
 import tempfile
 
 import pytest
+import requests
 from hypothesis import assume, given, strategies as st
 
 from atc_icl.errors import AtcError
 from atc_icl.gateway import (
+    MAX_RETRY_AFTER_S,
     BackendTag,
     ChatRequest,
     ChatResponse,
@@ -324,14 +326,21 @@ def test_mapping_backend_unknown_text_fails_loudly():
 
 
 class FakeHttpResponse:
+    """``body`` is the decoded JSON; without one, ``json()`` decodes ``text`` as requests does."""
+
     def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
-        self._body = body or {}
+        self._body = body
         self.text = text
         self.headers = headers or {}
 
     def json(self):
-        return self._body
+        if self._body is not None:
+            return self._body
+        try:
+            return json.loads(self.text)
+        except json.JSONDecodeError as exc:
+            raise requests.JSONDecodeError(exc.msg, exc.doc, exc.pos) from exc
 
 
 class FakeSession:
@@ -486,3 +495,88 @@ def test_malformed_embedding_record_names_its_digest(tmp_path, fields, message):
         StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")
     with pytest.raises(AtcError, match=f"malformed embedding record {path}"):
         embedding_values(json.loads(path.read_text(encoding="utf-8")), path)
+
+
+@pytest.mark.parametrize("retry_after", [MAX_RETRY_AFTER_S + 0.5, 86400.0])
+def test_retry_after_beyond_the_ceiling_fails_at_once(retry_after):
+    class Throttled:
+        calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            raise RateLimited("429 from /chat/completions", retry_after)
+
+    backend, slept = Throttled(), []
+    gateway = Gateway(chat_backend=backend, retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append))
+    wait = f"429 from /chat/completions: Retry-After asks for {retry_after:g} s"
+    with pytest.raises(RateLimited, match=wait) as raised:
+        gateway.chat(req())
+    assert raised.value.retry_after == retry_after
+    assert backend.calls == 1 and slept == []
+
+
+def test_retry_after_at_the_ceiling_is_still_waited_for():
+    backend = FlakyChatBackend(failures=1, exc=lambda message: RateLimited(message, MAX_RETRY_AFTER_S))
+    slept = []
+    gateway = Gateway(chat_backend=backend, retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append))
+    assert gateway.chat(req()).text == "1. Claim"
+    assert slept == [MAX_RETRY_AFTER_S]
+
+
+def live_backends(session):
+    return {
+        "/chat/completions": lambda: LiveChatBackend(
+            "https://example.test/v1", api_key_env="TEST_API_KEY", session=session).complete(req()),
+        "/embeddings": lambda: LiveEmbeddingBackend(
+            "https://example.test/v1", "ada", api_key_env="TEST_API_KEY", session=session).embed("A title"),
+    }
+
+
+def chat_body(content="1. Claim", **fields):
+    return {"choices": [{"message": {"content": content}}], **fields}
+
+
+@pytest.mark.parametrize("path", ["/chat/completions", "/embeddings"])
+@pytest.mark.parametrize("text", ["<html><body>502 Bad Gateway</body></html>", ""], ids=["html", "empty"])
+def test_non_json_answer_is_a_transport_error_naming_the_path(monkeypatch, path, text):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    call = live_backends(FakeSession([FakeHttpResponse(text=text)]))[path]
+    with pytest.raises(TransportError, match=f"non-JSON body from {path}: Expecting value"):
+        call()
+
+
+def test_non_json_answer_is_retried(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    session = FakeSession([
+        FakeHttpResponse(text="<html>proxy error</html>"),
+        FakeHttpResponse(body=chat_body()),
+    ])
+    gateway = Gateway(
+        chat_backend=LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session),
+        retry=no_sleep_policy(),
+    )
+    assert gateway.chat(req()).text == "1. Claim"
+    assert not session.responses
+
+
+@pytest.mark.parametrize(
+    "body",
+    [chat_body(None), chat_body(usage=[12, 4]), chat_body(usage="12 tokens"),
+     chat_body(usage={"prompt_tokens": "many"}), chat_body(usage={"prompt_tokens": None}),
+     chat_body(usage={"completion_tokens": [4]}), chat_body(usage={"completion_tokens": float("inf")})],
+    ids=["null-content", "list-usage", "string-usage", "word-count", "null-count", "list-count", "inf-count"],
+)
+def test_malformed_chat_body_is_a_transport_error(monkeypatch, body):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    call = live_backends(FakeSession([FakeHttpResponse(body=body)]))["/chat/completions"]
+    with pytest.raises(TransportError, match="malformed chat completion body"):
+        call()
+
+
+def test_store_record_of_invalid_utf8_names_the_file(tmp_path):
+    digest = embedding_digest("m", "T")
+    path = tmp_path / "embed" / f"{digest}.json"
+    path.parent.mkdir()
+    path.write_bytes(b'{"model_name": "m", "text": "\xff\xfe", "vector_f64": ""}')
+    with pytest.raises(AtcError, match=f"corrupt store record .*{path.name}"):
+        StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")

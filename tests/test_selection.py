@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atc_icl import selection
 from atc_icl.corpus import Label
 from atc_icl.gateway import (
     Gateway,
@@ -39,6 +42,14 @@ def essays_with_counts(counts: dict[str, int]):
 
 def mapping_gateway(vectors: dict[str, list[float]]):
     return Gateway(embedding_backend=MappingEmbeddingBackend(vectors))
+
+
+def exhaustive_ranking(query, pool, n, gateway):
+    """Oracle: every candidate through ``cosine_similarity``, sorted by (-cosine, id)."""
+    query_vec = gateway.embed(query.title)
+    candidates = sorted((e for e in pool if e.essay_id != query.essay_id), key=lambda e: e.essay_id)
+    scored = sorted((-cosine_similarity(gateway.embed(e.title), query_vec), e.essay_id) for e in candidates)
+    return [essay_id for _, essay_id in scored[:n]]
 
 
 def test_knn_len_picks_closest_component_counts():
@@ -103,14 +114,7 @@ def test_knn_title_matches_exhaustive_cosine_oracle():
         gateway = mapping_gateway(vectors)
         n = rng.randrange(2, size + 1, 2)
         ranked = rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, n, 0, gateway)
-
-        # Brute-force oracle: compute every cosine, sort, take the prefix.
-        oracle_gateway = mapping_gateway(vectors)
-        query_vec = oracle_gateway.embed(query.title)
-        scored = sorted(
-            ((-cosine_similarity(oracle_gateway.embed(e.title), query_vec), e.essay_id) for e in pool)
-        )
-        assert ranked == [essay_id for _, essay_id in scored[:n]]
+        assert ranked == exhaustive_ranking(query, pool, n, mapping_gateway(vectors))
 
 
 def test_krn_is_seed_deterministic_and_uniform():
@@ -204,3 +208,114 @@ def test_knn_title_over_a_store_mixing_packed_and_legacy_records(tmp_path, small
                   for gateway in (replay, direct)]
         assert ranked[0] == ranked[1]
     assert replay.live_calls() == 0
+
+
+class RecordingBackend(MappingEmbeddingBackend):
+    """Mapping embeddings that remember which titles were embedded, in order."""
+
+    def __init__(self, mapping):
+        super().__init__(mapping)
+        self.embedded = []
+
+    def embed(self, text):
+        self.embedded.append(text)
+        return super().embed(text)
+
+
+def outcome(rank, vectors, query, pool, n):
+    """(ranking or raised error, titles embedded in order) of one ranking over ``vectors``."""
+    backend = RecordingBackend(vectors)
+    try:
+        result = rank(query, pool, n, Gateway(embedding_backend=backend))
+    except Exception as exc:  # the oracle and the prefilter must fail alike
+        result = (type(exc), str(exc))
+    return result, backend.embedded
+
+
+PROPERTY_POOL = [simple_essay(f"e{i:02d}", f"Title {i}", [Label.CLAIM]) for i in range(24)]
+PROPERTY_QUERY = simple_essay("q", "Query", [Label.CLAIM])
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def title_vectors(draw):
+    """Query and pool vectors full of exact and near ties, extreme scales and special values."""
+    dim = draw(st.integers(1, 6))
+    finite = st.floats(-4, 4, allow_subnormal=False)
+    drawn = [draw(st.lists(finite, min_size=dim, max_size=dim))]
+    for _ in range(len(PROPERTY_POOL)):
+        base = list(draw(st.sampled_from(drawn)))
+        kind = draw(st.sampled_from(["fresh", "duplicate", "nextafter", "scaled", "special"]))
+        if kind == "fresh":
+            base = draw(st.lists(finite, min_size=dim, max_size=dim))
+        elif kind == "nextafter":
+            i = draw(st.integers(0, dim - 1))
+            base[i] = math.nextafter(base[i], draw(st.sampled_from([math.inf, -math.inf])))
+        elif kind == "scaled":
+            scale = math.ldexp(1.0, draw(st.integers(-1074, 1023)))
+            base = [x * scale for x in base]
+        elif kind == "special":
+            base[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(SPECIAL))
+        drawn.append(base)
+    other_dim = draw(st.none() | st.integers(0, len(drawn) - 1))
+    if other_dim is not None:
+        drawn[other_dim] = drawn[other_dim] + [1.0]
+    query_vec = draw(st.sampled_from(drawn))
+    vectors = {e.title: v for e, v in zip(PROPERTY_POOL, drawn[1:])}
+    vectors[PROPERTY_QUERY.title] = query_vec
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(title_vectors(), st.integers(1, len(PROPERTY_POOL)), st.integers(2, len(PROPERTY_POOL)))
+def test_knn_title_prefilter_equals_the_exhaustive_oracle(vectors, n, pool_size):
+    def prefiltered(query, pool, n, gateway):
+        return rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, n, 0, gateway)
+
+    args = (vectors, PROPERTY_QUERY, PROPERTY_POOL[:pool_size], min(n, pool_size))
+    assert outcome(prefiltered, *args) == outcome(exhaustive_ranking, *args)
+
+
+@pytest.fixture(scope="module")
+def ada_replay(synth_corpus, tmp_path_factory):
+    """Replay gateway over 1536-dim hash vectors of every title of the full-size corpus."""
+    hashed = HashEmbeddingBackend(dim=1536)
+    store = ResponseStore(tmp_path_factory.mktemp("ada-store"))
+    recorder = StoreEmbeddingBackend(store, hashed.model_name, hashed)
+    for essay in synth_corpus.essays:
+        recorder.embed(essay.title)
+    return Gateway(embedding_backend=StoreEmbeddingBackend(store, hashed.model_name))
+
+
+def test_knn_title_computes_exact_cosines_for_the_winners_only(synth_corpus, ada_replay, monkeypatch):
+    exact_calls = []
+
+    def counting(a, b):
+        exact_calls.append(a)
+        return cosine_similarity(a, b)
+
+    monkeypatch.setattr(selection, "cosine_similarity", counting)
+    pool = synth_corpus.train_essays()
+    assert len(pool) == 322
+    for query in synth_corpus.test_essays()[:3]:
+        exact_calls.clear()
+        ranked = rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, ada_replay)
+        assert len(exact_calls) == 10
+        assert ranked == exhaustive_ranking(query, pool, 10, ada_replay)
+
+
+def test_knn_title_holds_few_pool_vectors_at_once(synth_corpus, ada_replay):
+    pool = synth_corpus.train_essays()
+    query = synth_corpus.test_essays()[0]
+    tracemalloc.start()
+    try:
+        vector = ada_replay.embed(query.title)
+        one_vector = tracemalloc.get_traced_memory()[0]
+        del vector
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, ada_replay)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pool) * one_vector / 8
