@@ -24,19 +24,23 @@ from atc_icl.config import BackendConfig, RunConfig
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
 from atc_icl.metrics import render_report
-from atc_icl.prompting import PromptConfig
+from atc_icl.prompting import PromptConfig, PromptMode
 from atc_icl.selection import SelectionStrategy
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 
+ALL, ONE = PromptMode.ALL_AT_ONCE, PromptMode.ONE_BY_ONE
 GRID = [
-    # (strategy, k, n, info, essay, fts, model)
-    (SelectionStrategy.KNN_LEN, 5, 1, True, True, False, "gpt-4"),
-    (SelectionStrategy.KNN_LEN, 5, 3, True, True, False, "gpt-4"),
-    (SelectionStrategy.KNN_TITLE, 5, 5, False, True, False, "gpt-4"),
-    (SelectionStrategy.KNN_TITLE, 5, 3, True, True, False, "gpt-4"),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-4"),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, True, "gpt-4"),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-3.5-turbo"),
+    # (strategy, k, n, info, essay, fts, model, mode)
+    (SelectionStrategy.KNN_LEN, 5, 1, True, True, False, "gpt-4", ALL),
+    (SelectionStrategy.KNN_LEN, 5, 3, True, True, False, "gpt-4", ALL),
+    (SelectionStrategy.KNN_TITLE, 5, 5, False, True, False, "gpt-4", ALL),
+    (SelectionStrategy.KNN_TITLE, 5, 3, True, True, False, "gpt-4", ALL),
+    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-4", ALL),
+    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, True, "gpt-4", ALL),
+    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-3.5-turbo", ALL),
+    (SelectionStrategy.KNN_LEN, 5, 3, True, True, True, "gpt-4", ONE),
+    # k = 0: no demonstrations, the way a fine-tuned model is scored
+    (SelectionStrategy.KNN_LEN, 0, 1, False, True, True, "ft:gpt-3.5-turbo", ONE),
 ]
 
 
@@ -57,11 +61,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"corpus: {len(corpus.essays)} essays, {len(corpus.test_essays())} test queries\n")
 
         imperfect = 0
-        for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model) in enumerate(GRID):
+        for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model, mode) in enumerate(GRID):
             icl = IclConfig(
                 strategy=strategy, k=k, n_rounds=n,
                 prompt=PromptConfig(include_info=info_flag, include_essay=essay_flag,
-                                    include_fts=fts_flag),
+                                    include_fts=fts_flag, mode=mode),
                 run_seed=args.seed, model_name=model,
             )
             report = run_experiment(RunConfig(

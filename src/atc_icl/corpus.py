@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import AtcError
 
@@ -358,7 +358,3 @@ def compute_stats(corpus: Corpus, scope: Scope = Scope.ALL) -> CorpusStats:
         component_count=sum(label_counts.values()),
     )
 
-
-def gold_labels(essays: Iterable[Essay]) -> list[Label]:
-    """Flatten gold labels across essays in document order."""
-    return [c.gold_label for e in essays for c in e.components]

@@ -74,6 +74,10 @@ class ZeroNorm(AtcError):
     """Cosine similarity is undefined for zero-norm vectors."""
 
 
+class NonFiniteCosine(AtcError):
+    """A vector has a non-finite entry, or a norm or dot product overflows."""
+
+
 class BackendTag(Enum):
     LIVE = "live"
     CACHE = "cache"
@@ -85,10 +89,6 @@ class BackendTag(Enum):
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,25 @@ def embedding_digest(model_name: str, text: str) -> str:
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (|a| |b|), clamped into [-1, 1]."""
+    """dot(a, b) / (|a| |b|), clamped into [-1, 1].
+
+    An inf or NaN entry or an overflowing norm makes the product of the norms
+    inf or NaN (inf * 0 is NaN), so that product and the dot product are checked.
+    """
     if len(a.values) != len(b.values):
         raise DimensionMismatch(f"{len(a.values)} vs {len(b.values)}")
+    try:
+        norms = a.norm * b.norm
+        dot = math.fsum(map(operator.mul, a.values, b.values))
+        finite = math.isfinite(norms) and math.isfinite(dot)
+    except (OverflowError, ValueError):  # fsum overflowed, or met both +inf and -inf
+        finite = False
+    if not finite:
+        digests = f"{a.source_text_digest} and {b.source_text_digest}"
+        raise NonFiniteCosine(f"cosine of embeddings {digests} is not finite: inf or NaN entry, or overflow")
     if a.norm == 0.0 or b.norm == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm vectors")
-    dot = math.fsum(map(operator.mul, a.values, b.values))
-    return max(-1.0, min(1.0, dot / (a.norm * b.norm)))
+    return max(-1.0, min(1.0, dot / norms))
 
 
 def embedding_values(record: dict, where: object) -> tuple[float, ...]:

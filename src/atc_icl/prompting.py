@@ -8,19 +8,21 @@ answers one line per component in the canonical ``<index>. <label>`` format;
 
 Two inference modes share the same context layout: all-at-once asks for every
 component of the query essay in a single call, one-by-one asks for a single
-target component per call.
+target component per call. A round renders its context once; its one-by-one
+requests differ only in the closing instruction.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LABELS, Corpus, Essay, Label, Scope, compute_stats
+from .corpus import LABELS, Corpus, Essay, Label, Scope
 from .errors import AtcError
 from .features import extract_structural, render_featxt
 from .gateway import ChatRequest, Gateway
@@ -68,8 +70,7 @@ class InfoBlock:
 @dataclass(frozen=True)
 class Prompt:
     system_text: str
-    user_text: str
-    demo_essay_ids: tuple[str, ...]
+    user_texts: tuple[str, ...]
 
 
 SYSTEM_ALL_AT_ONCE = (
@@ -145,10 +146,10 @@ def load_class_definitions(path: Path | str | None = None) -> dict[Label, str]:
 
 def build_info_block(corpus: Corpus, definitions: Mapping[Label, str] | None = None) -> InfoBlock:
     """Info block with definitions and label counts from the train split."""
-    stats = compute_stats(corpus, Scope.TRAIN)
+    counts = Counter(c.gold_label for e in corpus.essays_in(Scope.TRAIN) for c in e.components)
     return InfoBlock(
         class_definitions=dict(definitions) if definitions else load_class_definitions(),
-        train_stats=dict(stats.label_counts),
+        train_stats={label: counts[label] for label in LABELS},
     )
 
 
@@ -193,24 +194,18 @@ def build_prompt(
     demos: Sequence[Essay],
     config: PromptConfig,
     info: InfoBlock | None = None,
-    target_index: int | None = None,
 ) -> Prompt:
-    """Assemble the full prompt for one chat call.
+    """Assemble one round's chat requests: one user text per call.
 
-    ``target_index`` (1-based) selects the component to ask about in
-    one-by-one mode and must be absent in all-at-once mode, where the single
-    call covers every component of the query essay.
+    The context (info block, demonstrations, query section) is rendered once,
+    and each user text appends one call's instruction to it: a single text in
+    all-at-once mode, and in one-by-one mode m texts, the j-th asking about
+    component j.
     """
     if config.include_info and info is None:
         raise MissingInfoBlock("prompt config includes the info block but none was given")
-    if config.mode is PromptMode.ALL_AT_ONCE:
-        if not demos:
-            raise MissingDemonstrations("all-at-once prompts need at least one demonstration")
-        if target_index is not None:
-            raise ValueError("target_index only applies to one-by-one mode")
-    else:
-        if target_index is None or not (1 <= target_index <= query.m):
-            raise ValueError(f"target_index must be in 1..{query.m}")
+    if config.mode is PromptMode.ALL_AT_ONCE and not demos:
+        raise MissingDemonstrations("all-at-once prompts need at least one demonstration")
 
     sections: list[str] = []
     if config.include_info and info is not None:
@@ -221,18 +216,14 @@ def build_prompt(
             demo_lines.append(_render_demo(demo, i))
         sections.append("\n\n".join(demo_lines))
     sections.append(_render_query(query, config))
-    if config.mode is PromptMode.ALL_AT_ONCE:
-        sections.append(ALL_AT_ONCE_INSTRUCTION.format(m=query.m))
-        system_text = SYSTEM_ALL_AT_ONCE
-    else:
-        sections.append(ONE_BY_ONE_INSTRUCTION.format(j=target_index, m=query.m))
-        system_text = SYSTEM_ONE_BY_ONE
+    context = "\n\n".join(sections)
 
-    return Prompt(
-        system_text=system_text,
-        user_text="\n\n".join(sections),
-        demo_essay_ids=tuple(d.essay_id for d in demos),
-    )
+    if config.mode is PromptMode.ALL_AT_ONCE:
+        system_text, instructions = SYSTEM_ALL_AT_ONCE, [ALL_AT_ONCE_INSTRUCTION.format(m=query.m)]
+    else:
+        system_text = SYSTEM_ONE_BY_ONE
+        instructions = [ONE_BY_ONE_INSTRUCTION.format(j=j, m=query.m) for j in range(1, query.m + 1)]
+    return Prompt(system_text, tuple(f"{context}\n\n{instruction}" for instruction in instructions))
 
 
 def _match_label(core: str) -> Label | None:
@@ -283,10 +274,12 @@ def classify_essay(
     times with an appended format reminder before :class:`Unparseable` is
     raised. Returns the labels and every raw response text, in request order.
     """
+    prompt = build_prompt(query, demos, config, info)
+    expected = query.m if config.mode is PromptMode.ALL_AT_ONCE else 1
     responses: list[str] = []
 
-    def ask(prompt: Prompt, expected: int) -> list[Label]:
-        user_text = prompt.user_text
+    def ask(base_text: str) -> list[Label]:
+        user_text = base_text
         last_error: AtcError | None = None
         for _ in range(max_retries + 1):
             response = gateway.chat(
@@ -303,17 +296,10 @@ def classify_essay(
                 return parse_response(response.text, expected)
             except (CountMismatch, UnknownLabel) as exc:
                 last_error = exc
-                user_text = prompt.user_text + "\n\n" + FORMAT_REMINDER.format(m=expected)
+                user_text = base_text + "\n\n" + FORMAT_REMINDER.format(m=expected)
         raise Unparseable(
             f"{query.essay_id}: no parseable answer after {max_retries + 1} attempts"
         ) from last_error
 
-    if config.mode is PromptMode.ALL_AT_ONCE:
-        prompt = build_prompt(query, demos, config, info)
-        return ask(prompt, query.m), responses
-
-    labels: list[Label] = []
-    for j in range(1, query.m + 1):
-        prompt = build_prompt(query, demos, config, info, target_index=j)
-        labels.extend(ask(prompt, 1))
+    labels = [label for text in prompt.user_texts for label in ask(text)]
     return labels, responses

@@ -135,8 +135,9 @@ def _rank_by_title(
     So the gap is below 16u (r + 1/r + 1), and the slack, 8192u (r + 1/r + 1),
     is 512 times that. Any other vector (another dimension, or a norm that
     is zero, subnormal, huge, inf or NaN) gets the exact cosine as soon as
-    it is reached, so DimensionMismatch and ZeroNorm rise at the same
-    candidate as they would without the prefilter.
+    it is reached, so DimensionMismatch, ZeroNorm and NonFiniteCosine rise
+    at the same candidate as they would without the prefilter. An inf or NaN
+    entry makes ``hypot`` inf or NaN, so such vectors always take this path.
     """
     q = query_vec.values
     hq = math.hypot(*q)

@@ -258,7 +258,8 @@ def test_criterion_6_round_trip_and_snapshot(park_essay):
 
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
     prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
-    rendered = prompt.system_text + "\n<<<USER>>>\n" + prompt.user_text + "\n"
+    (user_text,) = prompt.user_texts
+    rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     assert rendered.encode("utf-8") == (DATA / "prompt_snapshot.txt").read_bytes()
 
 

@@ -27,6 +27,7 @@ from atc_icl.gateway import (
     LiveEmbeddingBackend,
     MappingEmbeddingBackend,
     MockChatBackend,
+    NonFiniteCosine,
     RateLimited,
     ReplayMiss,
     ResponseStore,
@@ -260,6 +261,24 @@ def test_cosine_errors():
         cosine_similarity(vec(1, 2), vec(1, 2, 3))
     with pytest.raises(ZeroNorm):
         cosine_similarity(vec(0, 0), vec(1, 0))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (math.nan, 1.0),  # NaN passes the [-1, 1] clamp as 1.0
+        (math.inf, -math.inf),  # fsum raises ValueError on inf + -inf
+        (2.0**511.5, 2.0**511.5),  # fsum overflows summing the squares
+        (2.0**600, 1.0),  # a square overflows, so the norm is inf
+    ],
+)
+def test_cosine_rejects_non_finite_and_overflowing_vectors(values):
+    bad = EmbeddingVector(values=values, model_name="m", source_text_digest="bad-digest")
+    good = EmbeddingVector(values=(1.0, 1.0), model_name="m", source_text_digest="good-digest")
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(NonFiniteCosine, match="good-digest") as raised:
+            cosine_similarity(a, b)
+        assert "bad-digest" in str(raised.value)
 
 
 @given(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from random import Random
 
@@ -61,34 +62,37 @@ def test_prompt_structure_counts_demo_sections(park_essay):
     demos = demo_pair()
     config = PromptConfig(include_info=True, include_essay=True)
     prompt = build_prompt(park_essay, list(demos) + [demos[0], demos[1], demos[0]], config, info_block())
-    assert prompt.user_text.count("### Example") == 5
-    assert "Full text:" in prompt.user_text
-    assert park_essay.raw_text.rstrip("\n") in prompt.user_text
-    assert prompt.demo_essay_ids == ("essay900", "essay901", "essay900", "essay901", "essay900")
+    (user_text,) = prompt.user_texts
+    assert user_text.count("### Example") == 5
+    assert "Full text:" in user_text
+    assert park_essay.raw_text.rstrip("\n") in user_text
+    titles = re.findall(r"### Example (\d+)\nTitle: (.+)", user_text)
+    museums, cycling = (d.title for d in demos)
+    assert titles == [("1", museums), ("2", cycling), ("3", museums), ("4", cycling), ("5", museums)]
 
 
 def test_prompt_without_essay_block_omits_full_text(park_essay):
-    prompt = build_prompt(park_essay, list(demo_pair()), PromptConfig())
-    assert "Full text:" not in prompt.user_text
+    (user_text,) = build_prompt(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    assert "Full text:" not in user_text
     # components still listed in document order, numbered 1..m
     for i, component in enumerate(park_essay.components, start=1):
-        assert f"{i}. {component.text}" in prompt.user_text
+        assert f"{i}. {component.text}" in user_text
 
 
 def test_prompt_fts_block_follows_each_query_component(park_essay):
-    prompt = build_prompt(park_essay, list(demo_pair()), PromptConfig(include_fts=True))
-    lines = prompt.user_text.splitlines()
+    (user_text,) = build_prompt(park_essay, list(demo_pair()), PromptConfig(include_fts=True)).user_texts
+    lines = user_text.splitlines()
     for i, component in enumerate(park_essay.components, start=1):
         idx = lines.index(f"{i}. {component.text}")
         assert lines[idx + 1].startswith("Is the AC first in its paragraph:")
-    without = build_prompt(park_essay, list(demo_pair()), PromptConfig())
-    assert "Is the AC first in its paragraph" not in without.user_text
+    (without,) = build_prompt(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    assert "Is the AC first in its paragraph" not in without
 
 
 def test_demo_sections_show_gold_labels(park_essay):
-    prompt = build_prompt(park_essay, [demo_pair()[0]], PromptConfig())
-    assert "1. public money should fund museums -> Major Claim" in prompt.user_text
-    assert "3. school visits rose last year -> Premise" in prompt.user_text
+    (user_text,) = build_prompt(park_essay, [demo_pair()[0]], PromptConfig()).user_texts
+    assert "1. public money should fund museums -> Major Claim" in user_text
+    assert "3. school visits rose last year -> Premise" in user_text
 
 
 def test_missing_info_block_raises(park_essay):
@@ -101,28 +105,43 @@ def test_all_at_once_requires_demos(park_essay):
         build_prompt(park_essay, [], PromptConfig())
 
 
-def test_one_by_one_target_index_validation(park_essay):
+def test_one_by_one_yields_m_texts_that_differ_only_in_the_instruction(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    with pytest.raises(ValueError):
-        build_prompt(park_essay, list(demo_pair()), config)
-    with pytest.raises(ValueError):
-        build_prompt(park_essay, list(demo_pair()), config, target_index=5)
-    prompt = build_prompt(park_essay, list(demo_pair()), config, target_index=4)
-    assert "Which class is argument component 4 of 4?" in prompt.user_text
+    texts = build_prompt(park_essay, list(demo_pair()), config).user_texts
+    assert len(texts) == park_essay.m == 4
+    contexts = set()
+    for j, text in enumerate(texts, start=1):
+        context, instruction = text.rsplit("\n\n", 1)
+        assert instruction.startswith(f"Which class is argument component {j} of 4?")
+        contexts.add(context)
+    assert len(contexts) == 1
 
 
 def test_one_by_one_allows_zero_demos(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    prompt = build_prompt(park_essay, [], config, target_index=1)
-    assert "## Demonstration essays" not in prompt.user_text
+    texts = build_prompt(park_essay, [], config).user_texts
+    assert len(texts) == park_essay.m
+    assert all("## Demonstration essays" not in text for text in texts)
 
 
 def test_prompt_snapshot_is_byte_stable(park_essay):
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
     prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
-    rendered = prompt.system_text + "\n<<<USER>>>\n" + prompt.user_text + "\n"
+    (user_text,) = prompt.user_texts
+    rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     frozen = (DATA / "prompt_snapshot.txt").read_text(encoding="utf-8")
     assert rendered == frozen
+
+
+def test_one_by_one_prompt_snapshot_is_byte_stable(park_essay):
+    config = PromptConfig(
+        include_info=True, include_essay=True, include_fts=True, mode=PromptMode.ONE_BY_ONE
+    )
+    prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
+    rendered = prompt.system_text + "".join(
+        f"\n<<<USER {j}>>>\n{text}" for j, text in enumerate(prompt.user_texts, start=1)
+    ) + "\n"
+    assert rendered.encode("utf-8") == (DATA / "prompt_snapshot_one_by_one.txt").read_bytes()
 
 
 def test_build_info_block_uses_train_stats(small_corpus):
@@ -217,8 +236,6 @@ def test_classify_essay_one_by_one(park_essay):
     gold = gold_of(park_essay)
 
     def responder(request):
-        import re
-
         j = int(re.search(r"component (\d+) of", request.user_text).group(1))
         return gold[j - 1].display_name
 
