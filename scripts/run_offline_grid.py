@@ -38,6 +38,8 @@ GRID = [
     (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-4", ALL),
     (SelectionStrategy.KNN_TITLE, 5, 5, True, True, True, "gpt-4", ALL),
     (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-3.5-turbo", ALL),
+    # random neighborhoods: the one strategy that ranks once per round
+    (SelectionStrategy.KRN, 5, 5, True, True, False, "gpt-4", ALL),
     (SelectionStrategy.KNN_LEN, 5, 3, True, True, True, "gpt-4", ONE),
     # k = 0: no demonstrations, the way a fine-tuned model is scored
     (SelectionStrategy.KNN_LEN, 0, 1, False, True, True, "ft:gpt-3.5-turbo", ONE),

@@ -19,7 +19,7 @@ import click
 from . import __version__
 from .config import RunConfig, config_digest, load_run_config, run_label
 from .corpus import Corpus, Essay, LABELS, Scope, Split, compute_stats, load_corpus
-from .ensemble import PredictionRecord, run_ensemble
+from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
 from .gateway import (
@@ -32,6 +32,7 @@ from .gateway import (
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
+    write_text_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
 from .mocks import constant_label_responder, gold_echo_responder
@@ -84,7 +85,7 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _print_stats(stats, scope: Scope) -> None:
@@ -261,7 +262,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     records.sort(key=lambda record: record.essay_id)
     report = aggregate_runs(records, corpus, run_label=label, config_digest=digest)
     _write_json(out_dir / REPORT_JSON_NAME, report.to_dict())
-    (out_dir / REPORT_TEXT_NAME).write_text(render_report(report) + "\n", encoding="utf-8")
+    write_text_atomic(out_dir / REPORT_TEXT_NAME, render_report(report) + "\n")
     _write_json(out_dir / MANIFEST_NAME, {
         "artifact_version": __version__,
         "run_label": label,
@@ -285,9 +286,10 @@ def run(config_path: Path, dry_run: bool) -> None:
     config = load_run_config(config_path)
     icl = config.icl
     if not icl.is_standard_grid():
+        k_values, n_values = (",".join(map(str, values)) for values in (STANDARD_K, STANDARD_N_ROUNDS))
         click.echo(
             f"note: k={icl.k}, n={icl.n_rounds} is outside the standard grid "
-            f"(k in {{3,5}}, n in {{3,5}})",
+            f"(k in {{{k_values}}}, n in {{{n_values}}})",
             err=True,
         )
     if dry_run:

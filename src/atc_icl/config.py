@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -67,6 +67,24 @@ class RunConfig:
     class_definitions: Path | None = None
 
 
+TOP_LEVEL_KEYS = ("corpus_dir", "split_file", "out_dir", "icl", "backend", "class_definitions")
+ICL_KEYS = ("strategy", "k", "n", "info", "essay", "fts", "mode", "model", "run_seed", "temperature",
+            "max_output_tokens")
+BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
+
+
+def _checked(section: object, where: str, known: tuple[str, ...], path: Path | str) -> dict:
+    """``section`` as a mapping of known keys; ``None`` (an empty section) is ``{}``."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {where} must be a mapping")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}: unknown key {key!r} in {where}; known keys: {', '.join(known)}")
+    return section
+
+
 def _parse_icl(raw: dict) -> IclConfig:
     try:
         strategy = SelectionStrategy(raw.get("strategy", "knn_title"))
@@ -95,11 +113,14 @@ def _parse_icl(raw: dict) -> IclConfig:
 
 
 def load_run_config(path: Path | str) -> RunConfig:
-    """Parse a YAML run config; relative paths resolve against the file."""
+    """Parse a YAML run config; relative paths resolve against the file.
+
+    A key that is not a field of its section (the top level, ``icl`` or
+    ``backend``) raises :class:`ConfigError` rather than being ignored.
+    """
     config_path = Path(path)
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    raw = _checked(raw, "the top level", TOP_LEVEL_KEYS, path)
     base = config_path.parent
 
     def resolve(value: str | None) -> Path | None:
@@ -112,27 +133,14 @@ def load_run_config(path: Path | str) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
-    backend_raw = raw.get("backend", {}) or {}
-    backend = BackendConfig(
-        chat=str(backend_raw.get("chat", "mock")),
-        mock_mode=str(backend_raw.get("mock_mode", "gold_echo")),
-        mock_constant_label=str(
-            backend_raw.get("mock_constant_label", Label.PREMISE.display_name)
-        ),
-        cache_upstream=str(backend_raw.get("cache_upstream", "live")),
-        embedding=str(backend_raw.get("embedding", "hash")),
-        embedding_upstream=str(backend_raw.get("embedding_upstream", "live")),
-        embedding_model=str(backend_raw.get("embedding_model", "text-embedding-ada-002")),
-        embedding_dim=int(backend_raw.get("embedding_dim", 8)),
-        store_dir=resolve(backend_raw.get("store_dir")),
-        base_url=str(backend_raw.get("base_url", "https://api.openai.com/v1")),
-        api_key_env=str(backend_raw.get("api_key_env", "OPENAI_API_KEY")),
-    )
+    backend_raw = _checked(raw.get("backend"), "section 'backend'", BACKEND_KEYS, path)
+    convert = {"embedding_dim": int, "store_dir": resolve}
+    backend = BackendConfig(**{key: convert.get(key, str)(value) for key, value in backend_raw.items()})
     return RunConfig(
         corpus_dir=resolve(raw["corpus_dir"]),
         split_file=resolve(raw["split_file"]),
         out_dir=resolve(raw["out_dir"]),
-        icl=_parse_icl(raw.get("icl", {}) or {}),
+        icl=_parse_icl(_checked(raw.get("icl"), "section 'icl'", ICL_KEYS, path)),
         backend=backend,
         class_definitions=resolve(raw.get("class_definitions")),
     )

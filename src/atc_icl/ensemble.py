@@ -1,11 +1,10 @@
 """n-round ensembling with component-wise majority voting.
 
-Each round independently selects demonstration essays (seeded per round, so
-rounds differ while the whole run stays reproducible) and classifies the
-query essay. A neighborhood ranking that ignores its seed is computed once
-per essay; each round then only subsamples it. Final labels come from a
-per-component majority vote over the rounds, ties broken by train-set
-frequency: Premise > Claim > Major Claim.
+Each round selects its own demonstration essays (seeded per round, so rounds
+differ while the whole run stays reproducible) and classifies the query
+essay. All rounds' selections are made before the first chat call. Final
+labels come from a per-component majority vote over the rounds, ties broken
+by train-set frequency: Premise > Claim > Major Claim.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import AtcError, ConfigError
 from .gateway import Gateway
 from .prompting import InfoBlock, PromptConfig, PromptMode, Unparseable
 from .prompting import classify_essay
-from .selection import SelectionOutcome, SelectionStrategy, rank_neighbors, select_demonstrations
+from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
 #: no-ensembling row); anything else is accepted but reported as nonstandard.
@@ -64,10 +63,6 @@ class IclConfig:
                 raise ConfigError("k=0 (no demonstrations) requires one-by-one mode")
             if self.n_rounds != 1:
                 raise ConfigError("k=0 has no selection randomness; use n_rounds=1")
-
-    @property
-    def n_neighbors(self) -> int:
-        return 2 * self.k
 
     def is_standard_grid(self) -> bool:
         return self.k in STANDARD_K and self.n_rounds in STANDARD_N_ROUNDS
@@ -152,36 +147,22 @@ def run_ensemble(
     A round whose answer stays unparseable after retries aborts the whole
     essay with :class:`RoundFailed`; partial votes are never aggregated.
     """
+    seeds = [
+        (
+            derive_round_seed(config.run_seed, query.essay_id, round_index, "rank"),
+            derive_round_seed(config.run_seed, query.essay_id, round_index, "pick"),
+        )
+        for round_index in range(1, config.n_rounds + 1)
+    ]
+    selections = select_demonstrations(query, pool, config.strategy, config.k, seeds, gateway)
     pool_by_id = {e.essay_id: e for e in pool}
     rounds: list[tuple[Label, ...]] = []
-    selections: list[SelectionOutcome] = []
     responses: list[tuple[str, ...]] = []
-    shared_neighbors = None
-    if config.k > 0 and not config.strategy.uses_rank_seed:
-        # The seed is ignored, so any value gives every round's neighborhood.
-        shared_neighbors = rank_neighbors(query, pool, config.strategy, config.n_neighbors, 0, gateway)
-
-    for round_index in range(1, config.n_rounds + 1):
-        if config.k > 0:
-            outcome = select_demonstrations(
-                query,
-                pool,
-                config.strategy,
-                config.k,
-                rank_seed=derive_round_seed(config.run_seed, query.essay_id, round_index, "rank"),
-                pick_seed=derive_round_seed(config.run_seed, query.essay_id, round_index, "pick"),
-                gateway=gateway,
-                neighbors=shared_neighbors,
-            )
-            demos = [pool_by_id[essay_id] for essay_id in outcome.chosen_ids]
-        else:
-            outcome = SelectionOutcome((), (), 0, 0)
-            demos = []
-        selections.append(outcome)
+    for round_index, outcome in enumerate(selections, start=1):
         try:
             labels, raw = classify_essay(
                 query,
-                demos,
+                [pool_by_id[essay_id] for essay_id in outcome.chosen_ids],
                 config.prompt,
                 gateway,
                 info=info,
@@ -205,6 +186,6 @@ def run_ensemble(
         rounds=tuple(rounds),
         final=final,
         vote_counts=vote_counts,
-        selections=tuple(selections),
+        selections=selections,
         responses=tuple(responses),
     )

@@ -188,6 +188,23 @@ def embedding_values(record: dict, where: object) -> tuple[float, ...]:
         raise AtcError(f"malformed embedding record {where}: {exc}") from exc
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) so no reader or crash sees a partial file.
+
+    The text goes to a uniquely named temp file next to ``path``, which is
+    then renamed over it; on any failure the temp file is removed and
+    ``path`` keeps its previous content.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ResponseStore:
     """Content-addressed on-disk store of request/response JSON records.
 
@@ -195,10 +212,9 @@ class ResponseStore:
     Each chat record keeps the full request next to the response so fixtures
     are auditable. Each embedding record keeps its model name and text next
     to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
-    text; read it back with :func:`embedding_values`. Each write goes to a
-    uniquely named temp file in the target directory and is renamed into
-    place, so writers that share a store, in one process or several, never
-    see or leave a partial record.
+    text; read it back with :func:`embedding_values`. Records are written
+    with :func:`write_text_atomic`, so writers that share a store, in one
+    process or several, never see or leave a partial record.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -219,14 +235,7 @@ class ResponseStore:
     def _write(self, kind: str, digest: str, record: dict) -> None:
         path = self._path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-        try:
-            with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_text_atomic(path, json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
     def get_chat(self, digest: str) -> dict | None:
         return self._read("chat", digest)
@@ -396,12 +405,15 @@ class StoreChatBackend:
         digest = chat_request_digest(request)
         record = self.store.get_chat(digest)
         if record is not None:
-            usage = record["response"]["usage"]
-            return ChatResponse(
-                text=record["response"]["text"],
-                usage=Usage(usage["prompt_tokens"], usage["completion_tokens"]),
-                backend_tag=self._hit_tag,
-            )
+            try:
+                response = record["response"]
+                text, usage = response["text"], response["usage"]
+                tokens = Usage(usage["prompt_tokens"], usage["completion_tokens"])
+            except KeyError as exc:
+                raise AtcError(f"malformed chat record {digest}: no {exc} field") from None
+            except TypeError as exc:
+                raise AtcError(f"malformed chat record {digest}: {exc}") from exc
+            return ChatResponse(text=text, usage=tokens, backend_tag=self._hit_tag)
         if self.upstream is None:
             raise ReplayMiss(f"no recorded chat response for digest {digest}")
         response = self.upstream.complete(request)

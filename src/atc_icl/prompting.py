@@ -103,6 +103,10 @@ FORMAT_REMINDER = (
     "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
     "Output nothing else."
 )
+ONE_BY_ONE_REMINDER = (
+    "Reminder: respond with exactly one line containing only the label, "
+    "'Major Claim', 'Claim', or 'Premise'. Output nothing else."
+)
 
 _MARKER_RE = re.compile(r"^\s*(?:[-*•]+\s*)?(?:\(?\d+\)?\s*[.):\-]\s*)?")
 _LABEL_ALIASES = {
@@ -275,7 +279,10 @@ def classify_essay(
     raised. Returns the labels and every raw response text, in request order.
     """
     prompt = build_prompt(query, demos, config, info)
-    expected = query.m if config.mode is PromptMode.ALL_AT_ONCE else 1
+    if config.mode is PromptMode.ALL_AT_ONCE:
+        expected, reminder = query.m, FORMAT_REMINDER.format(m=query.m)
+    else:
+        expected, reminder = 1, ONE_BY_ONE_REMINDER
     responses: list[str] = []
 
     def ask(base_text: str) -> list[Label]:
@@ -296,7 +303,7 @@ def classify_essay(
                 return parse_response(response.text, expected)
             except (CountMismatch, UnknownLabel) as exc:
                 last_error = exc
-                user_text = base_text + "\n\n" + FORMAT_REMINDER.format(m=expected)
+                user_text = base_text + "\n\n" + reminder
         raise Unparseable(
             f"{query.essay_id}: no parseable answer after {max_retries + 1} attempts"
         ) from last_error

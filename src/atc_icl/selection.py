@@ -38,15 +38,6 @@ class SelectionStrategy(Enum):
     KNN_LEN = "knn_len"
     KNN_TITLE = "knn_title"
 
-    @property
-    def uses_rank_seed(self) -> bool:
-        """Whether the ranking depends on its seed; only random ranking does.
-
-        A ranking that ignores the seed is the same in every round, so it can
-        be computed once per query and shared by all rounds.
-        """
-        return self is SelectionStrategy.KRN
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -191,23 +182,25 @@ def select_demonstrations(
     pool: Sequence[Essay],
     strategy: SelectionStrategy,
     k: int,
-    rank_seed: int,
-    pick_seed: int,
+    seeds: Sequence[tuple[int, int]],
     gateway: Gateway | None = None,
-    neighbors: Sequence[str] | None = None,
-) -> SelectionOutcome:
-    """Rank a 2k neighborhood, then sample k demonstrations from it.
+) -> tuple[SelectionOutcome, ...]:
+    """Select every round's k demonstrations from a 2k neighborhood of ``query``.
 
-    ``neighbors``, when given, is the 2k neighborhood already ranked for
-    ``query`` and is used instead of ranking again; pass it only for a
-    strategy that ignores ``rank_seed``.
+    ``seeds`` holds one ``(rank_seed, pick_seed)`` pair per round, and one
+    outcome is returned per pair. Only random ranking depends on its seed, so
+    ``krn`` ranks once per round; the other strategies rank once and every
+    round subsamples that neighborhood. ``k = 0`` selects nothing and records
+    seeds 0.
     """
-    if neighbors is None:
-        neighbors = rank_neighbors(query, pool, strategy, 2 * k, rank_seed, gateway)
-    chosen = subsample(neighbors, k, pick_seed)
-    return SelectionOutcome(
-        neighbor_ids=tuple(neighbors),
-        chosen_ids=tuple(chosen),
-        rank_seed=rank_seed,
-        pick_seed=pick_seed,
+    if k == 0:
+        return tuple(SelectionOutcome((), (), 0, 0) for _ in seeds)
+    if strategy is SelectionStrategy.KRN:
+        neighborhoods = [rank_neighbors(query, pool, strategy, 2 * k, rank_seed, gateway)
+                         for rank_seed, _ in seeds]
+    else:
+        neighborhoods = [rank_neighbors(query, pool, strategy, 2 * k, 0, gateway)] * len(seeds)
+    return tuple(
+        SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, k, pick_seed)), rank_seed, pick_seed)
+        for neighbors, (rank_seed, pick_seed) in zip(neighborhoods, seeds)
     )

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from atc_icl import cli
+from atc_icl import cli, gateway
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
 from atc_icl.errors import AtcError
@@ -156,7 +156,7 @@ def test_run_nonstandard_grid_is_flagged(runner, small_dir, tmp_path):
     config = write_config(tmp_path / "nonstd.yaml", small_dir, out_dir, icl={"k": 2, "n": 1})
     result = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     assert result.exit_code == 0
-    assert "outside the standard grid" in result.output
+    assert "outside the standard grid (k in {3,5}, n in {1,3,5})" in result.output
 
 
 def test_run_constant_premise_mock(runner, small_dir, small_corpus, tmp_path):
@@ -396,6 +396,62 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     resumed = runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
     assert resumed.exit_code == 0
     for name in ("records.jsonl", "report.json"):
+        assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
+
+
+class TornFile:
+    """A file whose first write stores half its text, then fails as a full disk would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, small_dir, tmp_path, monkeypatch):
+    full_dir = tmp_path / "full"
+    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+                  catch_exceptions=False)
+
+    out_dir = tmp_path / "stopped"
+    config = write_config(tmp_path / "stopped.yaml", small_dir, out_dir)
+    real_run_ensemble = cli.run_ensemble
+    started, tear = [], []
+
+    def dies_on_second_essay(query, *args, **kwargs):
+        if started:
+            tear.append(query.essay_id)  # the manifest write this failure triggers fails too
+            raise RuntimeError("chat backend went away")
+        started.append(query.essay_id)
+        return real_run_ensemble(query, *args, **kwargs)
+
+    def open_tearing_the_manifest(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        return TornFile(handle) if tear and Path(path).name.startswith("manifest.json") else handle
+
+    monkeypatch.setattr(cli, "run_ensemble", dies_on_second_essay)
+    monkeypatch.setattr(gateway, "open", open_tearing_the_manifest, raising=False)
+    stopped = runner.invoke(main, ["run", "--config", str(config)])
+    monkeypatch.undo()
+    assert isinstance(stopped.exception, OSError) and tear
+    digest = config_digest(load_run_config(config).icl)
+    previous = json.dumps({"config_digest": digest}, indent=2) + "\n"
+    assert (out_dir / "manifest.json").read_text(encoding="utf-8") == previous
+    assert sorted(path.name for path in out_dir.iterdir()) == ["manifest.json", "records.jsonl"]
+
+    assert runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False).exit_code == 0
+    resumed = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    assert resumed.exit_code == 0
+    for name in ("records.jsonl", "report.json", "report.txt"):
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
 
 

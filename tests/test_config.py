@@ -78,6 +78,31 @@ def test_load_run_config_bad_strategy(tmp_path):
         load_run_config(config_file)
 
 
+BASE_CONFIG = "corpus_dir: c\nsplit_file: s\nout_dir: o\n"
+
+
+@pytest.mark.parametrize(
+    "text, key, where",
+    [(BASE_CONFIG + "icl: {n_rounds: 1}\n", "n_rounds", "section 'icl'"),
+     (BASE_CONFIG + "backend: {chat: mock, store: s}\n", "store", "section 'backend'"),
+     (BASE_CONFIG + "class_defs: d.txt\n", "class_defs", "the top level")],
+    ids=["icl", "backend", "top-level"],
+)
+def test_load_run_config_rejects_unknown_keys(tmp_path, text, key, where):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{config_file}: unknown key '{key}' in {where}"):
+        load_run_config(config_file)
+
+
+@pytest.mark.parametrize("section", ["icl", "backend"])
+def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, section):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + f"{section}: [k, 3]\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{config_file}: section '{section}' must be a mapping"):
+        load_run_config(config_file)
+
+
 def test_backend_config_validation():
     with pytest.raises(ConfigError):
         BackendConfig(chat="carrier-pigeon")

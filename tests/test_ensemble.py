@@ -21,7 +21,7 @@ from atc_icl.ensemble import (
 from atc_icl.errors import ConfigError
 from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend
 from atc_icl.prompting import PromptConfig, PromptMode, classify_essay, render_labels
-from atc_icl.selection import SelectionStrategy, select_demonstrations
+from atc_icl.selection import SelectionOutcome, SelectionStrategy, rank_neighbors, subsample
 from conftest import simple_essay
 
 
@@ -96,7 +96,6 @@ def test_icl_config_validation():
             prompt=prompt_config(PromptMode.ONE_BY_ONE), run_seed=0,
         )
     config = IclConfig(SelectionStrategy.KRN, k=5, n_rounds=5, prompt=prompt_config(), run_seed=0)
-    assert config.n_neighbors == 10
     assert config.is_standard_grid()
     assert not IclConfig(
         SelectionStrategy.KRN, k=2, n_rounds=5, prompt=prompt_config(), run_seed=0
@@ -214,7 +213,7 @@ def test_run_ensemble_k_zero_skips_selection():
     )
     record = run_ensemble(query, [], config, gateway)
     assert list(record.final) == gold
-    assert record.selections[0].chosen_ids == ()
+    assert record.selections == (SelectionOutcome((), (), 0, 0),)
 
 
 def test_prediction_record_dict_round_trip():
@@ -242,17 +241,16 @@ def test_run_ensemble_matches_independent_rounds(strategy):
     config = IclConfig(strategy, k=3, n_rounds=5, prompt=prompt_config(), run_seed=29)
     record = run_ensemble(query, pool, config, prompt_hash_gateway(query))
 
-    # Oracle: every round selects from scratch with that round's own seeds.
+    # Oracle: every round ranks and subsamples from scratch with its own seeds.
     gateway = prompt_hash_gateway(query)
     pool_by_id = {e.essay_id: e for e in pool}
     selections, rounds, responses = [], [], []
     for round_index in range(1, 6):
-        outcome = select_demonstrations(
-            query, pool, strategy, 3,
-            rank_seed=derive_round_seed(29, "q", round_index, "rank"),
-            pick_seed=derive_round_seed(29, "q", round_index, "pick"),
-            gateway=gateway,
-        )
+        rank_seed = derive_round_seed(29, "q", round_index, "rank")
+        pick_seed = derive_round_seed(29, "q", round_index, "pick")
+        neighbors = rank_neighbors(query, pool, strategy, 6, rank_seed, gateway)
+        outcome = SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, 3, pick_seed)),
+                                   rank_seed, pick_seed)
         labels, raw = classify_essay(query, [pool_by_id[i] for i in outcome.chosen_ids],
                                      config.prompt, gateway)
         selections.append(outcome)

@@ -176,6 +176,31 @@ def test_corrupt_store_record_names_the_file(tmp_path):
         StoreChatBackend(store).complete(req())
 
 
+_USAGE = {"prompt_tokens": 3, "completion_tokens": 2}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [({}, "no 'response' field"),
+     ({"response": {"text": "1. Premise"}}, "no 'usage' field"),
+     ({"response": {"usage": _USAGE}}, "no 'text' field"),
+     ({"response": {"text": "1. Premise", "usage": {"completion_tokens": 2}}}, "no 'prompt_tokens' field"),
+     ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": 3}}}, "no 'completion_tokens' field"),
+     ({"response": "1. Premise"}, "string indices")],
+    ids=["empty", "no-usage", "no-text", "no-prompt-tokens", "no-completion-tokens", "response-not-a-mapping"],
+)
+def test_malformed_chat_record_names_its_digest(tmp_path, record, message):
+    digest = chat_request_digest(req())
+    path = tmp_path / "chat" / f"{digest}.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(record), encoding="utf-8")
+    upstream = CountingChatBackend()
+    for backend in (StoreChatBackend(ResponseStore(tmp_path)), StoreChatBackend(ResponseStore(tmp_path), upstream)):
+        with pytest.raises(AtcError, match=f"malformed chat record {digest}: {message}"):
+            backend.complete(req())
+    assert upstream.calls == 0
+
+
 def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
     # A second writer records the same request between the first writer's
     # temp-file write and its rename, as another process sharing the store may.

@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 from atc_icl.corpus import LABELS, Label
 from atc_icl.gateway import Gateway, MockChatBackend
 from atc_icl.prompting import (
+    FORMAT_REMINDER,
+    ONE_BY_ONE_REMINDER,
     CountMismatch,
     InfoBlock,
     MissingDemonstrations,
@@ -180,8 +182,9 @@ def test_parse_response_rejects_m_below_one():
         parse_response("1. Premise", 0)
 
 
-@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=25))
+@given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=150))
 def test_render_parse_round_trip(labels):
+    # Up to three-digit markers: long essays have more than 99 components.
     assert parse_response(render_labels(labels), len(labels)) == labels
 
 
@@ -222,6 +225,41 @@ def test_classify_essay_retry_appends_reminder(park_essay):
     classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert "Reminder:" not in seen[0]
     assert "Reminder:" in seen[1]
+
+
+def test_all_at_once_retry_text_is_unchanged(park_essay):
+    seen = []
+
+    def responder(request):
+        seen.append(request.user_text)
+        return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
+
+    demos = list(demo_pair())
+    classify_essay(park_essay, demos, PromptConfig(), Gateway(chat_backend=MockChatBackend(responder=responder)))
+    (base,) = build_prompt(park_essay, demos, PromptConfig()).user_texts
+    assert seen == [base, base + "\n\nReminder: respond with exactly 4 lines, one per component, in the format "
+                    "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
+                    "Output nothing else."]
+
+
+def test_one_by_one_retry_asks_for_the_label_alone(park_essay):
+    gold = gold_of(park_essay)
+    seen = []
+
+    def responder(request):
+        seen.append(request.user_text)
+        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
+        return "garbage" if len(seen) == 1 else gold[j - 1].display_name
+
+    config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
+    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
+    labels, responses = classify_essay(park_essay, [], config, gateway)
+    assert labels == gold
+    assert len(responses) == park_essay.m + 1
+    first = build_prompt(park_essay, [], config).user_texts[0]
+    assert seen[:2] == [first, first + "\n\n" + ONE_BY_ONE_REMINDER]
+    assert ONE_BY_ONE_REMINDER.startswith(FORMAT_REMINDER.split("{")[0])
+    assert "lines" not in ONE_BY_ONE_REMINDER and "<index>" not in ONE_BY_ONE_REMINDER
 
 
 def test_classify_essay_unparseable_after_budget(park_essay):

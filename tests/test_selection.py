@@ -175,13 +175,16 @@ def test_bad_k_rejected():
 def test_select_demonstrations_is_deterministic(seed, k):
     pool = [simple_essay(f"e{i:02d}", f"T{i}", [Label.CLAIM] * (i % 4 + 1)) for i in range(12)]
     query = simple_essay("q", "Q", [Label.CLAIM, Label.PREMISE])
-    first = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seed, seed + 1)
-    second = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seed, seed + 1)
+    seeds = [(seed, seed + 1), (seed + 2, seed + 3)]
+    first = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seeds)
+    second = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seeds)
     assert first == second
-    assert len(first.neighbor_ids) == 2 * k
-    assert len(first.chosen_ids) == k
-    assert set(first.chosen_ids) <= set(first.neighbor_ids)
-    assert "q" not in first.neighbor_ids
+    assert [(o.rank_seed, o.pick_seed) for o in first] == seeds
+    for outcome in first:
+        assert len(outcome.neighbor_ids) == 2 * k
+        assert len(outcome.chosen_ids) == k
+        assert set(outcome.chosen_ids) <= set(outcome.neighbor_ids)
+        assert "q" not in outcome.neighbor_ids
 
 
 def test_knn_title_over_a_store_mixing_packed_and_legacy_records(tmp_path, small_corpus):
