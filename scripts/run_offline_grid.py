@@ -3,9 +3,11 @@
 
 Demonstrates the whole pipeline without credentials: every grid row is one
 ``run_experiment`` over the synthetic test split with a mock chat backend,
-in its own run directory, and prints its report row. ``gold_echo`` must land
-macro F1 = 1.0 on every row, and the script exits 1 when a row does not;
-``constant`` shows what an always-Premise baseline scores.
+in its own run directory, and prints its report row. Title embeddings are
+first recorded the way ``atc-icl embed`` does (hash vectors through the
+cache, then packed), and the title-kNN rows replay them from that store.
+``gold_echo`` must land macro F1 = 1.0 on every row, and the script exits 1
+when a row does not; ``constant`` shows what an always-Premise baseline scores.
 
 Usage:
     python3 scripts/run_offline_grid.py [--corpus DIR] [--mock gold_echo|constant]
@@ -19,10 +21,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from atc_icl.cli import run_experiment
+from atc_icl.cli import embed_corpus, run_experiment
 from atc_icl.config import BackendConfig, RunConfig
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
+from atc_icl.gateway import HashEmbeddingBackend
 from atc_icl.metrics import render_report
 from atc_icl.prompting import PromptConfig, PromptMode
 from atc_icl.selection import SelectionStrategy
@@ -60,24 +63,34 @@ def main(argv: list[str] | None = None) -> int:
             corpus_dir = Path(tmp) / "corpus"
             generate_corpus(corpus_dir, small_shape(40, 28), seed=5)
         corpus = load_corpus(corpus_dir, corpus_dir / SPLIT_FILE_NAME)
-        print(f"corpus: {len(corpus.essays)} essays, {len(corpus.test_essays())} test queries\n")
+        print(f"corpus: {len(corpus.essays)} essays, {len(corpus.test_essays())} test queries; "
+              "title embeddings replayed from a packed store\n")
 
-        imperfect = 0
-        for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model, mode) in enumerate(GRID):
-            icl = IclConfig(
-                strategy=strategy, k=k, n_rounds=n,
-                prompt=PromptConfig(include_info=info_flag, include_essay=essay_flag,
-                                    include_fts=fts_flag, mode=mode),
-                run_seed=args.seed, model_name=model,
-            )
-            report = run_experiment(RunConfig(
+        store_dir = Path(tmp) / "store"
+        replay = BackendConfig(chat="mock", mock_mode=args.mock, embedding="replay",
+                               embedding_model=HashEmbeddingBackend().model_name, store_dir=store_dir)
+        configs = [
+            RunConfig(
                 corpus_dir=corpus_dir, split_file=corpus_dir / SPLIT_FILE_NAME,
                 out_dir=Path(tmp) / "out" / f"row{row}",
-                icl=icl,
-                backend=BackendConfig(chat="mock", mock_mode=args.mock),
-            ))
+                icl=IclConfig(
+                    strategy=strategy, k=k, n_rounds=n,
+                    prompt=PromptConfig(include_info=info_flag, include_essay=essay_flag,
+                                        include_fts=fts_flag, mode=mode),
+                    run_seed=args.seed, model_name=model,
+                ),
+                backend=replay,
+            )
+            for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model, mode) in enumerate(GRID)
+        ]
+        recording = dataclasses.replace(replay, embedding="cache", embedding_upstream="hash")
+        embed_corpus(dataclasses.replace(configs[0], backend=recording))
+
+        imperfect = 0
+        for config in configs:
+            report = run_experiment(config)
             imperfect += report.macro_f1 < 1.0
-            labelled = dataclasses.replace(report, run_label=f"{report.run_label} ({model})")
+            labelled = dataclasses.replace(report, run_label=f"{report.run_label} ({config.icl.model_name})")
             print(render_report(labelled).splitlines()[1])
 
     if args.mock == "gold_echo" and imperfect:

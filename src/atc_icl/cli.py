@@ -32,7 +32,7 @@ from .gateway import (
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
-    write_text_atomic,
+    write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
 from .mocks import constant_label_responder, gold_echo_responder
@@ -85,7 +85,7 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _print_stats(stats, scope: Scope) -> None:
@@ -125,12 +125,8 @@ def stats(corpus_dir: Path, split_file: Path, scope: str, json_out: Path | None)
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
 def embed(config_path: Path) -> None:
-    """Warm the title-embedding cache for every essay in the corpus."""
-    config = load_run_config(config_path)
-    corpus = load_corpus(config.corpus_dir, config.split_file)
-    gateway = make_gateway(config, corpus)
-    for essay in corpus.essays:
-        gateway.embed(essay.title)
+    """Warm the title-embedding cache for every essay in the corpus, and pack it."""
+    gateway = embed_corpus(load_run_config(config_path))
     total = gateway.calls("embed")
     fetched = gateway.counts["embed", BackendTag.LIVE]
     cached = gateway.counts["embed", BackendTag.CACHE]
@@ -139,6 +135,22 @@ def embed(config_path: Path) -> None:
         f"embedded {total} titles ({fetched} live fetches, {cached} cache hits, "
         f"{other} replay/mock)"
     )
+
+
+def embed_corpus(config: RunConfig) -> Gateway:
+    """Embed every essay title through the configured backend; return the gateway.
+
+    With a store-backed embedding backend, the model's pack is then rewritten
+    from the rows it held plus every title just embedded, so that a title-kNN
+    run reads the whole pool from one file.
+    """
+    corpus = load_corpus(config.corpus_dir, config.split_file)
+    gateway = make_gateway(config, corpus)
+    digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
+    embedder = gateway.embedding_backend
+    if isinstance(embedder, StoreEmbeddingBackend):
+        embedder.store.put_embedding_pack(embedder.model_name, digests)
+    return gateway
 
 
 def _load_records(path: Path) -> list[PredictionRecord]:
@@ -262,7 +274,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     records.sort(key=lambda record: record.essay_id)
     report = aggregate_runs(records, corpus, run_label=label, config_digest=digest)
     _write_json(out_dir / REPORT_JSON_NAME, report.to_dict())
-    write_text_atomic(out_dir / REPORT_TEXT_NAME, render_report(report) + "\n")
+    write_atomic(out_dir / REPORT_TEXT_NAME, render_report(report) + "\n")
     _write_json(out_dir / MANIFEST_NAME, {
         "artifact_version": __version__,
         "run_label": label,

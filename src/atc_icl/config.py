@@ -85,30 +85,43 @@ def _checked(section: object, where: str, known: tuple[str, ...], path: Path | s
     return section
 
 
-def _parse_icl(raw: dict) -> IclConfig:
-    try:
-        strategy = SelectionStrategy(raw.get("strategy", "knn_title"))
-    except ValueError:
-        raise ConfigError(f"unknown strategy {raw.get('strategy')!r}") from None
-    try:
-        mode = PromptMode(raw.get("mode", "all_at_once"))
-    except ValueError:
-        raise ConfigError(f"unknown mode {raw.get('mode')!r}") from None
+def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
+    """The ``icl`` section as an :class:`IclConfig`.
+
+    A value of the wrong kind raises :class:`ConfigError` naming ``path`` and
+    the key: booleans must be YAML booleans, counts and seeds integers (a
+    float or bool is not truncated), and the temperature a number.
+    """
+
+    def value(key: str, default, kinds: tuple[type, ...], what: str):
+        found = raw.get(key, default)
+        if type(found) not in kinds:
+            raise ConfigError(f"{path}: icl.{key} must be {what}, not {found!r}")
+        return found
+
+    def choice(key: str, default: str, enum):
+        found = raw.get(key, default)
+        try:
+            return enum(found)
+        except ValueError:
+            known = ", ".join(member.value for member in enum)
+            raise ConfigError(f"{path}: icl.{key} must be one of {known}, not {found!r}") from None
+
     prompt = PromptConfig(
-        include_info=bool(raw.get("info", False)),
-        include_essay=bool(raw.get("essay", False)),
-        include_fts=bool(raw.get("fts", False)),
-        mode=mode,
+        include_info=value("info", False, (bool,), "true or false"),
+        include_essay=value("essay", False, (bool,), "true or false"),
+        include_fts=value("fts", False, (bool,), "true or false"),
+        mode=choice("mode", "all_at_once", PromptMode),
     )
     return IclConfig(
-        strategy=strategy,
-        k=int(raw.get("k", 5)),
-        n_rounds=int(raw.get("n", 5)),
+        strategy=choice("strategy", "knn_title", SelectionStrategy),
+        k=value("k", 5, (int,), "an integer"),
+        n_rounds=value("n", 5, (int,), "an integer"),
         prompt=prompt,
-        run_seed=int(raw.get("run_seed", 0)),
+        run_seed=value("run_seed", 0, (int,), "an integer"),
         model_name=str(raw.get("model", "gpt-4")),
-        temperature=float(raw.get("temperature", 0.0)),
-        max_output_tokens=int(raw.get("max_output_tokens", 1024)),
+        temperature=float(value("temperature", 0.0, (int, float), "a number")),
+        max_output_tokens=value("max_output_tokens", 1024, (int,), "an integer"),
     )
 
 
@@ -140,7 +153,7 @@ def load_run_config(path: Path | str) -> RunConfig:
         corpus_dir=resolve(raw["corpus_dir"]),
         split_file=resolve(raw["split_file"]),
         out_dir=resolve(raw["out_dir"]),
-        icl=_parse_icl(_checked(raw.get("icl"), "section 'icl'", ICL_KEYS, path)),
+        icl=_parse_icl(_checked(raw.get("icl"), "section 'icl'", ICL_KEYS, path), path),
         backend=backend,
         class_definitions=resolve(raw.get("class_definitions")),
     )

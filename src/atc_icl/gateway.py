@@ -18,10 +18,13 @@ embeddings by a digest over (model name, text), so recorded fixtures can be
 committed to a repository and replayed bit-identically. An embedding record
 holds its vector as packed little-endian float64 (hex text), so a replay
 reads it back with no decimal parsing; records written earlier, with a JSON
-list of floats, still replay. :class:`Gateway` counts the calls each
-(operation, backend tag) served, and retries transport errors and 429s with
-exponential backoff, waiting at least as long as a 429's ``Retry-After``
-unless it asks for more than :data:`MAX_RETRY_AFTER_S`.
+list of floats, still replay. ``atc-icl embed`` also writes one *pack* per
+embedding model, a single file of every title's float64 row, from which a
+kNN replay reads the whole pool without opening a record per title.
+:class:`Gateway` counts the calls each (operation, backend tag) served, and
+retries transport errors and 429s with exponential backoff, waiting at least
+as long as a 429's ``Retry-After`` unless it asks for more than
+:data:`MAX_RETRY_AFTER_S`.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ import operator
 import os
 import struct
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import AtcError
 
@@ -172,10 +176,15 @@ def embedding_values(record: dict, where: object) -> tuple[float, ...]:
     """The vector of an embedding store record, bit for bit as it was stored.
 
     Reads the packed ``vector_f64`` field, or the JSON float list ``vector``
-    of a record written before vectors were packed. A record with neither, or
-    one that does not decode, raises :class:`AtcError` naming ``where``.
+    of a record written before vectors were packed; a record served from a
+    pack already carries its decoded ``values`` tuple, which no JSON record
+    can hold. A record with none of them, or one that does not decode,
+    raises :class:`AtcError` naming ``where``.
     """
     try:
+        values = record.get("values")
+        if type(values) is tuple:
+            return values
         if "vector_f64" in record:
             raw = bytes.fromhex(record["vector_f64"])
             if len(raw) % 8:
@@ -184,21 +193,21 @@ def embedding_values(record: dict, where: object) -> tuple[float, ...]:
         return tuple(map(float, record["vector"]))
     except KeyError:
         raise AtcError(f"malformed embedding record {where}: no vector_f64 or vector field") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise AtcError(f"malformed embedding record {where}: {exc}") from exc
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8) so no reader or crash sees a partial file.
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text as UTF-8) so no reader or crash sees a partial file.
 
-    The text goes to a uniquely named temp file next to ``path``, which is
+    The data goes to a uniquely named temp file next to ``path``, which is
     then renamed over it; on any failure the temp file is removed and
     ``path`` keeps its previous content.
     """
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(tmp, "xb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -212,21 +221,33 @@ class ResponseStore:
     Each chat record keeps the full request next to the response so fixtures
     are auditable. Each embedding record keeps its model name and text next
     to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
-    text; read it back with :func:`embedding_values`. Records are written
-    with :func:`write_text_atomic`, so writers that share a store, in one
-    process or several, never see or leave a partial record.
+    text; read it back with :func:`embedding_values`.
+
+    ``embed/`` may also hold one pack per embedding model (see
+    :meth:`embedding_pack_path`): a JSON header line ``{"digests", "dim",
+    "model_name"}`` followed by one row of ``dim`` little-endian float64
+    values per listed digest, in header order. The pack headers are read on
+    the first embedding read, and a digest a pack lists is served from its
+    row; any other digest falls back to its record. Records and packs are
+    written with :func:`write_atomic`, so writers that share a store, in one
+    process or several, never see or leave a partial file.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        # digest -> (pack, offset of its row); None until the first embedding read
+        self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
     def _path(self, kind: str, digest: str) -> Path:
         return self.root / kind / f"{digest}.json"
 
     def _read(self, kind: str, digest: str) -> dict | None:
-        path = self._path(kind, digest)
+        # A plain string: a Path would intern every digest's file name, and
+        # the interpreter's intern table then grows, and resizes, with reads.
+        path = os.path.join(self.root, kind, f"{digest}.json")
         try:
-            return json.loads(path.read_bytes())
+            with open(path, "rb") as handle:
+                return json.loads(handle.read())
         except FileNotFoundError:
             return None
         except ValueError as exc:
@@ -235,7 +256,7 @@ class ResponseStore:
     def _write(self, kind: str, digest: str, record: dict) -> None:
         path = self._path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(path, json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+        write_atomic(path, json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
     def get_chat(self, digest: str) -> dict | None:
         return self._read("chat", digest)
@@ -263,11 +284,122 @@ class ResponseStore:
         )
 
     def get_embedding(self, digest: str) -> dict | None:
-        return self._read("embed", digest)
+        """The embedding record of ``digest``, or None.
+
+        A digest listed by a pack comes back as ``{"model_name", "values"}``,
+        its row decoded into a tuple; any other is read from its record file.
+        """
+        row = self._packs().get(digest)
+        if row is None:
+            return self._read("embed", digest)
+        pack, offset = row
+        return {"model_name": pack.model_name, "values": pack.row(offset)}
 
     def put_embedding(self, digest: str, model_name: str, text: str, values: Sequence[float]) -> None:
         packed = struct.pack(f"<{len(values)}d", *values).hex()
         self._write("embed", digest, {"model_name": model_name, "text": text, "vector_f64": packed})
+
+    def embedding_pack_path(self, model_name: str) -> Path:
+        """Where ``model_name``'s pack lives; the name never matches ``*.json``."""
+        return self.root / "embed" / f"pack-{hashlib.sha256(model_name.encode('utf-8')).hexdigest()}.f64"
+
+    def _packs(self) -> dict[str, tuple[_EmbeddingPack, int]]:
+        if self._pack_rows is None:
+            rows = {}
+            for path in sorted((self.root / "embed").glob("pack-*.f64")):
+                pack = _EmbeddingPack(path)
+                if path != self.embedding_pack_path(pack.model_name):
+                    raise AtcError(f"embedding pack {path} holds model {pack.model_name!r}, which is not filed there")
+                for index, digest in enumerate(pack.digests):
+                    rows[digest] = (pack, pack.first_row + index * pack.decoder.size)
+            self._pack_rows = rows
+        return self._pack_rows
+
+    def put_embedding_pack(self, model_name: str, digests: Iterable[str]) -> bool:
+        """Rewrite ``model_name``'s pack with the rows it holds plus the vectors of ``digests``.
+
+        Every row is read through :meth:`get_embedding`, so a digest with
+        neither a pack row nor a record raises :class:`AtcError`, and all
+        vectors must have one length. Returns False, and writes nothing, when
+        the pack already holds exactly these rows or there are none.
+        """
+        held = [digest for digest, (pack, _) in self._packs().items() if pack.model_name == model_name]
+        order = list(dict.fromkeys([*held, *digests]))
+        if not order:
+            return False
+        rows = []
+        encoder = None
+        for digest in order:
+            record = self.get_embedding(digest)
+            if record is None:
+                raise AtcError(f"no embedding record for digest {digest} to pack")
+            values = embedding_values(record, digest)
+            if encoder is None:
+                encoder = struct.Struct(f"<{len(values)}d")
+            elif len(values) * 8 != encoder.size:
+                raise AtcError(
+                    f"embedding {digest} has {len(values)} values, but the pack of model"
+                    f" {model_name!r} has rows of {encoder.size // 8}"
+                )
+            rows.append(encoder.pack(*values))
+        header = json.dumps({"digests": order, "dim": encoder.size // 8, "model_name": model_name}, sort_keys=True)
+        data = b"".join([(header + "\n").encode("utf-8"), *rows])
+        path = self.embedding_pack_path(model_name)
+        try:
+            if path.read_bytes() == data:
+                return False
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, data)
+        self._pack_rows = None
+        return True
+
+
+class _EmbeddingPack:
+    """One open pack file: its header, and its rows read one at a time.
+
+    The file stays open, so a pack replaced after its header was read still
+    serves the rows that header lists; it is closed when the object goes. A
+    header that does not parse, or a length other than header + rows x dim x
+    8 bytes, raises :class:`AtcError` naming the file.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        handle = open(path, "rb")
+        weakref.finalize(self, handle.close)
+        self._fd = handle.fileno()
+        line = handle.readline()
+        if not line.endswith(b"\n"):
+            raise AtcError(f"truncated embedding pack {path}: no complete header line")
+        try:
+            header = json.loads(line)
+            self.model_name, dim, self.digests = header["model_name"], header["dim"], header["digests"]
+            if not isinstance(self.model_name, str) or not isinstance(self.digests, list):
+                raise TypeError("model_name must be a string and digests a list")
+            if not all(isinstance(digest, str) for digest in self.digests):
+                raise TypeError("every digest must be a string")
+            if type(dim) is not int or dim < 0:
+                raise TypeError(f"dim must be a non-negative integer, not {dim!r}")
+            if len(set(self.digests)) != len(self.digests):
+                raise ValueError("a digest is listed twice")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise AtcError(f"corrupt embedding pack {path}: {exc}") from exc
+        self.decoder = struct.Struct(f"<{dim}d")
+        self.first_row = len(line)
+        size = os.fstat(self._fd).st_size
+        expected = self.first_row + len(self.digests) * self.decoder.size
+        if size != expected:
+            raise AtcError(
+                f"truncated or inconsistent embedding pack {path}: {size} bytes, but its header"
+                f" lists {len(self.digests)} rows of {dim} float64 values ({expected} bytes)"
+            )
+
+    def row(self, offset: int) -> tuple[float, ...]:
+        raw = os.pread(self._fd, self.decoder.size, offset)
+        if len(raw) != self.decoder.size:
+            raise AtcError(f"truncated embedding pack {self.path}: row at byte {offset} is cut short")
+        return self.decoder.unpack_from(raw)
 
 
 class ChatBackend(Protocol):

@@ -241,6 +241,26 @@ def test_embed_command_cache_idempotency(runner, small_dir, tmp_path):
     assert "embedded 12 titles (0 live fetches, 12 cache hits, 0 replay/mock)" in second.output
 
 
+def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, small_dir, small_corpus, tmp_path):
+    store_dir = tmp_path / "store"
+    model = gateway.HashEmbeddingBackend().model_name
+    store = gateway.ResponseStore(store_dir)
+    earlier = gateway.embedding_digest(model, "A title from another corpus")
+    store.put_embedding(earlier, model, "A title from another corpus", [1.0] * 8)
+    assert store.put_embedding_pack(model, [earlier])
+    config_path = write_config(tmp_path / "embed.yaml", small_dir, tmp_path / "out",
+                               backend={"embedding": "cache", "embedding_upstream": "hash",
+                                        "store_dir": str(store_dir)})
+    runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    pack = store.embedding_pack_path(model)
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
+    assert header == {"digests": [earlier, *titles], "dim": 8, "model_name": model}
+    written = pack.stat().st_mtime_ns, pack.read_bytes()
+    runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
+
+
 def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
     config_path = tmp_path / "replay.yaml"
     config_path.write_text(

@@ -95,6 +95,29 @@ def test_load_run_config_rejects_unknown_keys(tmp_path, text, key, where):
         load_run_config(config_file)
 
 
+@pytest.mark.parametrize(
+    "icl_text, key",
+    [("info: 'false'", "info"), ("essay: 1", "essay"), ("fts: 'no'", "fts"),
+     ("strategy: nearest", "strategy"), ("mode: sideways", "mode"),
+     ("k: 5.7", "k"), ("k: true", "k"), ("n: '3'", "n"), ("run_seed: 1.5", "run_seed"),
+     ("max_output_tokens: '1024'", "max_output_tokens"),
+     ("temperature: hot", "temperature"), ("temperature: true", "temperature")],
+)
+def test_load_run_config_rejects_a_bad_icl_value_naming_file_and_key(tmp_path, icl_text, key):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + f"icl: {{{icl_text}}}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{config_file}: icl.{key} must be "):
+        load_run_config(config_file)
+
+
+def test_load_run_config_takes_an_integer_temperature(tmp_path):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + "icl: {temperature: 1, info: false, essay: true}\n", encoding="utf-8")
+    config = load_run_config(config_file)
+    assert config.icl.temperature == 1.0 and type(config.icl.temperature) is float
+    assert (config.icl.prompt.include_info, config.icl.prompt.include_essay) == (False, True)
+
+
 @pytest.mark.parametrize("section", ["icl", "backend"])
 def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, section):
     config_file = tmp_path / "run.yaml"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -527,8 +528,9 @@ def test_legacy_float_list_record_still_replays(tmp_path):
     "fields, message",
     [({"vector_f64_": "00" * 8}, "no vector_f64 or vector field"),
      ({"vector_f64": "zz" * 8}, "non-hexadecimal"),
-     ({"vector_f64": "00" * 12}, "12 bytes")],
-    ids=["no-vector", "bad-hex", "not-a-multiple-of-8"],
+     ({"vector_f64": "00" * 12}, "12 bytes"),
+     ({"values": [1.0, 2.0]}, "no vector_f64 or vector field")],
+    ids=["no-vector", "bad-hex", "not-a-multiple-of-8", "pack-field-in-a-record"],
 )
 def test_malformed_embedding_record_names_its_digest(tmp_path, fields, message):
     digest = embedding_digest("m", "T")
@@ -539,6 +541,83 @@ def test_malformed_embedding_record_names_its_digest(tmp_path, fields, message):
         StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")
     with pytest.raises(AtcError, match=f"malformed embedding record {path}"):
         embedding_values(json.loads(path.read_text(encoding="utf-8")), path)
+
+
+def record_and_pack(root, texts_values, model="m"):
+    """A store holding one record per (text, values), packed into ``model``'s pack."""
+    store = ResponseStore(root)
+    for text, values in texts_values:
+        store.put_embedding(embedding_digest(model, text), model, text, values)
+    assert store.put_embedding_pack(model, [embedding_digest(model, text) for text, _ in texts_values])
+    return store
+
+
+@st.composite
+def pack_rows(draw):
+    dim = draw(st.integers(1, 32))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+    return draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=5))
+
+
+@given(pack_rows())
+def test_pack_rows_replay_bit_identically(rows):
+    texts = [f"T{i}" for i in range(len(rows))]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = record_and_pack(tmp, list(zip(texts, rows)))
+        for path in (store.root / "embed").glob("*.json"):
+            path.unlink()  # only the pack can serve the vectors now
+        backend = StoreEmbeddingBackend(ResponseStore(tmp), "m")
+        served = [backend.embed(text) for text in texts]
+    assert all(tag is BackendTag.REPLAY and isinstance(vector.values, tuple) for vector, tag in served)
+    assert [_f64(vector.values) for vector, _ in served] == [_f64(values) for values in rows]
+
+
+def test_a_digest_the_pack_does_not_list_falls_back_to_its_record(tmp_path):
+    store = record_and_pack(tmp_path, [("T0", [1.0, 2.0]), ("T1", [3.0, 4.0])])
+    store.put_embedding(embedding_digest("m", "T2"), "m", "T2", [5.0, 6.0])  # embedded after packing
+    (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()
+    replay = ResponseStore(tmp_path)
+    assert replay.get_embedding(embedding_digest("m", "T0")) == {"model_name": "m", "values": (1.0, 2.0)}
+    assert "vector_f64" in replay.get_embedding(embedding_digest("m", "T2"))
+    backend = StoreEmbeddingBackend(replay, "m")
+    assert [backend.embed(text)[0].values for text in ("T0", "T1", "T2")] == [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    with pytest.raises(ReplayMiss):
+        backend.embed("T3")
+
+
+def test_rewriting_a_pack_keeps_its_rows_and_adds_new_ones_once(tmp_path):
+    store = record_and_pack(tmp_path, [("T0", [1.0]), ("T1", [2.0])])
+    store.put_embedding(embedding_digest("m", "T2"), "m", "T2", [3.0])
+    (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()  # still held by the pack
+    assert store.put_embedding_pack("m", [embedding_digest("m", "T2"), embedding_digest("m", "T1")])
+    pack = store.embedding_pack_path("m")
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    assert header == {"digests": [embedding_digest("m", t) for t in ("T0", "T1", "T2")], "dim": 1, "model_name": "m"}
+    written = pack.read_bytes()
+    assert not ResponseStore(tmp_path).put_embedding_pack("m", [embedding_digest("m", "T1")])
+    assert pack.read_bytes() == written
+    with pytest.raises(AtcError, match="no embedding record for digest"):
+        store.put_embedding_pack("m", [embedding_digest("m", "never embedded")])
+    assert not pack.name.endswith(".json")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(lambda data: data[:-8], "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data + b"\0", "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data[: data.index(b"\n")], "truncated embedding pack {pack}: "),
+     (lambda data: b"", "truncated embedding pack {pack}: "),
+     (lambda data: b"{not json\n" + data.split(b"\n", 1)[1], "corrupt embedding pack {pack}: "),
+     (lambda data: data.replace(b'"dim": 2', b'"dim": 2.0'), "corrupt embedding pack {pack}: "),
+     (lambda data: data.replace(b'"model_name": "m"', b'"model_name": "n"'), "embedding pack {pack} holds model 'n'")],
+    ids=["rows-cut", "extra-byte", "header-cut", "empty", "header-not-json", "float-dim", "other-model"],
+)
+def test_a_corrupt_pack_raises_naming_its_file(tmp_path, corrupt, message):
+    store = record_and_pack(tmp_path, [("T0", [1.0, 2.0]), ("T1", [3.0, 4.0])])
+    pack = store.embedding_pack_path("m")
+    pack.write_bytes(corrupt(pack.read_bytes()))
+    with pytest.raises(AtcError, match=re.escape(message.format(pack=pack))):
+        StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T0")
 
 
 @pytest.mark.parametrize("retry_after", [MAX_RETRY_AFTER_S + 0.5, 86400.0])

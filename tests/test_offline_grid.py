@@ -1,12 +1,17 @@
-"""The offline grid script: one run_experiment per grid row, gold echo scores 1.0."""
+"""The offline grid script: one run_experiment per grid row, gold echo scores 1.0,
+title-kNN rows replay their embeddings from a packed store."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from atc_icl.gateway import ResponseStore
+from atc_icl.selection import SelectionStrategy
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_offline_grid.py"
 
@@ -26,7 +31,11 @@ def test_gold_echo_grid_scores_perfectly_with_a_manifest_per_row(grid, monkeypat
     def checked(config):
         report = run_experiment(config)
         assert report.macro_f1 == 1.0
-        assert (config.out_dir / "manifest.json").is_file()
+        manifest = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+        if config.icl.strategy is SelectionStrategy.KNN_TITLE:
+            assert manifest["backend_tags_used"] == ["mock", "replay"]
+            store = ResponseStore(config.backend.store_dir)
+            assert store.embedding_pack_path(config.backend.embedding_model).is_file()
         out_dirs.append(config.out_dir)
         return report
 

@@ -43,22 +43,34 @@ def test_repack_rewrites_legacy_records_once_and_bit_identically(tmp_path, repac
     hashed = HashEmbeddingBackend(dim=16)
     for title in titles[:3]:
         write_legacy(store_dir, title, hashed.embed(title)[0].values)
-    write_legacy(store_dir, "Extremes", [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    write_legacy(store_dir, "Extremes", [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308] * 4)
     for title in titles[3:]:
         StoreEmbeddingBackend(ResponseStore(store_dir), MODEL, hashed).embed(title)
     texts = [*titles, "Extremes"]
     before = {text: replayed(store_dir, text) for text in texts}
 
     assert repack.main([str(store_dir)]) == 0
-    assert capsys.readouterr().out == "rewritten: 4, already packed: 2\n"
-    records = [json.loads(p.read_text(encoding="utf-8")) for p in (store_dir / "embed").iterdir()]
+    assert capsys.readouterr().out == "rewritten: 4, already packed: 2, packs written: 1\n"
+    records = [json.loads(p.read_text(encoding="utf-8")) for p in (store_dir / "embed").glob("*.json")]
     assert len(records) == 6 and all("vector_f64" in r and "vector" not in r for r in records)
-    assert {text: replayed(store_dir, text) for text in texts} == before
+    pack = ResponseStore(store_dir).embedding_pack_path(MODEL)
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    assert sorted(header["digests"]) == sorted(embedding_digest(MODEL, text) for text in texts)
+    assert {text: replayed(store_dir, text) for text in texts} == before  # now served by the pack
 
     packed = {p.name: p.read_bytes() for p in (store_dir / "embed").iterdir()}
     assert repack.main([str(store_dir)]) == 0
-    assert capsys.readouterr().out == "rewritten: 0, already packed: 6\n"
+    assert capsys.readouterr().out == "rewritten: 0, already packed: 6, packs written: 0\n"
     assert {p.name: p.read_bytes() for p in (store_dir / "embed").iterdir()} == packed
+
+
+def test_repack_refuses_to_pack_vectors_of_two_lengths_under_one_model(tmp_path, repack, capsys):
+    store_dir = tmp_path / "store"
+    write_legacy(store_dir, "Title A", [0.5, 0.5])
+    write_legacy(store_dir, "Title B", [0.5, 0.5, 0.5])
+    assert repack.main([str(store_dir)]) == 1
+    assert f"has 3 values, but the pack of model '{MODEL}' has rows of 2" in capsys.readouterr().err
+    assert not ResponseStore(store_dir).embedding_pack_path(MODEL).exists()
 
 
 def test_repack_refuses_a_record_filed_under_another_key(tmp_path, repack, capsys):

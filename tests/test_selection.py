@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import tracemalloc
 from random import Random
 
@@ -19,6 +20,7 @@ from atc_icl.gateway import (
     ResponseStore,
     StoreEmbeddingBackend,
     cosine_similarity,
+    embedding_digest,
     embedding_values,
 )
 from atc_icl.selection import (
@@ -318,6 +320,48 @@ def test_knn_title_holds_few_pool_vectors_at_once(synth_corpus, ada_replay):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, ada_replay)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pool) * one_vector / 8
+
+
+def packed_replay(records_root, tmp_path, essays):
+    """A replay gateway over a copy of ``records_root`` whose pack holds the titles of ``essays``."""
+    shutil.copytree(records_root, tmp_path, dirs_exist_ok=True)
+    store = ResponseStore(tmp_path)
+    model = HashEmbeddingBackend(dim=1536).model_name
+    assert store.put_embedding_pack(model, [embedding_digest(model, essay.title) for essay in essays])
+    return Gateway(embedding_backend=StoreEmbeddingBackend(ResponseStore(tmp_path), model))
+
+
+def test_knn_title_ranks_alike_from_a_pack_records_or_both(synth_corpus, ada_replay, tmp_path):
+    records_root = ada_replay.embedding_backend.store.root
+    pool = synth_corpus.train_essays()
+    packed = packed_replay(records_root, tmp_path / "packed", synth_corpus.essays)
+    mixed = packed_replay(records_root, tmp_path / "mixed", synth_corpus.essays[::2])
+    for query in synth_corpus.test_essays()[:5]:
+        ranked = [rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, gateway)
+                  for gateway in (ada_replay, packed, mixed)]
+        assert ranked[0] == ranked[1] == ranked[2]
+    served = [packed.embedding_backend.store.get_embedding(embedding_digest(
+        packed.embedding_backend.model_name, essay.title)) for essay in synth_corpus.essays[:2]]
+    assert all(set(record) == {"model_name", "values"} for record in served)
+
+
+def test_knn_title_holds_few_pool_vectors_at_once_from_a_pack(synth_corpus, ada_replay, tmp_path):
+    pool = synth_corpus.train_essays()
+    query = synth_corpus.test_essays()[0]
+    gateway = packed_replay(ada_replay.embedding_backend.store.root, tmp_path, synth_corpus.essays)
+    gateway.embed(query.title)  # reads the pack's header, so it is not counted below
+    tracemalloc.start()
+    try:
+        vector = gateway.embed(query.title)
+        one_vector = tracemalloc.get_traced_memory()[0]
+        del vector
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, gateway)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
