@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -119,10 +120,34 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
         n_rounds=value("n", 5, (int,), "an integer"),
         prompt=prompt,
         run_seed=value("run_seed", 0, (int,), "an integer"),
-        model_name=str(raw.get("model", "gpt-4")),
+        model_name=value("model", "gpt-4", (str,), "a string"),
         temperature=float(value("temperature", 0.0, (int, float), "a number")),
         max_output_tokens=value("max_output_tokens", 1024, (int,), "an integer"),
     )
+
+
+def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str | None], Path | None]) -> BackendConfig:
+    """The ``backend`` section as a :class:`BackendConfig`.
+
+    A key left out or set to null takes its default there. ``embedding_dim``
+    must be a positive integer (a float or bool is not truncated) and every
+    other value a string. A value of the wrong kind, or one
+    :class:`BackendConfig` refuses, raises :class:`ConfigError` naming ``path``.
+    """
+    given = {key: found for key, found in raw.items() if found is not None}
+    for key, found in given.items():
+        if key == "embedding_dim":
+            ok, what = type(found) is int and found > 0, "a positive integer"
+        else:
+            ok, what = isinstance(found, str), "a string"
+        if not ok:
+            raise ConfigError(f"{path}: backend.{key} must be {what}, not {found!r}")
+    if "store_dir" in given:
+        given["store_dir"] = resolve(given["store_dir"])
+    try:
+        return BackendConfig(**given)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_run_config(path: Path | str) -> RunConfig:
@@ -147,8 +172,7 @@ def load_run_config(path: Path | str) -> RunConfig:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
     backend_raw = _checked(raw.get("backend"), "section 'backend'", BACKEND_KEYS, path)
-    convert = {"embedding_dim": int, "store_dir": resolve}
-    backend = BackendConfig(**{key: convert.get(key, str)(value) for key, value in backend_raw.items()})
+    backend = _parse_backend(backend_raw, path, resolve)
     return RunConfig(
         corpus_dir=resolve(raw["corpus_dir"]),
         split_file=resolve(raw["split_file"]),

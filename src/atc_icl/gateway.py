@@ -122,7 +122,6 @@ class ChatResponse:
 @dataclass(frozen=True)
 class EmbeddingVector:
     values: tuple[float, ...]
-    model_name: str
     source_text_digest: str
 
     @functools.cached_property
@@ -172,31 +171,6 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return max(-1.0, min(1.0, dot / norms))
 
 
-def embedding_values(record: dict, where: object) -> tuple[float, ...]:
-    """The vector of an embedding store record, bit for bit as it was stored.
-
-    Reads the packed ``vector_f64`` field, or the JSON float list ``vector``
-    of a record written before vectors were packed; a record served from a
-    pack already carries its decoded ``values`` tuple, which no JSON record
-    can hold. A record with none of them, or one that does not decode,
-    raises :class:`AtcError` naming ``where``.
-    """
-    try:
-        values = record.get("values")
-        if type(values) is tuple:
-            return values
-        if "vector_f64" in record:
-            raw = bytes.fromhex(record["vector_f64"])
-            if len(raw) % 8:
-                raise ValueError(f"{len(raw)} bytes are not a whole number of float64 values")
-            return struct.unpack(f"<{len(raw) // 8}d", raw)
-        return tuple(map(float, record["vector"]))
-    except KeyError:
-        raise AtcError(f"malformed embedding record {where}: no vector_f64 or vector field") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise AtcError(f"malformed embedding record {where}: {exc}") from exc
-
-
 def write_atomic(path: Path, data: str | bytes) -> None:
     """Replace ``path`` with ``data`` (text as UTF-8) so no reader or crash sees a partial file.
 
@@ -221,7 +195,8 @@ class ResponseStore:
     Each chat record keeps the full request next to the response so fixtures
     are auditable. Each embedding record keeps its model name and text next
     to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
-    text; read it back with :func:`embedding_values`.
+    text. :meth:`get_embedding` reads it back, as it does a record written
+    before vectors were packed, whose ``vector`` is a JSON float list.
 
     ``embed/`` may also hold one pack per embedding model (see
     :meth:`embedding_pack_path`): a JSON header line ``{"digests", "dim",
@@ -283,17 +258,19 @@ class ResponseStore:
             },
         )
 
-    def get_embedding(self, digest: str) -> dict | None:
-        """The embedding record of ``digest``, or None.
+    def get_embedding(self, digest: str) -> tuple[float, ...] | None:
+        """The vector stored for ``digest``, bit for bit as it was stored, or None.
 
-        A digest listed by a pack comes back as ``{"model_name", "values"}``,
-        its row decoded into a tuple; any other is read from its record file.
+        A digest listed by a pack is read from its row; any other from its
+        record file. A record that does not decode raises :class:`AtcError`
+        naming the digest.
         """
         row = self._packs().get(digest)
-        if row is None:
-            return self._read("embed", digest)
-        pack, offset = row
-        return {"model_name": pack.model_name, "values": pack.row(offset)}
+        if row is not None:
+            pack, offset = row
+            return pack.row(offset)
+        record = self._read("embed", digest)
+        return None if record is None else _record_vector(record, digest)
 
     def put_embedding(self, digest: str, model_name: str, text: str, values: Sequence[float]) -> None:
         packed = struct.pack(f"<{len(values)}d", *values).hex()
@@ -330,10 +307,9 @@ class ResponseStore:
         rows = []
         encoder = None
         for digest in order:
-            record = self.get_embedding(digest)
-            if record is None:
+            values = self.get_embedding(digest)
+            if values is None:
                 raise AtcError(f"no embedding record for digest {digest} to pack")
-            values = embedding_values(record, digest)
             if encoder is None:
                 encoder = struct.Struct(f"<{len(values)}d")
             elif len(values) * 8 != encoder.size:
@@ -353,6 +329,21 @@ class ResponseStore:
         write_atomic(path, data)
         self._pack_rows = None
         return True
+
+
+def _record_vector(record: dict, digest: str) -> tuple[float, ...]:
+    """The vector of an embedding record: packed ``vector_f64``, else a legacy ``vector`` float list."""
+    try:
+        if "vector_f64" in record:
+            raw = bytes.fromhex(record["vector_f64"])
+            if len(raw) % 8:
+                raise ValueError(f"{len(raw)} bytes are not a whole number of float64 values")
+            return struct.unpack(f"<{len(raw) // 8}d", raw)
+        return tuple(map(float, record["vector"]))
+    except KeyError:
+        raise AtcError(f"malformed embedding record {digest}: no vector_f64 or vector field") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise AtcError(f"malformed embedding record {digest}: {exc}") from exc
 
 
 class _EmbeddingPack:
@@ -540,7 +531,12 @@ class StoreChatBackend:
             try:
                 response = record["response"]
                 text, usage = response["text"], response["usage"]
-                tokens = Usage(usage["prompt_tokens"], usage["completion_tokens"])
+                counts = usage["prompt_tokens"], usage["completion_tokens"]
+                if not isinstance(text, str):
+                    raise TypeError(f"text is {type(text).__name__}, not a string")
+                if any(type(count) is not int for count in counts):
+                    raise TypeError(f"token counts {counts} are not integers")
+                tokens = Usage(*counts)
             except KeyError as exc:
                 raise AtcError(f"malformed chat record {digest}: no {exc} field") from None
             except TypeError as exc:
@@ -567,7 +563,6 @@ class MappingEmbeddingBackend:
             raise RuntimeError(f"mock embedding backend has no vector for {text!r}")
         vector = EmbeddingVector(
             values=tuple(float(x) for x in self.mapping[text]),
-            model_name=self.model_name,
             source_text_digest=embedding_digest(self.model_name, text),
         )
         return vector, BackendTag.MOCK
@@ -597,7 +592,6 @@ class HashEmbeddingBackend:
         norm = math.sqrt(math.fsum(x * x for x in raw)) or 1.0
         vector = EmbeddingVector(
             values=tuple(x / norm for x in raw),
-            model_name=self.model_name,
             source_text_digest=embedding_digest(self.model_name, text),
         )
         return vector, BackendTag.MOCK
@@ -620,14 +614,14 @@ class LiveEmbeddingBackend(_OpenAIHttp):
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
         body = self._post("/embeddings", {"model": self.model_name, "input": [text]})
         try:
-            values = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            embedding = body["data"][0]["embedding"]
+            # type(), not isinstance(): a bool is an int, but no vector entry.
+            if type(embedding) is not list or not embedding or any(type(x) not in (int, float) for x in embedding):
+                raise TypeError("embedding is not a non-empty list of numbers")
+            values = tuple(map(float, embedding))
+        except (KeyError, IndexError, TypeError, OverflowError) as exc:
             raise TransportError(f"malformed embeddings body: {exc}") from exc
-        vector = EmbeddingVector(
-            values=tuple(float(x) for x in values),
-            model_name=self.model_name,
-            source_text_digest=embedding_digest(self.model_name, text),
-        )
+        vector = EmbeddingVector(values=values, source_text_digest=embedding_digest(self.model_name, text))
         return vector, BackendTag.LIVE
 
 
@@ -649,14 +643,9 @@ class StoreEmbeddingBackend:
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
         digest = embedding_digest(self.model_name, text)
-        record = self.store.get_embedding(digest)
-        if record is not None:
-            vector = EmbeddingVector(
-                values=embedding_values(record, digest),
-                model_name=self.model_name,
-                source_text_digest=digest,
-            )
-            return vector, self._hit_tag
+        values = self.store.get_embedding(digest)
+        if values is not None:
+            return EmbeddingVector(values=values, source_text_digest=digest), self._hit_tag
         if self.upstream is None:
             raise ReplayMiss(f"no recorded embedding for digest {digest}")
         vector, tag = self.upstream.embed(text)

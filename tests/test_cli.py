@@ -261,6 +261,49 @@ def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, smal
     assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
 
 
+def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, small_corpus, tmp_path, monkeypatch):
+    """A store of records written before vectors were packed, and no pack, goes through ``atc-icl embed``."""
+    model = gateway.HashEmbeddingBackend().model_name
+    recorded, legacy = tmp_path / "recorded", tmp_path / "legacy"
+    record_config = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "record-out",
+                                 backend={"embedding": "cache", "embedding_upstream": "hash",
+                                          "store_dir": str(recorded)})
+    runner.invoke(main, ["embed", "--config", str(record_config)], catch_exceptions=False)
+    recorded_store = gateway.ResponseStore(recorded)
+    (legacy / "embed").mkdir(parents=True)
+    for path in (recorded / "embed").glob("*.json"):
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        vector = list(recorded_store.get_embedding(path.stem))
+        legacy_record = {"model_name": fields["model_name"], "text": fields["text"], "vector": vector}
+        (legacy / "embed" / path.name).write_text(json.dumps(legacy_record, indent=2), encoding="utf-8")
+    assert len(list((legacy / "embed").iterdir())) == len(small_corpus.essays)
+
+    def replay_config(name, store_dir):
+        return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / f"{name}-out",
+                            icl={"strategy": "knn_title"},
+                            backend={"embedding": "replay", "embedding_model": model, "store_dir": str(store_dir)})
+
+    result = runner.invoke(main, ["embed", "--config", str(replay_config("legacy-embed", legacy))],
+                           catch_exceptions=False)
+    assert "embedded 12 titles (0 live fetches, 0 cache hits, 12 replay/mock)" in result.output
+    pack = gateway.ResponseStore(legacy).embedding_pack_path(model)
+    assert pack.read_bytes() == recorded_store.embedding_pack_path(model).read_bytes()
+
+    runner.invoke(main, ["run", "--config", str(replay_config("recorded", recorded))], catch_exceptions=False)
+    record_reads, row_reads = [], []
+    read, row = gateway.ResponseStore._read, gateway._EmbeddingPack.row
+    monkeypatch.setattr(gateway.ResponseStore, "_read",
+                        lambda self, kind, digest: record_reads.append(kind) or read(self, kind, digest))
+    monkeypatch.setattr(gateway._EmbeddingPack, "row",
+                        lambda self, offset: row_reads.append(offset) or row(self, offset))
+    runner.invoke(main, ["run", "--config", str(replay_config("legacy", legacy))], catch_exceptions=False)
+    records = [(tmp_path / f"{name}-out" / "records.jsonl").read_bytes() for name in ("recorded", "legacy")]
+    assert records[0] == records[1]
+    manifest = json.loads((tmp_path / "legacy-out" / "manifest.json").read_text(encoding="utf-8"))
+    assert "embed" not in record_reads  # every title, pool and query alike, came from a pack row
+    assert len(row_reads) == manifest["embed_calls"] > 0
+
+
 def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
     config_path = tmp_path / "replay.yaml"
     config_path.write_text(

@@ -126,6 +126,32 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
         load_run_config(config_file)
 
 
+@pytest.mark.parametrize(
+    "section, key, message",
+    [("backend: {embedding_dim: 8.9}", "backend.embedding_dim", "must be a positive integer, not 8.9"),
+     ("backend: {embedding_dim: true}", "backend.embedding_dim", "must be a positive integer, not True"),
+     ("backend: {embedding_dim: eight}", "backend.embedding_dim", "must be a positive integer, not 'eight'"),
+     ("backend: {embedding_dim: 0}", "backend.embedding_dim", "must be a positive integer, not 0"),
+     ("backend: {base_url: 8080}", "backend.base_url", "must be a string, not 8080"),
+     ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
+     ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
+     ("icl: {model: null}", "icl.model", "must be a string, not None"),
+     ("icl: {model: 4}", "icl.model", "must be a string, not 4")],
+)
+def test_load_run_config_rejects_a_bad_backend_or_model_value_naming_file_and_key(tmp_path, section, key, message):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + section + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{config_file}: {key} {message}"):
+        load_run_config(config_file)
+
+
+def test_a_null_backend_value_takes_its_default(tmp_path):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + "backend: {base_url: null, embedding_dim: null, store_dir: null}\n",
+                           encoding="utf-8")
+    assert load_run_config(config_file).backend == BackendConfig()
+
+
 def test_backend_config_validation():
     with pytest.raises(ConfigError):
         BackendConfig(chat="carrier-pigeon")

@@ -41,7 +41,6 @@ from atc_icl.gateway import (
     cosine_similarity,
     chat_request_digest,
     embedding_digest,
-    embedding_values,
 )
 
 
@@ -50,8 +49,8 @@ def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=
                        max_output_tokens=max_output_tokens)
 
 
-def vec(*values, model="m"):
-    return EmbeddingVector(values=tuple(float(v) for v in values), model_name=model, source_text_digest="d")
+def vec(*values):
+    return EmbeddingVector(values=tuple(float(v) for v in values), source_text_digest="d")
 
 
 def no_sleep_policy(attempts=3):
@@ -112,7 +111,7 @@ def _embedding_case(store, upstream):
 
     def call(key):
         vector, tag = backend.embed(key)
-        assert vector.model_name == "m"
+        assert vector.source_text_digest == embedding_digest("m", key)
         return vector.values, tag
 
     return call, "embed", lambda key: embedding_digest("m", key)
@@ -187,8 +186,19 @@ _USAGE = {"prompt_tokens": 3, "completion_tokens": 2}
      ({"response": {"usage": _USAGE}}, "no 'text' field"),
      ({"response": {"text": "1. Premise", "usage": {"completion_tokens": 2}}}, "no 'prompt_tokens' field"),
      ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": 3}}}, "no 'completion_tokens' field"),
-     ({"response": "1. Premise"}, "string indices")],
-    ids=["empty", "no-usage", "no-text", "no-prompt-tokens", "no-completion-tokens", "response-not-a-mapping"],
+     ({"response": "1. Premise"}, "string indices"),
+     ({"response": {"text": None, "usage": _USAGE}}, "text is NoneType, not a string"),
+     ({"response": {"text": ["1. Premise"], "usage": _USAGE}}, "text is list, not a string"),
+     ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": "3", "completion_tokens": 2}}},
+      "token counts .* are not integers"),
+     ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": 3, "completion_tokens": 2.5}}},
+      "token counts .* are not integers"),
+     ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": 3, "completion_tokens": None}}},
+      "token counts .* are not integers"),
+     ({"response": {"text": "1. Premise", "usage": {"prompt_tokens": True, "completion_tokens": 2}}},
+      "token counts .* are not integers")],
+    ids=["empty", "no-usage", "no-text", "no-prompt-tokens", "no-completion-tokens", "response-not-a-mapping",
+         "null-text", "list-text", "string-count", "float-count", "null-count", "bool-count"],
 )
 def test_malformed_chat_record_names_its_digest(tmp_path, record, message):
     digest = chat_request_digest(req())
@@ -299,8 +309,8 @@ def test_cosine_errors():
     ],
 )
 def test_cosine_rejects_non_finite_and_overflowing_vectors(values):
-    bad = EmbeddingVector(values=values, model_name="m", source_text_digest="bad-digest")
-    good = EmbeddingVector(values=(1.0, 1.0), model_name="m", source_text_digest="good-digest")
+    bad = EmbeddingVector(values=values, source_text_digest="bad-digest")
+    good = EmbeddingVector(values=(1.0, 1.0), source_text_digest="good-digest")
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(NonFiniteCosine, match="good-digest") as raised:
             cosine_similarity(a, b)
@@ -453,7 +463,7 @@ def test_live_embedding_backend_parses_openai_shape(monkeypatch):
     )
     vector, tag = backend.embed("A title")
     assert vector.values == (0.1, 0.2)
-    assert vector.model_name == "text-embedding-ada-002"
+    assert vector.source_text_digest == embedding_digest("text-embedding-ada-002", "A title")
     assert tag is BackendTag.LIVE
 
 
@@ -539,8 +549,8 @@ def test_malformed_embedding_record_names_its_digest(tmp_path, fields, message):
     path.write_text(json.dumps({"model_name": "m", "text": "T", **fields}), encoding="utf-8")
     with pytest.raises(AtcError, match=f"malformed embedding record {digest}: .*{message}"):
         StoreEmbeddingBackend(ResponseStore(tmp_path), "m").embed("T")
-    with pytest.raises(AtcError, match=f"malformed embedding record {path}"):
-        embedding_values(json.loads(path.read_text(encoding="utf-8")), path)
+    with pytest.raises(AtcError, match=f"malformed embedding record {digest}: .*{message}"):
+        ResponseStore(tmp_path).get_embedding(digest)
 
 
 def record_and_pack(root, texts_values, model="m"):
@@ -577,8 +587,9 @@ def test_a_digest_the_pack_does_not_list_falls_back_to_its_record(tmp_path):
     store.put_embedding(embedding_digest("m", "T2"), "m", "T2", [5.0, 6.0])  # embedded after packing
     (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()
     replay = ResponseStore(tmp_path)
-    assert replay.get_embedding(embedding_digest("m", "T0")) == {"model_name": "m", "values": (1.0, 2.0)}
-    assert "vector_f64" in replay.get_embedding(embedding_digest("m", "T2"))
+    assert replay.get_embedding(embedding_digest("m", "T0")) == (1.0, 2.0)  # from the pack, its record gone
+    assert replay.get_embedding(embedding_digest("m", "T2")) == (5.0, 6.0)  # from its record
+    assert replay.get_embedding(embedding_digest("m", "T3")) is None
     backend = StoreEmbeddingBackend(replay, "m")
     assert [backend.embed(text)[0].values for text in ("T0", "T1", "T2")] == [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
     with pytest.raises(ReplayMiss):
@@ -599,6 +610,16 @@ def test_rewriting_a_pack_keeps_its_rows_and_adds_new_ones_once(tmp_path):
     with pytest.raises(AtcError, match="no embedding record for digest"):
         store.put_embedding_pack("m", [embedding_digest("m", "never embedded")])
     assert not pack.name.endswith(".json")
+
+
+def test_a_pack_refuses_vectors_of_two_lengths_under_one_model(tmp_path):
+    store = ResponseStore(tmp_path)
+    digests = [embedding_digest("m", text) for text in ("T0", "T1")]
+    store.put_embedding(digests[0], "m", "T0", [0.5, 0.5])
+    store.put_embedding(digests[1], "m", "T1", [0.5, 0.5, 0.5])
+    with pytest.raises(AtcError, match="has 3 values, but the pack of model 'm' has rows of 2"):
+        store.put_embedding_pack("m", digests)
+    assert not store.embedding_pack_path("m").exists()
 
 
 @pytest.mark.parametrize(
@@ -694,6 +715,22 @@ def test_malformed_chat_body_is_a_transport_error(monkeypatch, body):
     call = live_backends(FakeSession([FakeHttpResponse(body=body)]))["/chat/completions"]
     with pytest.raises(TransportError, match="malformed chat completion body"):
         call()
+
+
+@pytest.mark.parametrize(
+    "embedding",
+    [[1.0, None], [1.0, {}], ["a", 1.0], "123", [], [True, 1.0], {"0": 1.0}, None, [1.0, [2.0]], [10**400]],
+    ids=["null-entry", "object-entry", "string-entry", "string", "empty", "bool-entry", "object", "null",
+         "nested-list", "huge-int"],
+)
+def test_malformed_embeddings_body_is_a_transport_error_and_stores_nothing(monkeypatch, tmp_path, embedding):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    session = FakeSession([FakeHttpResponse(body={"data": [{"embedding": embedding}]})])
+    live = LiveEmbeddingBackend("https://example.test/v1", "ada", api_key_env="TEST_API_KEY", session=session)
+    store = ResponseStore(tmp_path)
+    with pytest.raises(TransportError, match="malformed embeddings body: "):
+        StoreEmbeddingBackend(store, "ada", live).embed("A title")
+    assert not (tmp_path / "embed").exists()
 
 
 def test_store_record_of_invalid_utf8_names_the_file(tmp_path):

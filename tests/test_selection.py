@@ -21,7 +21,6 @@ from atc_icl.gateway import (
     StoreEmbeddingBackend,
     cosine_similarity,
     embedding_digest,
-    embedding_values,
 )
 from atc_icl.selection import (
     BadK,
@@ -199,7 +198,7 @@ def test_knn_title_over_a_store_mixing_packed_and_legacy_records(tmp_path, small
     paths = sorted((tmp_path / "embed").glob("*.json"))
     for path in paths[::2]:
         record = json.loads(path.read_text(encoding="utf-8"))
-        record["vector"] = list(embedding_values(record, path))
+        record["vector"] = list(store.get_embedding(path.stem))
         del record["vector_f64"]
         path.write_text(json.dumps(record, indent=2), encoding="utf-8")
     forms = [set(json.loads(path.read_text(encoding="utf-8"))) & {"vector", "vector_f64"} for path in paths]
@@ -344,9 +343,13 @@ def test_knn_title_ranks_alike_from_a_pack_records_or_both(synth_corpus, ada_rep
         ranked = [rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, gateway)
                   for gateway in (ada_replay, packed, mixed)]
         assert ranked[0] == ranked[1] == ranked[2]
-    served = [packed.embedding_backend.store.get_embedding(embedding_digest(
-        packed.embedding_backend.model_name, essay.title)) for essay in synth_corpus.essays[:2]]
-    assert all(set(record) == {"model_name", "values"} for record in served)
+    for path in (tmp_path / "packed" / "embed").glob("*.json"):
+        path.unlink()  # only the pack can serve the titles now
+    model = packed.embedding_backend.model_name
+    pack_only = ResponseStore(tmp_path / "packed")
+    for digest in [embedding_digest(model, essay.title) for essay in synth_corpus.essays[:2]]:
+        values = pack_only.get_embedding(digest)
+        assert type(values) is tuple and values == ada_replay.embedding_backend.store.get_embedding(digest)
 
 
 def test_knn_title_holds_few_pool_vectors_at_once_from_a_pack(synth_corpus, ada_replay, tmp_path):
