@@ -25,7 +25,6 @@ from atc_icl.cli import embed_corpus, run_experiment
 from atc_icl.config import BackendConfig, RunConfig
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
-from atc_icl.gateway import HashEmbeddingBackend
 from atc_icl.metrics import render_report
 from atc_icl.prompting import PromptConfig, PromptMode
 from atc_icl.selection import SelectionStrategy
@@ -68,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
 
         store_dir = Path(tmp) / "store"
         replay = BackendConfig(chat="mock", mock_mode=args.mock, embedding="replay",
-                               embedding_model=HashEmbeddingBackend().model_name, store_dir=store_dir)
+                               embedding_upstream="hash", store_dir=store_dir)
         configs = [
             RunConfig(
                 corpus_dir=corpus_dir, split_file=corpus_dir / SPLIT_FILE_NAME,
@@ -83,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model, mode) in enumerate(GRID)
         ]
-        recording = dataclasses.replace(replay, embedding="cache", embedding_upstream="hash")
+        recording = dataclasses.replace(replay, embedding="cache")
         embed_corpus(dataclasses.replace(configs[0], backend=recording))
 
         imperfect = 0

@@ -10,6 +10,8 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -18,7 +20,7 @@ import click
 
 from . import __version__
 from .config import RunConfig, config_digest, load_run_config, run_label
-from .corpus import Corpus, Essay, LABELS, Scope, Split, compute_stats, load_corpus
+from .corpus import Corpus, Essay, LABELS, Label, Scope, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
@@ -49,7 +51,8 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
     """Wire chat and embedding backends according to the run config.
 
     ``cache`` puts the store in front of the configured upstream; ``replay``
-    is the store with no upstream.
+    is the store with no upstream. Both file embeddings under the model of
+    ``embedding_upstream``, so a ``replay`` reads what its ``cache`` twin recorded.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
@@ -62,10 +65,7 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
                 raise AtcError("gold-echo mock needs a loaded corpus")
             chat = MockChatBackend(responder=gold_echo_responder(corpus))
         else:
-            label = {l.display_name: l for l in LABELS}.get(backend.mock_constant_label)
-            if label is None:
-                raise AtcError(f"unknown mock constant label {backend.mock_constant_label!r}")
-            chat = MockChatBackend(responder=constant_label_responder(label))
+            chat = MockChatBackend(responder=constant_label_responder(Label.PREMISE))
     elif chat_kind == "live":
         chat = LiveChatBackend(backend.base_url, backend.api_key_env)
     if backend.chat in ("cache", "replay"):
@@ -78,7 +78,8 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
     elif embed_kind == "live":
         embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env)
     if backend.embedding in ("cache", "replay"):
-        model_name = backend.embedding_model if embedder is None else embedder.model_name
+        hashed = backend.embedding_upstream == "hash"
+        model_name = f"hash-embed-{backend.embedding_dim}" if hashed else backend.embedding_model
         embedder = StoreEmbeddingBackend(store, model_name, embedder)
 
     return Gateway(chat_backend=chat, embedding_backend=embedder)
@@ -153,68 +154,57 @@ def embed_corpus(config: RunConfig) -> Gateway:
     return gateway
 
 
-def _load_records(path: Path) -> list[PredictionRecord]:
-    """Decode every complete line of a records file.
+def _load_records(path: Path) -> tuple[list[PredictionRecord], int]:
+    """Decode every complete line of a records file; return them and where they end.
 
     Bytes after the last newline are a record torn by an interrupted run and
     are left out; :func:`run_experiment` truncates them before appending.
     """
     if not path.exists():
-        return []
+        return [], 0
     data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
     records = []
-    for number, line in enumerate(data[: data.rfind(b"\n") + 1].split(b"\n")[:-1], start=1):
+    for number, line in enumerate(data[:complete].split(b"\n")[:-1], start=1):
         if line.strip():
             try:
                 records.append(PredictionRecord.from_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise AtcError(f"{path}, line {number}: not a prediction record ({exc})") from exc
-    return records
+    return records, complete
 
 
-def _drop_torn_tail(path: Path) -> None:
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    keep = data.rfind(b"\n") + 1
-    if keep < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(keep)
-        click.echo(f"warning: {path}: dropped {len(data) - keep} bytes of a torn last record", err=True)
+def _read_manifest(out_dir: Path, digest: str) -> dict:
+    """The manifest an earlier session left in ``out_dir``; empty when there is none.
 
-
-def _read_manifest(out_dir: Path) -> dict:
-    """The manifest an earlier session left in ``out_dir``; empty when there is none."""
+    A manifest of another config digest is refused, so one directory never
+    mixes configs.
+    """
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         return {}
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["config_digest"]  # every manifest, the first stub too, names its config
+        recorded = manifest["config_digest"]  # every manifest, the first stub too, names its config
     except (ValueError, KeyError, TypeError) as exc:
         raise AtcError(f"{manifest_path}: unreadable manifest ({exc})") from exc
-    return manifest
-
-
-def _check_config_digest(out_dir: Path, digest: str) -> None:
-    """Refuse to resume a run directory that was written by another config."""
-    recorded = _read_manifest(out_dir).get("config_digest", digest)
     if recorded != digest:
         raise AtcError(
             f"{out_dir} holds a run with config digest {recorded}, but this config has "
             f"digest {digest}; use another out_dir"
         )
+    return manifest
 
 
-def _pending(config: RunConfig) -> tuple[Corpus, list[Essay], list[PredictionRecord], list[Essay]]:
-    """The corpus, its test essays, the records already in ``out_dir``, and the
-    test essays still to run. Reads only."""
-    _check_config_digest(config.out_dir, config_digest(config.icl))
+def _pending(config: RunConfig) -> tuple[dict, list[PredictionRecord], int, Corpus, list[Essay]]:
+    """The manifest and records already in ``out_dir`` (and where the records'
+    complete lines end), the corpus, and the test essays still to run. Reads only."""
+    manifest = _read_manifest(config.out_dir, config_digest(config.icl))
     corpus = load_corpus(config.corpus_dir, config.split_file)
     queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
-    records = _load_records(config.out_dir / RECORDS_NAME)
+    records, complete = _load_records(config.out_dir / RECORDS_NAME)
     done_ids = {record.essay_id for record in records}
-    return corpus, queries, records, [e for e in queries if e.essay_id not in done_ids]
+    return manifest, records, complete, corpus, [e for e in queries if e.essay_id not in done_ids]
 
 
 def run_experiment(config: RunConfig) -> EvaluationReport:
@@ -231,15 +221,18 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     icl = config.icl
     label = run_label(icl)
     digest = config_digest(icl)
-    corpus, _, records, remaining = _pending(config)
+    earlier, records, complete, corpus, remaining = _pending(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    earlier = _read_manifest(out_dir)
     if not earlier:
         # Stamp the digest now, so a run stopped before its full manifest is
         # still checked on resume.
         _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest})
-    _drop_torn_tail(out_dir / RECORDS_NAME)
+    records_path = out_dir / RECORDS_NAME
+    size = records_path.stat().st_size if records_path.exists() else 0
+    if size > complete:
+        os.truncate(records_path, complete)
+        click.echo(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", err=True)
 
     gateway = make_gateway(config, corpus)
     definitions = (
@@ -260,7 +253,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
 
     counted = counts()
     try:
-        with open(out_dir / RECORDS_NAME, "a", encoding="utf-8") as handle:
+        with open(records_path, "a", encoding="utf-8") as handle:
             for essay in remaining:
                 record = run_ensemble(essay, pool, icl, gateway, info=info)
                 handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
@@ -305,11 +298,11 @@ def run(config_path: Path, dry_run: bool) -> None:
             err=True,
         )
     if dry_run:
-        corpus, queries, _, remaining = _pending(config)
+        *_, corpus, remaining = _pending(config)
         per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else 1 for e in remaining]
         click.echo(f"run label:       {run_label(icl)}")
         click.echo(f"config digest:   {config_digest(icl)}")
-        click.echo(f"essays to run:   {len(remaining)} (of {len(queries)} test essays)")
+        click.echo(f"essays to run:   {len(remaining)} (of {len(corpus.test_essays())} test essays)")
         click.echo(f"chat requests:   ~{icl.n_rounds * sum(per_essay)} (excluding parse retries)")
         if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0:
             # Each essay embeds its own title and every pool title once.
@@ -333,7 +326,7 @@ def run(config_path: Path, dry_run: bool) -> None:
 def eval_cmd(records_path: Path, corpus_dir: Path, split_file: Path, json_out: Path | None) -> None:
     """Score a records file against the corpus gold labels."""
     corpus = load_corpus(corpus_dir, split_file)
-    records = _load_records(records_path)
+    records, _ = _load_records(records_path)
     if not records:
         raise click.ClickException(f"no records found in {records_path}")
     report = aggregate_runs(records, corpus)
@@ -360,6 +353,9 @@ def export(corpus_dir: Path, split_file: Path, split: str, featxt: bool, out: Pa
 
 
 def entrypoint() -> None:
+    # SIGTERM unwinds like any other failure, so a stopped run still leaves
+    # its session's counts in the manifest.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         main(standalone_mode=True)
     except AtcError as exc:  # pragma: no cover - thin wrapper

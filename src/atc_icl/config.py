@@ -17,7 +17,6 @@ from typing import Callable
 
 import yaml
 
-from .corpus import Label
 from .ensemble import IclConfig
 from .errors import ConfigError
 from .prompting import PromptConfig, PromptMode
@@ -32,10 +31,9 @@ MOCK_MODES = ("gold_echo", "constant")
 class BackendConfig:
     chat: str = "mock"
     mock_mode: str = "gold_echo"
-    mock_constant_label: str = Label.PREMISE.display_name
     cache_upstream: str = "live"  # inner backend when chat == "cache"
     embedding: str = "hash"
-    embedding_upstream: str = "live"  # inner backend when embedding == "cache"
+    embedding_upstream: str = "live"  # inner backend under "cache"; names the model "replay" reads
     embedding_model: str = "text-embedding-ada-002"
     embedding_dim: int = 8
     store_dir: Path | None = None
@@ -91,7 +89,8 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
 
     A value of the wrong kind raises :class:`ConfigError` naming ``path`` and
     the key: booleans must be YAML booleans, counts and seeds integers (a
-    float or bool is not truncated), and the temperature a number.
+    float or bool is not truncated), and the temperature a number. A value
+    :class:`IclConfig` refuses raises :class:`ConfigError` naming ``path``.
     """
 
     def value(key: str, default, kinds: tuple[type, ...], what: str):
@@ -114,7 +113,7 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
         include_fts=value("fts", False, (bool,), "true or false"),
         mode=choice("mode", "all_at_once", PromptMode),
     )
-    return IclConfig(
+    settings = dict(
         strategy=choice("strategy", "knn_title", SelectionStrategy),
         k=value("k", 5, (int,), "an integer"),
         n_rounds=value("n", 5, (int,), "an integer"),
@@ -124,6 +123,10 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
         temperature=float(value("temperature", 0.0, (int, float), "a number")),
         max_output_tokens=value("max_output_tokens", 1024, (int,), "an integer"),
     )
+    try:
+        return IclConfig(**settings)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str | None], Path | None]) -> BackendConfig:

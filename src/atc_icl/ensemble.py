@@ -10,6 +10,7 @@ by train-set frequency: Premise > Claim > Major Claim.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -58,6 +59,10 @@ class IclConfig:
             raise ConfigError("k must be non-negative")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds must be positive")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ConfigError(f"temperature must be finite and non-negative, not {self.temperature!r}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be positive, not {self.max_output_tokens!r}")
         if self.k == 0:
             if self.prompt.mode is not PromptMode.ONE_BY_ONE:
                 raise ConfigError("k=0 (no demonstrations) requires one-by-one mode")

@@ -575,11 +575,11 @@ class HashEmbeddingBackend:
     with no semantic meaning. Vectors are unit-norm, never zero.
     """
 
-    def __init__(self, dim: int = 8, model_name: str | None = None) -> None:
+    def __init__(self, dim: int = 8) -> None:
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.model_name = model_name or f"hash-embed-{dim}"
+        self.model_name = f"hash-embed-{dim}"
         self.calls = 0
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
@@ -619,7 +619,9 @@ class LiveEmbeddingBackend(_OpenAIHttp):
             if type(embedding) is not list or not embedding or any(type(x) not in (int, float) for x in embedding):
                 raise TypeError("embedding is not a non-empty list of numbers")
             values = tuple(map(float, embedding))
-        except (KeyError, IndexError, TypeError, OverflowError) as exc:
+            if not all(map(math.isfinite, values)):
+                raise ValueError("embedding has an inf or NaN entry")
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise TransportError(f"malformed embeddings body: {exc}") from exc
         vector = EmbeddingVector(values=values, source_text_digest=embedding_digest(self.model_name, text))
         return vector, BackendTag.LIVE

@@ -167,7 +167,7 @@ def test_criterion_3_gold_echo_full_test_split(synth_dir, synth_corpus, tmp_path
     premise_dir = tmp_path / "premise-run"
     config2 = _write_run_config(
         tmp_path / "premise.yaml", synth_dir, premise_dir,
-        ["chat: mock", "mock_mode: constant", "mock_constant_label: Premise"], icl_lines,
+        ["chat: mock", "mock_mode: constant"], icl_lines,
     )
     result2 = runner.invoke(main, ["run", "--config", str(config2)], catch_exceptions=False)
     assert result2.exit_code == 0

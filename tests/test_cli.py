@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -163,7 +166,7 @@ def test_run_constant_premise_mock(runner, small_dir, small_corpus, tmp_path):
     out_dir = tmp_path / "constant"
     config = write_config(
         tmp_path / "constant.yaml", small_dir, out_dir,
-        backend={"chat": "mock", "mock_mode": "constant", "mock_constant_label": "Premise"},
+        backend={"chat": "mock", "mock_mode": "constant"},
     )
     result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
@@ -302,6 +305,27 @@ def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, smal
     manifest = json.loads((tmp_path / "legacy-out" / "manifest.json").read_text(encoding="utf-8"))
     assert "embed" not in record_reads  # every title, pool and query alike, came from a pack row
     assert len(row_reads) == manifest["embed_calls"] > 0
+
+
+def test_replay_reads_the_embeddings_its_cache_twin_recorded(runner, small_dir, tmp_path, monkeypatch):
+    """Changing only ``embedding: cache`` to ``replay`` finds every title ``atc-icl embed`` recorded."""
+    def config(name, embedding):
+        return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / f"{name}-out",
+                            icl={"strategy": "knn_title"},
+                            backend={"embedding": embedding, "embedding_upstream": "hash",
+                                     "store_dir": str(tmp_path / "store")})
+
+    cached = config("cache", "cache")
+    runner.invoke(main, ["embed", "--config", str(cached)], catch_exceptions=False)
+    runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False)
+    for upstream in ("HashEmbeddingBackend", "LiveEmbeddingBackend"):
+        monkeypatch.setattr(cli, upstream, None)  # a replay builds no upstream
+    result = runner.invoke(main, ["run", "--config", str(config("replay", "replay"))], catch_exceptions=False)
+    assert result.exit_code == 0
+    manifest = json.loads((tmp_path / "replay-out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["backend_tags_used"] == ["mock", "replay"]
+    records = [(tmp_path / f"{name}-out" / "records.jsonl").read_bytes() for name in ("cache", "replay")]
+    assert records[0] == records[1]
 
 
 def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
@@ -565,6 +589,48 @@ def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monk
     # A rerun with nothing left to do keeps the counts.
     assert run(stopped_dir).exit_code == 0
     assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (12, 36)
+
+
+SIGTERM_ON_SECOND_ESSAY = """
+import os, signal, sys
+from atc_icl import cli
+
+real_run_ensemble, started = cli.run_ensemble, []
+
+def run_ensemble(query, *args, **kwargs):
+    if started:
+        os.kill(os.getpid(), signal.SIGTERM)
+    started.append(query.essay_id)
+    return real_run_ensemble(query, *args, **kwargs)
+
+cli.run_ensemble = run_ensemble
+sys.argv = ["atc-icl", "run", "--config", sys.argv[1]]
+cli.entrypoint()
+"""
+
+
+def test_sigterm_keeps_the_session_counts_in_the_manifest(runner, small_dir, tmp_path):
+    def config(out_dir):
+        return write_config(tmp_path / f"{out_dir.name}.yaml", small_dir, out_dir,
+                            icl={"strategy": "knn_title"}, backend={"embedding": "hash"})
+
+    def manifest(out_dir):
+        return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+
+    full_dir, stopped_dir = tmp_path / "full", tmp_path / "stopped"
+    assert runner.invoke(main, ["run", "--config", str(config(full_dir))]).exit_code == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    stopped = subprocess.run([sys.executable, "-c", SIGTERM_ON_SECOND_ESSAY, str(config(stopped_dir))],
+                             env=env, capture_output=True, text=True, timeout=120)
+    assert stopped.returncode == 143, stopped.stderr
+    assert len((stopped_dir / "records.jsonl").read_bytes().splitlines()) == 1
+    assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (3, 9)
+
+    assert runner.invoke(main, ["run", "--config", str(config(stopped_dir))]).exit_code == 0
+    counts = [(manifest(d)["chat_calls"], manifest(d)["embed_calls"]) for d in (stopped_dir, full_dir)]
+    assert counts[0] == counts[1] == (12, 36)
+    assert (stopped_dir / "records.jsonl").read_bytes() == (full_dir / "records.jsonl").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -136,7 +136,12 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
      ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
      ("icl: {model: null}", "icl.model", "must be a string, not None"),
-     ("icl: {model: 4}", "icl.model", "must be a string, not 4")],
+     ("icl: {model: 4}", "icl.model", "must be a string, not 4"),
+     ("icl: {temperature: -1}", "temperature", "must be finite and non-negative, not -1.0"),
+     ("icl: {temperature: .nan}", "temperature", "must be finite and non-negative, not nan"),
+     ("icl: {max_output_tokens: 0}", "max_output_tokens", "must be positive, not 0"),
+     ("icl: {k: -1}", "k", "must be non-negative"),
+     ("icl: {n: 0}", "n_rounds", "must be positive")],
 )
 def test_load_run_config_rejects_a_bad_backend_or_model_value_naming_file_and_key(tmp_path, section, key, message):
     config_file = tmp_path / "run.yaml"

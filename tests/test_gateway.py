@@ -719,9 +719,10 @@ def test_malformed_chat_body_is_a_transport_error(monkeypatch, body):
 
 @pytest.mark.parametrize(
     "embedding",
-    [[1.0, None], [1.0, {}], ["a", 1.0], "123", [], [True, 1.0], {"0": 1.0}, None, [1.0, [2.0]], [10**400]],
+    [[1.0, None], [1.0, {}], ["a", 1.0], "123", [], [True, 1.0], {"0": 1.0}, None, [1.0, [2.0]], [10**400],
+     [float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 1.0]],
     ids=["null-entry", "object-entry", "string-entry", "string", "empty", "bool-entry", "object", "null",
-         "nested-list", "huge-int"],
+         "nested-list", "huge-int", "nan-entry", "inf-entry", "minus-inf-entry"],
 )
 def test_malformed_embeddings_body_is_a_transport_error_and_stores_nothing(monkeypatch, tmp_path, embedding):
     monkeypatch.setenv("TEST_API_KEY", "sk-test")

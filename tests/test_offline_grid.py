@@ -35,7 +35,7 @@ def test_gold_echo_grid_scores_perfectly_with_a_manifest_per_row(grid, monkeypat
         if config.icl.strategy is SelectionStrategy.KNN_TITLE:
             assert manifest["backend_tags_used"] == ["mock", "replay"]
             store = ResponseStore(config.backend.store_dir)
-            assert store.embedding_pack_path(config.backend.embedding_model).is_file()
+            assert store.embedding_pack_path("hash-embed-8").is_file()
         out_dirs.append(config.out_dir)
         return report
 
