@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .config import RunConfig, config_digest, load_run_config, run_label
-from .corpus import Corpus, Essay, LABELS, Label, Scope, Split, compute_stats, load_corpus
+from .corpus import Corpus, Essay, LABELS, Scope, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
@@ -38,7 +38,7 @@ from .gateway import (
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
 from .mocks import constant_label_responder, gold_echo_responder
-from .prompting import PromptMode, build_info_block, load_class_definitions
+from .prompting import PromptMode, build_info_block
 from .selection import SelectionStrategy
 
 MANIFEST_NAME = "manifest.json"
@@ -47,7 +47,7 @@ REPORT_JSON_NAME = "report.json"
 REPORT_TEXT_NAME = "report.txt"
 
 
-def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
+def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     """Wire chat and embedding backends according to the run config.
 
     ``cache`` puts the store in front of the configured upstream; ``replay``
@@ -61,11 +61,9 @@ def make_gateway(config: RunConfig, corpus: Corpus | None = None) -> Gateway:
     chat = None
     if chat_kind == "mock":
         if backend.mock_mode == "gold_echo":
-            if corpus is None:
-                raise AtcError("gold-echo mock needs a loaded corpus")
             chat = MockChatBackend(responder=gold_echo_responder(corpus))
         else:
-            chat = MockChatBackend(responder=constant_label_responder(Label.PREMISE))
+            chat = MockChatBackend(responder=constant_label_responder())
     elif chat_kind == "live":
         chat = LiveChatBackend(backend.base_url, backend.api_key_env)
     if backend.chat in ("cache", "replay"):
@@ -235,10 +233,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         click.echo(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", err=True)
 
     gateway = make_gateway(config, corpus)
-    definitions = (
-        load_class_definitions(config.class_definitions) if config.class_definitions else None
-    )
-    info = build_info_block(corpus, definitions) if icl.prompt.include_info else None
+    info = build_info_block(corpus) if icl.prompt.include_info else None
     pool = corpus.train_essays()
 
     started = time.monotonic()

@@ -63,10 +63,9 @@ class RunConfig:
     out_dir: Path
     icl: IclConfig
     backend: BackendConfig = field(default_factory=BackendConfig)
-    class_definitions: Path | None = None
 
 
-TOP_LEVEL_KEYS = ("corpus_dir", "split_file", "out_dir", "icl", "backend", "class_definitions")
+TOP_LEVEL_KEYS = ("corpus_dir", "split_file", "out_dir", "icl", "backend")
 ICL_KEYS = ("strategy", "k", "n", "info", "essay", "fts", "mode", "model", "run_seed", "temperature",
             "max_output_tokens")
 BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
@@ -182,7 +181,6 @@ def load_run_config(path: Path | str) -> RunConfig:
         out_dir=resolve(raw["out_dir"]),
         icl=_parse_icl(_checked(raw.get("icl"), "section 'icl'", ICL_KEYS, path), path),
         backend=backend,
-        class_definitions=resolve(raw.get("class_definitions")),
     )
 
 

@@ -106,8 +106,8 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
 
@@ -549,25 +549,6 @@ class StoreChatBackend:
         return response
 
 
-class MappingEmbeddingBackend:
-    """Mock embeddings from an explicit text-to-vector mapping."""
-
-    def __init__(self, mapping: dict[str, Sequence[float]], model_name: str = "mock-embed") -> None:
-        self.mapping = mapping
-        self.model_name = model_name
-        self.calls = 0
-
-    def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
-        self.calls += 1
-        if text not in self.mapping:
-            raise RuntimeError(f"mock embedding backend has no vector for {text!r}")
-        vector = EmbeddingVector(
-            values=tuple(float(x) for x in self.mapping[text]),
-            source_text_digest=embedding_digest(self.model_name, text),
-        )
-        return vector, BackendTag.MOCK
-
-
 class HashEmbeddingBackend:
     """Deterministic pseudo-embeddings derived from a content hash.
 
@@ -732,6 +713,3 @@ class Gateway:
 
     def tags_used(self) -> set[BackendTag]:
         return {tag for _, tag in self.counts}
-
-    def live_calls(self) -> int:
-        return sum(n for (_, tag), n in self.counts.items() if tag is BackendTag.LIVE)

@@ -2,7 +2,7 @@
 
 These power fully offline runs: the gold-echo responder answers every query
 with the corpus gold labels (so a correct pipeline must score a perfect
-macro F1), the constant responder always answers one fixed class. Both key
+macro F1), the constant responder always answers Premise. Both key
 off the query section markers emitted by the prompting module, so they break
 loudly if the prompt format drifts.
 """
@@ -58,16 +58,16 @@ def gold_echo_responder(corpus: Corpus) -> Responder:
     return respond
 
 
-def constant_label_responder(label: Label) -> Responder:
-    """Always answer ``label``, matching the expected line count."""
+def constant_label_responder() -> Responder:
+    """Always answer Premise, matching the expected line count."""
 
     def respond(request: ChatRequest) -> str:
         if _ONE_BY_ONE_RE.search(request.user_text):
-            return label.display_name
+            return Label.PREMISE.display_name
         match = _ALL_AT_ONCE_RE.search(request.user_text)
         if match is None:
             raise ValueError("prompt has no classification instruction")
         m = int(match.group(1))
-        return render_labels([label] * m)
+        return render_labels([Label.PREMISE] * m)
 
     return respond

@@ -1,7 +1,7 @@
 """Prompt construction and response parsing for component classification.
 
 A prompt is assembled from fixed instructions, an optional task-information
-block (class definitions plus train-set label statistics), demonstration
+block (fixed class definitions plus train-set label statistics), demonstration
 essays rendered as labeled component lists, and the query essay. The model
 answers one line per component in the canonical ``<index>. <label>`` format;
 ``parse_response`` inverts that format tolerantly.
@@ -18,8 +18,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources as importlib_resources
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import LABELS, Corpus, Essay, Label, Scope
@@ -63,7 +61,6 @@ class PromptConfig:
 
 @dataclass(frozen=True)
 class InfoBlock:
-    class_definitions: Mapping[Label, str]
     train_stats: Mapping[Label, int]
 
 
@@ -90,6 +87,25 @@ INFO_HEADER = "## Task information"
 DEMO_HEADER = "## Demonstration essays"
 QUERY_HEADER = "## Query essay"
 
+#: One definition per class, after Stab & Gurevych 2017, the corpus source.
+CLASS_DEFINITIONS: dict[Label, str] = {
+    Label.MAJOR_CLAIM: (
+        "The major claim states the author's overall standpoint on the essay topic. It is the root "
+        "of the essay's argumentation, typically announced in the introduction and restated in the "
+        "conclusion, and every other component ultimately supports or attacks it."
+    ),
+    Label.CLAIM: (
+        "A claim is a controversial statement that takes a side on the topic and directly supports "
+        "or attacks the major claim. It is the central component of one argument within the essay "
+        "and should not be accepted without further backing."
+    ),
+    Label.PREMISE: (
+        "A premise gives a reason, piece of evidence, or example that underpins or undermines a "
+        "claim (or another premise). It captures why the reader should believe the component it "
+        "justifies."
+    ),
+}
+
 ALL_AT_ONCE_INSTRUCTION = (
     "Classify all {m} argument components of the query essay. "
     "Respond with exactly {m} lines, one per component, in the format '<index>. <label>'."
@@ -107,6 +123,8 @@ ONE_BY_ONE_REMINDER = (
     "Reminder: respond with exactly one line containing only the label, "
     "'Major Claim', 'Claim', or 'Premise'. Output nothing else."
 )
+#: Times a malformed answer is asked again, with the reminder appended.
+MAX_RETRIES = 2
 
 _MARKER_RE = re.compile(r"^\s*(?:[-*•]+\s*)?(?:\(?\d+\)?\s*[.):\-]\s*)?")
 _LABEL_ALIASES = {
@@ -117,44 +135,10 @@ _LABEL_ALIASES = {
 }
 
 
-def load_class_definitions(path: Path | str | None = None) -> dict[Label, str]:
-    """Read class definitions from a resource file, one ``[Name]`` section per label."""
-    if path is None:
-        text = (
-            importlib_resources.files("atc_icl.resources")
-            .joinpath("class_definitions.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    by_name = {label.display_name: label for label in LABELS}
-    definitions: dict[Label, str] = {}
-    current: Label | None = None
-    chunks: dict[Label, list[str]] = {}
-    for line in text.splitlines():
-        header = re.fullmatch(r"\[(.+)\]", line.strip())
-        if header:
-            name = header.group(1)
-            if name not in by_name:
-                raise ValueError(f"unknown class section [{name}] in definitions file")
-            current = by_name[name]
-            chunks[current] = []
-        elif current is not None:
-            chunks[current].append(line)
-    for label in LABELS:
-        if label not in chunks:
-            raise ValueError(f"definitions file lacks a section for {label.display_name}")
-        definitions[label] = "\n".join(chunks[label]).strip()
-    return definitions
-
-
-def build_info_block(corpus: Corpus, definitions: Mapping[Label, str] | None = None) -> InfoBlock:
-    """Info block with definitions and label counts from the train split."""
+def build_info_block(corpus: Corpus) -> InfoBlock:
+    """Info block with the label counts of the train split."""
     counts = Counter(c.gold_label for e in corpus.essays_in(Scope.TRAIN) for c in e.components)
-    return InfoBlock(
-        class_definitions=dict(definitions) if definitions else load_class_definitions(),
-        train_stats={label: counts[label] for label in LABELS},
-    )
+    return InfoBlock(train_stats={label: counts[label] for label in LABELS})
 
 
 def render_labels(labels: Sequence[Label]) -> str:
@@ -165,7 +149,7 @@ def render_labels(labels: Sequence[Label]) -> str:
 def _render_info(info: InfoBlock) -> str:
     lines = [INFO_HEADER, "Class definitions:"]
     for label in LABELS:
-        lines.append(f"{label.display_name}: {info.class_definitions[label]}")
+        lines.append(f"{label.display_name}: {CLASS_DEFINITIONS[label]}")
     counts = ", ".join(
         f"{label.display_name}: {info.train_stats[label]}" for label in LABELS
     )
@@ -269,12 +253,11 @@ def classify_essay(
     model_name: str = "gpt-4",
     temperature: float = 0.0,
     max_output_tokens: int = 1024,
-    max_retries: int = 2,
 ) -> tuple[list[Label], list[str]]:
     """Predict one label per component of ``query`` through the gateway.
 
     All-at-once mode issues a single chat call; one-by-one mode issues one
-    call per component. Malformed answers are retried up to ``max_retries``
+    call per component. Malformed answers are retried up to ``MAX_RETRIES``
     times with an appended format reminder before :class:`Unparseable` is
     raised. Returns the labels and every raw response text, in request order.
     """
@@ -288,7 +271,7 @@ def classify_essay(
     def ask(base_text: str) -> list[Label]:
         user_text = base_text
         last_error: AtcError | None = None
-        for _ in range(max_retries + 1):
+        for _ in range(MAX_RETRIES + 1):
             response = gateway.chat(
                 ChatRequest(
                     system_text=prompt.system_text,
@@ -305,7 +288,7 @@ def classify_essay(
                 last_error = exc
                 user_text = base_text + "\n\n" + reminder
         raise Unparseable(
-            f"{query.essay_id}: no parseable answer after {max_retries + 1} attempts"
+            f"{query.essay_id}: no parseable answer after {MAX_RETRIES + 1} attempts"
         ) from last_error
 
     labels = [label for text in prompt.user_texts for label in ask(text)]

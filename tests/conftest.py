@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 from atc_icl.corpus import Corpus, Essay, Label, load_corpus, parse_essay
+from atc_icl.gateway import BackendTag, EmbeddingVector, embedding_digest
 from atc_icl.synth import PE_SHAPE, SPLIT_FILE_NAME, generate_corpus, small_shape
 
 # Handcrafted essay with offsets computed independently of the parser
@@ -64,6 +66,25 @@ def simple_essay(essay_id: str, title: str, labels: list[Label]) -> Essay:
         for i, label in enumerate(labels, start=1)
     ]
     return build_essay(essay_id, title, paragraphs)
+
+
+class MappingEmbeddingBackend:
+    """Mock embeddings from an explicit text-to-vector mapping."""
+
+    def __init__(self, mapping: dict[str, Sequence[float]], model_name: str = "mock-embed") -> None:
+        self.mapping = mapping
+        self.model_name = model_name
+        self.calls = 0
+
+    def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
+        self.calls += 1
+        if text not in self.mapping:
+            raise RuntimeError(f"mock embedding backend has no vector for {text!r}")
+        vector = EmbeddingVector(
+            values=tuple(float(x) for x in self.mapping[text]),
+            source_text_digest=embedding_digest(self.model_name, text),
+        )
+        return vector, BackendTag.MOCK
 
 
 @pytest.fixture()

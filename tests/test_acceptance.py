@@ -24,12 +24,12 @@ from atc_icl.config import load_run_config, run_label
 from atc_icl.corpus import LABELS, Label, Scope, Split, compute_stats, load_corpus
 from atc_icl.ensemble import majority_vote
 from atc_icl.finetune import export
-from atc_icl.gateway import Gateway, MappingEmbeddingBackend, cosine_similarity
+from atc_icl.gateway import Gateway, cosine_similarity
 from atc_icl.metrics import evaluate
 from atc_icl.prompting import parse_response, render_labels
 from atc_icl.selection import SelectionStrategy, rank_neighbors
 from atc_icl.synth import SPLIT_FILE_NAME
-from conftest import simple_essay
+from conftest import MappingEmbeddingBackend, simple_essay
 
 REPO = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"

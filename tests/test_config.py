@@ -85,8 +85,10 @@ BASE_CONFIG = "corpus_dir: c\nsplit_file: s\nout_dir: o\n"
     "text, key, where",
     [(BASE_CONFIG + "icl: {n_rounds: 1}\n", "n_rounds", "section 'icl'"),
      (BASE_CONFIG + "backend: {chat: mock, store: s}\n", "store", "section 'backend'"),
-     (BASE_CONFIG + "class_defs: d.txt\n", "class_defs", "the top level")],
-    ids=["icl", "backend", "top-level"],
+     (BASE_CONFIG + "class_defs: d.txt\n", "class_defs", "the top level"),
+     # Class definitions are fixed prompt text; the old override key is refused.
+     (BASE_CONFIG + "class_definitions: d.txt\n", "class_definitions", "the top level")],
+    ids=["icl", "backend", "top-level", "class-definitions"],
 )
 def test_load_run_config_rejects_unknown_keys(tmp_path, text, key, where):
     config_file = tmp_path / "run.yaml"

@@ -26,7 +26,6 @@ from atc_icl.gateway import (
     HashEmbeddingBackend,
     LiveChatBackend,
     LiveEmbeddingBackend,
-    MappingEmbeddingBackend,
     MockChatBackend,
     NonFiniteCosine,
     RateLimited,
@@ -42,6 +41,7 @@ from atc_icl.gateway import (
     chat_request_digest,
     embedding_digest,
 )
+from conftest import MappingEmbeddingBackend
 
 
 def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
@@ -90,10 +90,54 @@ def test_mock_scripted_response():
 def test_chat_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(system_text="s", user_text="", model_name="m")
-    with pytest.raises(ValueError):
-        ChatRequest(system_text="s", user_text="u", model_name="m", temperature=-1.0)
+    for temperature in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
+            ChatRequest(system_text="s", user_text="u", model_name="m", temperature=temperature)
     with pytest.raises(ValueError):
         ChatRequest(system_text="s", user_text="u", model_name="m", max_output_tokens=0)
+
+
+# Store keys computed by the code that recorded the existing stores. A change
+# to any of them makes every recorded request miss.
+CHAT_KEY_GOLDEN = [
+    (("sys", "classify this", "gpt-4", 0.0, 1024),
+     "1751d3d5afbd72745bb278c1b9d7c0c335e0968b2db65a53aab1eadb36a19a2c"),
+    (("Say \"yes\" or 'no'", 'a "quoted" C:\\path\\ and \\" escape', "gpt-4", 0.0, 1024),
+     "1d034213e970451815e6c4ef3fd04de9758e5d3da45bf9934c4e6e6568415828"),
+    (("sys", "tab\there\nnew line\r\x00\x08\x1b\x1f\x7f end", "gpt-4", 0.7, 1024),
+     "bcc169e3f9434ac36422d81261b46188b863e4fe938576daa3520bc15f8a1b0c"),
+    (("sys", "line\u2028separator\u2029 and \U0001F600 \U0001D518", "gpt-4", 1e-07, 1024),
+     "f86b1e5ee21cba1ed726aa83c5782f7bc288eab522dedebaee4cd56de58a7421"),
+    (("syst\u00e8me", "caf\u00e9", "mod\u00e8le-\u00e9\u2028\U0001F600", 0.7, 256),
+     "e3fc9352eaf879f46f69585df75c131599d1dc679c48285aa514c2aa967bf2cc"),
+    (("sys", "classify this", "gpt-4", 0.0, 1),
+     "e96fbc47270c4ca64f04ecefb2c97d76a113ce385cbd426968176bb4cc2e0e92"),
+]
+EMBEDDING_KEY_GOLDEN = [
+    (("text-embedding-ada-002", "A title"),
+     "9ea936fa47104992c40edcbe00cff3e5459d91ccd06765ad46673c2e8b5648f7"),
+    (("text-embedding-ada-002", 'a "quoted" C:\\path\\ \t\n\x00\x1f'),
+     "b394acd0046cf62847edf558524cee97c4369cfd6a7e604159868718be344c4f"),
+    (("text-embedding-ada-002", "line\u2028separator \U0001F600"),
+     "3dca04ec1f944f98fd1c3bf11420903890ce3d43edf94a2d6217d0143a90d535"),
+    (("mod\u00e8le-\u00e9", "caf\u00e9"),
+     "18c103475e4fd876c26b656d90d87204a7ef55725c568b5fd20dcb2d8d609b78"),
+    (("hash-embed-8", "\x00"),
+     "85db5da1051616969d82c4794cef3e8abb398e44f6b31d67e6c7571b8e7b256e"),
+]
+
+
+@pytest.mark.parametrize("fields, expected", CHAT_KEY_GOLDEN)
+def test_chat_request_digest_is_pinned(fields, expected):
+    system, user, model, temperature, max_output_tokens = fields
+    request = ChatRequest(system_text=system, user_text=user, model_name=model,
+                          temperature=temperature, max_output_tokens=max_output_tokens)
+    assert chat_request_digest(request) == expected
+
+
+@pytest.mark.parametrize("fields, expected", EMBEDDING_KEY_GOLDEN)
+def test_embedding_digest_is_pinned(fields, expected):
+    assert embedding_digest(*fields) == expected
 
 
 def _chat_case(store, upstream):
@@ -240,7 +284,7 @@ def test_replay_only_gateway_performs_zero_network_calls(tmp_path):
     gateway = Gateway(chat_backend=StoreChatBackend(store), retry=no_sleep_policy())
     gateway.chat(req())
     gateway.chat(req())
-    assert gateway.live_calls() == 0
+    assert sum(n for (_, tag), n in gateway.counts.items() if tag is BackendTag.LIVE) == 0
     assert gateway.tags_used() == {BackendTag.REPLAY}
 
 

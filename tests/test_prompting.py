@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from atc_icl.corpus import LABELS, Label
 from atc_icl.gateway import Gateway, MockChatBackend
 from atc_icl.prompting import (
+    CLASS_DEFINITIONS,
     FORMAT_REMINDER,
     ONE_BY_ONE_REMINDER,
     CountMismatch,
@@ -25,7 +26,6 @@ from atc_icl.prompting import (
     build_info_block,
     build_prompt,
     classify_essay,
-    load_class_definitions,
     parse_response,
     render_labels,
 )
@@ -54,10 +54,7 @@ def demo_pair():
 
 
 def info_block():
-    return InfoBlock(
-        class_definitions=load_class_definitions(),
-        train_stats={Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023},
-    )
+    return InfoBlock(train_stats={Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023})
 
 
 def test_prompt_structure_counts_demo_sections(park_essay):
@@ -151,7 +148,7 @@ def test_build_info_block_uses_train_stats(small_corpus):
 
     info = build_info_block(small_corpus)
     assert info.train_stats == compute_stats(small_corpus, Scope.TRAIN).label_counts
-    assert set(info.class_definitions) == set(LABELS)
+    assert set(CLASS_DEFINITIONS) == set(LABELS)
 
 
 def test_parse_response_spec_examples():
@@ -266,7 +263,7 @@ def test_classify_essay_unparseable_after_budget(park_essay):
     backend = MockChatBackend(responder=lambda request: "always garbage")
     gateway = Gateway(chat_backend=backend)
     with pytest.raises(Unparseable):
-        classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway, max_retries=2)
+        classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert backend.calls == 3  # initial attempt plus two retries
 
 

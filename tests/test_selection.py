@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from atc_icl import selection
 from atc_icl.corpus import Label
 from atc_icl.gateway import (
+    BackendTag,
     Gateway,
     HashEmbeddingBackend,
-    MappingEmbeddingBackend,
     ResponseStore,
     StoreEmbeddingBackend,
     cosine_similarity,
@@ -31,7 +31,7 @@ from atc_icl.selection import (
     select_demonstrations,
     subsample,
 )
-from conftest import simple_essay
+from conftest import MappingEmbeddingBackend, simple_essay
 
 
 def essays_with_counts(counts: dict[str, int]):
@@ -211,7 +211,7 @@ def test_knn_title_over_a_store_mixing_packed_and_legacy_records(tmp_path, small
         ranked = [rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 6, 0, gateway)
                   for gateway in (replay, direct)]
         assert ranked[0] == ranked[1]
-    assert replay.live_calls() == 0
+    assert sum(n for (_, tag), n in replay.counts.items() if tag is BackendTag.LIVE) == 0
 
 
 class RecordingBackend(MappingEmbeddingBackend):
