@@ -128,7 +128,7 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str | None], Path | None]) -> BackendConfig:
+def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str], Path]) -> BackendConfig:
     """The ``backend`` section as a :class:`BackendConfig`.
 
     A key left out or set to null takes its default there. ``embedding_dim``
@@ -156,29 +156,31 @@ def load_run_config(path: Path | str) -> RunConfig:
     """Parse a YAML run config; relative paths resolve against the file.
 
     A key that is not a field of its section (the top level, ``icl`` or
-    ``backend``) raises :class:`ConfigError` rather than being ignored.
+    ``backend``) raises :class:`ConfigError` rather than being ignored, and so
+    does a missing ``corpus_dir``, ``split_file`` or ``out_dir``, or one that
+    is not a string.
     """
     config_path = Path(path)
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
     raw = _checked(raw, "the top level", TOP_LEVEL_KEYS, path)
     base = config_path.parent
 
-    def resolve(value: str | None) -> Path | None:
-        if value is None:
-            return None
+    def resolve(value: str) -> Path:
         p = Path(value)
         return p if p.is_absolute() else (base / p)
 
+    paths = {}
     for key in ("corpus_dir", "split_file", "out_dir"):
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{path}: {key} must be a string, not {raw[key]!r}")
+        paths[key] = resolve(raw[key])
 
     backend_raw = _checked(raw.get("backend"), "section 'backend'", BACKEND_KEYS, path)
     backend = _parse_backend(backend_raw, path, resolve)
     return RunConfig(
-        corpus_dir=resolve(raw["corpus_dir"]),
-        split_file=resolve(raw["split_file"]),
-        out_dir=resolve(raw["out_dir"]),
+        **paths,
         icl=_parse_icl(_checked(raw.get("icl"), "section 'icl'", ICL_KEYS, path), path),
         backend=backend,
     )

@@ -2,9 +2,10 @@
 
 Each round selects its own demonstration essays (seeded per round, so rounds
 differ while the whole run stays reproducible) and classifies the query
-essay. All rounds' selections are made before the first chat call. Final
-labels come from a per-component majority vote over the rounds, ties broken
-by train-set frequency: Premise > Claim > Major Claim.
+essay. All rounds' selections are made, and all their prompts built in one
+call, before the first chat call. Final labels come from a per-component
+majority vote over the rounds, ties broken by train-set frequency:
+Premise > Claim > Major Claim.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Mapping, Sequence
 from .corpus import Essay, Label
 from .errors import AtcError, ConfigError
 from .gateway import Gateway
-from .prompting import InfoBlock, PromptConfig, PromptMode, Unparseable
-from .prompting import classify_essay
+from .prompting import InfoBlock, PromptConfig, PromptMode, Unparseable, build_prompt, classify_essay
 from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
@@ -161,20 +161,12 @@ def run_ensemble(
     ]
     selections = select_demonstrations(query, pool, config.strategy, config.k, seeds, gateway)
     pool_by_id = {e.essay_id: e for e in pool}
+    demo_sets = [[pool_by_id[essay_id] for essay_id in outcome.chosen_ids] for outcome in selections]
     rounds: list[tuple[Label, ...]] = []
     responses: list[tuple[str, ...]] = []
-    for round_index, outcome in enumerate(selections, start=1):
+    for round_index, prompt in enumerate(build_prompt(query, demo_sets, config.prompt, info), start=1):
         try:
-            labels, raw = classify_essay(
-                query,
-                [pool_by_id[essay_id] for essay_id in outcome.chosen_ids],
-                config.prompt,
-                gateway,
-                info=info,
-                model_name=config.model_name,
-                temperature=config.temperature,
-                max_output_tokens=config.max_output_tokens,
-            )
+            labels, raw = classify_essay(query, prompt, config, gateway)
         except Unparseable as exc:
             raise RoundFailed(f"{query.essay_id}: round {round_index} failed") from exc
         rounds.append(tuple(labels))

@@ -4,7 +4,7 @@ All network effects in the system pass through this module. Backends for
 both chat and embeddings:
 
 * live:   HTTP JSON calls against an OpenAI-compatible endpoint,
-* mock:   scripted or computed responses for tests and offline runs
+* mock:   computed responses for tests and offline runs
           (the hash embeddings are the offline embedding mock),
 * store:  :class:`StoreChatBackend` and :class:`StoreEmbeddingBackend` serve
           answers from an on-disk :class:`ResponseStore`. Given an upstream
@@ -404,26 +404,15 @@ class EmbeddingBackend(Protocol):
 
 
 class MockChatBackend:
-    """Scripted chat backend: consumes a response list, then a responder fn."""
+    """Mock chat backend: each answer is what ``responder`` makes of the request."""
 
-    def __init__(
-        self,
-        script: Sequence[str] | None = None,
-        responder: Callable[[ChatRequest], str] | None = None,
-    ) -> None:
-        self._script = list(script or [])
+    def __init__(self, responder: Callable[[ChatRequest], str]) -> None:
         self._responder = responder
         self.calls = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self.calls += 1
-        if self._script:
-            text = self._script.pop(0)
-        elif self._responder is not None:
-            text = self._responder(request)
-        else:
-            raise RuntimeError("mock chat backend has no scripted response left")
-        return ChatResponse(text=text, usage=Usage(), backend_tag=BackendTag.MOCK)
+        return ChatResponse(text=self._responder(request), usage=Usage(), backend_tag=BackendTag.MOCK)
 
 
 def _retry_after(value: str | None) -> float | None:

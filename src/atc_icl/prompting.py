@@ -8,8 +8,11 @@ answers one line per component in the canonical ``<index>. <label>`` format;
 
 Two inference modes share the same context layout: all-at-once asks for every
 component of the query essay in a single call, one-by-one asks for a single
-target component per call. A round renders its context once; its one-by-one
-requests differ only in the closing instruction.
+target component per call. ``build_prompt`` renders an essay's info block,
+query section and instructions once and returns one :class:`Prompt` per
+ensembling round: rounds differ only in their demonstrations, and a round's
+one-by-one requests only in the closing instruction. ``classify_essay`` asks
+one built prompt's calls, retries malformed answers and parses them.
 """
 
 from __future__ import annotations
@@ -18,12 +21,15 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import LABELS, Corpus, Essay, Label, Scope
 from .errors import AtcError
 from .features import extract_structural, render_featxt
 from .gateway import ChatRequest, Gateway
+
+if TYPE_CHECKING:
+    from .ensemble import IclConfig
 
 
 class MissingInfoBlock(AtcError):
@@ -66,8 +72,16 @@ class InfoBlock:
 
 @dataclass(frozen=True)
 class Prompt:
+    """One round's chat calls, one user text each, and how their answers are read.
+
+    Every answer must hold ``answer_lines`` label lines; a malformed one is
+    asked again with ``reminder`` appended to its user text.
+    """
+
     system_text: str
     user_texts: tuple[str, ...]
+    answer_lines: int
+    reminder: str
 
 
 SYSTEM_ALL_AT_ONCE = (
@@ -157,11 +171,14 @@ def _render_info(info: InfoBlock) -> str:
     return "\n".join(lines)
 
 
-def _render_demo(essay: Essay, index: int) -> str:
-    lines = [f"### Example {index}", f"Title: {essay.title}", "Argument components:"]
-    for i, component in enumerate(essay.components, start=1):
-        lines.append(f"{i}. {component.text} -> {component.gold_label.display_name}")
-    return "\n".join(lines)
+def _render_demos(demos: Sequence[Essay]) -> str:
+    sections = [DEMO_HEADER]
+    for index, essay in enumerate(demos, start=1):
+        lines = [f"### Example {index}", f"Title: {essay.title}", "Argument components:"]
+        for i, component in enumerate(essay.components, start=1):
+            lines.append(f"{i}. {component.text} -> {component.gold_label.display_name}")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections)
 
 
 def _render_query(essay: Essay, config: PromptConfig) -> str:
@@ -179,39 +196,39 @@ def _render_query(essay: Essay, config: PromptConfig) -> str:
 
 def build_prompt(
     query: Essay,
-    demos: Sequence[Essay],
+    demo_sets: Sequence[Sequence[Essay]],
     config: PromptConfig,
     info: InfoBlock | None = None,
-) -> Prompt:
-    """Assemble one round's chat requests: one user text per call.
+) -> tuple[Prompt, ...]:
+    """Assemble every round's chat requests for ``query``: one prompt per demo set.
 
-    The context (info block, demonstrations, query section) is rendered once,
-    and each user text appends one call's instruction to it: a single text in
-    all-at-once mode, and in one-by-one mode m texts, the j-th asking about
-    component j.
+    The info block, the query section and the instructions are rendered once.
+    Each user text is a round's context (info block, that round's
+    demonstrations, query section) followed by one call's instruction: a
+    single text in all-at-once mode, and in one-by-one mode m texts, the j-th
+    asking about component j.
     """
     if config.include_info and info is None:
         raise MissingInfoBlock("prompt config includes the info block but none was given")
-    if config.mode is PromptMode.ALL_AT_ONCE and not demos:
+    if config.mode is PromptMode.ALL_AT_ONCE and not all(demo_sets):
         raise MissingDemonstrations("all-at-once prompts need at least one demonstration")
 
-    sections: list[str] = []
-    if config.include_info and info is not None:
-        sections.append(_render_info(info))
-    if demos:
-        demo_lines = [DEMO_HEADER]
-        for i, demo in enumerate(demos, start=1):
-            demo_lines.append(_render_demo(demo, i))
-        sections.append("\n\n".join(demo_lines))
-    sections.append(_render_query(query, config))
-    context = "\n\n".join(sections)
-
+    m = query.m
     if config.mode is PromptMode.ALL_AT_ONCE:
-        system_text, instructions = SYSTEM_ALL_AT_ONCE, [ALL_AT_ONCE_INSTRUCTION.format(m=query.m)]
+        system_text, instructions = SYSTEM_ALL_AT_ONCE, [ALL_AT_ONCE_INSTRUCTION.format(m=m)]
+        answer_lines, reminder = m, FORMAT_REMINDER.format(m=m)
     else:
         system_text = SYSTEM_ONE_BY_ONE
-        instructions = [ONE_BY_ONE_INSTRUCTION.format(j=j, m=query.m) for j in range(1, query.m + 1)]
-    return Prompt(system_text, tuple(f"{context}\n\n{instruction}" for instruction in instructions))
+        instructions = [ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1)]
+        answer_lines, reminder = 1, ONE_BY_ONE_REMINDER
+    info_section = _render_info(info) + "\n\n" if config.include_info else ""
+    query_section = _render_query(query, config)
+    tails = [f"{query_section}\n\n{instruction}" for instruction in instructions]
+    prompts = []
+    for demos in demo_sets:
+        head = info_section + (_render_demos(demos) + "\n\n" if demos else "")
+        prompts.append(Prompt(system_text, tuple(head + tail for tail in tails), answer_lines, reminder))
+    return tuple(prompts)
 
 
 def _match_label(core: str) -> Label | None:
@@ -245,27 +262,15 @@ def parse_response(text: str, m: int) -> list[Label]:
 
 
 def classify_essay(
-    query: Essay,
-    demos: Sequence[Essay],
-    config: PromptConfig,
-    gateway: Gateway,
-    info: InfoBlock | None = None,
-    model_name: str = "gpt-4",
-    temperature: float = 0.0,
-    max_output_tokens: int = 1024,
+    query: Essay, prompt: Prompt, config: IclConfig, gateway: Gateway
 ) -> tuple[list[Label], list[str]]:
-    """Predict one label per component of ``query`` through the gateway.
+    """Ask ``prompt``'s calls through the gateway: one label per component of ``query``.
 
-    All-at-once mode issues a single chat call; one-by-one mode issues one
-    call per component. Malformed answers are retried up to ``MAX_RETRIES``
-    times with an appended format reminder before :class:`Unparseable` is
-    raised. Returns the labels and every raw response text, in request order.
+    Each user text is one chat call with the model, temperature and output
+    limit of ``config``. A malformed answer is asked again, with the prompt's
+    reminder appended, up to ``MAX_RETRIES`` times before :class:`Unparseable`
+    is raised. Returns the labels and every raw response text, in request order.
     """
-    prompt = build_prompt(query, demos, config, info)
-    if config.mode is PromptMode.ALL_AT_ONCE:
-        expected, reminder = query.m, FORMAT_REMINDER.format(m=query.m)
-    else:
-        expected, reminder = 1, ONE_BY_ONE_REMINDER
     responses: list[str] = []
 
     def ask(base_text: str) -> list[Label]:
@@ -276,17 +281,17 @@ def classify_essay(
                 ChatRequest(
                     system_text=prompt.system_text,
                     user_text=user_text,
-                    model_name=model_name,
-                    temperature=temperature,
-                    max_output_tokens=max_output_tokens,
+                    model_name=config.model_name,
+                    temperature=config.temperature,
+                    max_output_tokens=config.max_output_tokens,
                 )
             )
             responses.append(response.text)
             try:
-                return parse_response(response.text, expected)
+                return parse_response(response.text, prompt.answer_lines)
             except (CountMismatch, UnknownLabel) as exc:
                 last_error = exc
-                user_text = base_text + "\n\n" + reminder
+                user_text = base_text + "\n\n" + prompt.reminder
         raise Unparseable(
             f"{query.essay_id}: no parseable answer after {MAX_RETRIES + 1} attempts"
         ) from last_error

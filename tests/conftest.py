@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 
 from atc_icl.corpus import Corpus, Essay, Label, load_corpus, parse_essay
-from atc_icl.gateway import BackendTag, EmbeddingVector, embedding_digest
+from atc_icl.gateway import BackendTag, ChatResponse, EmbeddingVector, Usage, embedding_digest
 from atc_icl.synth import PE_SHAPE, SPLIT_FILE_NAME, generate_corpus, small_shape
 
 # Handcrafted essay with offsets computed independently of the parser
@@ -85,6 +85,20 @@ class MappingEmbeddingBackend:
             source_text_digest=embedding_digest(self.model_name, text),
         )
         return vector, BackendTag.MOCK
+
+
+class ScriptedChatBackend:
+    """Mock chat answers taken in order from a fixed list."""
+
+    def __init__(self, script: Sequence[str]) -> None:
+        self.script = list(script)
+        self.calls = 0
+
+    def complete(self, request) -> ChatResponse:
+        self.calls += 1
+        if not self.script:
+            raise RuntimeError("scripted chat backend has no response left")
+        return ChatResponse(text=self.script.pop(0), usage=Usage(), backend_tag=BackendTag.MOCK)
 
 
 @pytest.fixture()

@@ -257,7 +257,7 @@ def test_criterion_6_round_trip_and_snapshot(park_essay):
     from atc_icl.prompting import PromptConfig, build_prompt
 
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
-    prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
+    (prompt,) = build_prompt(park_essay, [list(demo_pair())], config, info_block())
     (user_text,) = prompt.user_texts
     rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     assert rendered.encode("utf-8") == (DATA / "prompt_snapshot.txt").read_bytes()

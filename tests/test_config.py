@@ -143,11 +143,17 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("icl: {temperature: .nan}", "temperature", "must be finite and non-negative, not nan"),
      ("icl: {max_output_tokens: 0}", "max_output_tokens", "must be positive, not 0"),
      ("icl: {k: -1}", "k", "must be non-negative"),
-     ("icl: {n: 0}", "n_rounds", "must be positive")],
+     ("icl: {n: 0}", "n_rounds", "must be positive"),
+     ("corpus_dir: ~", "corpus_dir", "must be a string, not None"),
+     ("corpus_dir: 5", "corpus_dir", "must be a string, not 5"),
+     ("split_file: [a, b]", "split_file", "must be a string, not \\['a', 'b'\\]"),
+     ("out_dir: true", "out_dir", "must be a string, not True")],
 )
 def test_load_run_config_rejects_a_bad_backend_or_model_value_naming_file_and_key(tmp_path, section, key, message):
     config_file = tmp_path / "run.yaml"
-    config_file.write_text(BASE_CONFIG + section + "\n", encoding="utf-8")
+    # A top-level path key in ``section`` takes the place of its line in the base config.
+    base = [line for line in BASE_CONFIG.splitlines() if line.split(":")[0] != section.split(":")[0]]
+    config_file.write_text("\n".join([*base, section]) + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^{config_file}: {key} {message}"):
         load_run_config(config_file)
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from atc_icl import ensemble, prompting
 from atc_icl.corpus import LABELS, Label
 from atc_icl.ensemble import (
     EmptyVotes,
@@ -20,9 +22,9 @@ from atc_icl.ensemble import (
 )
 from atc_icl.errors import ConfigError
 from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend
-from atc_icl.prompting import PromptConfig, PromptMode, classify_essay, render_labels
+from atc_icl.prompting import PromptConfig, PromptMode, build_prompt, classify_essay, render_labels
 from atc_icl.selection import SelectionOutcome, SelectionStrategy, rank_neighbors, subsample
-from conftest import simple_essay
+from conftest import ScriptedChatBackend, simple_essay
 
 
 def brute_force_vote(votes):
@@ -169,7 +171,7 @@ def test_run_ensemble_scripted_disagreement_matches_tally_oracle():
         [Label.CLAIM, Label.PREMISE],
     ]
     script = [render_labels(labels) for labels in per_round]
-    gateway = Gateway(chat_backend=MockChatBackend(script=script))
+    gateway = Gateway(chat_backend=ScriptedChatBackend(script))
     config = IclConfig(SelectionStrategy.KNN_LEN, k=2, n_rounds=5, prompt=prompt_config(), run_seed=5)
     record = run_ensemble(query, make_pool(), config, gateway)
     # 3-vs-2 on component 1 (Claim), 4-vs-1 on component 2 (Premise).
@@ -216,6 +218,34 @@ def test_run_ensemble_k_zero_skips_selection():
     assert record.selections == (SelectionOutcome((), (), 0, 0),)
 
 
+def test_run_ensemble_builds_the_prompts_and_features_once_per_essay(monkeypatch):
+    query = simple_essay("q", "Query topic", [Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE])
+    gold = gold_of(query)
+    calls = {"build_prompt": 0, "extract_structural": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Counted in both modules, so the count holds whichever one calls it.
+    for module in (ensemble, prompting):
+        monkeypatch.setattr(module, "build_prompt", counted("build_prompt", prompting.build_prompt), raising=False)
+    monkeypatch.setattr(prompting, "extract_structural", counted("extract_structural", prompting.extract_structural))
+
+    def responder(request):
+        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
+        return gold[j - 1].display_name
+
+    config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, run_seed=8,
+                       prompt=PromptConfig(include_fts=True, mode=PromptMode.ONE_BY_ONE))
+    record = run_ensemble(query, make_pool(), config, Gateway(chat_backend=MockChatBackend(responder=responder)))
+    assert list(record.final) == gold
+    assert len({s.chosen_ids for s in record.selections}) > 1
+    assert calls == {"build_prompt": 1, "extract_structural": query.m}
+
+
 def test_prediction_record_dict_round_trip():
     query = simple_essay("q", "Query topic", [Label.CLAIM])
     config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, prompt=prompt_config(), run_seed=13)
@@ -251,8 +281,8 @@ def test_run_ensemble_matches_independent_rounds(strategy):
         neighbors = rank_neighbors(query, pool, strategy, 6, rank_seed, gateway)
         outcome = SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, 3, pick_seed)),
                                    rank_seed, pick_seed)
-        labels, raw = classify_essay(query, [pool_by_id[i] for i in outcome.chosen_ids],
-                                     config.prompt, gateway)
+        (prompt,) = build_prompt(query, [[pool_by_id[i] for i in outcome.chosen_ids]], config.prompt)
+        labels, raw = classify_essay(query, prompt, config, gateway)
         selections.append(outcome)
         rounds.append(tuple(labels))
         responses.append(tuple(raw))

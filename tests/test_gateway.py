@@ -80,8 +80,8 @@ class FlakyChatBackend:
         return ChatResponse(text="1. Claim", usage=Usage(), backend_tag=BackendTag.LIVE)
 
 
-def test_mock_scripted_response():
-    backend = MockChatBackend(script=["1. Premise"])
+def test_mock_chat_backend_answers_through_its_responder():
+    backend = MockChatBackend(responder=lambda request: "1. Premise")
     response = backend.complete(req())
     assert response.text == "1. Premise"
     assert response.backend_tag is BackendTag.MOCK

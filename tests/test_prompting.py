@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atc_icl.corpus import LABELS, Label
+from atc_icl.ensemble import IclConfig
 from atc_icl.gateway import Gateway, MockChatBackend
 from atc_icl.prompting import (
     CLASS_DEFINITIONS,
@@ -29,7 +30,8 @@ from atc_icl.prompting import (
     parse_response,
     render_labels,
 )
-from conftest import build_essay
+from atc_icl.selection import SelectionStrategy
+from conftest import ScriptedChatBackend, build_essay
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,10 +59,22 @@ def info_block():
     return InfoBlock(train_stats={Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023})
 
 
+def one_round(query, demos, config, info=None):
+    """The prompt of a single round with ``demos``."""
+    (prompt,) = build_prompt(query, [demos], config, info)
+    return prompt
+
+
+def classify(query, demos, config, gateway):
+    """Ask one round with ``demos`` through ``gateway``, with the default model settings."""
+    icl = IclConfig(SelectionStrategy.KRN, k=len(demos), n_rounds=1, prompt=config, run_seed=0)
+    return classify_essay(query, one_round(query, demos, config), icl, gateway)
+
+
 def test_prompt_structure_counts_demo_sections(park_essay):
     demos = demo_pair()
     config = PromptConfig(include_info=True, include_essay=True)
-    prompt = build_prompt(park_essay, list(demos) + [demos[0], demos[1], demos[0]], config, info_block())
+    prompt = one_round(park_essay, list(demos) + [demos[0], demos[1], demos[0]], config, info_block())
     (user_text,) = prompt.user_texts
     assert user_text.count("### Example") == 5
     assert "Full text:" in user_text
@@ -71,7 +85,7 @@ def test_prompt_structure_counts_demo_sections(park_essay):
 
 
 def test_prompt_without_essay_block_omits_full_text(park_essay):
-    (user_text,) = build_prompt(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    (user_text,) = one_round(park_essay, list(demo_pair()), PromptConfig()).user_texts
     assert "Full text:" not in user_text
     # components still listed in document order, numbered 1..m
     for i, component in enumerate(park_essay.components, start=1):
@@ -79,34 +93,34 @@ def test_prompt_without_essay_block_omits_full_text(park_essay):
 
 
 def test_prompt_fts_block_follows_each_query_component(park_essay):
-    (user_text,) = build_prompt(park_essay, list(demo_pair()), PromptConfig(include_fts=True)).user_texts
+    (user_text,) = one_round(park_essay, list(demo_pair()), PromptConfig(include_fts=True)).user_texts
     lines = user_text.splitlines()
     for i, component in enumerate(park_essay.components, start=1):
         idx = lines.index(f"{i}. {component.text}")
         assert lines[idx + 1].startswith("Is the AC first in its paragraph:")
-    (without,) = build_prompt(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    (without,) = one_round(park_essay, list(demo_pair()), PromptConfig()).user_texts
     assert "Is the AC first in its paragraph" not in without
 
 
 def test_demo_sections_show_gold_labels(park_essay):
-    (user_text,) = build_prompt(park_essay, [demo_pair()[0]], PromptConfig()).user_texts
+    (user_text,) = one_round(park_essay, [demo_pair()[0]], PromptConfig()).user_texts
     assert "1. public money should fund museums -> Major Claim" in user_text
     assert "3. school visits rose last year -> Premise" in user_text
 
 
 def test_missing_info_block_raises(park_essay):
     with pytest.raises(MissingInfoBlock):
-        build_prompt(park_essay, list(demo_pair()), PromptConfig(include_info=True))
+        one_round(park_essay, list(demo_pair()), PromptConfig(include_info=True))
 
 
 def test_all_at_once_requires_demos(park_essay):
     with pytest.raises(MissingDemonstrations):
-        build_prompt(park_essay, [], PromptConfig())
+        one_round(park_essay, [], PromptConfig())
 
 
 def test_one_by_one_yields_m_texts_that_differ_only_in_the_instruction(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    texts = build_prompt(park_essay, list(demo_pair()), config).user_texts
+    texts = one_round(park_essay, list(demo_pair()), config).user_texts
     assert len(texts) == park_essay.m == 4
     contexts = set()
     for j, text in enumerate(texts, start=1):
@@ -116,16 +130,25 @@ def test_one_by_one_yields_m_texts_that_differ_only_in_the_instruction(park_essa
     assert len(contexts) == 1
 
 
+def test_build_prompt_gives_each_round_the_prompt_of_its_own_demos(park_essay):
+    demo1, demo2 = demo_pair()
+    demo_sets = [[demo1], [demo2, demo1], []]
+    config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
+    prompts = build_prompt(park_essay, demo_sets, config, info_block())
+    assert prompts == tuple(one_round(park_essay, demos, config, info_block()) for demos in demo_sets)
+    assert len({prompt.user_texts for prompt in prompts}) == 3
+
+
 def test_one_by_one_allows_zero_demos(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    texts = build_prompt(park_essay, [], config).user_texts
+    texts = one_round(park_essay, [], config).user_texts
     assert len(texts) == park_essay.m
     assert all("## Demonstration essays" not in text for text in texts)
 
 
 def test_prompt_snapshot_is_byte_stable(park_essay):
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
-    prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
+    prompt = one_round(park_essay, list(demo_pair()), config, info_block())
     (user_text,) = prompt.user_texts
     rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     frozen = (DATA / "prompt_snapshot.txt").read_text(encoding="utf-8")
@@ -136,7 +159,7 @@ def test_one_by_one_prompt_snapshot_is_byte_stable(park_essay):
     config = PromptConfig(
         include_info=True, include_essay=True, include_fts=True, mode=PromptMode.ONE_BY_ONE
     )
-    prompt = build_prompt(park_essay, list(demo_pair()), config, info_block())
+    prompt = one_round(park_essay, list(demo_pair()), config, info_block())
     rendered = prompt.system_text + "".join(
         f"\n<<<USER {j}>>>\n{text}" for j, text in enumerate(prompt.user_texts, start=1)
     ) + "\n"
@@ -197,16 +220,16 @@ def gold_of(essay):
 
 
 def test_classify_essay_echo(park_essay):
-    gateway = Gateway(chat_backend=MockChatBackend(script=[render_labels(gold_of(park_essay))]))
-    labels, responses = classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
+    gateway = Gateway(chat_backend=ScriptedChatBackend([render_labels(gold_of(park_essay))]))
+    labels, responses = classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert labels == gold_of(park_essay)
     assert len(responses) == 1
 
 
 def test_classify_essay_retries_then_succeeds(park_essay):
     gold = render_labels(gold_of(park_essay))
-    gateway = Gateway(chat_backend=MockChatBackend(script=["not a label list", gold]))
-    labels, responses = classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
+    gateway = Gateway(chat_backend=ScriptedChatBackend(["not a label list", gold]))
+    labels, responses = classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert labels == gold_of(park_essay)
     assert len(responses) == 2
 
@@ -219,7 +242,7 @@ def test_classify_essay_retry_appends_reminder(park_essay):
         return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
 
     gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
-    classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
+    classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert "Reminder:" not in seen[0]
     assert "Reminder:" in seen[1]
 
@@ -232,8 +255,8 @@ def test_all_at_once_retry_text_is_unchanged(park_essay):
         return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
 
     demos = list(demo_pair())
-    classify_essay(park_essay, demos, PromptConfig(), Gateway(chat_backend=MockChatBackend(responder=responder)))
-    (base,) = build_prompt(park_essay, demos, PromptConfig()).user_texts
+    classify(park_essay, demos, PromptConfig(), Gateway(chat_backend=MockChatBackend(responder=responder)))
+    (base,) = one_round(park_essay, demos, PromptConfig()).user_texts
     assert seen == [base, base + "\n\nReminder: respond with exactly 4 lines, one per component, in the format "
                     "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
                     "Output nothing else."]
@@ -250,10 +273,10 @@ def test_one_by_one_retry_asks_for_the_label_alone(park_essay):
 
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
     gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
-    labels, responses = classify_essay(park_essay, [], config, gateway)
+    labels, responses = classify(park_essay, [], config, gateway)
     assert labels == gold
     assert len(responses) == park_essay.m + 1
-    first = build_prompt(park_essay, [], config).user_texts[0]
+    first = one_round(park_essay, [], config).user_texts[0]
     assert seen[:2] == [first, first + "\n\n" + ONE_BY_ONE_REMINDER]
     assert ONE_BY_ONE_REMINDER.startswith(FORMAT_REMINDER.split("{")[0])
     assert "lines" not in ONE_BY_ONE_REMINDER and "<index>" not in ONE_BY_ONE_REMINDER
@@ -263,7 +286,7 @@ def test_classify_essay_unparseable_after_budget(park_essay):
     backend = MockChatBackend(responder=lambda request: "always garbage")
     gateway = Gateway(chat_backend=backend)
     with pytest.raises(Unparseable):
-        classify_essay(park_essay, list(demo_pair()), PromptConfig(), gateway)
+        classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
     assert backend.calls == 3  # initial attempt plus two retries
 
 
@@ -277,7 +300,7 @@ def test_classify_essay_one_by_one(park_essay):
     backend = MockChatBackend(responder=responder)
     gateway = Gateway(chat_backend=backend)
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    labels, responses = classify_essay(park_essay, list(demo_pair()), config, gateway)
+    labels, responses = classify(park_essay, list(demo_pair()), config, gateway)
     assert labels == gold
     assert backend.calls == park_essay.m
     assert len(responses) == park_essay.m
