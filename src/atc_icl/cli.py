@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .config import RunConfig, config_digest, load_run_config, run_label
-from .corpus import Corpus, Essay, LABELS, Scope, Split, compute_stats, load_corpus
+from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
@@ -87,8 +87,8 @@ def _write_json(path: Path, data: dict) -> None:
     write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _print_stats(stats, scope: Scope) -> None:
-    click.echo(f"Corpus statistics ({scope.value}):")
+def _print_stats(stats, scope: str) -> None:
+    click.echo(f"Corpus statistics ({scope}):")
     click.echo(f"  Essays      {stats.essay_count:>8}")
     click.echo(f"  Paragraphs  {stats.paragraph_count:>8}")
     click.echo(f"  Sentences   {stats.sentence_count:>8}")
@@ -108,13 +108,13 @@ def main() -> None:
 @main.command()
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.argument("split_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--scope", type=click.Choice([s.value for s in Scope]), default="all")
+@click.option("--scope", type=click.Choice(["all", "train", "test"]), default="all")
 @click.option("--json-out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 def stats(corpus_dir: Path, split_file: Path, scope: str, json_out: Path | None) -> None:
     """Print corpus statistics for the chosen scope."""
     corpus = load_corpus(corpus_dir, split_file)
-    result = compute_stats(corpus, Scope(scope))
-    _print_stats(result, Scope(scope))
+    result = compute_stats(corpus, None if scope == "all" else Split(scope.upper()))
+    _print_stats(result, scope)
     if json_out is not None:
         _write_json(json_out, result.to_dict())
         click.echo(f"wrote {json_out}")
@@ -341,9 +341,7 @@ def eval_cmd(records_path: Path, corpus_dir: Path, split_file: Path, json_out: P
 def export(corpus_dir: Path, split_file: Path, split: str, featxt: bool, out: Path) -> None:
     """Export fine-tuning chat records as JSONL, one per argument component."""
     corpus = load_corpus(corpus_dir, split_file)
-    count = export_finetune(
-        corpus, Split.TRAIN if split == "train" else Split.TEST, featxt, out
-    )
+    count = export_finetune(corpus, Split(split.upper()), featxt, out)
     click.echo(f"wrote {count} records to {out}")
 
 

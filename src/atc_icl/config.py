@@ -19,7 +19,7 @@ import yaml
 
 from .ensemble import IclConfig
 from .errors import ConfigError
-from .prompting import PromptConfig, PromptMode
+from .prompting import MAX_OUTPUT_TOKENS, PromptConfig, PromptMode
 from .selection import SelectionStrategy
 
 CHAT_BACKENDS = ("live", "cache", "replay", "mock")
@@ -66,8 +66,7 @@ class RunConfig:
 
 
 TOP_LEVEL_KEYS = ("corpus_dir", "split_file", "out_dir", "icl", "backend")
-ICL_KEYS = ("strategy", "k", "n", "info", "essay", "fts", "mode", "model", "run_seed", "temperature",
-            "max_output_tokens")
+ICL_KEYS = ("strategy", "k", "n", "info", "essay", "fts", "mode", "model", "run_seed", "temperature")
 BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
 
 
@@ -120,7 +119,6 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
         run_seed=value("run_seed", 0, (int,), "an integer"),
         model_name=value("model", "gpt-4", (str,), "a string"),
         temperature=float(value("temperature", 0.0, (int, float), "a number")),
-        max_output_tokens=value("max_output_tokens", 1024, (int,), "an integer"),
     )
     try:
         return IclConfig(**settings)
@@ -158,10 +156,18 @@ def load_run_config(path: Path | str) -> RunConfig:
     A key that is not a field of its section (the top level, ``icl`` or
     ``backend``) raises :class:`ConfigError` rather than being ignored, and so
     does a missing ``corpus_dir``, ``split_file`` or ``out_dir``, or one that
-    is not a string.
+    is not a string. So does a file that is not UTF-8 or not valid YAML, the
+    latter naming the line and column.
     """
     config_path = Path(path)
-    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    try:
+        raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"{path}{where}: not valid YAML ({getattr(exc, 'problem', None) or exc})") from None
     raw = _checked(raw, "the top level", TOP_LEVEL_KEYS, path)
     base = config_path.parent
 
@@ -200,7 +206,7 @@ def config_digest(icl: IclConfig) -> str:
             "mode": icl.prompt.mode.value,
             "model": icl.model_name,
             "temperature": icl.temperature,
-            "max_output_tokens": icl.max_output_tokens,
+            "max_output_tokens": MAX_OUTPUT_TOKENS,
         },
         sort_keys=True,
     )

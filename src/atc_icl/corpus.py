@@ -1,20 +1,23 @@
 """Persuasive-essay corpus model: brat standoff parsing, splits, statistics.
 
-An essay on disk is a pair ``essayNNN.txt`` / ``essayNNN.ann``. The text file
-holds the title on line one, a blank separator line, and one body paragraph
-per subsequent line. The annotation file is brat standoff: entity lines
-``T<id><TAB><Type> <start> <end><TAB><surface>`` address character offsets
-into the raw text file contents. Relation (``R``) and attribute (``A``) lines
-are tolerated and ignored; only argument components are modeled here.
+An essay on disk is a pair ``essayNNN.txt`` / ``essayNNN.ann``, both UTF-8.
+The text file holds a non-blank title on line one, a blank separator line,
+and one body paragraph per subsequent non-blank line. The annotation file is
+brat standoff: entity lines ``T<id><TAB><Type> <start> <end><TAB><surface>``
+address character offsets into the raw text file contents. Relation (``R``)
+and attribute (``A``) lines are tolerated and ignored; only argument
+components are modeled here, and each must lie within one body paragraph.
 
 Offsets are taken literally, so callers must hand over file contents without
-newline translation (read bytes, decode UTF-8).
+newline translation (read bytes, decode UTF-8). A CRLF line ending's ``\r``
+belongs to no paragraph span.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,7 +31,7 @@ class MalformedAnnotation(AtcError):
 
 
 class EmptyText(AtcError):
-    """The essay text file is empty or whitespace-only."""
+    """The essay text file, or its title line, is empty or whitespace-only."""
 
 
 class MissingPair(AtcError):
@@ -80,9 +83,6 @@ class Span:
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class ArgumentComponent:
@@ -93,7 +93,6 @@ class ArgumentComponent:
     text: str
     gold_label: Label
     paragraph_index: int
-    ordinal: int
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,6 @@ class Split(Enum):
     TEST = "TEST"
 
 
-class Scope(Enum):
-    ALL = "all"
-    TRAIN = "train"
-    TEST = "test"
-
-
 @dataclass(frozen=True)
 class Corpus:
     """All essays plus the official train/test split, immutable after load."""
@@ -131,17 +124,17 @@ class Corpus:
     essays: tuple[Essay, ...]
     split: Mapping[str, Split]
 
-    def essays_in(self, scope: Scope) -> list[Essay]:
-        if scope is Scope.ALL:
+    def essays_in(self, split: Split | None) -> list[Essay]:
+        """The essays of ``split``; every essay when it is None."""
+        if split is None:
             return list(self.essays)
-        want = Split.TRAIN if scope is Scope.TRAIN else Split.TEST
-        return [e for e in self.essays if self.split[e.essay_id] is want]
+        return [e for e in self.essays if self.split[e.essay_id] is split]
 
     def train_essays(self) -> list[Essay]:
-        return self.essays_in(Scope.TRAIN)
+        return self.essays_in(Split.TRAIN)
 
     def test_essays(self) -> list[Essay]:
-        return self.essays_in(Scope.TEST)
+        return self.essays_in(Split.TEST)
 
     def by_id(self) -> dict[str, Essay]:
         return {e.essay_id: e for e in self.essays}
@@ -165,16 +158,6 @@ class CorpusStats:
             "components": {label.value: self.label_counts[label] for label in LABELS},
             "components_total": self.component_count,
         }
-
-
-def _line_spans(text: str) -> list[tuple[int, int]]:
-    """Offsets of each newline-delimited line, excluding the newline itself."""
-    spans = []
-    pos = 0
-    for line in text.split("\n"):
-        spans.append((pos, pos + len(line)))
-        pos += len(line) + 1
-    return spans
 
 
 def _parse_entity_line(line: str, text: str, essay_id: str) -> tuple[str, Span, Label]:
@@ -210,60 +193,51 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
     """Build an :class:`Essay` from raw .txt and .ann file contents.
 
     Entity (``T``) lines become argument components, cross-checked against the
-    raw text; all other annotation lines are skipped. Components are sorted by
-    span start and assigned dense ordinals.
+    raw text and sorted by span start; all other annotation lines are skipped.
+    An empty text or title line raises :class:`EmptyText`, and a component
+    outside every body paragraph :class:`MalformedAnnotation`.
     """
     text = text_file_contents
     if not text.strip():
         raise EmptyText(f"{essay_id}: empty essay text")
 
-    lines = _line_spans(text)
-    title = text[lines[0][0] : lines[0][1]].rstrip("\r")
+    title_line, *body_lines = text.split("\n")
+    title = title_line.rstrip("\r")
+    if not title.strip():
+        raise EmptyText(f"{essay_id}: empty title line")
     paragraphs = []
-    for start, end in lines[1:]:
-        if end > start and text[start:end].endswith("\r"):
-            end -= 1
-        if text[start:end].strip():
-            paragraphs.append(Span(start, end))
+    start = len(title_line) + 1
+    for line in body_lines:
+        body = line[:-1] if line.endswith("\r") else line
+        if body.strip():
+            paragraphs.append(Span(start, start + len(body)))
+        start += len(line) + 1
+    paragraph_starts = [p.start for p in paragraphs]
 
-    raw_components = []
+    components = []
     seen_ids = set()
     for raw_line in ann_file_contents.split("\n"):
         line = raw_line.rstrip("\r")
-        if not line.strip() or not line.startswith("T"):
+        if not line.startswith("T"):
             continue
         tid, span, label = _parse_entity_line(line, text, essay_id)
         if tid in seen_ids:
             raise MalformedAnnotation(f"{essay_id}: duplicate annotation id {tid}")
         seen_ids.add(tid)
-        raw_components.append((tid, span, label))
-
-    raw_components.sort(key=lambda item: item[1].start)
-    components = []
-    prev_end = -1
-    for ordinal, (tid, span, label) in enumerate(raw_components):
-        if span.start < prev_end:
-            raise MalformedAnnotation(f"{essay_id}: overlapping component spans at {tid}")
-        prev_end = span.end
-        paragraph_index = None
-        for p_idx, p_span in enumerate(paragraphs):
-            if p_span.start <= span.start and span.end <= p_span.end:
-                paragraph_index = p_idx
-                break
-        if paragraph_index is None:
+        # Paragraphs are sorted and disjoint: only the last one starting at or
+        # before the component can hold it.
+        index = bisect_right(paragraph_starts, span.start) - 1
+        if index < 0 or span.end > paragraphs[index].end:
             raise MalformedAnnotation(
                 f"{essay_id}: component {tid} does not lie within a single body paragraph"
             )
-        components.append(
-            ArgumentComponent(
-                id=tid,
-                span=span,
-                text=span.slice(text),
-                gold_label=label,
-                paragraph_index=paragraph_index,
-                ordinal=ordinal,
-            )
-        )
+        components.append(ArgumentComponent(id=tid, span=span, text=span.slice(text), gold_label=label,
+                                            paragraph_index=index))
+
+    components.sort(key=lambda c: c.span.start)
+    for before, after in zip(components, components[1:]):
+        if after.span.start < before.span.end:
+            raise MalformedAnnotation(f"{essay_id}: overlapping component spans at {after.id}")
 
     return Essay(
         essay_id=essay_id,
@@ -274,13 +248,21 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
     )
 
 
+def _read_utf8(path: Path) -> str:
+    """A file's contents decoded as UTF-8, with no newline translation."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AtcError(f"cannot read {path}: {exc}") from None
+
+
 def read_split_file(split_file: Path | str) -> dict[str, Split]:
     """Read the two-column split CSV (``essay_id;SET``), ';' or ',' delimited."""
-    content = Path(split_file).read_text(encoding="utf-8")
+    content = _read_utf8(Path(split_file))
     first_line = content.splitlines()[0] if content.splitlines() else ""
     delimiter = ";" if first_line.count(";") >= first_line.count(",") else ","
     split: dict[str, Split] = {}
-    for row in csv.reader(io.StringIO(content), delimiter=delimiter):
+    for row in csv.reader(io.StringIO(content, newline=None), delimiter=delimiter):
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
@@ -296,7 +278,11 @@ def read_split_file(split_file: Path | str) -> dict[str, Split]:
 
 
 def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
-    """Load every .txt/.ann pair under ``root_dir`` and apply the split file."""
+    """Load every .txt/.ann pair under ``root_dir`` and apply the split file.
+
+    A file that cannot be read or is not UTF-8 raises :class:`AtcError`
+    naming it.
+    """
     root = Path(root_dir)
     txt_files = sorted(root.glob("*.txt"))
     ann_files = sorted(root.glob("*.ann"))
@@ -310,8 +296,8 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
 
     essays = []
     for txt_path in txt_files:
-        text = txt_path.read_bytes().decode("utf-8")
-        ann = (root / (txt_path.stem + ".ann")).read_bytes().decode("utf-8")
+        text = _read_utf8(txt_path)
+        ann = _read_utf8(root / (txt_path.stem + ".ann"))
         essays.append(parse_essay(text, ann, txt_path.stem))
     essays.sort(key=lambda e: e.essay_id)
 
@@ -327,8 +313,8 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
     return Corpus(essays=tuple(essays), split=split)
 
 
-def compute_stats(corpus: Corpus, scope: Scope = Scope.ALL) -> CorpusStats:
-    """Corpus statistics over the requested scope.
+def compute_stats(corpus: Corpus, split: Split | None = None) -> CorpusStats:
+    """Corpus statistics over the essays of ``split``, or every essay when it is None.
 
     Tokens are whitespace-delimited chunks of the raw text (title included);
     sentences are counted over body paragraphs with the rule-based segmenter
@@ -337,7 +323,7 @@ def compute_stats(corpus: Corpus, scope: Scope = Scope.ALL) -> CorpusStats:
     """
     from .features import segment_sentences
 
-    essays = corpus.essays_in(scope)
+    essays = corpus.essays_in(split)
     label_counts = {label: 0 for label in LABELS}
     paragraph_count = 0
     sentence_count = 0

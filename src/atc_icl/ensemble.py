@@ -52,7 +52,6 @@ class IclConfig:
     run_seed: int
     model_name: str = "gpt-4"
     temperature: float = 0.0
-    max_output_tokens: int = 1024
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -61,8 +60,6 @@ class IclConfig:
             raise ConfigError("n_rounds must be positive")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ConfigError(f"temperature must be finite and non-negative, not {self.temperature!r}")
-        if self.max_output_tokens < 1:
-            raise ConfigError(f"max_output_tokens must be positive, not {self.max_output_tokens!r}")
         if self.k == 0:
             if self.prompt.mode is not PromptMode.ONE_BY_ONE:
                 raise ConfigError("k=0 (no demonstrations) requires one-by-one mode")

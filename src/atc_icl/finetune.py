@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .corpus import ArgumentComponent, Corpus, Essay, Scope, Split
+from .corpus import ArgumentComponent, Corpus, Essay, Split
 from .errors import AtcError
 from .features import extract_contextual, extract_structural, render_featxt
 
@@ -55,8 +55,7 @@ def build_record(essay: Essay, component: ArgumentComponent, featxt: bool) -> di
 
 def export(corpus: Corpus, split: Split, featxt: bool, out: Path | str) -> int:
     """Write one JSONL chat record per component of the split; returns the count."""
-    scope = Scope.TRAIN if split is Split.TRAIN else Scope.TEST
-    essays = sorted(corpus.essays_in(scope), key=lambda e: e.essay_id)
+    essays = sorted(corpus.essays_in(split), key=lambda e: e.essay_id)
     count = 0
     try:
         with open(out, "w", encoding="utf-8") as handle:

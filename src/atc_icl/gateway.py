@@ -424,6 +424,10 @@ def _retry_after(value: str | None) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
+# Seconds a live request may take before it fails as a transport error.
+HTTP_TIMEOUT_S = 120.0
+
+
 class _OpenAIHttp:
     """Base of the live backends: authenticated JSON POSTs to an OpenAI-compatible endpoint.
 
@@ -435,14 +439,12 @@ class _OpenAIHttp:
         self,
         base_url: str,
         api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 120.0,
         session=None,
     ) -> None:
         import requests
 
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -456,7 +458,7 @@ class _OpenAIHttp:
 
         try:
             response = self._session.post(
-                f"{self.base_url}{path}", json=payload, headers=self._headers(), timeout=self.timeout
+                f"{self.base_url}{path}", json=payload, headers=self._headers(), timeout=HTTP_TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
@@ -575,10 +577,9 @@ class LiveEmbeddingBackend(_OpenAIHttp):
         base_url: str,
         model_name: str,
         api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 120.0,
         session=None,
     ) -> None:
-        super().__init__(base_url, api_key_env, timeout, session)
+        super().__init__(base_url, api_key_env, session)
         self.model_name = model_name
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:

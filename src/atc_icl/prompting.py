@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import LABELS, Corpus, Essay, Label, Scope
+from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
 from .features import extract_structural, render_featxt
 from .gateway import ChatRequest, Gateway
@@ -139,6 +139,8 @@ ONE_BY_ONE_REMINDER = (
 )
 #: Times a malformed answer is asked again, with the reminder appended.
 MAX_RETRIES = 2
+#: Output token limit of every chat request.
+MAX_OUTPUT_TOKENS = 1024
 
 _MARKER_RE = re.compile(r"^\s*(?:[-*•]+\s*)?(?:\(?\d+\)?\s*[.):\-]\s*)?")
 _LABEL_ALIASES = {
@@ -151,7 +153,7 @@ _LABEL_ALIASES = {
 
 def build_info_block(corpus: Corpus) -> InfoBlock:
     """Info block with the label counts of the train split."""
-    counts = Counter(c.gold_label for e in corpus.essays_in(Scope.TRAIN) for c in e.components)
+    counts = Counter(c.gold_label for e in corpus.train_essays() for c in e.components)
     return InfoBlock(train_stats={label: counts[label] for label in LABELS})
 
 
@@ -266,8 +268,8 @@ def classify_essay(
 ) -> tuple[list[Label], list[str]]:
     """Ask ``prompt``'s calls through the gateway: one label per component of ``query``.
 
-    Each user text is one chat call with the model, temperature and output
-    limit of ``config``. A malformed answer is asked again, with the prompt's
+    Each user text is one chat call with the model and temperature of
+    ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens. A malformed answer is asked again, with the prompt's
     reminder appended, up to ``MAX_RETRIES`` times before :class:`Unparseable`
     is raised. Returns the labels and every raw response text, in request order.
     """
@@ -283,7 +285,7 @@ def classify_essay(
                     user_text=user_text,
                     model_name=config.model_name,
                     temperature=config.temperature,
-                    max_output_tokens=config.max_output_tokens,
+                    max_output_tokens=MAX_OUTPUT_TOKENS,
                 )
             )
             responses.append(response.text)

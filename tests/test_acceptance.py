@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 from atc_icl.cli import main
 from atc_icl.config import load_run_config, run_label
-from atc_icl.corpus import LABELS, Label, Scope, Split, compute_stats, load_corpus
+from atc_icl.corpus import LABELS, Label, Split, compute_stats, load_corpus
 from atc_icl.ensemble import majority_vote
 from atc_icl.finetune import export
 from atc_icl.gateway import Gateway, cosine_similarity
@@ -51,7 +51,7 @@ SENTENCE_TARGET = 7_116
 def assert_corpus_fidelity(corpus_dir: Path, split_file: Path) -> None:
     started = time.monotonic()
     corpus = load_corpus(corpus_dir, split_file)
-    stats = compute_stats(corpus, Scope.ALL)
+    stats = compute_stats(corpus)
     elapsed = time.monotonic() - started
 
     assert stats.essay_count == EXPECTED_COUNTS["essays"]

@@ -79,6 +79,7 @@ def test_stats_train_scope(runner, small_dir):
         catch_exceptions=False,
     )
     assert result.exit_code == 0
+    assert result.output.startswith("Corpus statistics (train):\n")
     assert "Essays             8" in result.output
 
 

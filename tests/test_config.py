@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -87,8 +88,10 @@ BASE_CONFIG = "corpus_dir: c\nsplit_file: s\nout_dir: o\n"
      (BASE_CONFIG + "backend: {chat: mock, store: s}\n", "store", "section 'backend'"),
      (BASE_CONFIG + "class_defs: d.txt\n", "class_defs", "the top level"),
      # Class definitions are fixed prompt text; the old override key is refused.
-     (BASE_CONFIG + "class_definitions: d.txt\n", "class_definitions", "the top level")],
-    ids=["icl", "backend", "top-level", "class-definitions"],
+     (BASE_CONFIG + "class_definitions: d.txt\n", "class_definitions", "the top level"),
+     # Every request has the same output limit; the old setting is refused.
+     (BASE_CONFIG + "icl: {max_output_tokens: 1024}\n", "max_output_tokens", "section 'icl'")],
+    ids=["icl", "backend", "top-level", "class-definitions", "max-output-tokens"],
 )
 def test_load_run_config_rejects_unknown_keys(tmp_path, text, key, where):
     config_file = tmp_path / "run.yaml"
@@ -102,13 +105,27 @@ def test_load_run_config_rejects_unknown_keys(tmp_path, text, key, where):
     [("info: 'false'", "info"), ("essay: 1", "essay"), ("fts: 'no'", "fts"),
      ("strategy: nearest", "strategy"), ("mode: sideways", "mode"),
      ("k: 5.7", "k"), ("k: true", "k"), ("n: '3'", "n"), ("run_seed: 1.5", "run_seed"),
-     ("max_output_tokens: '1024'", "max_output_tokens"),
      ("temperature: hot", "temperature"), ("temperature: true", "temperature")],
 )
 def test_load_run_config_rejects_a_bad_icl_value_naming_file_and_key(tmp_path, icl_text, key):
     config_file = tmp_path / "run.yaml"
     config_file.write_text(BASE_CONFIG + f"icl: {{{icl_text}}}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^{config_file}: icl.{key} must be "):
+        load_run_config(config_file)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"corpus_dir: [unclosed\n", ", line 2, column 1: not valid YAML \\(expected ',' or ']'"),
+     (BASE_CONFIG.encode() + b"icl:\n\tk: 5\n",
+      ", line 5, column 1: not valid YAML \\(found character .* that cannot start any token"),
+     (BASE_CONFIG.encode() + b"# caf\xe9\n", ": not UTF-8 text")],
+    ids=["unclosed-sequence", "tab-indent", "latin-1"],
+)
+def test_load_run_config_names_a_file_that_is_not_utf8_yaml(tmp_path, content, message):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"^{config_file}{message}"):
         load_run_config(config_file)
 
 
@@ -141,7 +158,6 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("icl: {model: 4}", "icl.model", "must be a string, not 4"),
      ("icl: {temperature: -1}", "temperature", "must be finite and non-negative, not -1.0"),
      ("icl: {temperature: .nan}", "temperature", "must be finite and non-negative, not nan"),
-     ("icl: {max_output_tokens: 0}", "max_output_tokens", "must be positive, not 0"),
      ("icl: {k: -1}", "k", "must be non-negative"),
      ("icl: {n: 0}", "n_rounds", "must be positive"),
      ("corpus_dir: ~", "corpus_dir", "must be a string, not None"),
@@ -187,13 +203,31 @@ def test_digest_changes_iff_semantic_field_changes():
         icl(prompt=PromptConfig(include_info=True, include_essay=True, include_fts=True)),
         icl(model_name="gpt-3.5-turbo"),
         icl(temperature=0.7),
-        icl(max_output_tokens=2048),
     ]
     digests = {config_digest(variant) for variant in changed}
     assert baseline not in digests
     assert len(digests) == len(changed)
     # Identical semantic content reproduces the digest.
     assert config_digest(icl()) == baseline
+
+
+#: ``config_digest`` of each shipped config. A run directory resumes only
+#: under the digest it was stamped with, so these values must never move.
+SHIPPED_CONFIG_DIGESTS = {
+    "gpt35_info_essay_5nn_5ens": "7abf221befc8429bc8c0a8b4ac1368bb9e0a44aebe85c358c18943e725a51819",
+    "gpt4_essay_5nn_5ens": "552dadeb21872b6230d17490ddb4db79e066a0d08dce90257ea5694ebd254f68",
+    "gpt4_info_essay_5nn_3ens": "aa812e71b85cfe7768e4b4f028ba56d6a77dc80c37b3446e33e1f6e00f7c427d",
+    "gpt4_info_essay_5nn_5ens": "a58b057603463d257266e74936de08e05686e093674abbb8652dc0d87734c24a",
+    "gpt4_info_essay_5nnlen": "cd978ae6360ddb0d76109dfc6563b4e5a6c89f52ba9907a7177092679b1ed0a3",
+    "gpt4_info_essay_5nnlen_3ens": "d843fc32f828c859f5e5f825756e53f2b0db76ff4027d3153aeb3690669cc1d3",
+    "gpt4_info_essay_fts_5nn_5ens": "5358f42e1704060402e0396688355524443756c1a702f57afc1aa1b66dfb38a3",
+}
+
+
+def test_shipped_configs_keep_their_golden_digests():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    found = {path.stem: config_digest(load_run_config(path).icl) for path in sorted(configs.glob("*.yaml"))}
+    assert found == SHIPPED_CONFIG_DIGESTS
 
 
 def test_row_labels_match_published_vocabulary():

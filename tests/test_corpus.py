@@ -9,7 +9,6 @@ from atc_icl.corpus import (
     Label,
     MalformedAnnotation,
     MissingPair,
-    Scope,
     Span,
     SplitMismatch,
     compute_stats,
@@ -18,6 +17,7 @@ from atc_icl.corpus import (
     read_split_file,
     Split,
 )
+from atc_icl.errors import AtcError
 from conftest import PARK_ANN, PARK_TEXT, build_essay_files, write_corpus_dir
 
 
@@ -31,7 +31,6 @@ def test_parse_park_fixture_components(park_essay):
         ("T3", 175, 204, Label.PREMISE),
         ("T4", 216, 240, Label.CLAIM),
     ]
-    assert [c.ordinal for c in park_essay.components] == [0, 1, 2, 3]
     assert [c.paragraph_index for c in park_essay.components] == [0, 1, 1, 2]
 
 
@@ -109,9 +108,38 @@ def test_component_crossing_paragraphs_rejected():
         parse_essay(text, ann, "essayX")
 
 
+def test_crlf_paragraph_spans_exclude_the_carriage_return():
+    text = "A title\r\n\r\nFirst body line. Claim here.\r\nSecond line.\r\n"
+    start = text.index("Claim here")
+    ann = f"T1\tClaim {start} {start + 10}\tClaim here\r\n"
+    essay = parse_essay(text, ann, "essayCR")
+    assert essay.title == "A title"
+    assert [essay.paragraph_text(i) for i in range(len(essay.paragraphs))] == [
+        "First body line. Claim here.", "Second line."]
+    assert [(c.id, c.text, c.paragraph_index) for c in essay.components] == [("T1", "Claim here", 0)]
+
+
+@pytest.mark.parametrize(
+    "ann",
+    ["T1\tClaim 0 7\tA title\n",  # the title line
+     "T1\tClaim 8 10\t  \n"],  # the blank separator line
+    ids=["title-line", "blank-line"],
+)
+def test_component_outside_every_body_paragraph_rejected(ann):
+    text = "A title\n  \nA body line. Claim here.\n"
+    with pytest.raises(MalformedAnnotation, match="essayZ: component T1 does not lie within a single body paragraph"):
+        parse_essay(text, ann, "essayZ")
+
+
 def test_empty_text_rejected():
     with pytest.raises(EmptyText):
         parse_essay("   \n \n", PARK_ANN, "essay001")
+
+
+@pytest.mark.parametrize("title_line", ["", " \t", "\r"])
+def test_empty_title_rejected(title_line):
+    with pytest.raises(EmptyText, match="^essayT: empty title line$"):
+        parse_essay(f"{title_line}\n\nA body line. Claim here.\n", "", "essayT")
 
 
 def test_components_sorted_even_if_ann_is_not():
@@ -121,7 +149,6 @@ def test_components_sorted_even_if_ann_is_not():
     )
     essay = parse_essay(PARK_TEXT, ann, "essay001")
     assert [c.id for c in essay.components] == ["T1", "T2"]
-    assert [c.ordinal for c in essay.components] == [0, 1]
 
 
 def test_span_validation():
@@ -160,6 +187,21 @@ def test_load_corpus_unpaired_file_is_missing_pair(tmp_path):
         load_corpus(root, root / "split.csv")
 
 
+@pytest.mark.parametrize("name", ["essay001.txt", "essay001.ann", "train-test-split.csv"])
+def test_load_corpus_names_a_file_that_is_not_utf8(tmp_path, name):
+    root = write_corpus_dir(tmp_path / "corpus", {"essay001": (PARK_TEXT, PARK_ANN)}, {"essay001": "TRAIN"})
+    with open(root / name, "ab") as handle:
+        handle.write(b"\xff\xfe")
+    with pytest.raises(AtcError, match=f"^cannot read {root / name}: 'utf-8' codec can't decode"):
+        load_corpus(root, root / "train-test-split.csv")
+
+
+def test_load_corpus_names_a_missing_split_file(tmp_path):
+    root = write_corpus_dir(tmp_path / "corpus", {"essay001": (PARK_TEXT, PARK_ANN)}, {"essay001": "TRAIN"})
+    with pytest.raises(AtcError, match=f"^cannot read {root / 'split.csv'}: "):
+        load_corpus(root, root / "split.csv")
+
+
 def test_split_mismatch_both_directions(tmp_path):
     essays = {"essay001": (PARK_TEXT, PARK_ANN), "essay002": (PARK_TEXT, PARK_ANN)}
     root = write_corpus_dir(tmp_path / "corpus", essays, {"essay001": "TRAIN"})
@@ -181,6 +223,10 @@ def test_split_file_accepts_comma_and_semicolon(tmp_path):
     comma.write_text("ID,SET\nessay001,train\n", encoding="utf-8")
     assert read_split_file(semi) == {"essay001": Split.TRAIN}
     assert read_split_file(comma) == {"essay001": Split.TRAIN}
+    for ending in ("\r\n", "\r"):
+        other = tmp_path / "other.csv"
+        other.write_bytes(ending.join(['"ID";"SET"', '"essay001";"TRAIN"', '"essay002";"TEST"', ""]).encode())
+        assert read_split_file(other) == {"essay001": Split.TRAIN, "essay002": Split.TEST}
 
 
 def test_split_file_unknown_value(tmp_path):
@@ -193,7 +239,7 @@ def test_split_file_unknown_value(tmp_path):
 def test_compute_stats_hand_counted(tmp_path):
     root = write_corpus_dir(tmp_path / "corpus", {"essay001": (PARK_TEXT, PARK_ANN)}, {"essay001": "TRAIN"})
     corpus = load_corpus(root, root / "train-test-split.csv")
-    stats = compute_stats(corpus, Scope.ALL)
+    stats = compute_stats(corpus)
     # Hand-counted over the fixture text.
     assert stats.essay_count == 1
     assert stats.paragraph_count == 3
@@ -209,16 +255,16 @@ def test_compute_stats_single_premise_essay(tmp_path):
     )
     root = write_corpus_dir(tmp_path / "c", {"essay001": (text, ann)}, {"essay001": "TEST"})
     corpus = load_corpus(root, root / "train-test-split.csv")
-    stats = compute_stats(corpus, Scope.ALL)
+    stats = compute_stats(corpus)
     assert stats.component_count == 1
     assert stats.label_counts == {Label.MAJOR_CLAIM: 0, Label.CLAIM: 0, Label.PREMISE: 1}
-    assert compute_stats(corpus, Scope.TRAIN).essay_count == 0
+    assert compute_stats(corpus, Split.TRAIN).essay_count == 0
 
 
 def test_stats_scopes_partition_synth_corpus(synth_corpus):
-    full = compute_stats(synth_corpus, Scope.ALL)
-    train = compute_stats(synth_corpus, Scope.TRAIN)
-    test = compute_stats(synth_corpus, Scope.TEST)
+    full = compute_stats(synth_corpus)
+    train = compute_stats(synth_corpus, Split.TRAIN)
+    test = compute_stats(synth_corpus, Split.TEST)
     assert train.essay_count == 322
     assert test.essay_count == 80
     for attr in ("essay_count", "paragraph_count", "sentence_count", "token_count", "component_count"):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from atc_icl.corpus import Label, Split, compute_stats, Scope, load_corpus, parse_essay
+from atc_icl.corpus import Label, Split, compute_stats, load_corpus, parse_essay
 from atc_icl.finetune import IoFailure, build_record, export
 from atc_icl.prompting import parse_response
 from conftest import PARK_ANN, PARK_TEXT, write_corpus_dir
@@ -56,9 +56,9 @@ def test_export_counts_match_split_component_counts(small_corpus, tmp_path):
     test_out = tmp_path / "test.jsonl"
     train_count = export(small_corpus, Split.TRAIN, featxt=True, out=train_out)
     test_count = export(small_corpus, Split.TEST, featxt=False, out=test_out)
-    assert train_count == compute_stats(small_corpus, Scope.TRAIN).component_count
-    assert test_count == compute_stats(small_corpus, Scope.TEST).component_count
-    assert train_count + test_count == compute_stats(small_corpus, Scope.ALL).component_count
+    assert train_count == compute_stats(small_corpus, Split.TRAIN).component_count
+    assert test_count == compute_stats(small_corpus, Split.TEST).component_count
+    assert train_count + test_count == compute_stats(small_corpus).component_count
     assert len(train_out.read_text(encoding="utf-8").splitlines()) == train_count
 
 

@@ -167,10 +167,10 @@ def test_one_by_one_prompt_snapshot_is_byte_stable(park_essay):
 
 
 def test_build_info_block_uses_train_stats(small_corpus):
-    from atc_icl.corpus import Scope, compute_stats
+    from atc_icl.corpus import Split, compute_stats
 
     info = build_info_block(small_corpus)
-    assert info.train_stats == compute_stats(small_corpus, Scope.TRAIN).label_counts
+    assert info.train_stats == compute_stats(small_corpus, Split.TRAIN).label_counts
     assert set(CLASS_DEFINITIONS) == set(LABELS)
 
 
