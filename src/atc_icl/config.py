@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -25,6 +26,8 @@ from .selection import SelectionStrategy
 CHAT_BACKENDS = ("live", "cache", "replay", "mock")
 EMBEDDING_BACKENDS = ("live", "cache", "replay", "hash")
 MOCK_MODES = ("gold_echo", "constant")
+# What YAML counts as a line break when it numbers the lines of an error.
+_YAML_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,16 @@ def load_run_config(path: Path | str) -> RunConfig:
     """
     config_path = Path(path)
     try:
-        raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        text = config_path.read_text(encoding="utf-8")
+        raw = yaml.safe_load(text)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except yaml.reader.ReaderError as exc:
+        # A character YAML refuses: the error holds its offset, not a line and column.
+        lines = _YAML_LINE_BREAK.split(text[: exc.position])
+        where = f", line {len(lines)}, column {len(lines[-1]) + 1}"
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        raise ConfigError(f"{path}{where}: not valid YAML ({problem})") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -257,7 +257,11 @@ def _read_utf8(path: Path) -> str:
 
 
 def read_split_file(split_file: Path | str) -> dict[str, Split]:
-    """Read the two-column split CSV (``essay_id;SET``), ';' or ',' delimited."""
+    """Read the two-column split CSV (``essay_id;SET``), ';' or ',' delimited.
+
+    A row with fewer than two columns, an unknown split value, or an essay id
+    listed twice raises :class:`SplitMismatch` naming the file.
+    """
     content = _read_utf8(Path(split_file))
     first_line = content.splitlines()[0] if content.splitlines() else ""
     delimiter = ";" if first_line.count(";") >= first_line.count(",") else ","
@@ -266,14 +270,18 @@ def read_split_file(split_file: Path | str) -> dict[str, Split]:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
-            raise SplitMismatch(f"split row needs two columns: {row!r}")
+            raise SplitMismatch(f"{split_file}: split row needs two columns: {row!r}")
         essay_id, value = row[0].strip(), row[1].strip()
         if essay_id.lower() == "id":
             continue  # header row
         try:
-            split[essay_id] = Split(value.upper())
+            label = Split(value.upper())
         except ValueError:
-            raise SplitMismatch(f"unknown split value {value!r} for {essay_id!r}") from None
+            raise SplitMismatch(f"{split_file}: unknown split value {value!r} for {essay_id!r}") from None
+        if essay_id in split:
+            first = split[essay_id].value
+            raise SplitMismatch(f"{split_file}: essay {essay_id!r} is listed twice, as {first!r} and {value!r}")
+        split[essay_id] = label
     return split
 
 

@@ -15,7 +15,10 @@ both chat and embeddings:
 The store is content-addressed: chat records are keyed by a digest over
 (model name, system text, user text, temperature, max output tokens),
 embeddings by a digest over (model name, text), so recorded fixtures can be
-committed to a repository and replayed bit-identically. An embedding record
+committed to a repository and replayed bit-identically. Requests that share
+a leading part of their user text, such as the calls of one prompting round,
+may carry a :class:`ChatKeyPrefix` that hashed that part once; their digests
+are the same as without it. An embedding record
 holds its vector as packed little-endian float64 (hex text), so a replay
 reads it back with no decimal parsing; records written earlier, with a JSON
 list of floats, still replay. ``atc-icl embed`` also writes one *pack* per
@@ -95,13 +98,83 @@ class Usage:
     completion_tokens: int = 0
 
 
+def _json_string_body(text: str) -> str:
+    """``text`` as JSON writes it inside quotes, with non-ASCII characters left as they are."""
+    return json.dumps(text, ensure_ascii=False)[1:-1]
+
+
+def _keyed_fields(fields: ChatKeyPrefix | ChatRequest) -> tuple:
+    """The fields a chat key hashes besides the user text, with what tells apart
+    values that compare equal but JSON writes differently (0 and 0.0, -0.0 and
+    0.0, 1 and True)."""
+    temperature, tokens = fields.temperature, fields.max_output_tokens
+    return (
+        fields.model_name,
+        fields.system_text,
+        type(temperature),
+        temperature,
+        math.copysign(1.0, temperature),
+        type(tokens),
+        tokens,
+    )
+
+
+@dataclass(frozen=True)
+class ChatKeyPrefix:
+    """The part of a chat store key that a group of requests shares.
+
+    It holds the request fields besides the user text, a ``context`` every
+    user text of the group starts with, and the SHA-256 state after the head
+    of the digest payload and the context. The payload (see
+    :func:`chat_request_digest`) ends with the user text, and JSON escapes each
+    character on its own, so the payload of any such request is that head,
+    the escaped context, then the escaped rest of the user text and ``"}``.
+    A digest copies the state and hashes only that rest. The state is never
+    updated in place, so requests in several threads may share one prefix.
+    """
+
+    model_name: str
+    system_text: str
+    temperature: float
+    max_output_tokens: int
+    context: str = ""
+    _state: hashlib._Hash = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        fields = {
+            "model": self.model_name,
+            "system": self.system_text,
+            "temperature": self.temperature,
+            "max_output_tokens": self.max_output_tokens,
+            "user": "",
+        }
+        # "user" sorts last: the payload ends with its opening quote, then '"}'.
+        head = json.dumps(fields, sort_keys=True, ensure_ascii=False)[:-2]
+        state = hashlib.sha256((head + _json_string_body(self.context)).encode("utf-8"))
+        object.__setattr__(self, "_state", state)
+
+    def _digest(self, user_text: str) -> str:
+        state = self._state.copy()
+        state.update((_json_string_body(user_text[len(self.context):]) + '"}').encode("utf-8"))
+        return state.hexdigest()
+
+
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat completion request.
+
+    ``key_prefix`` shares the store key work of the requests that carry it
+    (see :class:`ChatKeyPrefix`). It changes no digest, takes no part in
+    equality, hash or repr, and is never stored; a prefix built for other
+    fields, or whose context does not start ``user_text``, is refused.
+    """
+
     system_text: str
     user_text: str
     model_name: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
+    key_prefix: ChatKeyPrefix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -110,6 +183,12 @@ class ChatRequest:
             raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
+        prefix = self.key_prefix
+        if prefix is not None:
+            if _keyed_fields(prefix) != _keyed_fields(self):
+                raise ValueError("key prefix is for another model, system text, temperature or output limit")
+            if not self.user_text.startswith(prefix.context):
+                raise ValueError("user_text does not start with the key prefix's context")
 
 
 @dataclass(frozen=True)
@@ -131,18 +210,18 @@ class EmbeddingVector:
 
 
 def chat_request_digest(request: ChatRequest) -> str:
-    payload = json.dumps(
-        {
-            "model": request.model_name,
-            "system": request.system_text,
-            "user": request.user_text,
-            "temperature": request.temperature,
-            "max_output_tokens": request.max_output_tokens,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """The store key of ``request``: SHA-256 of the UTF-8 of ``json.dumps({"max_output_tokens",
+    "model", "system", "temperature", "user"}, sort_keys=True, ensure_ascii=False)``.
+
+    It is computed from the request's key prefix, or from one with an empty
+    context for a request without.
+    """
+    prefix = request.key_prefix
+    if prefix is None:
+        prefix = ChatKeyPrefix(
+            request.model_name, request.system_text, request.temperature, request.max_output_tokens
+        )
+    return prefix._digest(request.user_text)
 
 
 def embedding_digest(model_name: str, text: str) -> str:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
 from .features import extract_structural, render_featxt
-from .gateway import ChatRequest, Gateway
+from .gateway import ChatKeyPrefix, ChatRequest, Gateway
 
 if TYPE_CHECKING:
     from .ensemble import IclConfig
@@ -72,16 +72,22 @@ class InfoBlock:
 
 @dataclass(frozen=True)
 class Prompt:
-    """One round's chat calls, one user text each, and how their answers are read.
+    """One round's chat calls and how their answers are read.
 
-    Every answer must hold ``answer_lines`` label lines; a malformed one is
-    asked again with ``reminder`` appended to its user text.
+    Each call's user text is the round's ``context`` followed by one of
+    ``instructions``. Every answer must hold ``answer_lines`` label lines; a
+    malformed one is asked again with ``reminder`` appended to its user text.
     """
 
     system_text: str
-    user_texts: tuple[str, ...]
+    context: str
+    instructions: tuple[str, ...]
     answer_lines: int
     reminder: str
+
+    @property
+    def user_texts(self) -> tuple[str, ...]:
+        return tuple(self.context + instruction for instruction in self.instructions)
 
 
 SYSTEM_ALL_AT_ONCE = (
@@ -205,10 +211,10 @@ def build_prompt(
     """Assemble every round's chat requests for ``query``: one prompt per demo set.
 
     The info block, the query section and the instructions are rendered once.
-    Each user text is a round's context (info block, that round's
-    demonstrations, query section) followed by one call's instruction: a
-    single text in all-at-once mode, and in one-by-one mode m texts, the j-th
-    asking about component j.
+    A round's context is the info block, that round's demonstrations and the
+    query section, each followed by a blank line. Each user text is the
+    context followed by one call's instruction: a single text in all-at-once
+    mode, and in one-by-one mode m texts, the j-th asking about component j.
     """
     if config.include_info and info is None:
         raise MissingInfoBlock("prompt config includes the info block but none was given")
@@ -217,19 +223,18 @@ def build_prompt(
 
     m = query.m
     if config.mode is PromptMode.ALL_AT_ONCE:
-        system_text, instructions = SYSTEM_ALL_AT_ONCE, [ALL_AT_ONCE_INSTRUCTION.format(m=m)]
+        system_text, instructions = SYSTEM_ALL_AT_ONCE, (ALL_AT_ONCE_INSTRUCTION.format(m=m),)
         answer_lines, reminder = m, FORMAT_REMINDER.format(m=m)
     else:
         system_text = SYSTEM_ONE_BY_ONE
-        instructions = [ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1)]
+        instructions = tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
         answer_lines, reminder = 1, ONE_BY_ONE_REMINDER
     info_section = _render_info(info) + "\n\n" if config.include_info else ""
-    query_section = _render_query(query, config)
-    tails = [f"{query_section}\n\n{instruction}" for instruction in instructions]
+    query_section = _render_query(query, config) + "\n\n"
     prompts = []
     for demos in demo_sets:
-        head = info_section + (_render_demos(demos) + "\n\n" if demos else "")
-        prompts.append(Prompt(system_text, tuple(head + tail for tail in tails), answer_lines, reminder))
+        context = info_section + (_render_demos(demos) + "\n\n" if demos else "") + query_section
+        prompts.append(Prompt(system_text, context, instructions, answer_lines, reminder))
     return tuple(prompts)
 
 
@@ -271,9 +276,14 @@ def classify_essay(
     Each user text is one chat call with the model and temperature of
     ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens. A malformed answer is asked again, with the prompt's
     reminder appended, up to ``MAX_RETRIES`` times before :class:`Unparseable`
-    is raised. Returns the labels and every raw response text, in request order.
+    is raised. Every request, retries included, carries one key prefix over
+    the prompt's context, so its store key hashes only its own instruction.
+    Returns the labels and every raw response text, in request order.
     """
     responses: list[str] = []
+    key_prefix = ChatKeyPrefix(
+        config.model_name, prompt.system_text, config.temperature, MAX_OUTPUT_TOKENS, prompt.context
+    )
 
     def ask(base_text: str) -> list[Label]:
         user_text = base_text
@@ -286,6 +296,7 @@ def classify_essay(
                     model_name=config.model_name,
                     temperature=config.temperature,
                     max_output_tokens=MAX_OUTPUT_TOKENS,
+                    key_prefix=key_prefix,
                 )
             )
             responses.append(response.text)

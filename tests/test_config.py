@@ -129,6 +129,24 @@ def test_load_run_config_names_a_file_that_is_not_utf8_yaml(tmp_path, content, m
         load_run_config(config_file)
 
 
+@pytest.mark.parametrize(
+    "content, where, character",
+    [(b"corpus_dir: c\x00", "line 1, column 14", "0000"),
+     (b"corpus_dir: c\r\nsplit_file: \x07s\n", "line 2, column 13", "0007"),
+     ("# note\u2028\n  out_dir: \ufffe\n".encode(), "line 3, column 12", "fffe")],
+    ids=["nul", "bell-after-crlf", "noncharacter-after-line-separator"],
+)
+def test_a_character_yaml_refuses_is_one_error_line_with_its_line_and_column(tmp_path, content, where, character):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_bytes(content)
+    with pytest.raises(ConfigError) as raised:
+        load_run_config(config_file)
+    assert str(raised.value) == (
+        f"{config_file}, {where}: not valid YAML "
+        f"(unacceptable character #x{character}: special characters are not allowed)"
+    )
+
+
 def test_load_run_config_takes_an_integer_temperature(tmp_path):
     config_file = tmp_path / "run.yaml"
     config_file.write_text(BASE_CONFIG + "icl: {temperature: 1, info: false, essay: true}\n", encoding="utf-8")

@@ -232,7 +232,22 @@ def test_split_file_accepts_comma_and_semicolon(tmp_path):
 def test_split_file_unknown_value(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text('"ID";"SET"\n"essay001";"DEV"\n', encoding="utf-8")
-    with pytest.raises(SplitMismatch):
+    with pytest.raises(SplitMismatch, match=f"^{bad}: unknown split value 'DEV' for 'essay001'$"):
+        read_split_file(bad)
+
+
+def test_split_file_row_of_one_column_names_the_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text('"ID";"SET"\n"essay001"\n', encoding="utf-8")
+    with pytest.raises(SplitMismatch, match=f"^{bad}: split row needs two columns: \\['essay001'\\]$"):
+        read_split_file(bad)
+
+
+@pytest.mark.parametrize("second", ["TEST", "train"])
+def test_split_file_listing_an_essay_twice_is_refused(tmp_path, second):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f'"ID";"SET"\n"essay001";"TRAIN"\n"essay002";"TEST"\n"essay001";"{second}"\n', encoding="utf-8")
+    with pytest.raises(SplitMismatch, match=f"^{bad}: essay 'essay001' is listed twice, as 'TRAIN' and '{second}'$"):
         read_split_file(bad)
 
 

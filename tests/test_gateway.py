@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import re
 import struct
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -17,6 +20,7 @@ from atc_icl.errors import AtcError
 from atc_icl.gateway import (
     MAX_RETRY_AFTER_S,
     BackendTag,
+    ChatKeyPrefix,
     ChatRequest,
     ChatResponse,
     DimensionMismatch,
@@ -44,9 +48,9 @@ from atc_icl.gateway import (
 from conftest import MappingEmbeddingBackend
 
 
-def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
+def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024, key_prefix=None):
     return ChatRequest(system_text="sys", user_text=user, model_name=model, temperature=temperature,
-                       max_output_tokens=max_output_tokens)
+                       max_output_tokens=max_output_tokens, key_prefix=key_prefix)
 
 
 def vec(*values):
@@ -138,6 +142,110 @@ def test_chat_request_digest_is_pinned(fields, expected):
 @pytest.mark.parametrize("fields, expected", EMBEDDING_KEY_GOLDEN)
 def test_embedding_digest_is_pinned(fields, expected):
     assert embedding_digest(*fields) == expected
+
+
+def full_payload_digest(request):
+    """The store key as the code that recorded the existing stores computed it: the whole payload at once."""
+    payload = json.dumps(
+        {"model": request.model_name, "system": request.system_text, "user": request.user_text,
+         "temperature": request.temperature, "max_output_tokens": request.max_output_tokens},
+        sort_keys=True, ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fields, expected", CHAT_KEY_GOLDEN)
+def test_a_shared_key_prefix_keeps_the_golden_digests(fields, expected):
+    system, user, model, temperature, max_output_tokens = fields
+    for cut in range(len(user) + 1):
+        prefix = ChatKeyPrefix(model, system, temperature, max_output_tokens, user[:cut])
+        request = ChatRequest(system_text=system, user_text=user, model_name=model, temperature=temperature,
+                              max_output_tokens=max_output_tokens, key_prefix=prefix)
+        assert chat_request_digest(request) == expected
+
+
+# Characters JSON escapes, or writes as they are although they need care.
+AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "\u2028", "\u2029",
+                           "\U0001F600", "\U0001D518", "\u00e9", "/"])
+KEY_TEXT = st.text(st.characters(codec="utf-8") | AWKWARD, max_size=40)
+
+
+@given(
+    context=KEY_TEXT,
+    suffix=KEY_TEXT,
+    model=KEY_TEXT,
+    system=KEY_TEXT,
+    temperature=st.floats(min_value=0.0, max_value=2.0) | st.sampled_from([0.0, 0.7, 1e-07, 1.0, 0, 1, 2]),
+    max_output_tokens=st.integers(min_value=1, max_value=2**40),
+)
+def test_prefix_keyed_digest_equals_the_digest_without_a_prefix(
+    context, suffix, model, system, temperature, max_output_tokens
+):
+    assume(context + suffix)
+    fields = dict(system_text=system, user_text=context + suffix, model_name=model,
+                  temperature=temperature, max_output_tokens=max_output_tokens)
+    prefix = ChatKeyPrefix(model, system, temperature, max_output_tokens, context)
+    keyed = chat_request_digest(ChatRequest(**fields, key_prefix=prefix))
+    assert keyed == chat_request_digest(ChatRequest(**fields)) == full_payload_digest(ChatRequest(**fields))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"model_name": "gpt-3.5"}, "another model"),
+     ({"system_text": "other sys"}, "another model"),
+     ({"temperature": 0.7}, "another model"),
+     ({"temperature": 0}, "another model"),  # JSON writes 0, not 0.0
+     ({"temperature": -0.0}, "another model"),  # JSON writes -0.0
+     ({"max_output_tokens": 256}, "another model"),
+     ({"context": "another context "}, "does not start"),
+     ({"context": "classify this and more"}, "does not start")],
+    ids=["model", "system", "temperature", "int-temperature", "negative-zero", "max-output-tokens",
+         "context", "longer-context"],
+)
+def test_a_prefix_built_for_other_fields_is_refused(change, message):
+    fields = dict(model_name="gpt-4", system_text="sys", temperature=0.0, max_output_tokens=1024,
+                  context="classify ")
+    prefix = ChatKeyPrefix(**{**fields, **change})
+    with pytest.raises(ValueError, match=message):
+        req(key_prefix=prefix)
+    assert chat_request_digest(req(key_prefix=ChatKeyPrefix(**fields))) == chat_request_digest(req())
+
+
+def test_equality_hash_and_repr_ignore_the_key_prefix():
+    plain = req()
+    keyed = req(key_prefix=ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify "))
+    assert keyed == plain
+    assert hash(keyed) == hash(plain)
+    assert repr(keyed) == repr(plain)
+    assert "key_prefix" not in repr(keyed)
+
+
+def test_one_prefix_shared_by_eight_threads_gives_the_sequential_digests():
+    context = "shared context \u2028 \"quoted\" \U0001F600\n\n" * 500
+    prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, context)
+    batch = [req(user=f"{context}Which class is argument component {j} of 64?", key_prefix=prefix)
+                for j in range(1, 65)]
+    sequential = [chat_request_digest(request) for request in batch]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(4):
+                assert list(pool.map(chat_request_digest, batch, timeout=60)) == sequential
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert sequential == [full_payload_digest(request) for request in batch]
+    assert len(set(sequential)) == 64
+
+
+def test_the_key_prefix_is_not_stored(tmp_path):
+    store = ResponseStore(tmp_path)
+    keyed = req(key_prefix=ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify "))
+    StoreChatBackend(store, CountingChatBackend()).complete(keyed)
+    (record_file,) = (tmp_path / "chat").iterdir()
+    assert record_file.name == f"{chat_request_digest(req())}.json"
+    assert set(json.loads(record_file.read_text(encoding="utf-8"))["request"]) == {
+        "model_name", "system_text", "user_text", "temperature", "max_output_tokens"}
 
 
 def _chat_case(store, upstream):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 from random import Random
@@ -11,10 +12,12 @@ from hypothesis import given, strategies as st
 
 from atc_icl.corpus import LABELS, Label
 from atc_icl.ensemble import IclConfig
-from atc_icl.gateway import Gateway, MockChatBackend
+from atc_icl.gateway import Gateway, MockChatBackend, chat_request_digest
 from atc_icl.prompting import (
+    ALL_AT_ONCE_INSTRUCTION,
     CLASS_DEFINITIONS,
     FORMAT_REMINDER,
+    ONE_BY_ONE_INSTRUCTION,
     ONE_BY_ONE_REMINDER,
     CountMismatch,
     InfoBlock,
@@ -128,6 +131,21 @@ def test_one_by_one_yields_m_texts_that_differ_only_in_the_instruction(park_essa
         assert instruction.startswith(f"Which class is argument component {j} of 4?")
         contexts.add(context)
     assert len(contexts) == 1
+
+
+@pytest.mark.parametrize("mode", list(PromptMode))
+def test_a_rounds_context_is_its_user_texts_up_to_the_instruction(park_essay, mode):
+    config = PromptConfig(include_info=True, include_fts=True, mode=mode)
+    prompt = one_round(park_essay, list(demo_pair()), config, info_block())
+    m = park_essay.m
+    if mode is PromptMode.ALL_AT_ONCE:
+        assert prompt.instructions == (ALL_AT_ONCE_INSTRUCTION.format(m=m),)
+    else:
+        assert prompt.instructions == tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
+    head, query = prompt.context.split("## Query essay\n")
+    assert head.startswith("## Task information\n") and "## Demonstration essays\n" in head
+    assert query.endswith("\n\n") and "Which class is" not in query and "Classify all" not in query
+    assert prompt.user_texts == tuple(prompt.context + instruction for instruction in prompt.instructions)
 
 
 def test_build_prompt_gives_each_round_the_prompt_of_its_own_demos(park_essay):
@@ -304,3 +322,28 @@ def test_classify_essay_one_by_one(park_essay):
     assert labels == gold
     assert backend.calls == park_essay.m
     assert len(responses) == park_essay.m
+
+
+def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_essay):
+    gold = gold_of(park_essay)
+    seen = []
+
+    def responder(request):
+        seen.append(request)
+        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
+        return "garbage" if len(seen) == 2 else gold[j - 1].display_name
+
+    config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
+    prompt = one_round(park_essay, list(demo_pair()), config, info_block())
+    icl = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=1, prompt=config, run_seed=0)
+    labels, _ = classify_essay(park_essay, prompt, icl, Gateway(chat_backend=MockChatBackend(responder=responder)))
+    assert labels == gold
+    assert len(seen) == park_essay.m + 1
+    assert "Reminder:" in seen[2].user_text  # the retry of the second call
+    key_prefix = seen[0].key_prefix
+    assert all(request.key_prefix is key_prefix for request in seen)
+    assert key_prefix.context == prompt.context
+    assert (key_prefix.model_name, key_prefix.temperature) == (icl.model_name, icl.temperature)
+    for request in seen:
+        plain = dataclasses.replace(request, key_prefix=None)
+        assert chat_request_digest(request) == chat_request_digest(plain)
