@@ -196,9 +196,19 @@ def _read_manifest(out_dir: Path, digest: str) -> dict:
 
 def _pending(config: RunConfig) -> tuple[dict, list[PredictionRecord], int, Corpus, list[Essay]]:
     """The manifest and records already in ``out_dir`` (and where the records'
-    complete lines end), the corpus, and the test essays still to run. Reads only."""
+    complete lines end), the corpus, and the test essays still to run. Reads only.
+
+    A train pool smaller than the 2k-essay neighborhood each essay is ranked
+    in is refused here, before a run or an estimate starts.
+    """
     manifest = _read_manifest(config.out_dir, config_digest(config.icl))
     corpus = load_corpus(config.corpus_dir, config.split_file)
+    pool_size, k = len(corpus.train_essays()), config.icl.k
+    if 2 * k > pool_size:
+        raise AtcError(
+            f"{config.split_file} lists {pool_size} train essays, but k = {k} needs a"
+            f" neighborhood of {2 * k}"
+        )
     queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
     records, complete = _load_records(config.out_dir / RECORDS_NAME)
     done_ids = {record.essay_id for record in records}

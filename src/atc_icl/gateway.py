@@ -15,15 +15,16 @@ both chat and embeddings:
 The store is content-addressed: chat records are keyed by a digest over
 (model name, system text, user text, temperature, max output tokens),
 embeddings by a digest over (model name, text), so recorded fixtures can be
-committed to a repository and replayed bit-identically. Requests that share
-a leading part of their user text, such as the calls of one prompting round,
-may carry a :class:`ChatKeyPrefix` that hashed that part once; their digests
-are the same as without it. An embedding record
-holds its vector as packed little-endian float64 (hex text), so a replay
-reads it back with no decimal parsing; records written earlier, with a JSON
-list of floats, still replay. ``atc-icl embed`` also writes one *pack* per
-embedding model, a single file of every title's float64 row, from which a
-kNN replay reads the whole pool without opening a record per title.
+committed to a repository and replayed bit-identically. The requests of one
+prompting round are made by a :class:`ChatKeyPrefix`, which hashed the leading
+part of the user text they share once; their digests are the same as without
+it. :meth:`ResponseStore.get_chat` reads a chat record's answer and checks it.
+An embedding record holds its vector as packed little-endian float64 (hex
+text), so a replay reads it back with no decimal parsing; records written
+earlier, with a JSON list of floats, still replay. ``atc-icl embed`` also
+writes one *pack* per embedding model, a single file of every title's
+float64 row, from which a kNN replay reads the whole pool without opening a
+record per title.
 :class:`Gateway` counts the calls each (operation, backend tag) served, and
 retries transport errors and 429s with exponential backoff, waiting at least
 as long as a 429's ``Retry-After`` unless it asks for more than
@@ -103,29 +104,14 @@ def _json_string_body(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)[1:-1]
 
 
-def _keyed_fields(fields: ChatKeyPrefix | ChatRequest) -> tuple:
-    """The fields a chat key hashes besides the user text, with what tells apart
-    values that compare equal but JSON writes differently (0 and 0.0, -0.0 and
-    0.0, 1 and True)."""
-    temperature, tokens = fields.temperature, fields.max_output_tokens
-    return (
-        fields.model_name,
-        fields.system_text,
-        type(temperature),
-        temperature,
-        math.copysign(1.0, temperature),
-        type(tokens),
-        tokens,
-    )
-
-
 @dataclass(frozen=True)
 class ChatKeyPrefix:
-    """The part of a chat store key that a group of requests shares.
+    """The part of a chat store key that a group of requests shares; it makes those requests.
 
     It holds the request fields besides the user text, a ``context`` every
     user text of the group starts with, and the SHA-256 state after the head
-    of the digest payload and the context. The payload (see
+    of the digest payload and the context. :meth:`request` builds each request
+    of the group from these fields. The payload (see
     :func:`chat_request_digest`) ends with the user text, and JSON escapes each
     character on its own, so the payload of any such request is that head,
     the escaped context, then the escaped rest of the user text and ``"}``.
@@ -153,6 +139,14 @@ class ChatKeyPrefix:
         state = hashlib.sha256((head + _json_string_body(self.context)).encode("utf-8"))
         object.__setattr__(self, "_state", state)
 
+    def request(self, rest: str) -> ChatRequest:
+        """The request with these fields and user text ``context + rest``, keyed through this prefix."""
+        request = ChatRequest(
+            self.system_text, self.context + rest, self.model_name, self.temperature, self.max_output_tokens
+        )
+        object.__setattr__(request, "key_prefix", self)
+        return request
+
     def _digest(self, user_text: str) -> str:
         state = self._state.copy()
         state.update((_json_string_body(user_text[len(self.context):]) + '"}').encode("utf-8"))
@@ -163,10 +157,9 @@ class ChatKeyPrefix:
 class ChatRequest:
     """One chat completion request.
 
-    ``key_prefix`` shares the store key work of the requests that carry it
-    (see :class:`ChatKeyPrefix`). It changes no digest, takes no part in
-    equality, hash or repr, and is never stored; a prefix built for other
-    fields, or whose context does not start ``user_text``, is refused.
+    ``key_prefix`` is the :class:`ChatKeyPrefix` whose :meth:`~ChatKeyPrefix.request`
+    built the request, or None. It changes no digest, takes no part in
+    equality, hash or repr, and is never stored.
     """
 
     system_text: str
@@ -174,7 +167,7 @@ class ChatRequest:
     model_name: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
-    key_prefix: ChatKeyPrefix | None = field(default=None, compare=False, repr=False)
+    key_prefix: ChatKeyPrefix | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -183,12 +176,6 @@ class ChatRequest:
             raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
-        prefix = self.key_prefix
-        if prefix is not None:
-            if _keyed_fields(prefix) != _keyed_fields(self):
-                raise ValueError("key prefix is for another model, system text, temperature or output limit")
-            if not self.user_text.startswith(prefix.context):
-                raise ValueError("user_text does not start with the key prefix's context")
 
 
 @dataclass(frozen=True)
@@ -312,8 +299,14 @@ class ResponseStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
-    def get_chat(self, digest: str) -> dict | None:
-        return self._read("chat", digest)
+    def get_chat(self, digest: str) -> tuple[str, Usage] | None:
+        """The response text and token counts stored for ``digest``, or None.
+
+        A record that lacks them, or holds them with the wrong types, raises
+        :class:`AtcError` naming the digest.
+        """
+        record = self._read("chat", digest)
+        return None if record is None else _record_answer(record, digest)
 
     def put_chat(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
         self._write(
@@ -410,6 +403,23 @@ class ResponseStore:
         return True
 
 
+def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
+    """The answer of a chat record: its response text and token counts."""
+    try:
+        response = record["response"]
+        text, usage = response["text"], response["usage"]
+        counts = usage["prompt_tokens"], usage["completion_tokens"]
+        if not isinstance(text, str):
+            raise TypeError(f"text is {type(text).__name__}, not a string")
+        if any(type(count) is not int for count in counts):
+            raise TypeError(f"token counts {counts} are not integers")
+    except KeyError as exc:
+        raise AtcError(f"malformed chat record {digest}: no {exc} field") from None
+    except TypeError as exc:
+        raise AtcError(f"malformed chat record {digest}: {exc}") from exc
+    return text, Usage(*counts)
+
+
 def _record_vector(record: dict, digest: str) -> tuple[float, ...]:
     """The vector of an embedding record: packed ``vector_f64``, else a legacy ``vector`` float list."""
     try:
@@ -487,10 +497,8 @@ class MockChatBackend:
 
     def __init__(self, responder: Callable[[ChatRequest], str]) -> None:
         self._responder = responder
-        self.calls = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self.calls += 1
         return ChatResponse(text=self._responder(request), usage=Usage(), backend_tag=BackendTag.MOCK)
 
 
@@ -596,22 +604,9 @@ class StoreChatBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = chat_request_digest(request)
-        record = self.store.get_chat(digest)
-        if record is not None:
-            try:
-                response = record["response"]
-                text, usage = response["text"], response["usage"]
-                counts = usage["prompt_tokens"], usage["completion_tokens"]
-                if not isinstance(text, str):
-                    raise TypeError(f"text is {type(text).__name__}, not a string")
-                if any(type(count) is not int for count in counts):
-                    raise TypeError(f"token counts {counts} are not integers")
-                tokens = Usage(*counts)
-            except KeyError as exc:
-                raise AtcError(f"malformed chat record {digest}: no {exc} field") from None
-            except TypeError as exc:
-                raise AtcError(f"malformed chat record {digest}: {exc}") from exc
-            return ChatResponse(text=text, usage=tokens, backend_tag=self._hit_tag)
+        answer = self.store.get_chat(digest)
+        if answer is not None:
+            return ChatResponse(*answer, backend_tag=self._hit_tag)
         if self.upstream is None:
             raise ReplayMiss(f"no recorded chat response for digest {digest}")
         response = self.upstream.complete(request)
@@ -631,12 +626,10 @@ class HashEmbeddingBackend:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.model_name = f"hash-embed-{dim}"
-        self.calls = 0
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
         import random
 
-        self.calls += 1
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = random.Random(seed)
         raw = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]

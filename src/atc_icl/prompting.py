@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
 from .features import extract_structural, render_featxt
-from .gateway import ChatKeyPrefix, ChatRequest, Gateway
+from .gateway import ChatKeyPrefix, Gateway
 
 if TYPE_CHECKING:
     from .ensemble import IclConfig
@@ -84,10 +84,6 @@ class Prompt:
     instructions: tuple[str, ...]
     answer_lines: int
     reminder: str
-
-    @property
-    def user_texts(self) -> tuple[str, ...]:
-        return tuple(self.context + instruction for instruction in self.instructions)
 
 
 SYSTEM_ALL_AT_ONCE = (
@@ -273,10 +269,10 @@ def classify_essay(
 ) -> tuple[list[Label], list[str]]:
     """Ask ``prompt``'s calls through the gateway: one label per component of ``query``.
 
-    Each user text is one chat call with the model and temperature of
+    Each instruction is one chat call with the model and temperature of
     ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens. A malformed answer is asked again, with the prompt's
     reminder appended, up to ``MAX_RETRIES`` times before :class:`Unparseable`
-    is raised. Every request, retries included, carries one key prefix over
+    is raised. Every request, retries included, is made by one key prefix over
     the prompt's context, so its store key hashes only its own instruction.
     Returns the labels and every raw response text, in request order.
     """
@@ -285,29 +281,20 @@ def classify_essay(
         config.model_name, prompt.system_text, config.temperature, MAX_OUTPUT_TOKENS, prompt.context
     )
 
-    def ask(base_text: str) -> list[Label]:
-        user_text = base_text
+    def ask(instruction: str) -> list[Label]:
+        request = key_prefix.request(instruction)
         last_error: AtcError | None = None
         for _ in range(MAX_RETRIES + 1):
-            response = gateway.chat(
-                ChatRequest(
-                    system_text=prompt.system_text,
-                    user_text=user_text,
-                    model_name=config.model_name,
-                    temperature=config.temperature,
-                    max_output_tokens=MAX_OUTPUT_TOKENS,
-                    key_prefix=key_prefix,
-                )
-            )
+            response = gateway.chat(request)
             responses.append(response.text)
             try:
                 return parse_response(response.text, prompt.answer_lines)
             except (CountMismatch, UnknownLabel) as exc:
                 last_error = exc
-                user_text = base_text + "\n\n" + prompt.reminder
+                request = key_prefix.request(instruction + "\n\n" + prompt.reminder)
         raise Unparseable(
             f"{query.essay_id}: no parseable answer after {MAX_RETRIES + 1} attempts"
         ) from last_error
 
-    labels = [label for text in prompt.user_texts for label in ask(text)]
+    labels = [label for instruction in prompt.instructions for label in ask(instruction)]
     return labels, responses

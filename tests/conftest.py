@@ -68,6 +68,11 @@ def simple_essay(essay_id: str, title: str, labels: list[Label]) -> Essay:
     return build_essay(essay_id, title, paragraphs)
 
 
+def user_texts(prompt) -> tuple[str, ...]:
+    """The user text of each of ``prompt``'s calls: its context followed by one instruction."""
+    return tuple(prompt.context + instruction for instruction in prompt.instructions)
+
+
 class MappingEmbeddingBackend:
     """Mock embeddings from an explicit text-to-vector mapping."""
 

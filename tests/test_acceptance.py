@@ -29,7 +29,7 @@ from atc_icl.metrics import evaluate
 from atc_icl.prompting import parse_response, render_labels
 from atc_icl.selection import SelectionStrategy, rank_neighbors
 from atc_icl.synth import SPLIT_FILE_NAME
-from conftest import MappingEmbeddingBackend, simple_essay
+from conftest import MappingEmbeddingBackend, simple_essay, user_texts
 
 REPO = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -258,7 +258,7 @@ def test_criterion_6_round_trip_and_snapshot(park_essay):
 
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
     (prompt,) = build_prompt(park_essay, [list(demo_pair())], config, info_block())
-    (user_text,) = prompt.user_texts
+    (user_text,) = user_texts(prompt)
     rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     assert rendered.encode("utf-8") == (DATA / "prompt_snapshot.txt").read_bytes()
 

@@ -413,6 +413,25 @@ def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path)
     assert {name: (out_dir / name).read_bytes() for name in before} == before
 
 
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(runner, small_dir, tmp_path, dry_run):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "k5.yaml", small_dir, out_dir, icl={"k": 5})
+    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    assert isinstance(result.exception, AtcError)
+    message = str(result.exception)
+    assert str(small_dir / SPLIT_FILE_NAME) in message
+    assert "8 train essays" in message and "k = 5" in message and "neighborhood of 10" in message
+    assert not out_dir.exists()
+
+
+def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
+    config = write_config(tmp_path / "k4.yaml", small_dir, tmp_path / "out", icl={"k": 4})
+    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert "macro F1: 1.0000" in result.output
+
+
 def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
     out_dir = tmp_path / "separators"
     config = write_config(tmp_path / "separators.yaml", small_dir, out_dir)

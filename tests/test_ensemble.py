@@ -305,12 +305,11 @@ def test_run_ensemble_embeds_each_title_once_per_essay():
     pool = make_pool()
     config = IclConfig(SelectionStrategy.KNN_TITLE, k=3, n_rounds=5, prompt=prompt_config(), run_seed=2)
     queries = [simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM]) for i in range(3)]
-    backend = HashEmbeddingBackend(dim=8)
     gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: render_labels([Label.CLAIM])),
-                      embedding_backend=backend)
+                      embedding_backend=HashEmbeddingBackend(dim=8))
     for number, query in enumerate(queries, start=1):
         run_ensemble(query, pool, config, gateway)
-        assert backend.calls == number * (len(pool) + 1)
+        assert gateway.calls("embed") == number * (len(pool) + 1)
 
 
 def test_run_ensemble_krn_ranks_every_round_anew():

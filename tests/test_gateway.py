@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,9 +49,9 @@ from atc_icl.gateway import (
 from conftest import MappingEmbeddingBackend
 
 
-def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024, key_prefix=None):
+def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
     return ChatRequest(system_text="sys", user_text=user, model_name=model, temperature=temperature,
-                       max_output_tokens=max_output_tokens, key_prefix=key_prefix)
+                       max_output_tokens=max_output_tokens)
 
 
 def vec(*values):
@@ -157,10 +158,12 @@ def full_payload_digest(request):
 @pytest.mark.parametrize("fields, expected", CHAT_KEY_GOLDEN)
 def test_a_shared_key_prefix_keeps_the_golden_digests(fields, expected):
     system, user, model, temperature, max_output_tokens = fields
+    plain = ChatRequest(system_text=system, user_text=user, model_name=model, temperature=temperature,
+                        max_output_tokens=max_output_tokens)
     for cut in range(len(user) + 1):
         prefix = ChatKeyPrefix(model, system, temperature, max_output_tokens, user[:cut])
-        request = ChatRequest(system_text=system, user_text=user, model_name=model, temperature=temperature,
-                              max_output_tokens=max_output_tokens, key_prefix=prefix)
+        request = prefix.request(user[cut:])
+        assert request == plain and request.key_prefix is prefix
         assert chat_request_digest(request) == expected
 
 
@@ -182,38 +185,45 @@ def test_prefix_keyed_digest_equals_the_digest_without_a_prefix(
     context, suffix, model, system, temperature, max_output_tokens
 ):
     assume(context + suffix)
-    fields = dict(system_text=system, user_text=context + suffix, model_name=model,
-                  temperature=temperature, max_output_tokens=max_output_tokens)
-    prefix = ChatKeyPrefix(model, system, temperature, max_output_tokens, context)
-    keyed = chat_request_digest(ChatRequest(**fields, key_prefix=prefix))
-    assert keyed == chat_request_digest(ChatRequest(**fields)) == full_payload_digest(ChatRequest(**fields))
+    plain = ChatRequest(system_text=system, user_text=context + suffix, model_name=model,
+                        temperature=temperature, max_output_tokens=max_output_tokens)
+    keyed = ChatKeyPrefix(model, system, temperature, max_output_tokens, context).request(suffix)
+    assert chat_request_digest(keyed) == chat_request_digest(plain) == full_payload_digest(plain)
+
+
+def test_a_request_cannot_be_given_a_prefix_from_outside():
+    with pytest.raises(TypeError, match="key_prefix"):
+        ChatRequest(system_text="sys", user_text="classify this", model_name="gpt-4",
+                    key_prefix=ChatKeyPrefix("gpt-3.5", "sys", 0.0, 1024))
+
+
+def test_replacing_a_field_of_a_prefixed_request_drops_the_prefix():
+    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
+    copy = dataclasses.replace(keyed)
+    assert copy.key_prefix is None
+    assert copy == keyed and chat_request_digest(copy) == chat_request_digest(keyed) == chat_request_digest(req())
+    other = dataclasses.replace(keyed, user_text="classify that")
+    assert other.key_prefix is None
+    assert chat_request_digest(other) == full_payload_digest(req(user="classify that"))
 
 
 @pytest.mark.parametrize(
-    "change, message",
-    [({"model_name": "gpt-3.5"}, "another model"),
-     ({"system_text": "other sys"}, "another model"),
-     ({"temperature": 0.7}, "another model"),
-     ({"temperature": 0}, "another model"),  # JSON writes 0, not 0.0
-     ({"temperature": -0.0}, "another model"),  # JSON writes -0.0
-     ({"max_output_tokens": 256}, "another model"),
-     ({"context": "another context "}, "does not start"),
-     ({"context": "classify this and more"}, "does not start")],
-    ids=["model", "system", "temperature", "int-temperature", "negative-zero", "max-output-tokens",
-         "context", "longer-context"],
+    "fields, rest, message",
+    [((0.0, 1024, ""), "", "user_text must be non-empty"),
+     ((math.nan, 1024, "classify "), "this", "temperature must be finite"),
+     ((-0.5, 1024, "classify "), "this", "temperature must be finite"),
+     ((0.0, 0, "classify "), "this", "max_output_tokens must be positive")],
+    ids=["empty-user-text", "nan-temperature", "negative-temperature", "no-output-tokens"],
 )
-def test_a_prefix_built_for_other_fields_is_refused(change, message):
-    fields = dict(model_name="gpt-4", system_text="sys", temperature=0.0, max_output_tokens=1024,
-                  context="classify ")
-    prefix = ChatKeyPrefix(**{**fields, **change})
+def test_a_prefixs_requests_are_checked_like_any_request(fields, rest, message):
+    temperature, max_output_tokens, context = fields
     with pytest.raises(ValueError, match=message):
-        req(key_prefix=prefix)
-    assert chat_request_digest(req(key_prefix=ChatKeyPrefix(**fields))) == chat_request_digest(req())
+        ChatKeyPrefix("gpt-4", "sys", temperature, max_output_tokens, context).request(rest)
 
 
 def test_equality_hash_and_repr_ignore_the_key_prefix():
     plain = req()
-    keyed = req(key_prefix=ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify "))
+    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
     assert keyed == plain
     assert hash(keyed) == hash(plain)
     assert repr(keyed) == repr(plain)
@@ -223,8 +233,7 @@ def test_equality_hash_and_repr_ignore_the_key_prefix():
 def test_one_prefix_shared_by_eight_threads_gives_the_sequential_digests():
     context = "shared context \u2028 \"quoted\" \U0001F600\n\n" * 500
     prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, context)
-    batch = [req(user=f"{context}Which class is argument component {j} of 64?", key_prefix=prefix)
-                for j in range(1, 65)]
+    batch = [prefix.request(f"Which class is argument component {j} of 64?") for j in range(1, 65)]
     sequential = [chat_request_digest(request) for request in batch]
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -240,7 +249,7 @@ def test_one_prefix_shared_by_eight_threads_gives_the_sequential_digests():
 
 def test_the_key_prefix_is_not_stored(tmp_path):
     store = ResponseStore(tmp_path)
-    keyed = req(key_prefix=ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify "))
+    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
     StoreChatBackend(store, CountingChatBackend()).complete(keyed)
     (record_file,) = (tmp_path / "chat").iterdir()
     assert record_file.name == f"{chat_request_digest(req())}.json"
@@ -382,7 +391,7 @@ def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "replace", replace)
     first.put_chat(digest, req(), response)
     assert interleaved
-    assert first.get_chat(digest)["response"]["text"] == "1. Claim"
+    assert first.get_chat(digest) == ("1. Claim", Usage(3, 1))
     assert [p.name for p in (tmp_path / "store" / "chat").iterdir()] == [f"{digest}.json"]
 
 

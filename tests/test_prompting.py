@@ -34,7 +34,7 @@ from atc_icl.prompting import (
     render_labels,
 )
 from atc_icl.selection import SelectionStrategy
-from conftest import ScriptedChatBackend, build_essay
+from conftest import ScriptedChatBackend, build_essay, user_texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,7 +78,7 @@ def test_prompt_structure_counts_demo_sections(park_essay):
     demos = demo_pair()
     config = PromptConfig(include_info=True, include_essay=True)
     prompt = one_round(park_essay, list(demos) + [demos[0], demos[1], demos[0]], config, info_block())
-    (user_text,) = prompt.user_texts
+    (user_text,) = user_texts(prompt)
     assert user_text.count("### Example") == 5
     assert "Full text:" in user_text
     assert park_essay.raw_text.rstrip("\n") in user_text
@@ -88,7 +88,7 @@ def test_prompt_structure_counts_demo_sections(park_essay):
 
 
 def test_prompt_without_essay_block_omits_full_text(park_essay):
-    (user_text,) = one_round(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    (user_text,) = user_texts(one_round(park_essay, list(demo_pair()), PromptConfig()))
     assert "Full text:" not in user_text
     # components still listed in document order, numbered 1..m
     for i, component in enumerate(park_essay.components, start=1):
@@ -96,17 +96,17 @@ def test_prompt_without_essay_block_omits_full_text(park_essay):
 
 
 def test_prompt_fts_block_follows_each_query_component(park_essay):
-    (user_text,) = one_round(park_essay, list(demo_pair()), PromptConfig(include_fts=True)).user_texts
+    (user_text,) = user_texts(one_round(park_essay, list(demo_pair()), PromptConfig(include_fts=True)))
     lines = user_text.splitlines()
     for i, component in enumerate(park_essay.components, start=1):
         idx = lines.index(f"{i}. {component.text}")
         assert lines[idx + 1].startswith("Is the AC first in its paragraph:")
-    (without,) = one_round(park_essay, list(demo_pair()), PromptConfig()).user_texts
+    (without,) = user_texts(one_round(park_essay, list(demo_pair()), PromptConfig()))
     assert "Is the AC first in its paragraph" not in without
 
 
 def test_demo_sections_show_gold_labels(park_essay):
-    (user_text,) = one_round(park_essay, [demo_pair()[0]], PromptConfig()).user_texts
+    (user_text,) = user_texts(one_round(park_essay, [demo_pair()[0]], PromptConfig()))
     assert "1. public money should fund museums -> Major Claim" in user_text
     assert "3. school visits rose last year -> Premise" in user_text
 
@@ -123,7 +123,7 @@ def test_all_at_once_requires_demos(park_essay):
 
 def test_one_by_one_yields_m_texts_that_differ_only_in_the_instruction(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    texts = one_round(park_essay, list(demo_pair()), config).user_texts
+    texts = user_texts(one_round(park_essay, list(demo_pair()), config))
     assert len(texts) == park_essay.m == 4
     contexts = set()
     for j, text in enumerate(texts, start=1):
@@ -145,7 +145,6 @@ def test_a_rounds_context_is_its_user_texts_up_to_the_instruction(park_essay, mo
     head, query = prompt.context.split("## Query essay\n")
     assert head.startswith("## Task information\n") and "## Demonstration essays\n" in head
     assert query.endswith("\n\n") and "Which class is" not in query and "Classify all" not in query
-    assert prompt.user_texts == tuple(prompt.context + instruction for instruction in prompt.instructions)
 
 
 def test_build_prompt_gives_each_round_the_prompt_of_its_own_demos(park_essay):
@@ -154,12 +153,12 @@ def test_build_prompt_gives_each_round_the_prompt_of_its_own_demos(park_essay):
     config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
     prompts = build_prompt(park_essay, demo_sets, config, info_block())
     assert prompts == tuple(one_round(park_essay, demos, config, info_block()) for demos in demo_sets)
-    assert len({prompt.user_texts for prompt in prompts}) == 3
+    assert len({user_texts(prompt) for prompt in prompts}) == 3
 
 
 def test_one_by_one_allows_zero_demos(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    texts = one_round(park_essay, [], config).user_texts
+    texts = user_texts(one_round(park_essay, [], config))
     assert len(texts) == park_essay.m
     assert all("## Demonstration essays" not in text for text in texts)
 
@@ -167,7 +166,7 @@ def test_one_by_one_allows_zero_demos(park_essay):
 def test_prompt_snapshot_is_byte_stable(park_essay):
     config = PromptConfig(include_info=True, include_essay=True, include_fts=True)
     prompt = one_round(park_essay, list(demo_pair()), config, info_block())
-    (user_text,) = prompt.user_texts
+    (user_text,) = user_texts(prompt)
     rendered = prompt.system_text + "\n<<<USER>>>\n" + user_text + "\n"
     frozen = (DATA / "prompt_snapshot.txt").read_text(encoding="utf-8")
     assert rendered == frozen
@@ -179,7 +178,7 @@ def test_one_by_one_prompt_snapshot_is_byte_stable(park_essay):
     )
     prompt = one_round(park_essay, list(demo_pair()), config, info_block())
     rendered = prompt.system_text + "".join(
-        f"\n<<<USER {j}>>>\n{text}" for j, text in enumerate(prompt.user_texts, start=1)
+        f"\n<<<USER {j}>>>\n{text}" for j, text in enumerate(user_texts(prompt), start=1)
     ) + "\n"
     assert rendered.encode("utf-8") == (DATA / "prompt_snapshot_one_by_one.txt").read_bytes()
 
@@ -274,7 +273,7 @@ def test_all_at_once_retry_text_is_unchanged(park_essay):
 
     demos = list(demo_pair())
     classify(park_essay, demos, PromptConfig(), Gateway(chat_backend=MockChatBackend(responder=responder)))
-    (base,) = one_round(park_essay, demos, PromptConfig()).user_texts
+    (base,) = user_texts(one_round(park_essay, demos, PromptConfig()))
     assert seen == [base, base + "\n\nReminder: respond with exactly 4 lines, one per component, in the format "
                     "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
                     "Output nothing else."]
@@ -294,18 +293,17 @@ def test_one_by_one_retry_asks_for_the_label_alone(park_essay):
     labels, responses = classify(park_essay, [], config, gateway)
     assert labels == gold
     assert len(responses) == park_essay.m + 1
-    first = one_round(park_essay, [], config).user_texts[0]
+    first = user_texts(one_round(park_essay, [], config))[0]
     assert seen[:2] == [first, first + "\n\n" + ONE_BY_ONE_REMINDER]
     assert ONE_BY_ONE_REMINDER.startswith(FORMAT_REMINDER.split("{")[0])
     assert "lines" not in ONE_BY_ONE_REMINDER and "<index>" not in ONE_BY_ONE_REMINDER
 
 
 def test_classify_essay_unparseable_after_budget(park_essay):
-    backend = MockChatBackend(responder=lambda request: "always garbage")
-    gateway = Gateway(chat_backend=backend)
+    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: "always garbage"))
     with pytest.raises(Unparseable):
         classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
-    assert backend.calls == 3  # initial attempt plus two retries
+    assert gateway.calls("chat") == 3  # initial attempt plus two retries
 
 
 def test_classify_essay_one_by_one(park_essay):
@@ -315,12 +313,11 @@ def test_classify_essay_one_by_one(park_essay):
         j = int(re.search(r"component (\d+) of", request.user_text).group(1))
         return gold[j - 1].display_name
 
-    backend = MockChatBackend(responder=responder)
-    gateway = Gateway(chat_backend=backend)
+    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
     labels, responses = classify(park_essay, list(demo_pair()), config, gateway)
     assert labels == gold
-    assert backend.calls == park_essay.m
+    assert gateway.calls("chat") == park_essay.m
     assert len(responses) == park_essay.m
 
 
@@ -339,11 +336,14 @@ def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_
     labels, _ = classify_essay(park_essay, prompt, icl, Gateway(chat_backend=MockChatBackend(responder=responder)))
     assert labels == gold
     assert len(seen) == park_essay.m + 1
-    assert "Reminder:" in seen[2].user_text  # the retry of the second call
+    sent = list(user_texts(prompt))
+    sent.insert(2, sent[1] + "\n\n" + ONE_BY_ONE_REMINDER)  # the retry of the second call
+    assert [request.user_text for request in seen] == sent
     key_prefix = seen[0].key_prefix
     assert all(request.key_prefix is key_prefix for request in seen)
     assert key_prefix.context == prompt.context
     assert (key_prefix.model_name, key_prefix.temperature) == (icl.model_name, icl.temperature)
     for request in seen:
-        plain = dataclasses.replace(request, key_prefix=None)
+        plain = dataclasses.replace(request)
+        assert plain.key_prefix is None
         assert chat_request_digest(request) == chat_request_digest(plain)
