@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -181,3 +182,53 @@ def test_render_report_column_order():
     header, row = text.splitlines()[0], text.splitlines()[1]
     assert header.split() == ["Run", "MC", "C", "P", "F1"]
     assert "info + essay + 5NN + 5Ens" in row
+
+
+# Recorded from a seeded mix in which Major Claim occurs in the gold labels but
+# is never predicted, so its precision and F1 are 0/0 ratios.
+REPORT_JSON_GOLDEN = """{
+  "components": 30,
+  "config_digest": "0000000000000000000000000000000000000000000000000000000000000000",
+  "macro_f1": 0.3181818181818182,
+  "per_label": {
+    "Claim": {
+      "f1": 0.4545454545454546,
+      "precision": 0.38461538461538464,
+      "recall": 0.5555555555555556,
+      "support": 9
+    },
+    "MajorClaim": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 6
+    },
+    "Premise": {
+      "f1": 0.5,
+      "precision": 0.47058823529411764,
+      "recall": 0.5333333333333333,
+      "support": 15
+    }
+  },
+  "run_label": "info + essay + 5NN + 5Ens"
+}"""
+
+REPORT_TEXT_GOLDEN = """\
+Run                                           MC       C       P      F1
+info + essay + 5NN + 5Ens                  0.000   0.455   0.500   0.318
+
+class          precision    recall        f1   support
+Major Claim       0.0000    0.0000    0.0000         6
+Claim             0.3846    0.5556    0.4545         9
+Premise           0.4706    0.5333    0.5000        15
+macro F1: 0.3182 over 30 components"""
+
+
+def test_report_bytes_are_pinned():
+    rng = Random(2024)
+    gold = [rng.choice(LABELS) for _ in range(30)]
+    pred = [rng.choice((C, P)) for _ in gold]
+    assert set(gold) == set(LABELS) and MC not in pred
+    report = evaluate(pred, gold, run_label="info + essay + 5NN + 5Ens", config_digest="0" * 64)
+    assert json.dumps(report.to_dict(), sort_keys=True, indent=2) == REPORT_JSON_GOLDEN
+    assert render_report(report) == REPORT_TEXT_GOLDEN
