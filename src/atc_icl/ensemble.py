@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .corpus import Essay, Label
 from .errors import AtcError, ConfigError
 from .gateway import Gateway
-from .prompting import InfoBlock, PromptConfig, PromptMode, Unparseable, build_prompt, classify_essay
+from .prompting import PromptConfig, PromptMode, Unparseable, build_prompt, classify_essay
 from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
@@ -142,7 +142,7 @@ def run_ensemble(
     pool: Sequence[Essay],
     config: IclConfig,
     gateway: Gateway,
-    info: InfoBlock | None = None,
+    info: str | None = None,
 ) -> PredictionRecord:
     """Run ``n_rounds`` selection-and-classify rounds and aggregate by vote.
 

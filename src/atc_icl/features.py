@@ -2,8 +2,8 @@
 
 The structural features (first/last in paragraph, introduction/conclusion
 membership) render into a fixed four-sentence yes/no text block that can be
-injected into prompts or fine-tuning records. Contextual features are the
-essay title and the complete sentence covering the component.
+injected into prompts or fine-tuning records. The contextual feature is the
+complete sentence covering the component.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ class ForeignComponent(AtcError):
     """The component does not belong to the essay it was paired with."""
 
 
-# Tokens that end with a period but do not close a sentence. Versioned so
-# downstream counts can reference the exact segmentation behavior.
-SEGMENTER_VERSION = "1"
+# Tokens that end with a period but do not close a sentence.
 ABBREVIATIONS = frozenset(
     {
         "e.g.", "i.e.", "etc.", "cf.", "vs.", "st.", "no.", "fig.",
@@ -45,12 +43,6 @@ class StructuralFeatures:
     in_introduction: bool
     in_conclusion: bool
     paragraph_number: int  # 1-based
-
-
-@dataclass(frozen=True)
-class ContextualFeatures:
-    essay_title: str
-    covering_sentence: str
 
 
 def _is_abbreviation(text: str, period_index: int) -> bool:
@@ -119,8 +111,8 @@ def extract_structural(essay: Essay, component: ArgumentComponent) -> Structural
     )
 
 
-def extract_contextual(essay: Essay, component: ArgumentComponent) -> ContextualFeatures:
-    """Title plus the minimal sentence-bounded expansion of the component span."""
+def covering_sentence(essay: Essay, component: ArgumentComponent) -> str:
+    """The minimal sentence-bounded expansion of the component span."""
     _require_member(essay, component)
     paragraph = essay.paragraphs[component.paragraph_index]
     paragraph_text = paragraph.slice(essay.raw_text)
@@ -129,13 +121,9 @@ def extract_contextual(essay: Essay, component: ArgumentComponent) -> Contextual
     covering = [
         s for s in segment_sentences(paragraph_text) if s.start < rel_end and rel_start < s.end
     ]
-    if covering:
-        sentence = essay.raw_text[
-            paragraph.start + covering[0].start : paragraph.start + covering[-1].end
-        ]
-    else:  # whitespace-only component cannot occur, but stay total
-        sentence = paragraph_text
-    return ContextualFeatures(essay_title=essay.title, covering_sentence=sentence)
+    if not covering:  # whitespace-only component cannot occur, but stay total
+        return paragraph_text
+    return essay.raw_text[paragraph.start + covering[0].start : paragraph.start + covering[-1].end]
 
 
 def render_featxt(features: StructuralFeatures) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .corpus import ArgumentComponent, Corpus, Essay, Split
 from .errors import AtcError
-from .features import extract_contextual, extract_structural, render_featxt
+from .features import covering_sentence, extract_structural, render_featxt
 
 
 class IoFailure(AtcError):
@@ -30,12 +30,11 @@ SYSTEM_TEXT = (
 def build_user_text(essay: Essay, component: ArgumentComponent, featxt: bool) -> str:
     if not featxt:
         return component.text
-    contextual = extract_contextual(essay, component)
     structural = extract_structural(essay, component)
     return "\n".join(
         [
-            f"Essay title: {contextual.essay_title}",
-            f"Sentence: {contextual.covering_sentence}",
+            f"Essay title: {essay.title}",
+            f"Sentence: {covering_sentence(essay, component)}",
             f"Paragraph number: {structural.paragraph_number}",
             render_featxt(structural),
             f"Argument component: {component.text}",

@@ -7,6 +7,7 @@ three-column report shape. All 0/0 ratios resolve to 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,36 +33,6 @@ class MissingEssay(AtcError):
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """3x3 counts indexed (gold, predicted) in canonical label order."""
-
-    counts: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def from_pairs(cls, gold: Sequence[Label], pred: Sequence[Label]) -> "ConfusionMatrix":
-        index = {label: i for i, label in enumerate(LABELS)}
-        counts = [[0, 0, 0] for _ in LABELS]
-        for g, p in zip(gold, pred):
-            counts[index[g]][index[p]] += 1
-        return cls(counts=tuple(tuple(row) for row in counts))
-
-    def support(self, label: Label) -> int:
-        return sum(self.counts[LABELS.index(label)])
-
-    def predicted_count(self, label: Label) -> int:
-        j = LABELS.index(label)
-        return sum(row[j] for row in self.counts)
-
-    def true_positives(self, label: Label) -> int:
-        i = LABELS.index(label)
-        return self.counts[i][i]
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-
-@dataclass(frozen=True)
 class ClassMetrics:
     precision: float
     recall: float
@@ -73,7 +44,7 @@ class ClassMetrics:
 class EvaluationReport:
     per_label: Mapping[Label, ClassMetrics]
     macro_f1: float
-    confusion: ConfusionMatrix
+    components: int
     run_label: str | None = None
     config_digest: str | None = None
 
@@ -91,7 +62,7 @@ class EvaluationReport:
                 for label in LABELS
             },
             "macro_f1": self.macro_f1,
-            "components": self.confusion.total,
+            "components": self.components,
         }
 
 
@@ -110,19 +81,20 @@ def evaluate(
         raise LengthMismatch(f"{len(pred)} predictions vs {len(gold)} gold labels")
     if not gold:
         raise EmptyEvaluation("nothing to evaluate")
-    confusion = ConfusionMatrix.from_pairs(gold, pred)
+    pairs = Counter(zip(gold, pred))
     per_label: dict[Label, ClassMetrics] = {}
     for label in LABELS:
-        tp = confusion.true_positives(label)
-        precision = _safe_div(tp, confusion.predicted_count(label))
-        recall = _safe_div(tp, confusion.support(label))
+        support = sum(n for (g, _), n in pairs.items() if g is label)
+        predicted = sum(n for (_, p), n in pairs.items() if p is label)
+        precision = _safe_div(pairs[label, label], predicted)
+        recall = _safe_div(pairs[label, label], support)
         f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_label[label] = ClassMetrics(precision, recall, f1, confusion.support(label))
+        per_label[label] = ClassMetrics(precision, recall, f1, support)
     macro = sum(per_label[label].f1 for label in LABELS) / len(LABELS)
     return EvaluationReport(
         per_label=per_label,
         macro_f1=macro,
-        confusion=confusion,
+        components=len(gold),
         run_label=run_label,
         config_digest=config_digest,
     )
@@ -168,5 +140,5 @@ def render_report(report: EvaluationReport) -> str:
         lines.append(
             f"{label.display_name:<14}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}{m.support:>10d}"
         )
-    lines.append(f"macro F1: {report.macro_f1:.4f} over {report.confusion.total} components")
+    lines.append(f"macro F1: {report.macro_f1:.4f} over {report.components} components")
     return "\n".join(lines)

@@ -8,11 +8,12 @@ answers one line per component in the canonical ``<index>. <label>`` format;
 
 Two inference modes share the same context layout: all-at-once asks for every
 component of the query essay in a single call, one-by-one asks for a single
-target component per call. ``build_prompt`` renders an essay's info block,
-query section and instructions once and returns one :class:`Prompt` per
-ensembling round: rounds differ only in their demonstrations, and a round's
-one-by-one requests only in the closing instruction. ``classify_essay`` asks
-one built prompt's calls, retries malformed answers and parses them.
+target component per call. The info block is rendered once per run by
+``build_info_block``. ``build_prompt`` renders an essay's query section and
+instructions once and returns one :class:`Prompt` per ensembling round:
+rounds differ only in their demonstrations, and a round's one-by-one
+requests only in the closing instruction. ``classify_essay`` asks one built
+prompt's calls, retries malformed answers and parses them.
 """
 
 from __future__ import annotations
@@ -63,11 +64,6 @@ class PromptConfig:
     include_essay: bool = False
     include_fts: bool = False
     mode: PromptMode = PromptMode.ALL_AT_ONCE
-
-
-@dataclass(frozen=True)
-class InfoBlock:
-    train_stats: Mapping[Label, int]
 
 
 @dataclass(frozen=True)
@@ -153,10 +149,9 @@ _LABEL_ALIASES = {
 }
 
 
-def build_info_block(corpus: Corpus) -> InfoBlock:
-    """Info block with the label counts of the train split."""
-    counts = Counter(c.gold_label for e in corpus.train_essays() for c in e.components)
-    return InfoBlock(train_stats={label: counts[label] for label in LABELS})
+def build_info_block(corpus: Corpus) -> str:
+    """The rendered info block, with the label counts of the train split."""
+    return render_info(Counter(c.gold_label for e in corpus.train_essays() for c in e.components))
 
 
 def render_labels(labels: Sequence[Label]) -> str:
@@ -164,13 +159,12 @@ def render_labels(labels: Sequence[Label]) -> str:
     return "\n".join(f"{i}. {label.display_name}" for i, label in enumerate(labels, start=1))
 
 
-def _render_info(info: InfoBlock) -> str:
+def render_info(train_stats: Mapping[Label, int]) -> str:
+    """The info block: the class definitions and the train-set count of each class."""
     lines = [INFO_HEADER, "Class definitions:"]
     for label in LABELS:
         lines.append(f"{label.display_name}: {CLASS_DEFINITIONS[label]}")
-    counts = ", ".join(
-        f"{label.display_name}: {info.train_stats[label]}" for label in LABELS
-    )
+    counts = ", ".join(f"{label.display_name}: {train_stats[label]}" for label in LABELS)
     lines.append(f"Argument component counts in the training set: {counts}.")
     return "\n".join(lines)
 
@@ -202,11 +196,12 @@ def build_prompt(
     query: Essay,
     demo_sets: Sequence[Sequence[Essay]],
     config: PromptConfig,
-    info: InfoBlock | None = None,
+    info: str | None = None,
 ) -> tuple[Prompt, ...]:
     """Assemble every round's chat requests for ``query``: one prompt per demo set.
 
-    The info block, the query section and the instructions are rendered once.
+    ``info`` is the rendered info block (:func:`build_info_block`). The query
+    section and the instructions are rendered once.
     A round's context is the info block, that round's demonstrations and the
     query section, each followed by a blank line. Each user text is the
     context followed by one call's instruction: a single text in all-at-once
@@ -225,7 +220,7 @@ def build_prompt(
         system_text = SYSTEM_ONE_BY_ONE
         instructions = tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
         answer_lines, reminder = 1, ONE_BY_ONE_REMINDER
-    info_section = _render_info(info) + "\n\n" if config.include_info else ""
+    info_section = info + "\n\n" if config.include_info else ""
     query_section = _render_query(query, config) + "\n\n"
     prompts = []
     for demos in demo_sets:

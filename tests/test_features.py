@@ -12,7 +12,7 @@ from atc_icl.features import (
     FEATXT_TEMPLATE,
     ForeignComponent,
     StructuralFeatures,
-    extract_contextual,
+    covering_sentence,
     extract_structural,
     render_featxt,
     segment_sentences,
@@ -69,7 +69,7 @@ def test_foreign_component_rejected(park_essay):
     with pytest.raises(ForeignComponent):
         extract_structural(park_essay, other.components[0])
     with pytest.raises(ForeignComponent):
-        extract_contextual(park_essay, other.components[0])
+        covering_sentence(park_essay, other.components[0])
 
 
 def test_exactly_one_first_and_one_last_per_paragraph(synth_corpus):
@@ -144,15 +144,13 @@ def test_segment_spans_are_ordered_disjoint_and_cover_non_whitespace(text):
 
 def test_covering_sentence_equals_full_sentence_with_punctuation(park_essay):
     # AC text is a complete segmenter sentence minus the period.
-    contextual = extract_contextual(park_essay, park_essay.components[0])
-    assert contextual.covering_sentence == "City parks should stay open at night."
-    assert contextual.essay_title == "Keeping city parks open at night"
+    assert covering_sentence(park_essay, park_essay.components[0]) == "City parks should stay open at night."
 
 
 def test_covering_sentence_for_embedded_component(park_essay):
-    contextual = extract_contextual(park_essay, park_essay.components[2])
-    assert contextual.covering_sentence == "Parks calm busy minds, and they cost little to keep open."
-    assert park_essay.components[2].text in contextual.covering_sentence
+    sentence = covering_sentence(park_essay, park_essay.components[2])
+    assert sentence == "Parks calm busy minds, and they cost little to keep open."
+    assert park_essay.components[2].text in sentence
 
 
 def test_covering_sentence_spanning_two_sentences():
@@ -160,6 +158,6 @@ def test_covering_sentence_spanning_two_sentences():
         "essayW", "Boundary crossing",
         [[("Costs ", None), ("fall. Benefits rise", Label.PREMISE), (" quickly.", None)]],
     )
-    contextual = extract_contextual(essay, essay.components[0])
-    assert contextual.covering_sentence == "Costs fall. Benefits rise quickly."
-    assert essay.components[0].text in contextual.covering_sentence
+    sentence = covering_sentence(essay, essay.components[0])
+    assert sentence == "Costs fall. Benefits rise quickly."
+    assert essay.components[0].text in sentence

@@ -10,7 +10,6 @@ import pytest
 from atc_icl.corpus import LABELS, Label
 from atc_icl.ensemble import PredictionRecord
 from atc_icl.metrics import (
-    ConfusionMatrix,
     EmptyEvaluation,
     LengthMismatch,
     MissingEssay,
@@ -111,11 +110,12 @@ def test_macro_bounded_by_class_f1s():
 def test_confusion_matrix_marginals():
     gold = [MC, MC, C, P, P, P]
     pred = [MC, C, C, P, MC, P]
-    cm = ConfusionMatrix.from_pairs(gold, pred)
-    assert cm.total == 6
-    assert [cm.support(label) for label in LABELS] == [2, 1, 3]
-    assert [cm.predicted_count(label) for label in LABELS] == [2, 2, 2]
-    assert sum(cm.support(label) for label in LABELS) == cm.total
+    report = evaluate(pred, gold)
+    assert report.components == 6
+    assert [report.per_label[label].support for label in LABELS] == [2, 1, 3]
+    # 2 predicted per class: precision is true positives over 2.
+    assert [report.per_label[label].precision for label in LABELS] == [0.5, 0.5, 1.0]
+    assert [report.per_label[label].recall for label in LABELS] == [0.5, 1.0, 2 / 3]
 
 
 def record_for(essay, labels=None):
@@ -141,7 +141,7 @@ def test_aggregate_runs_concatenation_oracle(small_corpus):
     combined = aggregate_runs(records, small_corpus)
     direct = evaluate(preds, golds)
     assert combined.macro_f1 == pytest.approx(direct.macro_f1, abs=1e-12)
-    assert combined.confusion == direct.confusion
+    assert combined == direct
 
 
 def test_aggregate_runs_gold_echo_is_perfect(small_corpus):

@@ -20,7 +20,6 @@ from atc_icl.prompting import (
     ONE_BY_ONE_INSTRUCTION,
     ONE_BY_ONE_REMINDER,
     CountMismatch,
-    InfoBlock,
     MissingDemonstrations,
     MissingInfoBlock,
     PromptConfig,
@@ -31,6 +30,7 @@ from atc_icl.prompting import (
     build_prompt,
     classify_essay,
     parse_response,
+    render_info,
     render_labels,
 )
 from atc_icl.selection import SelectionStrategy
@@ -59,7 +59,7 @@ def demo_pair():
 
 
 def info_block():
-    return InfoBlock(train_stats={Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023})
+    return render_info({Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023})
 
 
 def one_round(query, demos, config, info=None):
@@ -187,7 +187,9 @@ def test_build_info_block_uses_train_stats(small_corpus):
     from atc_icl.corpus import Split, compute_stats
 
     info = build_info_block(small_corpus)
-    assert info.train_stats == compute_stats(small_corpus, Split.TRAIN).label_counts
+    counts = compute_stats(small_corpus, Split.TRAIN).label_counts
+    assert info == render_info(counts)
+    assert info.endswith(", ".join(f"{label.display_name}: {counts[label]}" for label in LABELS) + ".")
     assert set(CLASS_DEFINITIONS) == set(LABELS)
 
 
