@@ -2,13 +2,15 @@
 
 Every experiment run writes a reproducibility manifest next to its records
 and report, and already-recorded essays are skipped on rerun, so an
-interrupted run resumes where it stopped. Records and reports are serialized
-canonically (sorted keys, no timestamps), which makes replay-backed reruns
-byte-identical.
+interrupted run resumes where it stopped, once the manifest shows that the
+config and every other input deciding a record are the same. Records and
+reports are serialized canonically (sorted keys, no timestamps), which makes
+replay-backed reruns byte-identical.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, features, prompting
 from .config import RunConfig, config_digest, load_run_config, run_label
 from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
@@ -76,9 +78,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     elif embed_kind == "live":
         embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env)
     if backend.embedding in ("cache", "replay"):
-        hashed = backend.embedding_upstream == "hash"
-        model_name = f"hash-embed-{backend.embedding_dim}" if hashed else backend.embedding_model
-        embedder = StoreEmbeddingBackend(store, model_name, embedder)
+        embedder = StoreEmbeddingBackend(store, backend.embedding_model_name, embedder)
 
     return Gateway(chat_backend=chat, embedding_backend=embedder)
 
@@ -172,11 +172,48 @@ def _load_records(path: Path) -> tuple[list[PredictionRecord], int]:
     return records, complete
 
 
-def _read_manifest(out_dir: Path, digest: str) -> dict:
+def _prompt_digest() -> str:
+    """SHA-256 over the fixed texts every prompt is built from.
+
+    They are package constants, so they can change between versions of
+    ``atc-icl`` under one config digest.
+    """
+    texts = [
+        prompting.SYSTEM_ALL_AT_ONCE, prompting.SYSTEM_ONE_BY_ONE,
+        prompting.INFO_HEADER, prompting.DEMO_HEADER, prompting.QUERY_HEADER,
+        *(prompting.CLASS_DEFINITIONS[label] for label in LABELS),
+        prompting.ALL_AT_ONCE_INSTRUCTION, prompting.ONE_BY_ONE_INSTRUCTION,
+        prompting.FORMAT_REMINDER, prompting.ONE_BY_ONE_REMINDER,
+        features.FEATXT_TEMPLATE,
+    ]
+    return hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
+
+
+def _inputs(config: RunConfig, corpus: Corpus) -> dict:
+    """What decides a record besides the config digest.
+
+    The corpus and prompt digests; the embedding model a title-kNN run ranks
+    with; and the answer source of a store miss: the mock mode, ``live``, or
+    None for ``replay``, which answers only what a store holds.
+    """
+    backend = config.backend
+    chat = backend.cache_upstream if backend.chat == "cache" else backend.chat
+    knn_title = config.icl.strategy is SelectionStrategy.KNN_TITLE
+    return {
+        "corpus_digest": corpus.digest,
+        "prompt_digest": _prompt_digest(),
+        "embedding_model": backend.embedding_model_name if knn_title else None,
+        "answer_source": {"mock": backend.mock_mode, "live": "live"}.get(chat),
+    }
+
+
+def _read_manifest(out_dir: Path, digest: str, inputs: dict) -> dict:
     """The manifest an earlier session left in ``out_dir``; empty when there is none.
 
-    A manifest of another config digest is refused, so one directory never
-    mixes configs.
+    A manifest of another config digest or other inputs is refused, so one
+    directory never mixes them. Answer sources are compared only when both
+    sessions have one. A manifest that records no inputs is refused too: it
+    cannot show that they are the same.
     """
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -184,24 +221,41 @@ def _read_manifest(out_dir: Path, digest: str) -> dict:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         recorded = manifest["config_digest"]  # every manifest, the first stub too, names its config
-    except (ValueError, KeyError, TypeError) as exc:
+        recorded_inputs = manifest.get("inputs")
+        if recorded_inputs is not None:
+            recorded_inputs = {part: recorded_inputs[part] for part in inputs}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise AtcError(f"{manifest_path}: unreadable manifest ({exc})") from exc
     if recorded != digest:
         raise AtcError(
             f"{out_dir} holds a run with config digest {recorded}, but this config has "
             f"digest {digest}; use another out_dir"
         )
+    if recorded_inputs is None:
+        raise AtcError(
+            f"{out_dir} holds a run whose manifest records no inputs, so a resume cannot be "
+            f"checked; use another out_dir"
+        )
+    for part, value in inputs.items():
+        was = recorded_inputs[part]
+        if was != value and not (part == "answer_source" and None in (was, value)):
+            raise AtcError(
+                f"{out_dir} holds a run with {part} {was!r}, but this run has {part} {value!r};"
+                f" use another out_dir"
+            )
     return manifest
 
 
-def _pending(config: RunConfig) -> tuple[dict, list[PredictionRecord], int, Corpus, list[Essay]]:
-    """The manifest and records already in ``out_dir`` (and where the records'
-    complete lines end), the corpus, and the test essays still to run. Reads only.
+def _pending(config: RunConfig) -> tuple[dict, dict, list[PredictionRecord], int, Corpus, list[Essay]]:
+    """The manifest already in ``out_dir``, the run's inputs, the records already
+    there (and where their complete lines end), the corpus, and the test essays
+    still to run. Reads only.
 
     A train pool smaller than the 2k-essay neighborhood each essay is ranked
-    in is refused here, before a run or an estimate starts.
+    in is refused here, before a run or an estimate starts, and so is an
+    ``out_dir`` of another config or other inputs. A ``replay`` session keeps
+    the answer source of the sessions before it.
     """
-    manifest = _read_manifest(config.out_dir, config_digest(config.icl))
     corpus = load_corpus(config.corpus_dir, config.split_file)
     pool_size, k = len(corpus.train_essays()), config.icl.k
     if 2 * k > pool_size:
@@ -209,10 +263,14 @@ def _pending(config: RunConfig) -> tuple[dict, list[PredictionRecord], int, Corp
             f"{config.split_file} lists {pool_size} train essays, but k = {k} needs a"
             f" neighborhood of {2 * k}"
         )
+    inputs = _inputs(config, corpus)
+    manifest = _read_manifest(config.out_dir, config_digest(config.icl), inputs)
+    if inputs["answer_source"] is None and manifest:
+        inputs["answer_source"] = manifest["inputs"]["answer_source"]
     queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
     records, complete = _load_records(config.out_dir / RECORDS_NAME)
     done_ids = {record.essay_id for record in records}
-    return manifest, records, complete, corpus, [e for e in queries if e.essay_id not in done_ids]
+    return manifest, inputs, records, complete, corpus, [e for e in queries if e.essay_id not in done_ids]
 
 
 def run_experiment(config: RunConfig) -> EvaluationReport:
@@ -229,13 +287,13 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     icl = config.icl
     label = run_label(icl)
     digest = config_digest(icl)
-    earlier, records, complete, corpus, remaining = _pending(config)
+    earlier, inputs, records, complete, corpus, remaining = _pending(config)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not earlier:
-        # Stamp the digest now, so a run stopped before its full manifest is
-        # still checked on resume.
-        _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest})
+    if earlier.get("inputs") != inputs:
+        # Stamp the digest and inputs now, so a run stopped before its full
+        # manifest is still checked on resume.
+        _write_json(out_dir / MANIFEST_NAME, {**earlier, "config_digest": digest, "inputs": inputs})
     records_path = out_dir / RECORDS_NAME
     size = records_path.stat().st_size if records_path.exists() else 0
     if size > complete:
@@ -249,10 +307,12 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     started = time.monotonic()
 
     def counts() -> dict:
-        """Calls and seconds of the sessions so far, this one included."""
+        """Calls, tokens and seconds of the sessions so far, this one included."""
+        tokens = earlier.get("tokens", {})
         return {
             "chat_calls": earlier.get("chat_calls", 0) + gateway.calls("chat"),
             "embed_calls": earlier.get("embed_calls", 0) + gateway.calls("embed"),
+            "tokens": {kind: tokens.get(kind, 0) + gateway.tokens[kind] for kind in ("prompt", "completion")},
             "wall_clock_seconds": round(earlier.get("wall_clock_seconds", 0) + time.monotonic() - started, 3),
         }
 
@@ -266,7 +326,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
                 records.append(record)
                 counted = counts()
     except BaseException:
-        _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest, **counted})
+        _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest, "inputs": inputs, **counted})
         raise
 
     records.sort(key=lambda record: record.essay_id)
@@ -277,6 +337,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         "artifact_version": __version__,
         "run_label": label,
         "config_digest": digest,
+        "inputs": inputs,
         "run_seed": icl.run_seed,
         "backend_tags_used": sorted(tag.value for tag in gateway.tags_used()),
         "essay_ids": [record.essay_id for record in records],

@@ -58,6 +58,18 @@ class BackendConfig:
         if needs_store and self.store_dir is None:
             raise ConfigError("cache/replay backends need backend.store_dir")
 
+    @property
+    def embedding_model_name(self) -> str:
+        """The model whose vectors a run ranks titles with, and that a store files them under.
+
+        ``hash-embed-<embedding_dim>`` when the vectors come from the hash
+        embedder (directly, or as the upstream a ``cache`` or ``replay``
+        names), and ``embedding_model`` otherwise.
+        """
+        stored = self.embedding in ("cache", "replay")
+        hashed = (self.embedding_upstream if stored else self.embedding) == "hash"
+        return f"hash-embed-{self.embedding_dim}" if hashed else self.embedding_model
+
 
 @dataclass(frozen=True)
 class RunConfig:

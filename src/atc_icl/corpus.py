@@ -16,6 +16,7 @@ belongs to no paragraph span.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -119,10 +120,15 @@ class Split(Enum):
 
 @dataclass(frozen=True)
 class Corpus:
-    """All essays plus the official train/test split, immutable after load."""
+    """All essays plus the official train/test split, immutable after load.
+
+    ``digest`` is the SHA-256 over the bytes of every essay's .txt and .ann
+    file and of the split file, each prefixed by its length.
+    """
 
     essays: tuple[Essay, ...]
     split: Mapping[str, Split]
+    digest: str
 
     def essays_in(self, split: Split | None) -> list[Essay]:
         """The essays of ``split``; every essay when it is None."""
@@ -248,21 +254,30 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
     )
 
 
-def _read_utf8(path: Path) -> str:
-    """A file's contents decoded as UTF-8, with no newline translation."""
+def _read_utf8(path: Path, digest: hashlib._Hash | None = None) -> str:
+    """A file's contents decoded as UTF-8, with no newline translation.
+
+    The bytes read, prefixed by their length, are fed into ``digest`` if given.
+    """
     try:
-        return path.read_bytes().decode("utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise AtcError(f"cannot read {path}: {exc}") from None
+    if digest is not None:
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return text
 
 
-def read_split_file(split_file: Path | str) -> dict[str, Split]:
+def read_split_file(split_file: Path | str, digest: hashlib._Hash | None = None) -> dict[str, Split]:
     """Read the two-column split CSV (``essay_id;SET``), ';' or ',' delimited.
 
     A row with fewer than two columns, an unknown split value, or an essay id
-    listed twice raises :class:`SplitMismatch` naming the file.
+    listed twice raises :class:`SplitMismatch` naming the file. The file's
+    bytes are fed into ``digest`` if given, as :func:`_read_utf8` does.
     """
-    content = _read_utf8(Path(split_file))
+    content = _read_utf8(Path(split_file), digest)
     first_line = content.splitlines()[0] if content.splitlines() else ""
     delimiter = ";" if first_line.count(";") >= first_line.count(",") else ","
     split: dict[str, Split] = {}
@@ -289,7 +304,8 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
     """Load every .txt/.ann pair under ``root_dir`` and apply the split file.
 
     A file that cannot be read or is not UTF-8 raises :class:`AtcError`
-    naming it.
+    naming it. The corpus digest is hashed from the bytes read here, so a
+    run can tell whether a resume sees the same corpus.
     """
     root = Path(root_dir)
     txt_files = sorted(root.glob("*.txt"))
@@ -302,14 +318,15 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
     if unpaired:
         raise MissingPair(f"essays without a .txt/.ann counterpart: {', '.join(unpaired)}")
 
+    digest = hashlib.sha256()
     essays = []
     for txt_path in txt_files:
-        text = _read_utf8(txt_path)
-        ann = _read_utf8(root / (txt_path.stem + ".ann"))
+        text = _read_utf8(txt_path, digest)
+        ann = _read_utf8(root / (txt_path.stem + ".ann"), digest)
         essays.append(parse_essay(text, ann, txt_path.stem))
     essays.sort(key=lambda e: e.essay_id)
 
-    split = read_split_file(split_file)
+    split = read_split_file(split_file, digest)
     disk_ids = {e.essay_id for e in essays}
     missing_on_disk = sorted(set(split) - disk_ids)
     missing_in_split = sorted(disk_ids - set(split))
@@ -318,7 +335,7 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
             f"split file and corpus directory disagree "
             f"(in split only: {missing_on_disk}; on disk only: {missing_in_split})"
         )
-    return Corpus(essays=tuple(essays), split=split)
+    return Corpus(essays=tuple(essays), split=split, digest=digest.hexdigest())
 
 
 def compute_stats(corpus: Corpus, split: Split | None = None) -> CorpusStats:

@@ -165,7 +165,7 @@ def run_ensemble(
         try:
             labels, raw = classify_essay(query, prompt, config, gateway)
         except Unparseable as exc:
-            raise RoundFailed(f"{query.essay_id}: round {round_index} failed") from exc
+            raise RoundFailed(f"{query.essay_id}: round {round_index} failed: {exc}") from exc
         rounds.append(tuple(labels))
         responses.append(tuple(raw))
 

@@ -726,13 +726,16 @@ class Gateway:
 
     Counts calls per (operation, backend tag) so tests and run manifests can
     assert which backends actually served a run, in particular that
-    replay-only runs performed zero network operations.
+    replay-only runs performed zero network operations. ``tokens`` adds up
+    the ``prompt`` and ``completion`` token counts of every chat response; a
+    stored answer carries the counts its record holds.
     """
 
     chat_backend: ChatBackend | None = None
     embedding_backend: EmbeddingBackend | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     counts: Counter[tuple[str, BackendTag]] = field(default_factory=Counter)
+    tokens: Counter[str] = field(default_factory=Counter)
 
     def _with_retry(self, operation: Callable):
         last: Exception | None = None
@@ -759,6 +762,8 @@ class Gateway:
             raise GatewayConfigError("no chat backend configured")
         response = self._with_retry(lambda: self.chat_backend.complete(request))
         self.counts["chat", response.backend_tag] += 1
+        self.tokens["prompt"] += response.usage.prompt_tokens
+        self.tokens["completion"] += response.usage.completion_tokens
         return response
 
     def embed(self, text: str) -> EmbeddingVector:

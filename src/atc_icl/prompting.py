@@ -288,7 +288,7 @@ def classify_essay(
                 last_error = exc
                 request = key_prefix.request(instruction + "\n\n" + prompt.reminder)
         raise Unparseable(
-            f"{query.essay_id}: no parseable answer after {MAX_RETRIES + 1} attempts"
+            f"no parseable answer after {MAX_RETRIES + 1} attempts, the last: {last_error}"
         ) from last_error
 
     labels = [label for instruction in prompt.instructions for label in ask(instruction)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,10 +16,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from atc_icl import cli, gateway
+from atc_icl import cli, gateway, prompting
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
 from atc_icl.errors import AtcError
+from atc_icl.gateway import Usage
 from atc_icl.synth import SPLIT_FILE_NAME
 
 
@@ -490,7 +493,7 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     assert len((out_dir / "records.jsonl").read_bytes().splitlines()) == 1
     recorded_digest = config_digest(load_run_config(first).icl)
     stub = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert stub.keys() == {"config_digest", "chat_calls", "embed_calls", "wall_clock_seconds"}
+    assert stub.keys() == {"config_digest", "inputs", "chat_calls", "embed_calls", "tokens", "wall_clock_seconds"}
     assert (stub["config_digest"], stub["chat_calls"], stub["embed_calls"]) == (recorded_digest, 3, 0)
 
     second = write_config(tmp_path / "k1.yaml", small_dir, out_dir, icl={"k": 1})
@@ -504,6 +507,93 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     assert resumed.exit_code == 0
     for name in ("records.jsonl", "report.json"):
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
+
+
+def title_config(tmp_path, corpus_dir, name, **backend):
+    """A title-kNN config writing to ``tmp_path / "cut"``: by default a gold-echo
+    mock and hash-8 embeddings, each through the store ``tmp_path / "store"``."""
+    backend = {"chat": "cache", "cache_upstream": "mock", "embedding": "cache", "embedding_upstream": "hash",
+               "store_dir": str(tmp_path / "store"), **backend}
+    return write_config(tmp_path / f"{name}.yaml", corpus_dir, tmp_path / "cut", icl={"strategy": "knn_title"},
+                        backend=backend)
+
+
+def cut_title_run(runner, corpus_dir, tmp_path):
+    """A run of the default :func:`title_config`, cut to its first record."""
+    config = title_config(tmp_path, corpus_dir, "cut")
+    out_dir = load_run_config(config).out_dir
+    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    records = out_dir / "records.jsonl"
+    records.write_bytes(records.read_bytes().splitlines(keepends=True)[0])
+    return config, out_dir
+
+
+def tree_bytes(root: Path) -> dict:
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("change", ["mock_mode", "embedding_dim", "corpus_byte", "prompt_constant"])
+def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
+    runner, small_dir, tmp_path, monkeypatch, change, dry_run
+):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(small_dir, corpus_dir)
+    config, out_dir = cut_title_run(runner, corpus_dir, tmp_path)
+    backend, part = {}, {"mock_mode": "answer_source", "embedding_dim": "embedding_model",
+                         "corpus_byte": "corpus_digest", "prompt_constant": "prompt_digest"}[change]
+    if change == "mock_mode":
+        backend["mock_mode"] = "constant"
+    elif change == "embedding_dim":
+        backend["embedding_dim"] = 16
+    elif change == "corpus_byte":
+        essay = corpus_dir / "essay001.txt"
+        data = bytearray(essay.read_bytes())
+        data[0] ^= 0x20  # the case of the title's first letter
+        essay.write_bytes(bytes(data))
+    else:
+        monkeypatch.setattr(prompting, "FORMAT_REMINDER", prompting.FORMAT_REMINDER + " Thank you.")
+    if backend:
+        config = title_config(tmp_path, corpus_dir, "changed", **backend)
+    before = tree_bytes(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    assert isinstance(result.exception, AtcError)
+    message = str(result.exception)
+    assert "\n" not in message and str(out_dir) in message and part in message
+    assert tree_bytes(tmp_path) == before
+
+
+def test_a_manifest_without_inputs_is_refused(runner, small_dir, tmp_path):
+    config, out_dir = cut_title_run(runner, small_dir, tmp_path)
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(json.dumps({"config_digest": json.loads(manifest.read_text())["config_digest"]}))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert isinstance(result.exception, AtcError)
+    assert str(out_dir) in str(result.exception) and "records no inputs" in str(result.exception)
+
+
+def test_a_cache_run_resumes_as_a_replay_and_keeps_its_answer_source(runner, small_dir, tmp_path):
+    config, out_dir = cut_title_run(runner, small_dir, tmp_path)
+    full = {name: (out_dir / name).read_bytes() for name in ("report.json", "report.txt")}
+    replay = title_config(tmp_path, small_dir, "replay", chat="replay", embedding="replay")
+    result = runner.invoke(main, ["run", "--config", str(replay)], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert {name: (out_dir / name).read_bytes() for name in full} == full
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"]["answer_source"] == "gold_echo"
+    assert manifest["backend_tags_used"] == ["replay"]
+    # The kept answer source still refuses a constant mock after the replay.
+    constant = title_config(tmp_path, small_dir, "constant", mock_mode="constant")
+    assert "answer_source 'gold_echo'" in str(runner.invoke(main, ["run", "--config", str(constant)]).exception)
+
+
+def test_live_and_a_cache_over_live_have_the_same_inputs(small_dir, small_corpus, tmp_path):
+    live = write_config(tmp_path / "live.yaml", small_dir, tmp_path / "out", backend={"chat": "live"})
+    cache = write_config(tmp_path / "cache.yaml", small_dir, tmp_path / "out",
+                         backend={"chat": "cache", "store_dir": str(tmp_path / "store")})
+    inputs = [cli._inputs(load_run_config(path), small_corpus) for path in (live, cache)]
+    assert inputs[0] == inputs[1]
+    assert inputs[0]["answer_source"] == "live" and inputs[0]["embedding_model"] is None
 
 
 class TornFile:
@@ -551,7 +641,8 @@ def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, smal
     monkeypatch.undo()
     assert isinstance(stopped.exception, OSError) and tear
     digest = config_digest(load_run_config(config).icl)
-    previous = json.dumps({"config_digest": digest}, indent=2) + "\n"
+    inputs = json.loads((full_dir / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+    previous = json.dumps({"config_digest": digest, "inputs": inputs}, indent=2, sort_keys=True) + "\n"
     assert (out_dir / "manifest.json").read_text(encoding="utf-8") == previous
     assert sorted(path.name for path in out_dir.iterdir()) == ["manifest.json", "records.jsonl"]
 
@@ -571,44 +662,53 @@ def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monk
     def manifest(out_dir):
         return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
 
-    full_dir = tmp_path / "full"
-    assert run(full_dir).exit_code == 0
-
-    # The chat backend goes away on the second essay, once its titles are ranked:
+    # Every answer reports its word counts as token usage. The chat backend goes
+    # away on the second essay of the stopped run, once its titles are ranked:
     # the first essay takes 3 rounds and gold echo never retries.
     real_make_gateway = cli.make_gateway
-    answered = []
+    answered, stop_after = [], []
 
     def make_gateway(config, corpus=None):
         gateway = real_make_gateway(config, corpus)
         real_complete = gateway.chat_backend.complete
 
         def complete(request):
-            if len(answered) == 3:
+            if len(answered) in stop_after:
                 raise RuntimeError("chat backend went away")
             answered.append(request)
-            return real_complete(request)
+            response = real_complete(request)
+            usage = Usage(len(request.user_text.split()), len(response.text.split()))
+            return dataclasses.replace(response, usage=usage)
 
         gateway.chat_backend.complete = complete
         return gateway
 
-    stopped_dir = tmp_path / "stopped"
     monkeypatch.setattr(cli, "make_gateway", make_gateway)
+    full_dir, stopped_dir = tmp_path / "full", tmp_path / "stopped"
+    assert run(full_dir).exit_code == 0
+    answered.clear()
+    stop_after.append(3)
     assert isinstance(run(stopped_dir).exception, RuntimeError)
-    monkeypatch.undo()
+    stop_after.clear()
     assert len((stopped_dir / "records.jsonl").read_bytes().splitlines()) == 1
     stub = manifest(stopped_dir)
     assert (stub["chat_calls"], stub["embed_calls"]) == (3, 9)  # one essay: 3 rounds, pool of 8 + 1
+    assert 0 < stub["tokens"]["prompt"] < manifest(full_dir)["tokens"]["prompt"]
 
     assert run(stopped_dir).exit_code == 0
     resumed, full = manifest(stopped_dir), manifest(full_dir)
     assert (resumed["chat_calls"], resumed["embed_calls"]) == (full["chat_calls"], full["embed_calls"]) == (12, 36)
+    assert resumed["tokens"] == full["tokens"]
+    records = [json.loads(line) for line in (full_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    texts = [text for record in records for round_ in record["responses"] for text in round_]
+    assert full["tokens"]["completion"] == sum(len(text.split()) for text in texts)
     assert resumed["wall_clock_seconds"] >= stub["wall_clock_seconds"]
     assert (stopped_dir / "records.jsonl").read_bytes() == (full_dir / "records.jsonl").read_bytes()
 
     # A rerun with nothing left to do keeps the counts.
     assert run(stopped_dir).exit_code == 0
     assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (12, 36)
+    assert manifest(stopped_dir)["tokens"] == full["tokens"]
 
 
 SIGTERM_ON_SECOND_ESSAY = """

@@ -183,10 +183,17 @@ def test_run_ensemble_scripted_disagreement_matches_tally_oracle():
 
 def test_run_ensemble_round_failure_aborts_essay():
     query = simple_essay("q", "Query topic", [Label.CLAIM])
-    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: "nonsense"))
+    # The first answer has a line too many, the two retries an unknown class.
+    answers = iter(["1. Claim\n2. Claim", "banana", "banana"])
+    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: next(answers)))
     config = IclConfig(SelectionStrategy.KNN_LEN, k=2, n_rounds=3, prompt=prompt_config(), run_seed=5)
-    with pytest.raises(RoundFailed):
+    with pytest.raises(RoundFailed) as failed:
         run_ensemble(query, make_pool(), config, gateway)
+    assert str(failed.value) == (
+        "q: round 1 failed: no parseable answer after 3 attempts,"
+        " the last: no recognizable class in line 'banana'"
+    )
+    assert gateway.calls("chat") == 3
 
 
 def test_run_ensemble_reproducible_given_config():

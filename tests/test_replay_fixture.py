@@ -40,6 +40,8 @@ RUNS = {
 }
 #: Chat records each run reads: all-at-once 3 rounds + 1 retry, one-by-one 8 components + 1 retry.
 CHAT_CALLS = {"all_at_once": 4, "one_by_one": 9}
+#: Prompt and completion tokens summed over the chat records each run reads.
+TOKENS = {"all_at_once": {"prompt": 7_994, "completion": 67}, "one_by_one": {"prompt": 12_974, "completion": 13}}
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +70,16 @@ def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["backend_tags_used"] == ["replay"]
     assert manifest["chat_calls"] == CHAT_CALLS[name]
+    assert manifest["tokens"] == TOKENS[name]
     assert manifest["embed_calls"] == 6  # the query title and the five pool titles
 
 
 def test_committed_store_holds_every_stored_form():
     chat = [json.loads(path.read_text(encoding="utf-8")) for path in (FIXTURE / "store" / "chat").glob("*.json")]
     assert len(chat) == sum(CHAT_CALLS.values())
+    usage = [record["response"]["usage"] for record in chat]
+    assert sum(u["prompt_tokens"] for u in usage) == sum(t["prompt"] for t in TOKENS.values())
+    assert sum(u["completion_tokens"] for u in usage) == sum(t["completion"] for t in TOKENS.values())
     retries = [record["request"]["user_text"] for record in chat if "\n\nReminder: " in record["request"]["user_text"]]
     assert len(retries) == 2
     assert any("Which class is argument component 1 of 8?" in text for text in retries)
