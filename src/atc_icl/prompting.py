@@ -201,11 +201,11 @@ def build_prompt(
     """Assemble every round's chat requests for ``query``: one prompt per demo set.
 
     ``info`` is the rendered info block (:func:`build_info_block`). The query
-    section and the instructions are rendered once.
-    A round's context is the info block, that round's demonstrations and the
-    query section, each followed by a blank line. Each user text is the
-    context followed by one call's instruction: a single text in all-at-once
-    mode, and in one-by-one mode m texts, the j-th asking about component j.
+    section and the instructions are rendered once. A round's context is the
+    info block, that round's demonstrations and the query section, each
+    followed by a blank line. Each user text is the context followed by one
+    call's instruction: a single text in all-at-once mode, and in one-by-one
+    mode m texts, the j-th asking about component j.
     """
     if config.include_info and info is None:
         raise MissingInfoBlock("prompt config includes the info block but none was given")
