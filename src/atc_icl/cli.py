@@ -15,13 +15,14 @@ import json
 import os
 import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
 import click
 
 from . import __version__, features, prompting
-from .config import RunConfig, config_digest, load_run_config, run_label
+from .config import BackendConfig, RunConfig, config_digest, load_run_config, run_label
 from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
 from .errors import AtcError
@@ -36,6 +37,7 @@ from .gateway import (
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
+    http_session,
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
@@ -55,11 +57,16 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     ``cache`` puts the store in front of the configured upstream; ``replay``
     is the store with no upstream. Both file embeddings under the model of
     ``embedding_upstream``, so a ``replay`` reads what its ``cache`` twin recorded.
+    The live backends share one HTTP session of ``workers`` connections,
+    which the gateway owns: close it when the run is done.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
 
-    chat_kind = backend.cache_upstream if backend.chat == "cache" else backend.chat
+    chat_kind = _chat_upstream(backend)
+    embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
+    session = http_session(backend.workers) if "live" in (chat_kind, embed_kind) else None
+
     chat = None
     if chat_kind == "mock":
         if backend.mock_mode == "gold_echo":
@@ -67,20 +74,24 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
         else:
             chat = MockChatBackend(responder=constant_label_responder())
     elif chat_kind == "live":
-        chat = LiveChatBackend(backend.base_url, backend.api_key_env)
+        chat = LiveChatBackend(backend.base_url, backend.api_key_env, session)
     if backend.chat in ("cache", "replay"):
         chat = StoreChatBackend(store, chat)
 
-    embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
     embedder = None
     if embed_kind == "hash":
         embedder = HashEmbeddingBackend(dim=backend.embedding_dim)
     elif embed_kind == "live":
-        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env)
+        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env, session)
     if backend.embedding in ("cache", "replay"):
         embedder = StoreEmbeddingBackend(store, backend.embedding_model_name, embedder)
 
-    return Gateway(chat_backend=chat, embedding_backend=embedder)
+    return Gateway(chat_backend=chat, embedding_backend=embedder, session=session)
+
+
+def _chat_upstream(backend: BackendConfig) -> str:
+    """What answers a chat request the store lacks: ``live``, ``mock``, or ``replay`` (nothing)."""
+    return backend.cache_upstream if backend.chat == "cache" else backend.chat
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -145,7 +156,10 @@ def embed_corpus(config: RunConfig) -> Gateway:
     """
     corpus = load_corpus(config.corpus_dir, config.split_file)
     gateway = make_gateway(config, corpus)
-    digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
+    try:
+        digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
+    finally:
+        gateway.close()
     embedder = gateway.embedding_backend
     if isinstance(embedder, StoreEmbeddingBackend):
         embedder.store.put_embedding_pack(embedder.model_name, digests)
@@ -173,18 +187,24 @@ def _load_records(path: Path) -> tuple[list[PredictionRecord], int]:
 
 
 def _prompt_digest() -> str:
-    """SHA-256 over the fixed texts every prompt is built from.
+    """SHA-256 over the fixed texts every prompt is built from, and how answers are read.
 
     They are package constants, so they can change between versions of
-    ``atc-icl`` under one config digest.
+    ``atc-icl`` under one config digest: the prompt texts, the retry budget,
+    and the label spellings an answer may use.
     """
     texts = [
         prompting.SYSTEM_ALL_AT_ONCE, prompting.SYSTEM_ONE_BY_ONE,
         prompting.INFO_HEADER, prompting.DEMO_HEADER, prompting.QUERY_HEADER,
+        prompting.CLASS_DEFINITIONS_HEADER, prompting.TRAIN_COUNTS_LINE,
         *(prompting.CLASS_DEFINITIONS[label] for label in LABELS),
+        prompting.EXAMPLE_HEADER, prompting.TITLE_LINE, prompting.FULL_TEXT_HEADER,
+        prompting.DEMO_COMPONENTS_HEADER, prompting.QUERY_COMPONENTS_HEADER,
         prompting.ALL_AT_ONCE_INSTRUCTION, prompting.ONE_BY_ONE_INSTRUCTION,
         prompting.FORMAT_REMINDER, prompting.ONE_BY_ONE_REMINDER,
         features.FEATXT_TEMPLATE,
+        prompting.MAX_RETRIES,
+        {alias: label.value for alias, label in prompting._LABEL_ALIASES.items()},
     ]
     return hashlib.sha256(json.dumps(texts).encode("utf-8")).hexdigest()
 
@@ -197,13 +217,12 @@ def _inputs(config: RunConfig, corpus: Corpus) -> dict:
     None for ``replay``, which answers only what a store holds.
     """
     backend = config.backend
-    chat = backend.cache_upstream if backend.chat == "cache" else backend.chat
     knn_title = config.icl.strategy is SelectionStrategy.KNN_TITLE
     return {
         "corpus_digest": corpus.digest,
         "prompt_digest": _prompt_digest(),
         "embedding_model": backend.embedding_model_name if knn_title else None,
-        "answer_source": {"mock": backend.mock_mode, "live": "live"}.get(chat),
+        "answer_source": {"mock": backend.mock_mode, "live": "live"}.get(_chat_upstream(backend)),
     }
 
 
@@ -283,6 +302,15 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     record in the directory. The manifest's call counts and wall clock add up
     over the sessions, each counted up to its last written record: a session
     that fails leaves its counts next to the config digest for the next one.
+
+    A live run (chat ``live``, or ``cache`` over ``live``) asks up to
+    ``backend.workers`` essays at once, each in a pool thread, and writes
+    each record in essay order as soon as the essays before it are done.
+    Other runs ask one essay after another in this thread. Each essay counts
+    its calls on a gateway of its own, added to the run's when its record is
+    written. Once an essay fails no other starts; those already asked finish,
+    so their answers reach the store, and the first failure in essay order is
+    raised.
     """
     icl = config.icl
     label = run_label(icl)
@@ -303,6 +331,18 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     gateway = make_gateway(config, corpus)
     info = build_info_block(corpus) if icl.prompt.include_info else None
     pool = corpus.train_essays()
+    failed = threading.Event()
+
+    def run_essay(essay: Essay) -> tuple[PredictionRecord, Gateway] | None:
+        """The essay's record and the gateway that counted its calls; None once an essay has failed."""
+        if failed.is_set():
+            return None
+        counter = Gateway(gateway.chat_backend, gateway.embedding_backend, gateway.retry)
+        try:
+            return run_ensemble(essay, pool, icl, counter, info=info), counter
+        except BaseException:
+            failed.set()
+            raise
 
     started = time.monotonic()
 
@@ -317,17 +357,32 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         }
 
     counted = counts()
+    executor = None
     try:
         with open(records_path, "a", encoding="utf-8") as handle:
-            for essay in remaining:
-                record = run_ensemble(essay, pool, icl, gateway, info=info)
+            if _chat_upstream(config.backend) == "live":
+                # Imported here, so a replay or mock run does not pay for it in set-up.
+                from concurrent.futures import ThreadPoolExecutor
+
+                executor = ThreadPoolExecutor(config.backend.workers)
+                results = executor.map(run_essay, remaining)
+            else:
+                results = map(run_essay, remaining)
+            for record, counter in results:
                 handle.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False) + "\n")
                 handle.flush()
                 records.append(record)
+                gateway.counts.update(counter.counts)
+                gateway.tokens.update(counter.tokens)
                 counted = counts()
     except BaseException:
+        failed.set()
         _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest, "inputs": inputs, **counted})
         raise
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)  # waits for the essays in flight
+        gateway.close()
 
     records.sort(key=lambda record: record.essay_id)
     report = aggregate_runs(records, corpus, run_label=label, config_digest=digest)

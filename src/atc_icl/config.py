@@ -4,7 +4,8 @@ A run config names the corpus location, the experiment grid point (strategy,
 k, n, prompt blocks, mode, model), and the backend wiring (live, cache,
 replay, or mock, plus the on-disk response store). The semantic digest covers
 exactly the fields that change what is computed, not where results are
-written or which backend serves the responses.
+written, which backend serves the responses or how many essays are asked at
+once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .selection import SelectionStrategy
 CHAT_BACKENDS = ("live", "cache", "replay", "mock")
 EMBEDDING_BACKENDS = ("live", "cache", "replay", "hash")
 MOCK_MODES = ("gold_echo", "constant")
+# The most essays a live run asks at once (backend.workers).
+MAX_WORKERS = 32
 # What YAML counts as a line break when it numbers the lines of an error.
 _YAML_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
@@ -42,6 +45,7 @@ class BackendConfig:
     store_dir: Path | None = None
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
+    workers: int = 2  # essays a live run asks at once, and its connections to base_url
 
     def __post_init__(self) -> None:
         if self.chat not in CHAT_BACKENDS:
@@ -145,7 +149,8 @@ def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str], Path]) 
     """The ``backend`` section as a :class:`BackendConfig`.
 
     A key left out or set to null takes its default there. ``embedding_dim``
-    must be a positive integer (a float or bool is not truncated) and every
+    must be a positive integer and ``workers`` an integer from 1 to
+    :data:`MAX_WORKERS` (a float, bool or string is not converted), and every
     other value a string. A value of the wrong kind, or one
     :class:`BackendConfig` refuses, raises :class:`ConfigError` naming ``path``.
     """
@@ -153,6 +158,8 @@ def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str], Path]) 
     for key, found in given.items():
         if key == "embedding_dim":
             ok, what = type(found) is int and found > 0, "a positive integer"
+        elif key == "workers":
+            ok, what = type(found) is int and 1 <= found <= MAX_WORKERS, f"an integer from 1 to {MAX_WORKERS}"
         else:
             ok, what = isinstance(found, str), "a string"
         if not ok:

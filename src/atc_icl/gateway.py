@@ -26,9 +26,18 @@ writes one *pack* per embedding model, a single file of every title's
 float64 row, from which a kNN replay reads the whole pool without opening a
 record per title.
 :class:`Gateway` counts the calls each (operation, backend tag) served, and
-retries transport errors and 429s with exponential backoff, waiting at least
-as long as a 429's ``Retry-After`` unless it asks for more than
+retries transport errors and 429s with jittered exponential backoff, waiting
+at least as long as a 429's ``Retry-After`` unless it asks for more than
 :data:`MAX_RETRY_AFTER_S`.
+
+A live run asks several essays at once, one thread each, so backends and a
+store may be shared between threads. Each thread counts on a
+:class:`Gateway` of its own over the shared backends. The live backends of
+one run share one :func:`http_session`, which holds at most as many
+connections to the endpoint as the run has threads. A
+:class:`StoreEmbeddingBackend` fetches a missed text under a lock, after
+reading the store again, so threads that miss the same title at once fetch
+it once. Store writes go through uniquely named temp files.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ import json
 import math
 import operator
 import os
+import random
 import struct
+import threading
 import time
 import weakref
 from collections import Counter
@@ -515,6 +526,23 @@ def _retry_after(value: str | None) -> float | None:
 HTTP_TIMEOUT_S = 120.0
 
 
+def http_session(connections: int):
+    """A ``requests`` session that keeps at most ``connections`` connections to its host.
+
+    A thread that finds them all in use waits for one (``pool_block``) rather
+    than opening another, so live backends that share the session never hold
+    more than ``connections`` connections to their endpoint at once.
+    """
+    import requests
+    from requests.adapters import HTTPAdapter
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_connections=1, pool_maxsize=connections, pool_block=True)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 class _OpenAIHttp:
     """Base of the live backends: authenticated JSON POSTs to an OpenAI-compatible endpoint.
 
@@ -628,8 +656,6 @@ class HashEmbeddingBackend:
         self.model_name = f"hash-embed-{dim}"
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
-        import random
-
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = random.Random(seed)
         raw = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
@@ -675,7 +701,9 @@ class StoreEmbeddingBackend:
 
     Hits, misses and tags behave as in :class:`StoreChatBackend`. With an
     upstream, ``model_name`` must be the upstream's, so that stored vectors
-    are filed under the model that produced them.
+    are filed under the model that produced them. A miss reads the store again
+    under a lock before it asks the upstream, so threads that miss one text
+    at the same time fetch it once.
     """
 
     def __init__(
@@ -685,17 +713,21 @@ class StoreEmbeddingBackend:
         self.model_name = model_name
         self.upstream = upstream
         self._hit_tag = BackendTag.REPLAY if upstream is None else BackendTag.CACHE
+        self._fetch_lock = threading.Lock()
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
         digest = embedding_digest(self.model_name, text)
         values = self.store.get_embedding(digest)
-        if values is not None:
-            return EmbeddingVector(values=values, source_text_digest=digest), self._hit_tag
-        if self.upstream is None:
-            raise ReplayMiss(f"no recorded embedding for digest {digest}")
-        vector, tag = self.upstream.embed(text)
-        self.store.put_embedding(digest, self.model_name, text, vector.values)
-        return vector, tag
+        if values is None:
+            if self.upstream is None:
+                raise ReplayMiss(f"no recorded embedding for digest {digest}")
+            with self._fetch_lock:
+                values = self.store.get_embedding(digest)  # another thread may have fetched it
+                if values is None:
+                    vector, tag = self.upstream.embed(text)
+                    self.store.put_embedding(digest, self.model_name, text, vector.values)
+                    return vector, tag
+        return EmbeddingVector(values=values, source_text_digest=digest), self._hit_tag
 
 
 # Earlier names, still imported by perfbench/.
@@ -709,15 +741,19 @@ MAX_RETRY_AFTER_S = 300.0
 
 @dataclass
 class RetryPolicy:
-    """Bounded exponential backoff on transport and rate-limit errors only.
+    """Bounded exponential backoff with jitter, on transport and rate-limit errors only.
 
-    A 429 that names a ``Retry-After`` waits at least that long, unless it
-    asks for more than :data:`MAX_RETRY_AFTER_S`, which is not retried.
+    The wait after the i-th failed attempt (from 0) is ``draw(b / 2, b)`` with
+    ``b = base_delay * 2**i``, a uniform draw by default, so that threads
+    which fail together do not retry together. A 429 that names a
+    ``Retry-After`` waits at least that long, unless it asks for more than
+    :data:`MAX_RETRY_AFTER_S`, which is not retried.
     """
 
     attempts: int = 3
     base_delay: float = 1.0
     sleep: Callable[[float], None] = time.sleep
+    draw: Callable[[float, float], float] = random.uniform
 
 
 @dataclass
@@ -728,7 +764,9 @@ class Gateway:
     assert which backends actually served a run, in particular that
     replay-only runs performed zero network operations. ``tokens`` adds up
     the ``prompt`` and ``completion`` token counts of every chat response; a
-    stored answer carries the counts its record holds.
+    stored answer carries the counts its record holds. ``session`` is the
+    :func:`http_session` the live backends share, if the gateway owns one;
+    :meth:`close` closes it.
     """
 
     chat_backend: ChatBackend | None = None
@@ -736,6 +774,7 @@ class Gateway:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     counts: Counter[tuple[str, BackendTag]] = field(default_factory=Counter)
     tokens: Counter[str] = field(default_factory=Counter)
+    session: object | None = None
 
     def _with_retry(self, operation: Callable):
         last: Exception | None = None
@@ -753,7 +792,7 @@ class Gateway:
                     ) from exc
                 if attempt + 1 < self.retry.attempts:
                     backoff = self.retry.base_delay * (2**attempt)
-                    self.retry.sleep(max(backoff, retry_after))
+                    self.retry.sleep(max(self.retry.draw(backoff / 2, backoff), retry_after))
         assert last is not None
         raise last
 
@@ -780,3 +819,8 @@ class Gateway:
 
     def tags_used(self) -> set[BackendTag]:
         return {tag for _, tag in self.counts}
+
+    def close(self) -> None:
+        """Close the HTTP session the gateway owns, and every connection it holds."""
+        if self.session is not None:
+            self.session.close()

@@ -98,6 +98,13 @@ SYSTEM_ONE_BY_ONE = (
 INFO_HEADER = "## Task information"
 DEMO_HEADER = "## Demonstration essays"
 QUERY_HEADER = "## Query essay"
+CLASS_DEFINITIONS_HEADER = "Class definitions:"
+TRAIN_COUNTS_LINE = "Argument component counts in the training set: {counts}."
+EXAMPLE_HEADER = "### Example {i}"
+TITLE_LINE = "Title: {title}"
+FULL_TEXT_HEADER = "Full text:"
+DEMO_COMPONENTS_HEADER = "Argument components:"
+QUERY_COMPONENTS_HEADER = "Argument components ({m} components):"
 
 #: One definition per class, after Stab & Gurevych 2017, the corpus source.
 CLASS_DEFINITIONS: dict[Label, str] = {
@@ -161,18 +168,18 @@ def render_labels(labels: Sequence[Label]) -> str:
 
 def render_info(train_stats: Mapping[Label, int]) -> str:
     """The info block: the class definitions and the train-set count of each class."""
-    lines = [INFO_HEADER, "Class definitions:"]
+    lines = [INFO_HEADER, CLASS_DEFINITIONS_HEADER]
     for label in LABELS:
         lines.append(f"{label.display_name}: {CLASS_DEFINITIONS[label]}")
     counts = ", ".join(f"{label.display_name}: {train_stats[label]}" for label in LABELS)
-    lines.append(f"Argument component counts in the training set: {counts}.")
+    lines.append(TRAIN_COUNTS_LINE.format(counts=counts))
     return "\n".join(lines)
 
 
 def _render_demos(demos: Sequence[Essay]) -> str:
     sections = [DEMO_HEADER]
     for index, essay in enumerate(demos, start=1):
-        lines = [f"### Example {index}", f"Title: {essay.title}", "Argument components:"]
+        lines = [EXAMPLE_HEADER.format(i=index), TITLE_LINE.format(title=essay.title), DEMO_COMPONENTS_HEADER]
         for i, component in enumerate(essay.components, start=1):
             lines.append(f"{i}. {component.text} -> {component.gold_label.display_name}")
         sections.append("\n".join(lines))
@@ -180,11 +187,11 @@ def _render_demos(demos: Sequence[Essay]) -> str:
 
 
 def _render_query(essay: Essay, config: PromptConfig) -> str:
-    lines = [QUERY_HEADER, f"Title: {essay.title}"]
+    lines = [QUERY_HEADER, TITLE_LINE.format(title=essay.title)]
     if config.include_essay:
-        lines.append("Full text:")
+        lines.append(FULL_TEXT_HEADER)
         lines.append(essay.raw_text.rstrip("\n"))
-    lines.append(f"Argument components ({essay.m} components):")
+    lines.append(QUERY_COMPONENTS_HEADER.format(m=essay.m))
     for i, component in enumerate(essay.components, start=1):
         lines.append(f"{i}. {component.text}")
         if config.include_fts:

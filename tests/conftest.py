@@ -1,14 +1,24 @@
-"""Shared fixtures: handcrafted essays with frozen offsets, synthetic corpora."""
+"""Shared fixtures: handcrafted essays with frozen offsets, synthetic corpora, and a
+local OpenAI-compatible server."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import threading
+import time
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import pytest
 
 from atc_icl.corpus import Corpus, Essay, Label, load_corpus, parse_essay
-from atc_icl.gateway import BackendTag, ChatResponse, EmbeddingVector, Usage, embedding_digest
+from atc_icl.gateway import (BackendTag, ChatRequest, ChatResponse, EmbeddingVector, HashEmbeddingBackend, Usage,
+                             embedding_digest)
+from atc_icl.mocks import gold_echo_responder
+from atc_icl.prompting import FORMAT_REMINDER
 from atc_icl.synth import PE_SHAPE, SPLIT_FILE_NAME, generate_corpus, small_shape
 
 # Handcrafted essay with offsets computed independently of the parser
@@ -153,3 +163,125 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         status = "PASS" if report.passed else ("SKIP" if report.skipped else "FAIL")
         print(f"[acceptance] {name}: {status}", flush=True)
+
+
+class OpenAIServer:
+    """An OpenAI-compatible endpoint on 127.0.0.1 for live runs, in a thread of this process.
+
+    ``POST /chat/completions`` answers with the query essay's gold labels (gold
+    echo) after ``latency_s``, except that a seeded ``malformed_share`` of first
+    attempts (requests without a format reminder) get an answer that does not
+    parse, so that the reminder retry runs. Usage is the word count of the
+    user text and of the answer. A user text for which ``fail_when`` holds is
+    answered 400. ``POST /embeddings`` serves the hash embedder's vectors at
+    ``dim``. ``requests`` counts the requests per (path, text), and
+    ``peak_connections`` the most connections open at once.
+    """
+
+    KEY_ENV = "ATC_LOCAL_SERVER_KEY"
+    MALFORMED = "Sorry, I cannot classify these."
+
+    def __init__(self, corpus: Corpus, dim: int = 8, malformed_share: float = 0.25,
+                 latency_s: float = 0.003, seed: int = 0) -> None:
+        self.malformed_share = malformed_share
+        self.fail_when: Callable[[str], bool] | None = None
+        self.requests: Counter[tuple[str, str]] = Counter()
+        self.peak_connections = 0
+        self._open = 0
+        self._lock = threading.Lock()
+        respond = gold_echo_responder(corpus)
+        embedder = HashEmbeddingBackend(dim)
+        reminder = FORMAT_REMINDER.split("{")[0]
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
+                pass
+
+            def _send(self, status: int, payload: dict) -> None:
+                body = json.dumps(payload).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_POST(self) -> None:
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                if self.path.endswith("/embeddings"):
+                    (text,) = payload["input"]
+                    server._count(self.path, text)
+                    vector, _ = embedder.embed(text)
+                    self._send(200, {"data": [{"embedding": list(vector.values)}]})
+                    return
+                messages = {m["role"]: m["content"] for m in payload["messages"]}
+                user = messages["user"]
+                server._count(self.path, user)
+                time.sleep(latency_s)
+                if server.fail_when is not None and server.fail_when(user):
+                    self._send(400, {"error": "refused by the test"})
+                    return
+                draw = int.from_bytes(hashlib.sha256(f"{seed}\x00{user}".encode("utf-8")).digest()[:8], "big")
+                if reminder not in user and draw < server.malformed_share * 2**64:
+                    text = server.MALFORMED
+                else:
+                    text = respond(ChatRequest(messages["system"], user, payload["model"]))
+                self._send(200, {
+                    "choices": [{"message": {"role": "assistant", "content": text}}],
+                    "usage": {"prompt_tokens": len(user.split()), "completion_tokens": len(text.split())},
+                })
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def process_request(self, request, client_address) -> None:
+                with server._lock:
+                    server._open += 1
+                    server.peak_connections = max(server.peak_connections, server._open)
+                super().process_request(request, client_address)
+
+            def process_request_thread(self, request, client_address) -> None:
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    with server._lock:
+                        server._open -= 1
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1"
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
+        self._thread.start()
+
+    def _count(self, path: str, text: str) -> None:
+        with self._lock:
+            self.requests[path.rsplit("/", 1)[-1], text] += 1
+
+    def texts(self, kind: str) -> Counter[str]:
+        """How often each text was asked of ``kind``, ``completions`` or ``embeddings``."""
+        return Counter({text: n for (path, text), n in self.requests.items() if path == kind})
+
+    def reset(self) -> None:
+        """Forget what was served, once the connections of earlier runs have closed."""
+        deadline = time.monotonic() + 5.0
+        while self._open and time.monotonic() < deadline:
+            time.sleep(0.005)
+        with self._lock:
+            self.requests.clear()
+            self.peak_connections = self._open
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join()
+
+
+@pytest.fixture()
+def openai_server(small_corpus, monkeypatch):
+    """A local OpenAI-compatible server over the small corpus; its key variable is set."""
+    monkeypatch.setenv(OpenAIServer.KEY_ENV, "sk-local-test")
+    server = OpenAIServer(small_corpus)
+    yield server
+    server.close()

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from atc_icl import cli, gateway, prompting
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
+from atc_icl.corpus import Label
 from atc_icl.errors import AtcError
 from atc_icl.gateway import Usage
 from atc_icl.synth import SPLIT_FILE_NAME
@@ -561,6 +562,31 @@ def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
     message = str(result.exception)
     assert "\n" not in message and str(out_dir) in message and part in message
     assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("name", ["CLASS_DEFINITIONS_HEADER", "TRAIN_COUNTS_LINE", "EXAMPLE_HEADER", "TITLE_LINE",
+                                  "FULL_TEXT_HEADER", "DEMO_COMPONENTS_HEADER", "QUERY_COMPONENTS_HEADER"])
+def test_each_fixed_prompt_line_is_a_constant_the_prompt_digest_covers(small_corpus, monkeypatch, name):
+    def render():
+        config = prompting.PromptConfig(include_info=True, include_essay=True)
+        info = prompting.build_info_block(small_corpus)
+        demos = [small_corpus.train_essays()[:2]]
+        (prompt,) = prompting.build_prompt(small_corpus.test_essays()[0], demos, config, info)
+        return prompt.context, cli._prompt_digest()
+
+    before = render()
+    monkeypatch.setattr(prompting, name, getattr(prompting, name) + " ")
+    after = render()
+    assert after[0] != before[0] and after[1] != before[1]
+
+
+def test_the_prompt_digest_covers_the_retry_budget_and_the_label_spellings(monkeypatch):
+    before = cli._prompt_digest()
+    monkeypatch.setattr(prompting, "MAX_RETRIES", prompting.MAX_RETRIES + 1)
+    assert cli._prompt_digest() != before
+    monkeypatch.undo()
+    monkeypatch.setitem(prompting._LABEL_ALIASES, "mc", Label.MAJOR_CLAIM)
+    assert cli._prompt_digest() != before
 
 
 def test_a_manifest_without_inputs_is_refused(runner, small_dir, tmp_path):

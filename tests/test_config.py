@@ -169,6 +169,11 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("backend: {embedding_dim: true}", "backend.embedding_dim", "must be a positive integer, not True"),
      ("backend: {embedding_dim: eight}", "backend.embedding_dim", "must be a positive integer, not 'eight'"),
      ("backend: {embedding_dim: 0}", "backend.embedding_dim", "must be a positive integer, not 0"),
+     ("backend: {workers: 0}", "backend.workers", "must be an integer from 1 to 32, not 0"),
+     ("backend: {workers: 33}", "backend.workers", "must be an integer from 1 to 32, not 33"),
+     ("backend: {workers: true}", "backend.workers", "must be an integer from 1 to 32, not True"),
+     ("backend: {workers: 2.0}", "backend.workers", "must be an integer from 1 to 32, not 2.0"),
+     ("backend: {workers: '2'}", "backend.workers", "must be an integer from 1 to 32, not '2'"),
      ("backend: {base_url: 8080}", "backend.base_url", "must be a string, not 8080"),
      ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
      ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
@@ -197,6 +202,14 @@ def test_a_null_backend_value_takes_its_default(tmp_path):
     config_file.write_text(BASE_CONFIG + "backend: {base_url: null, embedding_dim: null, store_dir: null}\n",
                            encoding="utf-8")
     assert load_run_config(config_file).backend == BackendConfig()
+
+
+@pytest.mark.parametrize("workers", [1, 32])
+def test_workers_takes_an_integer_from_1_to_32_and_defaults_to_2(tmp_path, workers):
+    config_file = tmp_path / "run.yaml"
+    config_file.write_text(BASE_CONFIG + f"backend: {{workers: {workers}}}\n", encoding="utf-8")
+    assert load_run_config(config_file).backend.workers == workers
+    assert BackendConfig().workers == 2
 
 
 def test_backend_config_validation():

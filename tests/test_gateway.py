@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import struct
 import sys
@@ -60,6 +61,11 @@ def vec(*values):
 
 def no_sleep_policy(attempts=3):
     return RetryPolicy(attempts=attempts, base_delay=0.0, sleep=lambda _: None)
+
+
+def longest(low, high):
+    """A backoff draw that always waits the full backoff, so the waits are exact."""
+    return high
 
 
 class CountingChatBackend:
@@ -410,12 +416,42 @@ def test_retry_recovers_from_transient_failures():
     slept = []
     gateway = Gateway(
         chat_backend=backend,
-        retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append),
+        retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append, draw=longest),
     )
     response = gateway.chat(req())
     assert response.text == "1. Claim"
     assert backend.calls == 3
     assert slept == [1.0, 2.0]  # exponential backoff
+
+
+def test_backoff_waits_a_draw_between_half_and_all_of_the_backoff_and_never_less_than_retry_after():
+    asked, slept = [], []
+
+    def draw(low, high):
+        asked.append((low, high))
+        return random.uniform(low, high)
+
+    backend = FlakyChatBackend(failures=4)
+    gateway = Gateway(chat_backend=backend,
+                      retry=RetryPolicy(attempts=5, base_delay=1.0, sleep=slept.append, draw=draw))
+    assert gateway.chat(req()).text == "1. Claim"
+    assert asked == [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 8.0)]
+    assert all(low <= wait <= high for (low, high), wait in zip(asked, slept))
+
+    # The default draw is uniform over the same bounds, and a Retry-After above it wins.
+    for retry_after in (None, 0.7, 3.0):
+        slept.clear()
+        backend = FlakyChatBackend(failures=2, exc=lambda message: RateLimited(message, retry_after))
+        gateway = Gateway(chat_backend=backend, retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append))
+        for _ in range(20):
+            backend.failures, backend.calls = 2, 0
+            gateway.chat(req())
+        firsts, seconds = slept[0::2], slept[1::2]
+        floor = retry_after or 0.0
+        assert all(max(0.5, floor) <= wait <= max(1.0, floor) for wait in firsts)
+        assert all(max(1.0, floor) <= wait <= max(2.0, floor) for wait in seconds)
+        if retry_after is None:
+            assert len(set(slept)) > 2  # jittered, not one fixed wait
 
 
 def test_retry_gives_up_after_budget():
@@ -656,7 +692,7 @@ def test_retry_waits_at_least_the_retry_after(monkeypatch):
     slept = []
     gateway = Gateway(
         chat_backend=LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session),
-        retry=RetryPolicy(attempts=4, base_delay=1.0, sleep=slept.append),
+        retry=RetryPolicy(attempts=4, base_delay=1.0, sleep=slept.append, draw=longest),
     )
     assert gateway.chat(req()).text == "1. Claim"
     assert slept == [5.0, 2.0, 4.0]
@@ -823,7 +859,8 @@ def test_retry_after_beyond_the_ceiling_fails_at_once(retry_after):
 def test_retry_after_at_the_ceiling_is_still_waited_for():
     backend = FlakyChatBackend(failures=1, exc=lambda message: RateLimited(message, MAX_RETRY_AFTER_S))
     slept = []
-    gateway = Gateway(chat_backend=backend, retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append))
+    gateway = Gateway(chat_backend=backend,
+                      retry=RetryPolicy(attempts=3, base_delay=1.0, sleep=slept.append, draw=longest))
     assert gateway.chat(req()).text == "1. Claim"
     assert slept == [MAX_RETRY_AFTER_S]
 
