@@ -310,7 +310,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     its calls on a gateway of its own, added to the run's when its record is
     written. Once an essay fails no other starts; those already asked finish,
     so their answers reach the store, and the first failure in essay order is
-    raised.
+    raised, after one warning line on stderr for each other essay that failed.
     """
     icl = config.icl
     label = run_label(icl)
@@ -357,7 +357,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         }
 
     counted = counts()
-    executor = None
+    executor, futures = None, []
     try:
         with open(records_path, "a", encoding="utf-8") as handle:
             if _chat_upstream(config.backend) == "live":
@@ -365,7 +365,8 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
                 from concurrent.futures import ThreadPoolExecutor
 
                 executor = ThreadPoolExecutor(config.backend.workers)
-                results = executor.map(run_essay, remaining)
+                futures = [executor.submit(run_essay, essay) for essay in remaining]
+                results = (future.result() for future in futures)
             else:
                 results = map(run_essay, remaining)
             for record, counter in results:
@@ -375,9 +376,16 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
                 gateway.counts.update(counter.counts)
                 gateway.tokens.update(counter.tokens)
                 counted = counts()
-    except BaseException:
+    except BaseException as exc:
         failed.set()
         _write_json(out_dir / MANIFEST_NAME, {"config_digest": digest, "inputs": inputs, **counted})
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)  # waits for the essays in flight
+            for essay, future in zip(remaining, futures):
+                error = None if future.cancelled() else future.exception()
+                if error is not None and error is not exc:
+                    message = f"{type(error).__name__}: {error}".replace("\n", " ")
+                    click.echo(f"warning: essay {essay.essay_id} failed too: {message}", err=True)
         raise
     finally:
         if executor is not None:

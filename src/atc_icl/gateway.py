@@ -18,7 +18,11 @@ embeddings by a digest over (model name, text), so recorded fixtures can be
 committed to a repository and replayed bit-identically. The requests of one
 prompting round are made by a :class:`ChatKeyPrefix`, which hashed the leading
 part of the user text they share once; their digests are the same as without
-it. :meth:`ResponseStore.get_chat` reads a chat record's answer and checks it.
+it. The prefix also holds the bytes its requests' chat records start with, so
+:meth:`ResponseStore.get_chat` serves a hit by comparing the record's request
+half with the request byte for byte and parsing only the answer; a record of
+another layout is parsed whole, and one recorded for another request is
+refused.
 An embedding record holds its vector as packed little-endian float64 (hex
 text), so a replay reads it back with no decimal parsing; records written
 earlier, with a JSON list of floats, still replay. ``atc-icl embed`` also
@@ -115,6 +119,17 @@ def _json_string_body(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)[1:-1]
 
 
+def _render_record(record: dict) -> str:
+    """A store record as it is written to its file."""
+    return json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+# How a chat record (see _render_record) goes on after the escaped user text,
+# up to its response, and how it ends after the response.
+_CHAT_RECORD_MIDDLE = '"\n  },\n  "response": '
+_CHAT_RECORD_END = b"\n}\n"
+
+
 @dataclass(frozen=True)
 class ChatKeyPrefix:
     """The part of a chat store key that a group of requests shares; it makes those requests.
@@ -128,6 +143,12 @@ class ChatKeyPrefix:
     the escaped context, then the escaped rest of the user text and ``"}``.
     A digest copies the state and hashes only that rest. The state is never
     updated in place, so requests in several threads may share one prefix.
+
+    The user text is also the last field of a request in its chat record, so
+    the prefix keeps the UTF-8 of every record of the group up to the end of
+    the escaped context, from the same escaping. :meth:`_record_head` adds a
+    request's own rest to it; :meth:`ResponseStore.put_chat` writes those
+    bytes, and :meth:`ResponseStore.get_chat` compares a record with them.
     """
 
     model_name: str
@@ -136,6 +157,7 @@ class ChatKeyPrefix:
     max_output_tokens: int
     context: str = ""
     _state: hashlib._Hash = field(init=False, compare=False, repr=False)
+    _record_start: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fields = {
@@ -147,8 +169,12 @@ class ChatKeyPrefix:
         }
         # "user" sorts last: the payload ends with its opening quote, then '"}'.
         head = json.dumps(fields, sort_keys=True, ensure_ascii=False)[:-2]
-        state = hashlib.sha256((head + _json_string_body(self.context)).encode("utf-8"))
-        object.__setattr__(self, "_state", state)
+        context = _json_string_body(self.context).encode("utf-8")
+        object.__setattr__(self, "_state", hashlib.sha256(head.encode("utf-8") + context))
+        # "user_text" sorts last too: the record so far ends with its opening quote.
+        record = _render_record({"request": _request_fields(self, "")})
+        record_head = record[: -len('"\n  }\n}\n')]
+        object.__setattr__(self, "_record_start", record_head.encode("utf-8") + context)
 
     def request(self, rest: str) -> ChatRequest:
         """The request with these fields and user text ``context + rest``, keyed through this prefix."""
@@ -162,6 +188,26 @@ class ChatKeyPrefix:
         state = self._state.copy()
         state.update((_json_string_body(user_text[len(self.context):]) + '"}').encode("utf-8"))
         return state.hexdigest()
+
+    def _record_head(self, user_text: str) -> tuple[bytes, bytes]:
+        """The bytes of the chat record of ``user_text`` up to its response, in two parts.
+
+        The first is the group's, up to the end of the context; the second is
+        the escaped rest of ``user_text``, then the record up to the response.
+        """
+        rest = _json_string_body(user_text[len(self.context):]) + _CHAT_RECORD_MIDDLE
+        return self._record_start, rest.encode("utf-8")
+
+
+def _request_fields(request: ChatRequest | ChatKeyPrefix, user_text: str) -> dict:
+    """The ``request`` object of a chat record."""
+    return {
+        "model_name": request.model_name,
+        "system_text": request.system_text,
+        "user_text": user_text,
+        "temperature": request.temperature,
+        "max_output_tokens": request.max_output_tokens,
+    }
 
 
 @dataclass(frozen=True)
@@ -214,12 +260,17 @@ def chat_request_digest(request: ChatRequest) -> str:
     It is computed from the request's key prefix, or from one with an empty
     context for a request without.
     """
+    return _key_prefix(request)._digest(request.user_text)
+
+
+def _key_prefix(request: ChatRequest) -> ChatKeyPrefix:
+    """The key prefix that made ``request``, or one with an empty context for a request without."""
     prefix = request.key_prefix
     if prefix is None:
         prefix = ChatKeyPrefix(
             request.model_name, request.system_text, request.temperature, request.max_output_tokens
         )
-    return prefix._digest(request.user_text)
+    return prefix
 
 
 def embedding_digest(model_name: str, text: str) -> str:
@@ -270,7 +321,8 @@ class ResponseStore:
 
     Layout: ``<dir>/chat/<digest>.json`` and ``<dir>/embed/<digest>.json``.
     Each chat record keeps the full request next to the response so fixtures
-    are auditable. Each embedding record keeps its model name and text next
+    are auditable, and a read checks it against the request asked (see
+    :meth:`get_chat`). Each embedding record keeps its model name and text next
     to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
     text. :meth:`get_embedding` reads it back, as it does a record written
     before vectors were packed, whose ``vector`` is a JSON float list.
@@ -293,53 +345,67 @@ class ResponseStore:
     def _path(self, kind: str, digest: str) -> Path:
         return self.root / kind / f"{digest}.json"
 
-    def _read(self, kind: str, digest: str) -> dict | None:
+    def _read(self, kind: str, digest: str) -> bytes | None:
         # A plain string: a Path would intern every digest's file name, and
         # the interpreter's intern table then grows, and resizes, with reads.
-        path = os.path.join(self.root, kind, f"{digest}.json")
         try:
-            with open(path, "rb") as handle:
-                return json.loads(handle.read())
+            with open(os.path.join(self.root, kind, f"{digest}.json"), "rb") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
-        except ValueError as exc:
-            raise AtcError(f"corrupt store record {path}: {exc}") from exc
 
-    def _write(self, kind: str, digest: str, record: dict) -> None:
+    def _parse(self, kind: str, digest: str, data: bytes) -> dict:
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise AtcError(f"corrupt store record {self._path(kind, digest)}: {exc}") from exc
+
+    def _write(self, kind: str, digest: str, data: str | bytes) -> None:
         path = self._path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+        write_atomic(path, data)
 
-    def get_chat(self, digest: str) -> tuple[str, Usage] | None:
-        """The response text and token counts stored for ``digest``, or None.
+    def get_chat(self, digest: str, request: ChatRequest) -> tuple[str, Usage] | None:
+        """The response text and token counts stored for ``request`` under ``digest``, or None.
 
-        A record that lacks them, or holds them with the wrong types, raises
-        :class:`AtcError` naming the digest.
+        A record whose bytes up to the response are the ones :meth:`put_chat`
+        writes for ``request``, and which ends as it writes it, is served by
+        parsing only its response. Any other record, such as one of another
+        layout, is parsed whole: one that does not decode raises
+        :class:`AtcError` naming the file; one that lacks the answer, or holds
+        it with the wrong types, or holds no request or another request than
+        ``request``, raises :class:`AtcError` naming the digest.
         """
-        record = self._read("chat", digest)
-        return None if record is None else _record_answer(record, digest)
+        data = self._read("chat", digest)
+        if data is None:
+            return None
+        shared, own = _key_prefix(request)._record_head(request.user_text)
+        start = len(shared) + len(own)
+        if data.startswith(shared) and data.startswith(own, len(shared)) and data.endswith(_CHAT_RECORD_END):
+            try:
+                response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
+            except ValueError:
+                pass  # parsed whole below, which reports it
+            else:
+                return _record_answer({"response": response}, digest)
+        record = self._parse("chat", digest, data)
+        answer = _record_answer(record, digest)
+        _check_record_request(record, request, digest)
+        return answer
 
     def put_chat(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
-        self._write(
-            "chat",
-            digest,
-            {
-                "request": {
-                    "model_name": request.model_name,
-                    "system_text": request.system_text,
-                    "user_text": request.user_text,
-                    "temperature": request.temperature,
-                    "max_output_tokens": request.max_output_tokens,
-                },
-                "response": {
-                    "text": response.text,
-                    "usage": {
-                        "prompt_tokens": response.usage.prompt_tokens,
-                        "completion_tokens": response.usage.completion_tokens,
-                    },
-                },
-            },
-        )
+        """Write the record of ``request`` and ``response`` under ``digest``.
+
+        Its bytes are :func:`_render_record` of ``{"request", "response"}``,
+        made from the request's record head, so that :meth:`get_chat` reads
+        back exactly what was written.
+        """
+        usage = {"prompt_tokens": response.usage.prompt_tokens, "completion_tokens": response.usage.completion_tokens}
+        answer = json.dumps({"text": response.text, "usage": usage}, sort_keys=True, ensure_ascii=False, indent=2)
+        # A JSON string holds no raw newline, so this indents only the layout.
+        answer = answer.replace("\n", "\n  ").encode("utf-8")
+        head = _key_prefix(request)._record_head(request.user_text)
+        self._write("chat", digest, b"".join([*head, answer, _CHAT_RECORD_END]))
 
     def get_embedding(self, digest: str) -> tuple[float, ...] | None:
         """The vector stored for ``digest``, bit for bit as it was stored, or None.
@@ -352,12 +418,12 @@ class ResponseStore:
         if row is not None:
             pack, offset = row
             return pack.row(offset)
-        record = self._read("embed", digest)
-        return None if record is None else _record_vector(record, digest)
+        data = self._read("embed", digest)
+        return None if data is None else _record_vector(self._parse("embed", digest, data), digest)
 
     def put_embedding(self, digest: str, model_name: str, text: str, values: Sequence[float]) -> None:
         packed = struct.pack(f"<{len(values)}d", *values).hex()
-        self._write("embed", digest, {"model_name": model_name, "text": text, "vector_f64": packed})
+        self._write("embed", digest, _render_record({"model_name": model_name, "text": text, "vector_f64": packed}))
 
     def embedding_pack_path(self, model_name: str) -> Path:
         """Where ``model_name``'s pack lives; the name never matches ``*.json``."""
@@ -429,6 +495,19 @@ def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
     except TypeError as exc:
         raise AtcError(f"malformed chat record {digest}: {exc}") from exc
     return text, Usage(*counts)
+
+
+def _check_record_request(record: dict, request: ChatRequest, digest: str) -> None:
+    """Raise :class:`AtcError` unless the chat record holds ``request``, field for field."""
+    stored = record.get("request")
+    if not isinstance(stored, dict):
+        raise AtcError(f"malformed chat record {digest}: no 'request' object")
+    for name, value in _request_fields(request, request.user_text).items():
+        if name not in stored:
+            raise AtcError(f"malformed chat record {digest}: no {name!r} field")
+        # The type too: 1024 and 1024.0 are different requests with different digests.
+        if type(stored[name]) is not type(value) or stored[name] != value:
+            raise AtcError(f"chat record {digest} was recorded for another request: its {name} differs")
 
 
 def _record_vector(record: dict, digest: str) -> tuple[float, ...]:
@@ -632,7 +711,7 @@ class StoreChatBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = chat_request_digest(request)
-        answer = self.store.get_chat(digest)
+        answer = self.store.get_chat(digest, request)
         if answer is not None:
             return ChatResponse(*answer, backend_tag=self._hit_tag)
         if self.upstream is None:

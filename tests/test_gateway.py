@@ -13,6 +13,7 @@ import struct
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import requests
@@ -397,8 +398,134 @@ def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "replace", replace)
     first.put_chat(digest, req(), response)
     assert interleaved
-    assert first.get_chat(digest) == ("1. Claim", Usage(3, 1))
+    assert first.get_chat(digest, req()) == ("1. Claim", Usage(3, 1))
     assert [p.name for p in (tmp_path / "store" / "chat").iterdir()] == [f"{digest}.json"]
+
+
+def chat_record(request, text, usage):
+    """A chat record as a dict, the way every store so far was written."""
+    return {
+        "request": {"model_name": request.model_name, "system_text": request.system_text,
+                    "user_text": request.user_text, "temperature": request.temperature,
+                    "max_output_tokens": request.max_output_tokens},
+        "response": {"text": text, "usage": {"prompt_tokens": usage.prompt_tokens,
+                                             "completion_tokens": usage.completion_tokens}},
+    }
+
+
+def canonical(record, **layout):
+    return (json.dumps(record, **{"sort_keys": True, "ensure_ascii": False, "indent": 2, **layout}) + "\n").encode()
+
+
+def write_record(root, request, data):
+    """File ``data`` as the chat record of ``request``; return the request's digest."""
+    digest = chat_request_digest(request)
+    path = root / "chat" / f"{digest}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return digest
+
+
+def no_full_parse(*args):
+    raise AssertionError("the record was parsed whole")
+
+
+@given(context=KEY_TEXT, rest=KEY_TEXT.filter(bool), system=KEY_TEXT, text=KEY_TEXT, prefixed=st.booleans())
+def test_a_chat_record_is_its_canonical_json_and_is_served_without_a_full_parse(context, rest, system, text,
+                                                                                 prefixed):
+    if prefixed:
+        request = ChatKeyPrefix("gpt-4", system, 0.7, 256, context).request(rest)
+    else:
+        request = ChatRequest(system_text=system, user_text=context + rest, model_name="gpt-4", temperature=0.7,
+                              max_output_tokens=256)
+    with tempfile.TemporaryDirectory() as root:
+        store = ResponseStore(root)
+        digest = chat_request_digest(request)
+        store.put_chat(digest, request, ChatResponse(text, Usage(5, 2), BackendTag.LIVE))
+        with open(os.path.join(root, "chat", f"{digest}.json"), "rb") as handle:
+            assert handle.read() == canonical(chat_record(request, text, Usage(5, 2)))
+        store._parse = no_full_parse
+        assert store.get_chat(digest, request) == (text, Usage(5, 2))
+
+
+@pytest.mark.parametrize("layout", [{"indent": 4}, {"ensure_ascii": True}, {"indent": None}, {"sort_keys": False}],
+                         ids=["indent-4", "ascii", "one-line", "unsorted"])
+def test_a_record_of_another_layout_still_replays_through_a_full_parse(tmp_path, layout):
+    request = req(user="café   \"classify\" this")
+    digest = write_record(tmp_path, request, canonical(chat_record(request, "1. Cläim", Usage(3, 1)), **layout))
+    store = ResponseStore(tmp_path)
+    parsed = []
+    real_parse = store._parse
+    store._parse = lambda *args: parsed.append(args[1]) or real_parse(*args)
+    assert StoreChatBackend(store).complete(request) == ChatResponse("1. Cläim", Usage(3, 1), BackendTag.REPLAY)
+    assert parsed == [digest]
+
+
+@pytest.mark.parametrize("cut", [lambda data: data[:-12], lambda data: data[:-30] + b"\n}\n"],
+                         ids=["end-cut", "response-cut"])
+def test_a_canonical_head_before_a_truncated_response_is_a_corrupt_record(tmp_path, cut):
+    digest = write_record(tmp_path, req(), cut(canonical(chat_record(req(), "1. Claim", Usage(3, 1)))))
+    with pytest.raises(AtcError, match=f"corrupt store record .*{digest}.json"):
+        StoreChatBackend(ResponseStore(tmp_path)).complete(req())
+
+
+def test_an_invalid_utf8_byte_in_the_request_is_a_corrupt_record(tmp_path):
+    data = canonical(chat_record(req(), "1. Claim", Usage(3, 1)))
+    digest = write_record(tmp_path, req(), data.replace(b"classify", b"classif\xff", 1))
+    with pytest.raises(AtcError, match=f"corrupt store record .*{digest}.json"):
+        StoreChatBackend(ResponseStore(tmp_path)).complete(req())
+
+
+@pytest.mark.parametrize(
+    "other, field",
+    [(req(user="classify that"), "user_text"), (req(model="gpt-3.5-turbo"), "model_name"),
+     (ChatRequest(system_text="other", user_text="classify this", model_name="gpt-4"), "system_text"),
+     (req(temperature=0.7), "temperature"), (req(max_output_tokens=16), "max_output_tokens")],
+)
+def test_a_record_filed_under_another_requests_digest_is_refused(tmp_path, other, field):
+    # Recorded for ``other``, then copied over the record of req().
+    digest = write_record(tmp_path, req(), canonical(chat_record(other, "1. Claim", Usage(3, 1))))
+    upstream = CountingChatBackend()
+    for backend in (StoreChatBackend(ResponseStore(tmp_path)), StoreChatBackend(ResponseStore(tmp_path), upstream)):
+        with pytest.raises(AtcError, match=f"^chat record {digest} was recorded for another request: its {field} "):
+            backend.complete(req())
+    assert upstream.calls == 0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda record: record.pop("request"), "no 'request' object"),
+     (lambda record: record.update(request="classify this"), "no 'request' object"),
+     (lambda record: record["request"].pop("user_text"), "no 'user_text' field"),
+     (lambda record: record["request"].update(max_output_tokens=1024.0),
+      "was recorded for another request: its max_output_tokens differs")],
+    ids=["no-request", "request-not-a-mapping", "no-user-text", "float-token-limit"],
+)
+def test_a_record_without_its_request_is_refused(tmp_path, edit, message):
+    record = chat_record(req(), "1. Claim", Usage(3, 1))
+    edit(record)
+    digest = write_record(tmp_path, req(), canonical(record))
+    with pytest.raises(AtcError, match=f"chat record {digest}.* {message}"):
+        StoreChatBackend(ResponseStore(tmp_path)).complete(req())
+
+
+FIXTURE_CHAT = sorted((Path(__file__).parent / "data" / "replay_fixture" / "store" / "chat").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURE_CHAT, ids=lambda path: path.stem[:12])
+def test_every_fixture_chat_record_is_served_without_a_full_parse(path, monkeypatch):
+    record = json.loads(path.read_bytes())
+    fields = record["request"]
+    user = fields["user_text"]
+    keyed = ChatKeyPrefix(fields["model_name"], fields["system_text"], fields["temperature"],
+                          fields["max_output_tokens"], user[: len(user) // 2]).request(user[len(user) // 2:])
+    assert chat_request_digest(keyed) == path.stem
+    store = ResponseStore(path.parent.parent)
+    expected = record["response"]["text"], Usage(**record["response"]["usage"])
+    real_loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda data, **kwargs: parsed.append(data) or real_loads(data, **kwargs))
+    assert store.get_chat(path.stem, keyed) == expected
+    assert len(parsed) == 1 and '"request"' not in parsed[0]
 
 
 def test_replay_only_gateway_performs_zero_network_calls(tmp_path):

@@ -191,6 +191,9 @@ def test_the_first_failure_in_essay_order_is_raised(small_dir, small_corpus, ope
     monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
     result = run(live_config(tmp_path, small_dir, openai_server, "out", workers))
     assert isinstance(result.exception, ValueError)
+    # The other failure of the session is reported too, once.
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning: ")]
+    assert warnings == [f"warning: essay {test_ids[1]} failed too: RuntimeError: second essay"]
 
 
 def test_sigterm_during_a_live_run_leaves_a_resumable_prefix(small_dir, openai_server, tmp_path):

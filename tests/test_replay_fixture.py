@@ -29,6 +29,7 @@ import pytest
 from click.testing import CliRunner
 
 from atc_icl.cli import main
+from atc_icl.gateway import ResponseStore
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 
 FIXTURE = Path(__file__).parent / "data" / "replay_fixture"
@@ -52,7 +53,14 @@ def fixture_corpus(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path):
+def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path, monkeypatch):
+    parsed, real_parse = [], ResponseStore._parse
+
+    def parse(self, kind, digest, data):
+        parsed.append(kind)
+        return real_parse(self, kind, digest, data)
+
+    monkeypatch.setattr(ResponseStore, "_parse", parse)
     store = tmp_path / "store"
     shutil.copytree(FIXTURE / "store", store)
     out_dir = tmp_path / "out"
@@ -72,6 +80,9 @@ def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path):
     assert manifest["chat_calls"] == CHAT_CALLS[name]
     assert manifest["tokens"] == TOKENS[name]
     assert manifest["embed_calls"] == 6  # the query title and the five pool titles
+    # Each chat record is served from its request bytes and its parsed answer
+    # alone; only the embedding records are parsed whole.
+    assert set(parsed) == {"embed"}
 
 
 def test_committed_store_holds_every_stored_form():
