@@ -31,13 +31,13 @@ from .gateway import (
     BackendTag,
     Gateway,
     HashEmbeddingBackend,
+    HttpSession,
     LiveChatBackend,
     LiveEmbeddingBackend,
     MockChatBackend,
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
-    http_session,
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
@@ -57,15 +57,15 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     ``cache`` puts the store in front of the configured upstream; ``replay``
     is the store with no upstream. Both file embeddings under the model of
     ``embedding_upstream``, so a ``replay`` reads what its ``cache`` twin recorded.
-    The live backends share one HTTP session of ``workers`` connections,
-    which the gateway owns: close it when the run is done.
+    The live backends share one :class:`HttpSession` of at most ``workers``
+    connections, which the gateway owns: close it when the run is done.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
 
     chat_kind = _chat_upstream(backend)
     embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
-    session = http_session(backend.workers) if "live" in (chat_kind, embed_kind) else None
+    session = HttpSession(backend.workers) if "live" in (chat_kind, embed_kind) else None
 
     chat = None
     if chat_kind == "mock":
@@ -74,7 +74,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
         else:
             chat = MockChatBackend(responder=constant_label_responder())
     elif chat_kind == "live":
-        chat = LiveChatBackend(backend.base_url, backend.api_key_env, session)
+        chat = LiveChatBackend(backend.base_url, backend.api_key_env, session=session)
     if backend.chat in ("cache", "replay"):
         chat = StoreChatBackend(store, chat)
 
@@ -82,7 +82,8 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     if embed_kind == "hash":
         embedder = HashEmbeddingBackend(dim=backend.embedding_dim)
     elif embed_kind == "live":
-        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env, session)
+        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env,
+                                        session=session)
     if backend.embedding in ("cache", "replay"):
         embedder = StoreEmbeddingBackend(store, backend.embedding_model_name, embedder)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import urllib.parse
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -31,6 +32,16 @@ MOCK_MODES = ("gold_echo", "constant")
 MAX_WORKERS = 32
 # What YAML counts as a line break when it numbers the lines of an error.
 _YAML_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+
+
+def _is_http_url(url: str) -> bool:
+    """Whether ``url`` is an absolute ``http://`` or ``https://`` URL with a host, and a number for a port."""
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,10 @@ class BackendConfig:
         needs_store = self.chat in ("cache", "replay") or self.embedding in ("cache", "replay")
         if needs_store and self.store_dir is None:
             raise ConfigError("cache/replay backends need backend.store_dir")
+        if not _is_http_url(self.base_url):
+            raise ConfigError(
+                f"backend.base_url must be an absolute http:// or https:// URL with a host, not {self.base_url!r}"
+            )
 
     @property
     def embedding_model_name(self) -> str:

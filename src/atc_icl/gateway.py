@@ -37,8 +37,8 @@ at least as long as a 429's ``Retry-After`` unless it asks for more than
 A live run asks several essays at once, one thread each, so backends and a
 store may be shared between threads. Each thread counts on a
 :class:`Gateway` of its own over the shared backends. The live backends of
-one run share one :func:`http_session`, which holds at most as many
-connections to the endpoint as the run has threads. A
+one run share one :class:`HttpSession`, which holds at most as many
+keep-alive connections to the endpoint as the run has threads. A
 :class:`StoreEmbeddingBackend` fetches a missed text under a lock, after
 reading the store again, so threads that miss the same title at once fetch
 it once. Store writes go through uniquely named temp files.
@@ -46,6 +46,7 @@ it once. Store writes go through uniquely named temp files.
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -53,15 +54,17 @@ import math
 import operator
 import os
 import random
+import select
 import struct
 import threading
 import time
+import urllib.parse
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import AtcError
 
@@ -605,41 +608,205 @@ def _retry_after(value: str | None) -> float | None:
 HTTP_TIMEOUT_S = 120.0
 
 
-def http_session(connections: int):
-    """A ``requests`` session that keeps at most ``connections`` connections to its host.
+@dataclass(frozen=True)
+class HttpResponse:
+    """One HTTP answer: its status, its headers (looked up in any case) and its body."""
 
-    A thread that finds them all in use waits for one (``pool_block``) rather
-    than opening another, so live backends that share the session never hold
-    more than ``connections`` connections to their endpoint at once.
+    status_code: int
+    headers: Mapping[str, str]
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self):
+        """The body parsed as JSON; raises ValueError when it is not JSON."""
+        return json.loads(self.content)
+
+
+def _closed_by_peer(sock) -> bool:
+    """Whether an idle keep-alive socket has something to read: the server closed it, or broke protocol."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
+
+
+class _HostPool:
+    """The keep-alive connections of an :class:`HttpSession` to one (scheme, host, port).
+
+    At most ``size`` are open at once: :meth:`take` waits while all of them
+    are in use. ``prefix`` goes before each request's path (the absolute form
+    for an ``http`` proxy) and ``headers`` are added to each request.
     """
-    import requests
-    from requests.adapters import HTTPAdapter
 
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_connections=1, pool_maxsize=connections, pool_block=True)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+    def __init__(self, connect: Callable[[], object], size: int, prefix: str, headers: dict[str, str]) -> None:
+        self.connect = connect
+        self.prefix = prefix
+        self.headers = headers
+        self.closed = False
+        self._slots = threading.BoundedSemaphore(size)
+        self._idle: list = []
+        self._lock = threading.Lock()
+
+    def take(self):
+        """An idle connection the server has not closed, or else a new, unconnected one."""
+        self._slots.acquire()
+        try:
+            with self._lock:
+                while self._idle:
+                    connection = self._idle.pop()
+                    if not _closed_by_peer(connection.sock):
+                        return connection
+                    connection.close()
+            return self.connect()
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def give_back(self, connection, reusable: bool) -> None:
+        """Keep ``connection`` for the next request if it is ``reusable`` and open; close it otherwise."""
+        with self._lock:
+            keep = reusable and connection.sock is not None and not self.closed
+            if keep:
+                self._idle.append(connection)
+        if not keep:
+            connection.close()
+        self._slots.release()
+
+    def close(self) -> None:
+        """Close the idle connections, and each busy one when it is given back."""
+        with self._lock:
+            self.closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+
+class HttpSession:
+    """Keep-alive HTTP connections that the live backends of one run share.
+
+    It keeps one pool per (scheme, host, port), each holding at most
+    ``connections`` connections; a thread that finds them all busy waits for
+    one. Before a connection is used again, one that the server closed while
+    it was idle is dropped. A request is never sent twice: a failure raises
+    :class:`TransportError`, which the :class:`Gateway` may retry.
+
+    HTTPS verifies the certificate and the host name against one
+    ``ssl.create_default_context()``: the system's trust store, or what
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` name. Proxies come from the
+    environment (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) through
+    ``urllib.request``: an ``http`` request goes to its proxy in absolute
+    form, an ``https`` one through a ``CONNECT`` tunnel.
+    """
+
+    def __init__(self, connections: int) -> None:
+        # Loaded here, in a run's set-up, rather than by its first request.
+        import http.client  # noqa: F401
+        import urllib.request  # noqa: F401
+
+        self.connections = connections
+        self._ssl_context = None
+        self._pools: dict[tuple[str, str, int], _HostPool] = {}
+        self._lock = threading.Lock()
+
+    def _pool(self, scheme: str, host: str, port: int, netloc: str) -> _HostPool:
+        with self._lock:
+            pool = self._pools.get((scheme, host, port))
+            if pool is None:
+                pool = self._pools[scheme, host, port] = self._new_pool(scheme, host, port, netloc)
+            return pool
+
+    def _new_pool(self, scheme: str, host: str, port: int, netloc: str) -> _HostPool:
+        import http.client
+        import urllib.request
+
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        address, auth = (host, port), {}
+        if proxy:
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            try:
+                proxy_port = proxy_url.port or 80
+            except ValueError:  # a port that is not a number
+                proxy_port = None
+            if not proxy_url.hostname or proxy_port is None:
+                raise GatewayConfigError(f"the {scheme} proxy {proxy!r} set in the environment names no host and port")
+            address = (proxy_url.hostname, proxy_port)
+            if proxy_url.username is not None:
+                user = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode("utf-8")).decode("ascii")
+        if scheme == "http":
+            return _HostPool(lambda: http.client.HTTPConnection(*address), self.connections,
+                             f"http://{netloc}" if proxy else "", auth)
+
+        import ssl
+
+        if self._ssl_context is None:
+            self._ssl_context = ssl.create_default_context()
+        context = self._ssl_context
+
+        def connect():
+            connection = http.client.HTTPSConnection(*address, context=context)
+            if proxy:
+                connection.set_tunnel(host, port, headers=auth)
+            return connection
+
+        return _HostPool(connect, self.connections, "", {})
+
+    def post(self, url: str, payload: dict, headers: dict[str, str], timeout: float) -> HttpResponse:
+        """POST ``payload`` as JSON to ``url`` and read the whole answer.
+
+        A connection or protocol failure, the timeout among them, raises a
+        :class:`TransportError` naming ``url``; any status is returned as it came.
+        """
+        import http.client
+
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        netloc = parts.netloc.rpartition("@")[2]
+        pool = self._pool(parts.scheme, parts.hostname, port, netloc)
+        target = pool.prefix + (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        body = json.dumps(payload).encode("utf-8")
+        connection = pool.take()
+        reusable = False
+        try:
+            connection.timeout = timeout
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+            connection.request("POST", target, body, {**headers, **pool.headers})
+            answer = connection.getresponse()
+            response = HttpResponse(answer.status, answer.headers, answer.read())
+            reusable = not answer.will_close
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"POST {url}: {type(exc).__name__}: {exc}") from exc
+        finally:
+            pool.give_back(connection, reusable)
+        return response
+
+    def close(self) -> None:
+        """Close every pooled connection."""
+        with self._lock:
+            pools = list(self._pools.values())
+        for pool in pools:
+            pool.close()
 
 
 class _OpenAIHttp:
     """Base of the live backends: authenticated JSON POSTs to an OpenAI-compatible endpoint.
 
     Maps transport failures and 429/5xx answers to the retriable gateway
-    errors, and other 4xx answers to :class:`GatewayConfigError`.
+    errors, and other answers that are not 2xx (a 3xx or 4xx) to
+    :class:`GatewayConfigError`. ``session`` is the :class:`HttpSession` that
+    sends the requests; its owner closes it.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str = "OPENAI_API_KEY",
-        session=None,
-    ) -> None:
-        import requests
-
+    def __init__(self, base_url: str, api_key_env: str = "OPENAI_API_KEY", *, session: HttpSession) -> None:
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self._session = session or requests.Session()
+        self._session = session
 
     def _headers(self) -> dict[str, str]:
         key = os.environ.get(self.api_key_env)
@@ -648,19 +815,12 @@ class _OpenAIHttp:
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def _post(self, path: str, payload: dict) -> dict:
-        import requests
-
-        try:
-            response = self._session.post(
-                f"{self.base_url}{path}", json=payload, headers=self._headers(), timeout=HTTP_TIMEOUT_S
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+        response = self._session.post(f"{self.base_url}{path}", payload, self._headers(), HTTP_TIMEOUT_S)
         if response.status_code == 429:
             raise RateLimited(f"429 from {path}", _retry_after(response.headers.get("Retry-After")))
         if response.status_code >= 500:
             raise TransportError(f"{response.status_code} from {path}")
-        if response.status_code >= 400:
+        if not 200 <= response.status_code < 300:
             raise GatewayConfigError(f"{response.status_code} from {path}: {response.text[:200]}")
         try:
             return response.json()
@@ -754,9 +914,10 @@ class LiveEmbeddingBackend(_OpenAIHttp):
         base_url: str,
         model_name: str,
         api_key_env: str = "OPENAI_API_KEY",
-        session=None,
+        *,
+        session: HttpSession,
     ) -> None:
-        super().__init__(base_url, api_key_env, session)
+        super().__init__(base_url, api_key_env, session=session)
         self.model_name = model_name
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
@@ -844,7 +1005,7 @@ class Gateway:
     replay-only runs performed zero network operations. ``tokens`` adds up
     the ``prompt`` and ``completion`` token counts of every chat response; a
     stored answer carries the counts its record holds. ``session`` is the
-    :func:`http_session` the live backends share, if the gateway owns one;
+    :class:`HttpSession` the live backends share, if the gateway owns one;
     :meth:`close` closes it.
     """
 
@@ -853,7 +1014,7 @@ class Gateway:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     counts: Counter[tuple[str, BackendTag]] = field(default_factory=Counter)
     tokens: Counter[str] = field(default_factory=Counter)
-    session: object | None = None
+    session: HttpSession | None = None
 
     def _with_retry(self, operation: Callable):
         last: Exception | None = None

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
+import ssl
+import sys
 import threading
 import time
 from collections import Counter
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
@@ -173,22 +177,30 @@ class OpenAIServer:
     attempts (requests without a format reminder) get an answer that does not
     parse, so that the reminder retry runs. Usage is the word count of the
     user text and of the answer. A user text for which ``fail_when`` holds is
-    answered 400. ``POST /embeddings`` serves the hash embedder's vectors at
-    ``dim``. ``requests`` counts the requests per (path, text), and
-    ``peak_connections`` the most connections open at once.
+    answered 400, and while ``status`` is set every POST is answered with it.
+    ``POST /embeddings`` serves the hash embedder's vectors at ``dim``.
+    ``requests`` counts the requests per (path, text), ``received`` lists each
+    request's target and headers as they arrived, ``connections`` counts the connections
+    accepted, and ``peak_connections`` the most open at once. Given a
+    ``certfile`` and its ``keyfile``, it serves HTTPS.
     """
 
     KEY_ENV = "ATC_LOCAL_SERVER_KEY"
     MALFORMED = "Sorry, I cannot classify these."
 
     def __init__(self, corpus: Corpus, dim: int = 8, malformed_share: float = 0.25,
-                 latency_s: float = 0.003, seed: int = 0) -> None:
+                 latency_s: float = 0.003, seed: int = 0, certfile: Path | None = None,
+                 keyfile: Path | None = None) -> None:
         self.malformed_share = malformed_share
         self.fail_when: Callable[[str], bool] | None = None
+        self.status: int | None = None
         self.requests: Counter[tuple[str, str]] = Counter()
+        self.received: list[tuple[str, Message]] = []
+        self.connections = 0
         self.peak_connections = 0
-        self._open = 0
+        self._open: set[socket.socket] = set()
         self._lock = threading.Lock()
+        self._closing = threading.Event()
         respond = gold_echo_responder(corpus)
         embedder = HashEmbeddingBackend(dim)
         reminder = FORMAT_REMINDER.split("{")[0]
@@ -211,6 +223,10 @@ class OpenAIServer:
 
             def do_POST(self) -> None:
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                server.received.append((self.path, self.headers))
+                if server.status is not None:
+                    self._send(server.status, {"error": f"answered {server.status} by the test"})
+                    return
                 if self.path.endswith("/embeddings"):
                     (text,) = payload["input"]
                     server._count(self.path, text)
@@ -220,7 +236,7 @@ class OpenAIServer:
                 messages = {m["role"]: m["content"] for m in payload["messages"]}
                 user = messages["user"]
                 server._count(self.path, user)
-                time.sleep(latency_s)
+                server._closing.wait(latency_s)
                 if server.fail_when is not None and server.fail_when(user):
                     self._send(400, {"error": "refused by the test"})
                     return
@@ -239,8 +255,9 @@ class OpenAIServer:
 
             def process_request(self, request, client_address) -> None:
                 with server._lock:
-                    server._open += 1
-                    server.peak_connections = max(server.peak_connections, server._open)
+                    server._open.add(request)
+                    server.connections += 1
+                    server.peak_connections = max(server.peak_connections, len(server._open))
                 super().process_request(request, client_address)
 
             def process_request_thread(self, request, client_address) -> None:
@@ -248,10 +265,20 @@ class OpenAIServer:
                     super().process_request_thread(request, client_address)
                 finally:
                     with server._lock:
-                        server._open -= 1
+                        server._open.discard(request)
+
+            def handle_error(self, request, client_address) -> None:
+                if not isinstance(sys.exc_info()[1], ConnectionError):  # a client that hung up
+                    super().handle_error(request, client_address)
 
         self._server = Server(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1"
+        scheme = "http"
+        if certfile is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(certfile, keyfile)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
+            scheme = "https"
+        self.url = f"{scheme}://127.0.0.1:{self._server.server_address[1]}/v1"
         self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
         self._thread.start()
 
@@ -263,16 +290,32 @@ class OpenAIServer:
         """How often each text was asked of ``kind``, ``completions`` or ``embeddings``."""
         return Counter({text: n for (path, text), n in self.requests.items() if path == kind})
 
-    def reset(self) -> None:
-        """Forget what was served, once the connections of earlier runs have closed."""
+    def _wait_closed(self) -> None:
+        """Wait, at most 5 s, until no connection is open."""
         deadline = time.monotonic() + 5.0
         while self._open and time.monotonic() < deadline:
             time.sleep(0.005)
+
+    def reset(self) -> None:
+        """Forget what was served, once the connections of earlier runs have closed."""
+        self._wait_closed()
         with self._lock:
             self.requests.clear()
-            self.peak_connections = self._open
+            self.peak_connections = len(self._open)
+
+    def drop_connections(self) -> None:
+        """Close every open connection from the server's side, as a server does to idle keep-alive ones."""
+        with self._lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._wait_closed()
 
     def close(self) -> None:
+        self._closing.set()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join()

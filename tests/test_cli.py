@@ -429,6 +429,17 @@ def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(runner,
     assert not out_dir.exists()
 
 
+def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_dir, tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "run.yaml", small_dir, out_dir,
+                          backend={"chat": "live", "base_url": "localhost:9/v1"})
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert isinstance(result.exception, AtcError)
+    assert str(result.exception) == (f"{config}: backend.base_url must be an absolute http:// or https:// URL"
+                                     " with a host, not 'localhost:9/v1'")
+    assert not out_dir.exists()
+
+
 def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
     config = write_config(tmp_path / "k4.yaml", small_dir, tmp_path / "out", icl={"k": 4})
     result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)

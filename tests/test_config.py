@@ -175,6 +175,12 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("backend: {workers: 2.0}", "backend.workers", "must be an integer from 1 to 32, not 2.0"),
      ("backend: {workers: '2'}", "backend.workers", "must be an integer from 1 to 32, not '2'"),
      ("backend: {base_url: 8080}", "backend.base_url", "must be a string, not 8080"),
+     ("backend: {base_url: 'localhost:9/v1'}", "backend.base_url",
+      "must be an absolute http:// or https:// URL with a host, not 'localhost:9/v1'"),
+     ("backend: {base_url: /v1}", "backend.base_url", "must be an absolute http:// .* not '/v1'"),
+     ("backend: {base_url: 'ftp://example.test/v1'}", "backend.base_url", "must be an absolute http:// "),
+     ("backend: {base_url: 'http:///v1'}", "backend.base_url", "must be an absolute http:// "),
+     ("backend: {base_url: 'https://example.test:port/v1'}", "backend.base_url", "must be an absolute http:// "),
      ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
      ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
      ("icl: {model: null}", "icl.model", "must be a string, not None"),

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import assume, given, strategies as st
 
 from atc_icl.errors import AtcError
@@ -705,7 +704,8 @@ def test_mapping_backend_unknown_text_fails_loudly():
 
 
 class FakeHttpResponse:
-    """``body`` is the decoded JSON; without one, ``json()`` decodes ``text`` as requests does."""
+    """An :class:`atc_icl.gateway.HttpResponse` stand-in: ``body`` is the decoded JSON; without one,
+    ``json()`` decodes ``text``, raising ``json.JSONDecodeError`` as the real one does."""
 
     def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
@@ -714,15 +714,12 @@ class FakeHttpResponse:
         self.headers = headers or {}
 
     def json(self):
-        if self._body is not None:
-            return self._body
-        try:
-            return json.loads(self.text)
-        except json.JSONDecodeError as exc:
-            raise requests.JSONDecodeError(exc.msg, exc.doc, exc.pos) from exc
+        return self._body if self._body is not None else json.loads(self.text)
 
 
 class FakeSession:
+    """An :class:`atc_icl.gateway.HttpSession` stand-in that answers with ``responses`` in turn."""
+
     def __init__(self, responses):
         self.responses = list(responses)
         self.requests = []
