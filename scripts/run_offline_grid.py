@@ -43,7 +43,8 @@ GRID = [
     # random neighborhoods: the one strategy that ranks once per round
     (SelectionStrategy.KRN, 5, 5, True, True, False, "gpt-4", ALL),
     (SelectionStrategy.KNN_LEN, 5, 3, True, True, True, "gpt-4", ONE),
-    # k = 0: no demonstrations, the way a fine-tuned model is scored
+    # k = 0: no demonstrations. Not yet how a fine-tuned model should be scored: it
+    # sends the few-shot prompt, not the finetune.SYSTEM_TEXT/build_user_text format.
     (SelectionStrategy.KNN_LEN, 0, 1, False, True, True, "ft:gpt-3.5-turbo", ONE),
 ]
 

@@ -58,14 +58,16 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     is the store with no upstream. Both file embeddings under the model of
     ``embedding_upstream``, so a ``replay`` reads what its ``cache`` twin recorded.
     The live backends share one :class:`HttpSession` of at most ``workers``
-    connections, which the gateway owns: close it when the run is done.
+    connections to ``base_url``, which the gateway owns: close it when the run
+    is done. It reads the proxy here, so a bad proxy variable is refused first.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
 
     chat_kind = _chat_upstream(backend)
     embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
-    session = HttpSession(backend.workers) if "live" in (chat_kind, embed_kind) else None
+    live = "live" in (chat_kind, embed_kind)
+    session = HttpSession(backend.base_url, backend.api_key_env, backend.workers) if live else None
 
     chat = None
     if chat_kind == "mock":
@@ -74,7 +76,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
         else:
             chat = MockChatBackend(responder=constant_label_responder())
     elif chat_kind == "live":
-        chat = LiveChatBackend(backend.base_url, backend.api_key_env, session=session)
+        chat = LiveChatBackend(session)
     if backend.chat in ("cache", "replay"):
         chat = StoreChatBackend(store, chat)
 
@@ -82,8 +84,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     if embed_kind == "hash":
         embedder = HashEmbeddingBackend(dim=backend.embedding_dim)
     elif embed_kind == "live":
-        embedder = LiveEmbeddingBackend(backend.base_url, backend.embedding_model, backend.api_key_env,
-                                        session=session)
+        embedder = LiveEmbeddingBackend(session, backend.embedding_model)
     if backend.embedding in ("cache", "replay"):
         embedder = StoreEmbeddingBackend(store, backend.embedding_model_name, embedder)
 
@@ -317,6 +318,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     label = run_label(icl)
     digest = config_digest(icl)
     earlier, inputs, records, complete, corpus, remaining = _pending(config)
+    gateway = make_gateway(config, corpus)  # refuses a bad proxy variable before out_dir is made
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     if earlier.get("inputs") != inputs:
@@ -329,7 +331,6 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         os.truncate(records_path, complete)
         click.echo(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", err=True)
 
-    gateway = make_gateway(config, corpus)
     info = build_info_block(corpus) if icl.prompt.include_info else None
     pool = corpus.train_essays()
     failed = threading.Event()

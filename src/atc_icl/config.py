@@ -35,13 +35,18 @@ _YAML_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 def _is_http_url(url: str) -> bool:
-    """Whether ``url`` is an absolute ``http://`` or ``https://`` URL with a host, and a number for a port."""
+    """Whether ``url`` is an absolute ``http://`` or ``https://`` URL with a host, and a number for a port.
+
+    It may hold no user info, query or fragment: a request goes to its path
+    followed by the request's own, which would drop each of them.
+    """
     parts = urllib.parse.urlsplit(url)
     try:
         parts.port
     except ValueError:
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+    plain = "@" not in parts.netloc and "?" not in url and "#" not in url
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and plain
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ class BackendConfig:
             raise ConfigError("cache/replay backends need backend.store_dir")
         if not _is_http_url(self.base_url):
             raise ConfigError(
-                f"backend.base_url must be an absolute http:// or https:// URL with a host, not {self.base_url!r}"
+                f"backend.base_url must be an absolute http:// or https:// URL with a host, not {self.base_url!r};"
+                " it takes no user info, query or fragment"
             )
 
     @property

@@ -3,7 +3,8 @@
 All network effects in the system pass through this module. Backends for
 both chat and embeddings:
 
-* live:   HTTP JSON calls against an OpenAI-compatible endpoint,
+* live:   HTTP JSON calls through an :class:`HttpSession`, the run's one
+          OpenAI-compatible endpoint, bound to its ``base_url``,
 * mock:   computed responses for tests and offline runs
           (the hash embeddings are the offline embedding mock),
 * store:  :class:`StoreChatBackend` and :class:`StoreEmbeddingBackend` serve
@@ -37,8 +38,8 @@ at least as long as a 429's ``Retry-After`` unless it asks for more than
 A live run asks several essays at once, one thread each, so backends and a
 store may be shared between threads. Each thread counts on a
 :class:`Gateway` of its own over the shared backends. The live backends of
-one run share one :class:`HttpSession`, which holds at most as many
-keep-alive connections to the endpoint as the run has threads. A
+one run share its one :class:`HttpSession`, which holds at most as many
+keep-alive connections to ``base_url`` as the run has threads. A
 :class:`StoreEmbeddingBackend` fetches a missed text under a lock, after
 reading the store again, so threads that miss the same title at once fetch
 it once. Store writes go through uniquely named temp files.
@@ -64,7 +65,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import AtcError
 
@@ -608,23 +609,6 @@ def _retry_after(value: str | None) -> float | None:
 HTTP_TIMEOUT_S = 120.0
 
 
-@dataclass(frozen=True)
-class HttpResponse:
-    """One HTTP answer: its status, its headers (looked up in any case) and its body."""
-
-    status_code: int
-    headers: Mapping[str, str]
-    content: bytes
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self):
-        """The body parsed as JSON; raises ValueError when it is not JSON."""
-        return json.loads(self.content)
-
-
 def _closed_by_peer(sock) -> bool:
     """Whether an idle keep-alive socket has something to read: the server closed it, or broke protocol."""
     try:
@@ -633,95 +617,38 @@ def _closed_by_peer(sock) -> bool:
         return True
 
 
-class _HostPool:
-    """The keep-alive connections of an :class:`HttpSession` to one (scheme, host, port).
-
-    At most ``size`` are open at once: :meth:`take` waits while all of them
-    are in use. ``prefix`` goes before each request's path (the absolute form
-    for an ``http`` proxy) and ``headers`` are added to each request.
-    """
-
-    def __init__(self, connect: Callable[[], object], size: int, prefix: str, headers: dict[str, str]) -> None:
-        self.connect = connect
-        self.prefix = prefix
-        self.headers = headers
-        self.closed = False
-        self._slots = threading.BoundedSemaphore(size)
-        self._idle: list = []
-        self._lock = threading.Lock()
-
-    def take(self):
-        """An idle connection the server has not closed, or else a new, unconnected one."""
-        self._slots.acquire()
-        try:
-            with self._lock:
-                while self._idle:
-                    connection = self._idle.pop()
-                    if not _closed_by_peer(connection.sock):
-                        return connection
-                    connection.close()
-            return self.connect()
-        except BaseException:
-            self._slots.release()
-            raise
-
-    def give_back(self, connection, reusable: bool) -> None:
-        """Keep ``connection`` for the next request if it is ``reusable`` and open; close it otherwise."""
-        with self._lock:
-            keep = reusable and connection.sock is not None and not self.closed
-            if keep:
-                self._idle.append(connection)
-        if not keep:
-            connection.close()
-        self._slots.release()
-
-    def close(self) -> None:
-        """Close the idle connections, and each busy one when it is given back."""
-        with self._lock:
-            self.closed = True
-            idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
-
-
 class HttpSession:
-    """Keep-alive HTTP connections that the live backends of one run share.
+    """The run's one endpoint: authenticated JSON POSTs to the OpenAI-compatible API at ``base_url``.
 
-    It keeps one pool per (scheme, host, port), each holding at most
-    ``connections`` connections; a thread that finds them all busy waits for
-    one. Before a connection is used again, one that the server closed while
-    it was idle is dropped. A request is never sent twice: a failure raises
+    It holds at most ``connections`` keep-alive connections to ``base_url``
+    (or to its proxy); a thread that finds them all busy waits for one.
+    Before a connection is used again, one that the server closed while it
+    was idle is dropped. A request is never sent twice: a failure raises
     :class:`TransportError`, which the :class:`Gateway` may retry.
 
     HTTPS verifies the certificate and the host name against one
     ``ssl.create_default_context()``: the system's trust store, or what
-    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` name. Proxies come from the
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` name. The proxy is read from the
     environment (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) through
-    ``urllib.request``: an ``http`` request goes to its proxy in absolute
-    form, an ``https`` one through a ``CONNECT`` tunnel.
+    ``urllib.request`` once, here: an ``http`` endpoint is reached through its
+    proxy in absolute form, an ``https`` one through a ``CONNECT`` tunnel. A
+    proxy variable that names no host and port raises
+    :class:`GatewayConfigError`. The API key is read from ``api_key_env`` on
+    each request.
     """
 
-    def __init__(self, connections: int) -> None:
-        # Loaded here, in a run's set-up, rather than by its first request.
-        import http.client  # noqa: F401
-        import urllib.request  # noqa: F401
-
-        self.connections = connections
-        self._ssl_context = None
-        self._pools: dict[tuple[str, str, int], _HostPool] = {}
-        self._lock = threading.Lock()
-
-    def _pool(self, scheme: str, host: str, port: int, netloc: str) -> _HostPool:
-        with self._lock:
-            pool = self._pools.get((scheme, host, port))
-            if pool is None:
-                pool = self._pools[scheme, host, port] = self._new_pool(scheme, host, port, netloc)
-            return pool
-
-    def _new_pool(self, scheme: str, host: str, port: int, netloc: str) -> _HostPool:
+    def __init__(self, base_url: str, api_key_env: str, connections: int) -> None:
+        # Imported here, so that a replay or mock run, which builds no session, never loads them.
         import http.client
         import urllib.request
 
+        self.base_url = base_url.rstrip("/")
+        self.api_key_env = api_key_env
+        self.connections = connections
+        parts = urllib.parse.urlsplit(self.base_url)
+        scheme, host, port = parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80)
+        self._target = parts.path  # what goes before each request's path
+        self._headers = {"Content-Type": "application/json"}
         proxy = urllib.request.getproxies().get(scheme)
         if proxy and urllib.request.proxy_bypass(host):
             proxy = None
@@ -739,100 +666,110 @@ class HttpSession:
                 user = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password or '')}"
                 auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode("utf-8")).decode("ascii")
         if scheme == "http":
-            return _HostPool(lambda: http.client.HTTPConnection(*address), self.connections,
-                             f"http://{netloc}" if proxy else "", auth)
-
-        import ssl
-
-        if self._ssl_context is None:
-            self._ssl_context = ssl.create_default_context()
-        context = self._ssl_context
-
-        def connect():
-            connection = http.client.HTTPSConnection(*address, context=context)
             if proxy:
-                connection.set_tunnel(host, port, headers=auth)
-            return connection
+                self._target = f"http://{parts.netloc}{parts.path}"
+                self._headers.update(auth)
+            self._connect = lambda: http.client.HTTPConnection(*address)
+        else:
+            import ssl
 
-        return _HostPool(connect, self.connections, "", {})
+            context = ssl.create_default_context()
 
-    def post(self, url: str, payload: dict, headers: dict[str, str], timeout: float) -> HttpResponse:
-        """POST ``payload`` as JSON to ``url`` and read the whole answer.
+            def connect():
+                connection = http.client.HTTPSConnection(*address, context=context)
+                if proxy:
+                    connection.set_tunnel(host, port, headers=auth)
+                return connection
 
-        A connection or protocol failure, the timeout among them, raises a
-        :class:`TransportError` naming ``url``; any status is returned as it came.
+            self._connect = connect
+        self._closed = False
+        self._slots = threading.BoundedSemaphore(connections)
+        self._idle: list = []
+        self._lock = threading.Lock()
+
+    def post(self, path: str, payload: dict) -> dict:
+        """POST ``payload`` as JSON to ``base_url + path`` and return the decoded JSON answer.
+
+        A missing API key, and an answer that is not 2xx and neither a 429
+        nor a 5xx (a redirect, a 4xx), raise :class:`GatewayConfigError`. A
+        429 raises :class:`RateLimited` with the wait its ``Retry-After``
+        names. A 5xx, a body that is not JSON, and a connection or protocol
+        failure (the timeout among them) raise :class:`TransportError`.
         """
         import http.client
 
-        parts = urllib.parse.urlsplit(url)
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        netloc = parts.netloc.rpartition("@")[2]
-        pool = self._pool(parts.scheme, parts.hostname, port, netloc)
-        target = pool.prefix + (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        body = json.dumps(payload).encode("utf-8")
-        connection = pool.take()
-        reusable = False
-        try:
-            connection.timeout = timeout
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout)
-            connection.request("POST", target, body, {**headers, **pool.headers})
-            answer = connection.getresponse()
-            response = HttpResponse(answer.status, answer.headers, answer.read())
-            reusable = not answer.will_close
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"POST {url}: {type(exc).__name__}: {exc}") from exc
-        finally:
-            pool.give_back(connection, reusable)
-        return response
-
-    def close(self) -> None:
-        """Close every pooled connection."""
-        with self._lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            pool.close()
-
-
-class _OpenAIHttp:
-    """Base of the live backends: authenticated JSON POSTs to an OpenAI-compatible endpoint.
-
-    Maps transport failures and 429/5xx answers to the retriable gateway
-    errors, and other answers that are not 2xx (a 3xx or 4xx) to
-    :class:`GatewayConfigError`. ``session`` is the :class:`HttpSession` that
-    sends the requests; its owner closes it.
-    """
-
-    def __init__(self, base_url: str, api_key_env: str = "OPENAI_API_KEY", *, session: HttpSession) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.api_key_env = api_key_env
-        self._session = session
-
-    def _headers(self) -> dict[str, str]:
         key = os.environ.get(self.api_key_env)
         if not key:
             raise GatewayConfigError(f"environment variable {self.api_key_env} is not set")
-        return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-
-    def _post(self, path: str, payload: dict) -> dict:
-        response = self._session.post(f"{self.base_url}{path}", payload, self._headers(), HTTP_TIMEOUT_S)
-        if response.status_code == 429:
-            raise RateLimited(f"429 from {path}", _retry_after(response.headers.get("Retry-After")))
-        if response.status_code >= 500:
-            raise TransportError(f"{response.status_code} from {path}")
-        if not 200 <= response.status_code < 300:
-            raise GatewayConfigError(f"{response.status_code} from {path}: {response.text[:200]}")
+        headers = {**self._headers, "Authorization": f"Bearer {key}"}
+        body = json.dumps(payload).encode("utf-8")
+        connection = self._take()
+        reusable = False
         try:
-            return response.json()
+            connection.timeout = HTTP_TIMEOUT_S
+            if connection.sock is not None:
+                connection.sock.settimeout(HTTP_TIMEOUT_S)
+            connection.request("POST", self._target + path, body, headers)
+            answer = connection.getresponse()
+            status, retry_after, content = answer.status, answer.headers.get("Retry-After"), answer.read()
+            reusable = not answer.will_close
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(f"POST {self.base_url}{path}: {type(exc).__name__}: {exc}") from exc
+        finally:
+            self._give_back(connection, reusable)
+        if status == 429:
+            raise RateLimited(f"429 from {path}", _retry_after(retry_after))
+        if status >= 500:
+            raise TransportError(f"{status} from {path}")
+        if not 200 <= status < 300:
+            raise GatewayConfigError(f"{status} from {path}: {content.decode('utf-8', 'replace')[:200]}")
+        try:
+            return json.loads(content)
         except ValueError as exc:
             raise TransportError(f"non-JSON body from {path}: {exc}") from exc
 
+    def _take(self):
+        """An idle connection the server has not closed, or else a new, unconnected one."""
+        self._slots.acquire()
+        try:
+            with self._lock:
+                while self._idle:
+                    connection = self._idle.pop()
+                    if not _closed_by_peer(connection.sock):
+                        return connection
+                    connection.close()
+            return self._connect()
+        except BaseException:
+            self._slots.release()
+            raise
 
-class LiveChatBackend(_OpenAIHttp):
-    """OpenAI-compatible chat completions over HTTP JSON."""
+    def _give_back(self, connection, reusable: bool) -> None:
+        """Keep ``connection`` for the next request if it is ``reusable`` and open; close it otherwise."""
+        with self._lock:
+            keep = reusable and connection.sock is not None and not self._closed
+            if keep:
+                self._idle.append(connection)
+        if not keep:
+            connection.close()
+        self._slots.release()
+
+    def close(self) -> None:
+        """Close the idle connections, and each busy one when it is given back."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+
+class LiveChatBackend:
+    """OpenAI-compatible chat completions, asked through ``session``."""
+
+    def __init__(self, session: HttpSession) -> None:
+        self.session = session
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        body = self._post(
+        body = self.session.post(
             "/chat/completions",
             {
                 "model": request.model_name,
@@ -906,22 +843,15 @@ class HashEmbeddingBackend:
         return vector, BackendTag.MOCK
 
 
-class LiveEmbeddingBackend(_OpenAIHttp):
-    """OpenAI-compatible embeddings endpoint."""
+class LiveEmbeddingBackend:
+    """An OpenAI-compatible embeddings endpoint, asked through ``session``."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model_name: str,
-        api_key_env: str = "OPENAI_API_KEY",
-        *,
-        session: HttpSession,
-    ) -> None:
-        super().__init__(base_url, api_key_env, session=session)
+    def __init__(self, session: HttpSession, model_name: str) -> None:
+        self.session = session
         self.model_name = model_name
 
     def embed(self, text: str) -> tuple[EmbeddingVector, BackendTag]:
-        body = self._post("/embeddings", {"model": self.model_name, "input": [text]})
+        body = self.session.post("/embeddings", {"model": self.model_name, "input": [text]})
         try:
             embedding = body["data"][0]["embedding"]
             # type(), not isinstance(): a bool is an int, but no vector entry.

@@ -10,7 +10,7 @@ import ssl
 import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import pytest
 
 from atc_icl.corpus import Corpus, Essay, Label, load_corpus, parse_essay
-from atc_icl.gateway import (BackendTag, ChatRequest, ChatResponse, EmbeddingVector, HashEmbeddingBackend, Usage,
-                             embedding_digest)
+from atc_icl.gateway import (BackendTag, ChatRequest, ChatResponse, EmbeddingVector, HashEmbeddingBackend,
+                             HttpSession, Usage, embedding_digest)
 from atc_icl.mocks import gold_echo_responder
 from atc_icl.prompting import FORMAT_REMINDER
 from atc_icl.synth import PE_SHAPE, SPLIT_FILE_NAME, generate_corpus, small_shape
@@ -177,12 +177,13 @@ class OpenAIServer:
     attempts (requests without a format reminder) get an answer that does not
     parse, so that the reminder retry runs. Usage is the word count of the
     user text and of the answer. A user text for which ``fail_when`` holds is
-    answered 400, and while ``status`` is set every POST is answered with it.
-    ``POST /embeddings`` serves the hash embedder's vectors at ``dim``.
+    answered 400. ``POST /embeddings`` serves the hash embedder's vectors at
+    ``dim``. While ``answers`` holds canned (status, headers, raw body)
+    answers, each POST is answered with the next one instead.
     ``requests`` counts the requests per (path, text), ``received`` lists each
-    request's target and headers as they arrived, ``connections`` counts the connections
-    accepted, and ``peak_connections`` the most open at once. Given a
-    ``certfile`` and its ``keyfile``, it serves HTTPS.
+    request's target, headers and JSON body as they arrived, ``connections``
+    counts the connections accepted, and ``peak_connections`` the most open at
+    once. Given a ``certfile`` and its ``keyfile``, it serves HTTPS.
     """
 
     KEY_ENV = "ATC_LOCAL_SERVER_KEY"
@@ -193,9 +194,9 @@ class OpenAIServer:
                  keyfile: Path | None = None) -> None:
         self.malformed_share = malformed_share
         self.fail_when: Callable[[str], bool] | None = None
-        self.status: int | None = None
+        self.answers: deque[tuple[int, dict[str, str], bytes]] = deque()
         self.requests: Counter[tuple[str, str]] = Counter()
-        self.received: list[tuple[str, Message]] = []
+        self.received: list[tuple[str, Message, dict]] = []
         self.connections = 0
         self.peak_connections = 0
         self._open: set[socket.socket] = set()
@@ -213,19 +214,22 @@ class OpenAIServer:
             def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
                 pass
 
-            def _send(self, status: int, payload: dict) -> None:
-                body = json.dumps(payload).encode("utf-8")
+            def _send_raw(self, status: int, headers: dict[str, str], body: bytes) -> None:
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
+                for name, value in {"Content-Type": "application/json", **headers}.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
+            def _send(self, status: int, payload: dict) -> None:
+                self._send_raw(status, {}, json.dumps(payload).encode("utf-8"))
+
             def do_POST(self) -> None:
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                server.received.append((self.path, self.headers))
-                if server.status is not None:
-                    self._send(server.status, {"error": f"answered {server.status} by the test"})
+                server.received.append((self.path, self.headers, payload))
+                if server.answers:
+                    self._send_raw(*server.answers.popleft())
                     return
                 if self.path.endswith("/embeddings"):
                     (text,) = payload["input"]
@@ -328,3 +332,11 @@ def openai_server(small_corpus, monkeypatch):
     server = OpenAIServer(small_corpus)
     yield server
     server.close()
+
+
+@pytest.fixture()
+def session(openai_server):
+    """An :class:`HttpSession` of 2 connections to ``openai_server``."""
+    session = HttpSession(openai_server.url, OpenAIServer.KEY_ENV, 2)
+    yield session
+    session.close()

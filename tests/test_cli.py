@@ -436,7 +436,7 @@ def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_di
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert isinstance(result.exception, AtcError)
     assert str(result.exception) == (f"{config}: backend.base_url must be an absolute http:// or https:// URL"
-                                     " with a host, not 'localhost:9/v1'")
+                                     " with a host, not 'localhost:9/v1'; it takes no user info, query or fragment")
     assert not out_dir.exists()
 
 

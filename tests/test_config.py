@@ -181,6 +181,12 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("backend: {base_url: 'ftp://example.test/v1'}", "backend.base_url", "must be an absolute http:// "),
      ("backend: {base_url: 'http:///v1'}", "backend.base_url", "must be an absolute http:// "),
      ("backend: {base_url: 'https://example.test:port/v1'}", "backend.base_url", "must be an absolute http:// "),
+     ("backend: {base_url: 'https://example.test/v1?api-version=2024-02-01'}", "backend.base_url",
+      "must be an absolute http:// .* not 'https://example.test/v1\\?api-version=2024-02-01'; it takes no user info"),
+     ("backend: {base_url: 'https://example.test/v1#frag'}", "backend.base_url",
+      "must be an absolute http:// .*; it takes no user info, query or fragment$"),
+     ("backend: {base_url: 'http://user:pw@example.test/v1'}", "backend.base_url",
+      "must be an absolute http:// .*; it takes no user info, query or fragment$"),
      ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
      ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
      ("icl: {model: null}", "icl.model", "must be a string, not None"),

@@ -47,7 +47,7 @@ from atc_icl.gateway import (
     chat_request_digest,
     embedding_digest,
 )
-from conftest import MappingEmbeddingBackend
+from conftest import MappingEmbeddingBackend, OpenAIServer
 
 
 def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
@@ -703,85 +703,50 @@ def test_mapping_backend_unknown_text_fails_loudly():
         backend.embed("missing")
 
 
-class FakeHttpResponse:
-    """An :class:`atc_icl.gateway.HttpResponse` stand-in: ``body`` is the decoded JSON; without one,
-    ``json()`` decodes ``text``, raising ``json.JSONDecodeError`` as the real one does."""
-
-    def __init__(self, status_code=200, body=None, text="", headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-        self.headers = headers or {}
-
-    def json(self):
-        return self._body if self._body is not None else json.loads(self.text)
+def canned(status=200, body=None, text="", headers=None):
+    """A canned answer of the local server: ``body`` as JSON, or else ``text`` as it is."""
+    return status, headers or {}, (text if body is None else json.dumps(body)).encode("utf-8")
 
 
-class FakeSession:
-    """An :class:`atc_icl.gateway.HttpSession` stand-in that answers with ``responses`` in turn."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append((url, json))
-        return self.responses.pop(0)
-
-
-def test_live_chat_backend_parses_openai_shape(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    session = FakeSession(
-        [
-            FakeHttpResponse(
-                body={
-                    "choices": [{"message": {"content": "1. Premise"}}],
-                    "usage": {"prompt_tokens": 12, "completion_tokens": 4},
-                }
-            )
-        ]
+def test_live_chat_backend_parses_openai_shape(openai_server, session):
+    openai_server.answers.append(
+        canned(
+            body={
+                "choices": [{"message": {"content": "1. Premise"}}],
+                "usage": {"prompt_tokens": 12, "completion_tokens": 4},
+            }
+        )
     )
-    backend = LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session)
-    response = backend.complete(req())
+    response = LiveChatBackend(session).complete(req())
     assert response.text == "1. Premise"
     assert response.usage == Usage(12, 4)
     assert response.backend_tag is BackendTag.LIVE
-    url, payload = session.requests[0]
-    assert url.endswith("/chat/completions")
+    ((target, headers, payload),) = openai_server.received
+    assert target == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer sk-local-test"
     assert payload["messages"][1]["content"] == "classify this"
 
 
-def test_live_chat_backend_maps_status_codes(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-
-    def backend_with(status):
-        return LiveChatBackend(
-            "https://example.test/v1",
-            api_key_env="TEST_API_KEY",
-            session=FakeSession([FakeHttpResponse(status_code=status)]),
-        )
-
-    with pytest.raises(RateLimited):
-        backend_with(429).complete(req())
-    with pytest.raises(TransportError):
-        backend_with(503).complete(req())
-    with pytest.raises(GatewayConfigError):
-        backend_with(400).complete(req())
+def test_live_chat_backend_maps_status_codes(openai_server, session):
+    backend = LiveChatBackend(session)
+    for status, error, message in [(429, RateLimited, "^429 from /chat/completions$"),
+                                   (503, TransportError, "^503 from /chat/completions$"),
+                                   (400, GatewayConfigError, "^400 from /chat/completions: bad request$")]:
+        openai_server.answers.append(canned(status, text="bad request"))
+        with pytest.raises(error, match=message):
+            backend.complete(req())
 
 
-def test_live_backend_requires_api_key(monkeypatch):
-    monkeypatch.delenv("MISSING_KEY", raising=False)
-    backend = LiveChatBackend("https://example.test/v1", api_key_env="MISSING_KEY", session=FakeSession([]))
-    with pytest.raises(GatewayConfigError):
-        backend.complete(req())
+def test_live_backend_requires_api_key(openai_server, session, monkeypatch):
+    monkeypatch.delenv(OpenAIServer.KEY_ENV)
+    with pytest.raises(GatewayConfigError, match=f"^environment variable {OpenAIServer.KEY_ENV} is not set$"):
+        LiveChatBackend(session).complete(req())
+    assert not openai_server.received
 
 
-def test_live_embedding_backend_parses_openai_shape(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    session = FakeSession([FakeHttpResponse(body={"data": [{"embedding": [0.1, 0.2]}]})])
-    backend = LiveEmbeddingBackend(
-        "https://example.test/v1", "text-embedding-ada-002", api_key_env="TEST_API_KEY", session=session
-    )
+def test_live_embedding_backend_parses_openai_shape(openai_server, session):
+    openai_server.answers.append(canned(body={"data": [{"embedding": [0.1, 0.2]}]}))
+    backend = LiveEmbeddingBackend(session, "text-embedding-ada-002")
     vector, tag = backend.embed("A title")
     assert vector.values == (0.1, 0.2)
     assert vector.source_text_digest == embedding_digest("text-embedding-ada-002", "A title")
@@ -795,32 +760,28 @@ def test_live_embedding_backend_parses_openai_shape(monkeypatch):
      ({"Retry-After": "-3"}, None)],
     ids=["seconds", "fraction", "missing", "http-date", "nan", "negative"],
 )
-def test_rate_limit_carries_a_numeric_retry_after(monkeypatch, header, expected):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    session = FakeSession([FakeHttpResponse(status_code=429, headers=header)])
-    backend = LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session)
+def test_rate_limit_carries_a_numeric_retry_after(openai_server, session, header, expected):
+    openai_server.answers.append(canned(429, headers=header))
     with pytest.raises(RateLimited) as raised:
-        backend.complete(req())
+        LiveChatBackend(session).complete(req())
     assert raised.value.retry_after == expected
 
 
-def test_retry_waits_at_least_the_retry_after(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    ok = FakeHttpResponse(body={"choices": [{"message": {"content": "1. Claim"}}]})
-    session = FakeSession([
-        FakeHttpResponse(status_code=429, headers={"Retry-After": "5"}),  # longer than the backoff
-        FakeHttpResponse(status_code=429, headers={"Retry-After": "0.5"}),  # shorter than the backoff
-        FakeHttpResponse(status_code=429, headers={"Retry-After": "soon"}),  # not a number
-        ok,
+def test_retry_waits_at_least_the_retry_after(openai_server, session):
+    openai_server.answers.extend([
+        canned(429, headers={"Retry-After": "5"}),  # longer than the backoff
+        canned(429, headers={"Retry-After": "0.5"}),  # shorter than the backoff
+        canned(429, headers={"Retry-After": "soon"}),  # not a number
+        canned(body={"choices": [{"message": {"content": "1. Claim"}}]}),
     ])
     slept = []
     gateway = Gateway(
-        chat_backend=LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session),
+        chat_backend=LiveChatBackend(session),
         retry=RetryPolicy(attempts=4, base_delay=1.0, sleep=slept.append, draw=longest),
     )
     assert gateway.chat(req()).text == "1. Claim"
     assert slept == [5.0, 2.0, 4.0]
-    assert not session.responses
+    assert not openai_server.answers
 
 
 def _f64(values):
@@ -991,10 +952,8 @@ def test_retry_after_at_the_ceiling_is_still_waited_for():
 
 def live_backends(session):
     return {
-        "/chat/completions": lambda: LiveChatBackend(
-            "https://example.test/v1", api_key_env="TEST_API_KEY", session=session).complete(req()),
-        "/embeddings": lambda: LiveEmbeddingBackend(
-            "https://example.test/v1", "ada", api_key_env="TEST_API_KEY", session=session).embed("A title"),
+        "/chat/completions": lambda: LiveChatBackend(session).complete(req()),
+        "/embeddings": lambda: LiveEmbeddingBackend(session, "ada").embed("A title"),
     }
 
 
@@ -1004,25 +963,17 @@ def chat_body(content="1. Claim", **fields):
 
 @pytest.mark.parametrize("path", ["/chat/completions", "/embeddings"])
 @pytest.mark.parametrize("text", ["<html><body>502 Bad Gateway</body></html>", ""], ids=["html", "empty"])
-def test_non_json_answer_is_a_transport_error_naming_the_path(monkeypatch, path, text):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    call = live_backends(FakeSession([FakeHttpResponse(text=text)]))[path]
+def test_non_json_answer_is_a_transport_error_naming_the_path(openai_server, session, path, text):
+    openai_server.answers.append(canned(text=text))
     with pytest.raises(TransportError, match=f"non-JSON body from {path}: Expecting value"):
-        call()
+        live_backends(session)[path]()
 
 
-def test_non_json_answer_is_retried(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    session = FakeSession([
-        FakeHttpResponse(text="<html>proxy error</html>"),
-        FakeHttpResponse(body=chat_body()),
-    ])
-    gateway = Gateway(
-        chat_backend=LiveChatBackend("https://example.test/v1", api_key_env="TEST_API_KEY", session=session),
-        retry=no_sleep_policy(),
-    )
+def test_non_json_answer_is_retried(openai_server, session):
+    openai_server.answers.extend([canned(text="<html>proxy error</html>"), canned(body=chat_body())])
+    gateway = Gateway(chat_backend=LiveChatBackend(session), retry=no_sleep_policy())
     assert gateway.chat(req()).text == "1. Claim"
-    assert not session.responses
+    assert not openai_server.answers
 
 
 @pytest.mark.parametrize(
@@ -1032,11 +983,10 @@ def test_non_json_answer_is_retried(monkeypatch):
      chat_body(usage={"completion_tokens": [4]}), chat_body(usage={"completion_tokens": float("inf")})],
     ids=["null-content", "list-usage", "string-usage", "word-count", "null-count", "list-count", "inf-count"],
 )
-def test_malformed_chat_body_is_a_transport_error(monkeypatch, body):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    call = live_backends(FakeSession([FakeHttpResponse(body=body)]))["/chat/completions"]
+def test_malformed_chat_body_is_a_transport_error(openai_server, session, body):
+    openai_server.answers.append(canned(body=body))
     with pytest.raises(TransportError, match="malformed chat completion body"):
-        call()
+        live_backends(session)["/chat/completions"]()
 
 
 @pytest.mark.parametrize(
@@ -1046,10 +996,10 @@ def test_malformed_chat_body_is_a_transport_error(monkeypatch, body):
     ids=["null-entry", "object-entry", "string-entry", "string", "empty", "bool-entry", "object", "null",
          "nested-list", "huge-int", "nan-entry", "inf-entry", "minus-inf-entry"],
 )
-def test_malformed_embeddings_body_is_a_transport_error_and_stores_nothing(monkeypatch, tmp_path, embedding):
-    monkeypatch.setenv("TEST_API_KEY", "sk-test")
-    session = FakeSession([FakeHttpResponse(body={"data": [{"embedding": embedding}]})])
-    live = LiveEmbeddingBackend("https://example.test/v1", "ada", api_key_env="TEST_API_KEY", session=session)
+def test_malformed_embeddings_body_is_a_transport_error_and_stores_nothing(openai_server, session, tmp_path,
+                                                                           embedding):
+    openai_server.answers.append(canned(body={"data": [{"embedding": embedding}]}))
+    live = LiveEmbeddingBackend(session, "ada")
     store = ResponseStore(tmp_path)
     with pytest.raises(TransportError, match="malformed embeddings body: "):
         StoreEmbeddingBackend(store, "ada", live).embed("A title")

@@ -16,6 +16,7 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from atc_icl import cli, gateway
 from atc_icl.gateway import (BackendTag, ChatRequest, Gateway, GatewayConfigError, HttpSession, LiveChatBackend,
@@ -33,19 +34,12 @@ def chat_request(corpus) -> ChatRequest:
     return ChatRequest("sys", f"{QUERY_HEADER}\n{TITLE_LINE.format(title=title)}\n", "gpt-4")
 
 
-def embedder(url: str, session: HttpSession) -> LiveEmbeddingBackend:
-    return LiveEmbeddingBackend(url, "ada", OpenAIServer.KEY_ENV, session=session)
+def embedder(session: HttpSession) -> LiveEmbeddingBackend:
+    return LiveEmbeddingBackend(session, "ada")
 
 
 def never_sleep(seconds: float) -> None:
     raise AssertionError(f"retried after {seconds} s")
-
-
-@pytest.fixture()
-def session():
-    session = HttpSession(2)
-    yield session
-    session.close()
 
 
 @pytest.fixture()
@@ -64,7 +58,7 @@ def no_proxy_env(monkeypatch):
 
 
 def test_a_connection_the_server_closed_while_idle_is_replaced_without_a_retry(openai_server, session):
-    client = Gateway(embedding_backend=embedder(openai_server.url, session), retry=RetryPolicy(sleep=never_sleep))
+    client = Gateway(embedding_backend=embedder(session), retry=RetryPolicy(sleep=never_sleep))
     first = client.embed("A title")
     assert client.embed("Another title") != first and openai_server.connections == 1  # kept alive
     openai_server.drop_connections()
@@ -74,7 +68,7 @@ def test_a_connection_the_server_closed_while_idle_is_replaced_without_a_retry(o
 
 
 def test_threads_share_at_most_connections_connections(openai_server, session):
-    client = embedder(openai_server.url, session)
+    client = embedder(session)
     texts = [f"Title {i}" for i in range(24)]
     tags = []
     threads = [threading.Thread(target=lambda i=i: tags.extend(client.embed(t)[1] for t in texts[i::8]))
@@ -95,44 +89,65 @@ def test_threads_share_at_most_connections_connections(openai_server, session):
     assert set(openai_server.texts("embeddings")) == set(texts)
 
 
-def test_an_http_proxy_gets_the_absolute_form_and_no_proxy_bypasses_it(openai_server, session, no_proxy_env,
-                                                                       monkeypatch):
+def test_an_http_proxy_gets_the_absolute_form_and_no_proxy_bypasses_it(openai_server, no_proxy_env, monkeypatch):
     origin = openai_server.url.removesuffix("/v1")
     monkeypatch.setenv("HTTP_PROXY", origin.replace("://", "://user:p%40ss@"))
-    embedder("http://api.example.test/v1", session).embed("A title")
-    ((target, headers),) = openai_server.received
+    with closing(HttpSession("http://api.example.test/v1", OpenAIServer.KEY_ENV, 1)) as proxied:
+        embedder(proxied).embed("A title")
+    ((target, headers, _),) = openai_server.received
     assert target == "http://api.example.test/v1/embeddings"
     assert headers["Host"] == "api.example.test"
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
 
     monkeypatch.setenv("NO_PROXY", "example.test, 127.0.0.1")
-    embedder(openai_server.url, session).embed("A title")
-    target, headers = openai_server.received[1]
+    with closing(HttpSession(openai_server.url, OpenAIServer.KEY_ENV, 1)) as direct:
+        embedder(direct).embed("A title")
+    target, headers, _ = openai_server.received[1]
     assert target == "/v1/embeddings" and "Proxy-Authorization" not in headers
 
 
+def test_a_base_url_path_prefix_goes_before_each_request_path(openai_server, small_corpus, no_proxy_env, monkeypatch):
+    request = chat_request(small_corpus)
+    origin = openai_server.url.removesuffix("/v1")
+    with closing(HttpSession(f"{origin}/openai/v1", OpenAIServer.KEY_ENV, 1)) as direct:
+        LiveChatBackend(direct).complete(request)
+    monkeypatch.setenv("HTTP_PROXY", origin)
+    with closing(HttpSession("http://api.example.test/openai/v1/", OpenAIServer.KEY_ENV, 1)) as proxied:
+        LiveChatBackend(proxied).complete(request)
+    targets = [target for target, _, _ in openai_server.received]
+    assert targets == ["/openai/v1/chat/completions", "http://api.example.test/openai/v1/chat/completions"]
+
+
 @pytest.mark.parametrize("proxy", ["http://proxy.example.test:eighty", "http://:3128"], ids=["port", "host"])
-def test_a_proxy_without_a_host_and_port_is_a_config_error(openai_server, session, no_proxy_env, monkeypatch, proxy):
+def test_a_proxy_without_a_host_and_port_is_a_config_error(
+    small_dir, openai_server, tmp_path, no_proxy_env, monkeypatch, proxy
+):
     monkeypatch.setenv("HTTP_PROXY", proxy)
-    with pytest.raises(GatewayConfigError, match=f"^the http proxy '{proxy}' set in the environment names no host"):
-        embedder(openai_server.url, session).embed("A title")
+    refused = f"^the http proxy '{proxy}' set in the environment names no host and port$"
+    with pytest.raises(GatewayConfigError, match=refused):
+        HttpSession(openai_server.url, OpenAIServer.KEY_ENV, 1)
+    config = live_config(tmp_path, small_dir, openai_server, "out", 2)
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    assert isinstance(result.exception, GatewayConfigError)
+    assert not (tmp_path / "out").exists()
     assert not openai_server.received
 
 
 @pytest.mark.parametrize("status", [301, 307])
 def test_a_redirect_is_a_config_error_naming_the_status(openai_server, session, status):
-    openai_server.status = status
-    with pytest.raises(GatewayConfigError, match=f"^{status} from /embeddings: "):
-        embedder(openai_server.url, session).embed("A title")
+    openai_server.answers.append((status, {"Location": "https://example.test/v1/embeddings"}, b"moved"))
+    with pytest.raises(GatewayConfigError, match=f"^{status} from /embeddings: moved$"):
+        embedder(session).embed("A title")
 
 
-def test_a_server_that_stalls_is_a_transport_error(small_corpus, session, monkeypatch):
+def test_a_server_that_stalls_is_a_transport_error(small_corpus, monkeypatch):
     monkeypatch.setenv(OpenAIServer.KEY_ENV, "sk-local-test")
     monkeypatch.setattr(gateway, "HTTP_TIMEOUT_S", 0.2)
     server = OpenAIServer(small_corpus, latency_s=30.0)
     try:
-        with pytest.raises(TransportError, match=f"^POST {server.url}/chat/completions: TimeoutError: timed out$"):
-            LiveChatBackend(server.url, OpenAIServer.KEY_ENV, session=session).complete(chat_request(small_corpus))
+        with (closing(HttpSession(server.url, OpenAIServer.KEY_ENV, 1)) as session,
+              pytest.raises(TransportError, match=f"^POST {server.url}/chat/completions: TimeoutError: timed out$")):
+            LiveChatBackend(session).complete(chat_request(small_corpus))
     finally:
         server.close()
 
@@ -158,13 +173,14 @@ def test_https_verifies_the_certificate_against_ssl_cert_file(tls_server, small_
     server, cert = tls_server
     assert server.url.startswith("https://")
     request = chat_request(small_corpus)
-    with closing(HttpSession(1)) as untrusting, pytest.raises(TransportError, match="certificate verify failed"):
-        LiveChatBackend(server.url, OpenAIServer.KEY_ENV, session=untrusting).complete(request)
+    untrusting = HttpSession(server.url, OpenAIServer.KEY_ENV, 1)
+    with closing(untrusting), pytest.raises(TransportError, match="certificate verify failed"):
+        LiveChatBackend(untrusting).complete(request)
 
     monkeypatch.setenv("SSL_CERT_FILE", str(cert))
     server.malformed_share = 0.0
-    with closing(HttpSession(1)) as trusting:
-        response = LiveChatBackend(server.url, OpenAIServer.KEY_ENV, session=trusting).complete(request)
+    with closing(HttpSession(server.url, OpenAIServer.KEY_ENV, 1)) as trusting:
+        response = LiveChatBackend(trusting).complete(request)
     assert response.text == gold_echo_responder(small_corpus)(request)
 
 
