@@ -57,9 +57,11 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     ``cache`` puts the store in front of the configured upstream; ``replay``
     is the store with no upstream. Both file embeddings under the model of
     ``embedding_upstream``, so a ``replay`` reads what its ``cache`` twin recorded.
-    The live backends share one :class:`HttpSession` of at most ``workers``
-    connections to ``base_url``, which the gateway owns: close it when the run
-    is done. It reads the proxy here, so a bad proxy variable is refused first.
+    The live backends share one :class:`HttpSession` to ``base_url``, which
+    keeps one keep-alive connection for each thread that posts, so the
+    ``workers`` threads of a live run bound its connections. The gateway owns
+    the session: close it when the run is done. It reads the proxy here, so a
+    bad proxy variable is refused first.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
@@ -67,7 +69,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     chat_kind = _chat_upstream(backend)
     embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
     live = "live" in (chat_kind, embed_kind)
-    session = HttpSession(backend.base_url, backend.api_key_env, backend.workers) if live else None
+    session = HttpSession(backend.base_url, backend.api_key_env) if live else None
 
     chat = None
     if chat_kind == "mock":

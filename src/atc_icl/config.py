@@ -21,7 +21,7 @@ from typing import Callable
 import yaml
 
 from .ensemble import IclConfig
-from .errors import ConfigError
+from .errors import ConfigError, masked_url
 from .prompting import MAX_OUTPUT_TOKENS, PromptConfig, PromptMode
 from .selection import SelectionStrategy
 
@@ -61,7 +61,7 @@ class BackendConfig:
     store_dir: Path | None = None
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
-    workers: int = 2  # essays a live run asks at once, and its connections to base_url
+    workers: int = 2  # essays a live run asks at once, each thread on one keep-alive connection to base_url
 
     def __post_init__(self) -> None:
         if self.chat not in CHAT_BACKENDS:
@@ -77,10 +77,15 @@ class BackendConfig:
         needs_store = self.chat in ("cache", "replay") or self.embedding in ("cache", "replay")
         if needs_store and self.store_dir is None:
             raise ConfigError("cache/replay backends need backend.store_dir")
+        # type(), not isinstance(): a bool is an int, but no count.
+        if not (type(self.embedding_dim) is int and self.embedding_dim > 0):
+            raise ConfigError(f"backend.embedding_dim must be a positive integer, not {self.embedding_dim!r}")
+        if not (type(self.workers) is int and 1 <= self.workers <= MAX_WORKERS):
+            raise ConfigError(f"backend.workers must be an integer from 1 to {MAX_WORKERS}, not {self.workers!r}")
         if not _is_http_url(self.base_url):
             raise ConfigError(
-                f"backend.base_url must be an absolute http:// or https:// URL with a host, not {self.base_url!r};"
-                " it takes no user info, query or fragment"
+                "backend.base_url must be an absolute http:// or https:// URL with a host, not"
+                f" {masked_url(self.base_url)!r}; it takes no user info, query or fragment"
             )
 
     @property
@@ -169,22 +174,16 @@ def _parse_icl(raw: dict, path: Path | str) -> IclConfig:
 def _parse_backend(raw: dict, path: Path | str, resolve: Callable[[str], Path]) -> BackendConfig:
     """The ``backend`` section as a :class:`BackendConfig`.
 
-    A key left out or set to null takes its default there. ``embedding_dim``
-    must be a positive integer and ``workers`` an integer from 1 to
-    :data:`MAX_WORKERS` (a float, bool or string is not converted), and every
-    other value a string. A value of the wrong kind, or one
-    :class:`BackendConfig` refuses, raises :class:`ConfigError` naming ``path``.
+    A key left out or set to null takes its default there. Every value but
+    the integers ``embedding_dim`` and ``workers``, which
+    :class:`BackendConfig` checks (a float, bool or string is not converted),
+    must be a string. A value of the wrong kind, or one :class:`BackendConfig`
+    refuses, raises :class:`ConfigError` naming ``path``.
     """
     given = {key: found for key, found in raw.items() if found is not None}
     for key, found in given.items():
-        if key == "embedding_dim":
-            ok, what = type(found) is int and found > 0, "a positive integer"
-        elif key == "workers":
-            ok, what = type(found) is int and 1 <= found <= MAX_WORKERS, f"an integer from 1 to {MAX_WORKERS}"
-        else:
-            ok, what = isinstance(found, str), "a string"
-        if not ok:
-            raise ConfigError(f"{path}: backend.{key} must be {what}, not {found!r}")
+        if key not in ("embedding_dim", "workers") and not isinstance(found, str):
+            raise ConfigError(f"{path}: backend.{key} must be a string, not {found!r}")
     if "store_dir" in given:
         given["store_dir"] = resolve(given["store_dir"])
     try:

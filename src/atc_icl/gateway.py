@@ -38,8 +38,9 @@ at least as long as a 429's ``Retry-After`` unless it asks for more than
 A live run asks several essays at once, one thread each, so backends and a
 store may be shared between threads. Each thread counts on a
 :class:`Gateway` of its own over the shared backends. The live backends of
-one run share its one :class:`HttpSession`, which holds at most as many
-keep-alive connections to ``base_url`` as the run has threads. A
+one run share its one :class:`HttpSession`, which keeps one keep-alive
+connection to ``base_url`` for each thread that posts, so a run holds at most
+as many as it has threads. A
 :class:`StoreEmbeddingBackend` fetches a missed text under a lock, after
 reading the store again, so threads that miss the same title at once fetch
 it once. Store writes go through uniquely named temp files.
@@ -67,7 +68,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .errors import AtcError
+from .errors import AtcError, masked_url
 
 
 class TransportError(AtcError):
@@ -620,11 +621,13 @@ def _closed_by_peer(sock) -> bool:
 class HttpSession:
     """The run's one endpoint: authenticated JSON POSTs to the OpenAI-compatible API at ``base_url``.
 
-    It holds at most ``connections`` keep-alive connections to ``base_url``
-    (or to its proxy); a thread that finds them all busy waits for one.
-    Before a connection is used again, one that the server closed while it
-    was idle is dropped. A request is never sent twice: a failure raises
-    :class:`TransportError`, which the :class:`Gateway` may retry.
+    Each thread that posts gets one keep-alive connection to ``base_url`` (or
+    to its proxy), made on its first request and kept for the next ones; so
+    the threads of a run bound its connections. A connection whose request
+    failed, or that the server closed while it was idle, is closed before
+    the thread's next request, which reopens it. A request is never sent
+    twice: a failure raises :class:`TransportError`, which the
+    :class:`Gateway` may retry.
 
     HTTPS verifies the certificate and the host name against one
     ``ssl.create_default_context()``: the system's trust store, or what
@@ -633,18 +636,17 @@ class HttpSession:
     ``urllib.request`` once, here: an ``http`` endpoint is reached through its
     proxy in absolute form, an ``https`` one through a ``CONNECT`` tunnel. A
     proxy variable that names no host and port raises
-    :class:`GatewayConfigError`. The API key is read from ``api_key_env`` on
-    each request.
+    :class:`GatewayConfigError`, with any user info in it masked. The API key
+    is read from ``api_key_env`` on each request.
     """
 
-    def __init__(self, base_url: str, api_key_env: str, connections: int) -> None:
+    def __init__(self, base_url: str, api_key_env: str) -> None:
         # Imported here, so that a replay or mock run, which builds no session, never loads them.
         import http.client
         import urllib.request
 
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.connections = connections
         parts = urllib.parse.urlsplit(self.base_url)
         scheme, host, port = parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80)
         self._target = parts.path  # what goes before each request's path
@@ -660,7 +662,9 @@ class HttpSession:
             except ValueError:  # a port that is not a number
                 proxy_port = None
             if not proxy_url.hostname or proxy_port is None:
-                raise GatewayConfigError(f"the {scheme} proxy {proxy!r} set in the environment names no host and port")
+                raise GatewayConfigError(
+                    f"the {scheme} proxy {masked_url(proxy)!r} set in the environment names no host and port"
+                )
             address = (proxy_url.hostname, proxy_port)
             if proxy_url.username is not None:
                 user = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password or '')}"
@@ -669,22 +673,21 @@ class HttpSession:
             if proxy:
                 self._target = f"http://{parts.netloc}{parts.path}"
                 self._headers.update(auth)
-            self._connect = lambda: http.client.HTTPConnection(*address)
+            self._connect = lambda: http.client.HTTPConnection(*address, timeout=HTTP_TIMEOUT_S)
         else:
             import ssl
 
             context = ssl.create_default_context()
 
             def connect():
-                connection = http.client.HTTPSConnection(*address, context=context)
+                connection = http.client.HTTPSConnection(*address, timeout=HTTP_TIMEOUT_S, context=context)
                 if proxy:
                     connection.set_tunnel(host, port, headers=auth)
                 return connection
 
             self._connect = connect
-        self._closed = False
-        self._slots = threading.BoundedSemaphore(connections)
-        self._idle: list = []
+        self._local = threading.local()  # this thread's connection
+        self._opened: list = []  # every thread's, for close()
         self._lock = threading.Lock()
 
     def post(self, path: str, payload: dict) -> dict:
@@ -703,20 +706,15 @@ class HttpSession:
             raise GatewayConfigError(f"environment variable {self.api_key_env} is not set")
         headers = {**self._headers, "Authorization": f"Bearer {key}"}
         body = json.dumps(payload).encode("utf-8")
-        connection = self._take()
-        reusable = False
+        connection = self._connection()
         try:
-            connection.timeout = HTTP_TIMEOUT_S
-            if connection.sock is not None:
-                connection.sock.settimeout(HTTP_TIMEOUT_S)
             connection.request("POST", self._target + path, body, headers)
+            # http.client itself closes a connection whose answer says it will close.
             answer = connection.getresponse()
             status, retry_after, content = answer.status, answer.headers.get("Retry-After"), answer.read()
-            reusable = not answer.will_close
         except (OSError, http.client.HTTPException) as exc:
+            connection.close()  # so that the next request opens it again
             raise TransportError(f"POST {self.base_url}{path}: {type(exc).__name__}: {exc}") from exc
-        finally:
-            self._give_back(connection, reusable)
         if status == 429:
             raise RateLimited(f"429 from {path}", _retry_after(retry_after))
         if status >= 500:
@@ -728,37 +726,25 @@ class HttpSession:
         except ValueError as exc:
             raise TransportError(f"non-JSON body from {path}: {exc}") from exc
 
-    def _take(self):
-        """An idle connection the server has not closed, or else a new, unconnected one."""
-        self._slots.acquire()
-        try:
-            with self._lock:
-                while self._idle:
-                    connection = self._idle.pop()
-                    if not _closed_by_peer(connection.sock):
-                        return connection
-                    connection.close()
-            return self._connect()
-        except BaseException:
-            self._slots.release()
-            raise
+    def _connection(self):
+        """This thread's connection, made on its first request; closed first if the server closed it while idle.
 
-    def _give_back(self, connection, reusable: bool) -> None:
-        """Keep ``connection`` for the next request if it is ``reusable`` and open; close it otherwise."""
-        with self._lock:
-            keep = reusable and connection.sock is not None and not self._closed
-            if keep:
-                self._idle.append(connection)
-        if not keep:
+        http.client reopens a closed connection on its next request.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            with self._lock:
+                self._opened.append(connection)
+        elif connection.sock is not None and _closed_by_peer(connection.sock):
             connection.close()
-        self._slots.release()
+        return connection
 
     def close(self) -> None:
-        """Close the idle connections, and each busy one when it is given back."""
+        """Close every thread's connection; call it once no thread is posting."""
         with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for connection in idle:
+            opened = list(self._opened)
+        for connection in opened:
             connection.close()
 
 

@@ -179,7 +179,8 @@ class OpenAIServer:
     user text and of the answer. A user text for which ``fail_when`` holds is
     answered 400. ``POST /embeddings`` serves the hash embedder's vectors at
     ``dim``. While ``answers`` holds canned (status, headers, raw body)
-    answers, each POST is answered with the next one instead.
+    answers, each POST is answered with the next one instead; a canned
+    ``None`` hangs up without an answer.
     ``requests`` counts the requests per (path, text), ``received`` lists each
     request's target, headers and JSON body as they arrived, ``connections``
     counts the connections accepted, and ``peak_connections`` the most open at
@@ -194,7 +195,7 @@ class OpenAIServer:
                  keyfile: Path | None = None) -> None:
         self.malformed_share = malformed_share
         self.fail_when: Callable[[str], bool] | None = None
-        self.answers: deque[tuple[int, dict[str, str], bytes]] = deque()
+        self.answers: deque[tuple[int, dict[str, str], bytes] | None] = deque()
         self.requests: Counter[tuple[str, str]] = Counter()
         self.received: list[tuple[str, Message, dict]] = []
         self.connections = 0
@@ -229,7 +230,11 @@ class OpenAIServer:
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 server.received.append((self.path, self.headers, payload))
                 if server.answers:
-                    self._send_raw(*server.answers.popleft())
+                    answer = server.answers.popleft()
+                    if answer is None:
+                        self.close_connection = True
+                    else:
+                        self._send_raw(*answer)
                     return
                 if self.path.endswith("/embeddings"):
                     (text,) = payload["input"]
@@ -294,15 +299,16 @@ class OpenAIServer:
         """How often each text was asked of ``kind``, ``completions`` or ``embeddings``."""
         return Counter({text: n for (path, text), n in self.requests.items() if path == kind})
 
-    def _wait_closed(self) -> None:
-        """Wait, at most 5 s, until no connection is open."""
+    def wait_closed(self) -> int:
+        """Wait, at most 5 s, until no connection is open; return how many still are."""
         deadline = time.monotonic() + 5.0
         while self._open and time.monotonic() < deadline:
             time.sleep(0.005)
+        return len(self._open)
 
     def reset(self) -> None:
         """Forget what was served, once the connections of earlier runs have closed."""
-        self._wait_closed()
+        self.wait_closed()
         with self._lock:
             self.requests.clear()
             self.peak_connections = len(self._open)
@@ -316,7 +322,7 @@ class OpenAIServer:
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        self._wait_closed()
+        self.wait_closed()
 
     def close(self) -> None:
         self._closing.set()
@@ -336,7 +342,7 @@ def openai_server(small_corpus, monkeypatch):
 
 @pytest.fixture()
 def session(openai_server):
-    """An :class:`HttpSession` of 2 connections to ``openai_server``."""
-    session = HttpSession(openai_server.url, OpenAIServer.KEY_ENV, 2)
+    """An :class:`HttpSession` to ``openai_server``."""
+    session = HttpSession(openai_server.url, OpenAIServer.KEY_ENV)
     yield session
     session.close()

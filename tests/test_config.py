@@ -186,7 +186,10 @@ def test_load_run_config_rejects_a_section_that_is_not_a_mapping(tmp_path, secti
      ("backend: {base_url: 'https://example.test/v1#frag'}", "backend.base_url",
       "must be an absolute http:// .*; it takes no user info, query or fragment$"),
      ("backend: {base_url: 'http://user:pw@example.test/v1'}", "backend.base_url",
-      "must be an absolute http:// .*; it takes no user info, query or fragment$"),
+      "must be an absolute http:// .* not 'http://\\*\\*\\*@example.test/v1'; it takes no user info, query or "
+      "fragment$"),
+     ("backend: {base_url: 'http://user:p/w@example.test/v1'}", "backend.base_url",
+      "must be an absolute http:// .* not 'http://\\*\\*\\*@example.test/v1'; it takes no user info"),
      ("backend: {store_dir: [a, b]}", "backend.store_dir", "must be a string, not \\['a', 'b'\\]"),
      ("backend: {chat: carrier-pigeon}", "chat backend", "must be one of"),
      ("icl: {model: null}", "icl.model", "must be a string, not None"),
@@ -232,6 +235,19 @@ def test_backend_config_validation():
     with pytest.raises(ConfigError):
         BackendConfig(mock_mode="chaos")
     BackendConfig(chat="replay", store_dir="store")  # fine with a store
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [({"workers": 0}, "backend.workers must be an integer from 1 to 32, not 0"),
+     ({"workers": 33}, "backend.workers must be an integer from 1 to 32, not 33"),
+     ({"workers": True}, "backend.workers must be an integer from 1 to 32, not True"),
+     ({"embedding_dim": 0}, "backend.embedding_dim must be a positive integer, not 0"),
+     ({"embedding_dim": 8.0}, "backend.embedding_dim must be a positive integer, not 8.0")],
+)
+def test_a_backend_config_built_in_code_is_range_checked_as_one_loaded_from_yaml(values, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        BackendConfig(chat="live", embedding="live", **values)
 
 
 def test_digest_changes_iff_semantic_field_changes():
