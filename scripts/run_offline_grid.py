@@ -3,7 +3,8 @@
 
 Demonstrates the whole pipeline without credentials: every grid row is one
 ``run_experiment`` over the synthetic test split with a mock chat backend,
-in its own run directory, and prints its report row. Title embeddings are
+in its own run directory, and prints its report row. The published rows are
+the ``icl`` sections of the shipped ``configs/*.yaml``. Title embeddings are
 first recorded the way ``atc-icl embed`` does (hash vectors through the
 cache, then packed), and the title-kNN rows replay them from that store.
 ``gold_echo`` must land macro F1 = 1.0 on every row, and the script exits 1
@@ -22,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 from atc_icl.cli import embed_corpus, run_experiment
-from atc_icl.config import BackendConfig, RunConfig
+from atc_icl.config import BackendConfig, RunConfig, load_run_config
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
 from atc_icl.metrics import render_report
@@ -30,22 +31,19 @@ from atc_icl.prompting import PromptConfig, PromptMode
 from atc_icl.selection import SelectionStrategy
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 
-ALL, ONE = PromptMode.ALL_AT_ONCE, PromptMode.ONE_BY_ONE
-GRID = [
-    # (strategy, k, n, info, essay, fts, model, mode)
-    (SelectionStrategy.KNN_LEN, 5, 1, True, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_LEN, 5, 3, True, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_TITLE, 5, 5, False, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_TITLE, 5, 3, True, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, True, "gpt-4", ALL),
-    (SelectionStrategy.KNN_TITLE, 5, 5, True, True, False, "gpt-3.5-turbo", ALL),
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: The icl section of every shipped config (the published rows), then three
+#: rows no config ships. Each run takes its run_seed from --seed instead.
+GRID = [load_run_config(path).icl for path in sorted(CONFIGS.glob("*.yaml"))] + [
+    # (strategy, k, n, PromptConfig(info, essay, fts, mode), ...)
     # random neighborhoods: the one strategy that ranks once per round
-    (SelectionStrategy.KRN, 5, 5, True, True, False, "gpt-4", ALL),
-    (SelectionStrategy.KNN_LEN, 5, 3, True, True, True, "gpt-4", ONE),
+    IclConfig(SelectionStrategy.KRN, 5, 5, PromptConfig(True, True, False), run_seed=0),
+    IclConfig(SelectionStrategy.KNN_LEN, 5, 3, PromptConfig(True, True, True, PromptMode.ONE_BY_ONE), run_seed=0),
     # k = 0: no demonstrations. Not yet how a fine-tuned model should be scored: it
     # sends the few-shot prompt, not the finetune.SYSTEM_TEXT/build_user_text format.
-    (SelectionStrategy.KNN_LEN, 0, 1, False, True, True, "ft:gpt-3.5-turbo", ONE),
+    IclConfig(SelectionStrategy.KNN_LEN, 0, 1, PromptConfig(False, True, True, PromptMode.ONE_BY_ONE),
+              run_seed=0, model_name="ft:gpt-3.5-turbo"),
 ]
 
 
@@ -73,15 +71,10 @@ def main(argv: list[str] | None = None) -> int:
             RunConfig(
                 corpus_dir=corpus_dir, split_file=corpus_dir / SPLIT_FILE_NAME,
                 out_dir=Path(tmp) / "out" / f"row{row}",
-                icl=IclConfig(
-                    strategy=strategy, k=k, n_rounds=n,
-                    prompt=PromptConfig(include_info=info_flag, include_essay=essay_flag,
-                                        include_fts=fts_flag, mode=mode),
-                    run_seed=args.seed, model_name=model,
-                ),
+                icl=dataclasses.replace(icl, run_seed=args.seed),
                 backend=replay,
             )
-            for row, (strategy, k, n, info_flag, essay_flag, fts_flag, model, mode) in enumerate(GRID)
+            for row, icl in enumerate(GRID)
         ]
         recording = dataclasses.replace(replay, embedding="cache")
         embed_corpus(dataclasses.replace(configs[0], backend=recording))

@@ -174,19 +174,25 @@ def _load_records(path: Path) -> tuple[list[PredictionRecord], int]:
     """Decode every complete line of a records file; return them and where they end.
 
     Bytes after the last newline are a record torn by an interrupted run and
-    are left out; :func:`run_experiment` truncates them before appending.
+    are left out; :func:`run_experiment` truncates them before appending. A
+    second record for one essay is refused, so no essay is scored twice.
     """
     if not path.exists():
         return [], 0
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1
-    records = []
+    records, first_lines = [], {}
     for number, line in enumerate(data[:complete].split(b"\n")[:-1], start=1):
         if line.strip():
             try:
-                records.append(PredictionRecord.from_dict(json.loads(line)))
+                record = PredictionRecord.from_dict(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 raise AtcError(f"{path}, line {number}: not a prediction record ({exc})") from exc
+            first = first_lines.setdefault(record.essay_id, number)
+            if first != number:
+                raise AtcError(f"{path}, line {number}: a second record for essay {record.essay_id},"
+                               f" whose first is on line {first}")
+            records.append(record)
     return records, complete
 
 

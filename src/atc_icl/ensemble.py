@@ -3,9 +3,11 @@
 Each round selects its own demonstration essays (seeded per round, so rounds
 differ while the whole run stays reproducible) and classifies the query
 essay. All rounds' selections are made, and all their prompts built in one
-call, before the first chat call. Final labels come from a per-component
-majority vote over the rounds, ties broken by train-set frequency:
-Premise > Claim > Major Claim.
+call, before the first chat call. :func:`run_ensemble` then asks each round
+itself: it sends the round's calls, retries malformed answers and parses
+them, while the ``prompting`` module renders the texts. Final labels come
+from a per-component majority vote over the rounds, ties broken by
+train-set frequency: Premise > Claim > Major Claim.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Mapping, Sequence
 
 from .corpus import Essay, Label
 from .errors import AtcError, ConfigError
-from .gateway import Gateway
-from .prompting import PromptConfig, PromptMode, Unparseable, build_prompt, classify_essay
+from .gateway import ChatKeyPrefix, Gateway
+from .prompting import (MAX_OUTPUT_TOKENS, MAX_RETRIES, CountMismatch, PromptConfig, PromptMode,
+                        UnknownLabel, build_prompt, parse_response)
 from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
@@ -146,8 +149,14 @@ def run_ensemble(
 ) -> PredictionRecord:
     """Run ``n_rounds`` selection-and-classify rounds and aggregate by vote.
 
-    A round whose answer stays unparseable after retries aborts the whole
-    essay with :class:`RoundFailed`; partial votes are never aggregated.
+    Each instruction of a round is one chat call with the model and
+    temperature of ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens.
+    A malformed answer is asked again, with the prompt's reminder appended, up
+    to ``MAX_RETRIES`` times. Every request of a round, retries included, is
+    made by one key prefix over the round's context, so its store key hashes
+    only its own instruction. A round whose answer stays unparseable aborts
+    the whole essay with :class:`RoundFailed`; partial votes are never
+    aggregated.
     """
     seeds = [
         (
@@ -162,12 +171,28 @@ def run_ensemble(
     rounds: list[tuple[Label, ...]] = []
     responses: list[tuple[str, ...]] = []
     for round_index, prompt in enumerate(build_prompt(query, demo_sets, config.prompt, info), start=1):
-        try:
-            labels, raw = classify_essay(query, prompt, config, gateway)
-        except Unparseable as exc:
-            raise RoundFailed(f"{query.essay_id}: round {round_index} failed: {exc}") from exc
+        key_prefix = ChatKeyPrefix(
+            config.model_name, prompt.system_text, config.temperature, MAX_OUTPUT_TOKENS, prompt.context
+        )
+        labels: list[Label] = []
+        texts: list[str] = []
+        for instruction in prompt.instructions:
+            request = key_prefix.request(instruction)
+            for _ in range(MAX_RETRIES + 1):
+                texts.append(gateway.chat(request).text)
+                try:
+                    labels += parse_response(texts[-1], prompt.answer_lines)
+                    break
+                except (CountMismatch, UnknownLabel) as exc:
+                    error = exc
+                    request = key_prefix.request(instruction + prompt.reminder)
+            else:
+                raise RoundFailed(
+                    f"{query.essay_id}: round {round_index} failed: no parseable answer after "
+                    f"{MAX_RETRIES + 1} attempts, the last: {error}"
+                ) from error
         rounds.append(tuple(labels))
-        responses.append(tuple(raw))
+        responses.append(tuple(texts))
 
     per_component = list(zip(*rounds))
     final = tuple(majority_vote(list(votes)) for votes in per_component)

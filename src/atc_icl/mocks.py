@@ -13,6 +13,7 @@ import re
 from typing import Callable
 
 from .corpus import Corpus, Essay, Label
+from .errors import AtcError
 from .gateway import ChatRequest
 from .prompting import QUERY_HEADER, render_labels
 
@@ -38,12 +39,18 @@ def _query_title(request: ChatRequest) -> str:
 
 
 def gold_echo_responder(corpus: Corpus) -> Responder:
-    """Answer with the query essay's gold labels in the canonical format."""
+    """Answer with the query essay's gold labels in the canonical format.
+
+    The query essay is found by its title, so two essays of one title are refused.
+    """
     by_title: dict[str, Essay] = {}
     for essay in corpus.essays:
-        if essay.title in by_title:
-            raise ValueError(f"duplicate essay title {essay.title!r}; cannot key gold echo")
-        by_title[essay.title] = essay
+        other = by_title.setdefault(essay.title, essay)
+        if other is not essay:
+            raise AtcError(
+                f"essays {other.essay_id} and {essay.essay_id} share the title {essay.title!r},"
+                f" so gold_echo cannot tell their prompts apart"
+            )
 
     def respond(request: ChatRequest) -> str:
         essay = by_title.get(_query_title(request))

@@ -12,8 +12,9 @@ target component per call. The info block is rendered once per run by
 ``build_info_block``. ``build_prompt`` renders an essay's query section and
 instructions once and returns one :class:`Prompt` per ensembling round:
 rounds differ only in their demonstrations, and a round's one-by-one
-requests only in the closing instruction. ``classify_essay`` asks one built
-prompt's calls, retries malformed answers and parses them.
+requests only in the closing instruction. This module only renders and
+parses text: ``ensemble.run_ensemble`` asks each round's calls, retries
+malformed answers and votes.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
 from .features import extract_structural, render_featxt
-from .gateway import ChatKeyPrefix, Gateway
-
-if TYPE_CHECKING:
-    from .ensemble import IclConfig
 
 
 class MissingInfoBlock(AtcError):
@@ -47,10 +44,6 @@ class CountMismatch(AtcError):
 
 class UnknownLabel(AtcError):
     """A response line holds no recognizable class name."""
-
-
-class Unparseable(AtcError):
-    """The model never produced a parseable answer within the retry budget."""
 
 
 class PromptMode(Enum):
@@ -72,7 +65,8 @@ class Prompt:
 
     Each call's user text is the round's ``context`` followed by one of
     ``instructions``. Every answer must hold ``answer_lines`` label lines; a
-    malformed one is asked again with ``reminder`` appended to its user text.
+    malformed one is asked again with ``reminder``, which opens with a blank
+    line, appended to its instruction.
     """
 
     system_text: str
@@ -222,11 +216,11 @@ def build_prompt(
     m = query.m
     if config.mode is PromptMode.ALL_AT_ONCE:
         system_text, instructions = SYSTEM_ALL_AT_ONCE, (ALL_AT_ONCE_INSTRUCTION.format(m=m),)
-        answer_lines, reminder = m, FORMAT_REMINDER.format(m=m)
+        answer_lines, reminder = m, "\n\n" + FORMAT_REMINDER.format(m=m)
     else:
         system_text = SYSTEM_ONE_BY_ONE
         instructions = tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
-        answer_lines, reminder = 1, ONE_BY_ONE_REMINDER
+        answer_lines, reminder = 1, "\n\n" + ONE_BY_ONE_REMINDER
     info_section = info + "\n\n" if config.include_info else ""
     query_section = _render_query(query, config) + "\n\n"
     prompts = []
@@ -264,39 +258,3 @@ def parse_response(text: str, m: int) -> list[Label]:
     if len(labels) != m:
         raise CountMismatch(f"expected {m} label lines, found {len(labels)}")
     return labels
-
-
-def classify_essay(
-    query: Essay, prompt: Prompt, config: IclConfig, gateway: Gateway
-) -> tuple[list[Label], list[str]]:
-    """Ask ``prompt``'s calls through the gateway: one label per component of ``query``.
-
-    Each instruction is one chat call with the model and temperature of
-    ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens. A malformed answer is asked again, with the prompt's
-    reminder appended, up to ``MAX_RETRIES`` times before :class:`Unparseable`
-    is raised. Every request, retries included, is made by one key prefix over
-    the prompt's context, so its store key hashes only its own instruction.
-    Returns the labels and every raw response text, in request order.
-    """
-    responses: list[str] = []
-    key_prefix = ChatKeyPrefix(
-        config.model_name, prompt.system_text, config.temperature, MAX_OUTPUT_TOKENS, prompt.context
-    )
-
-    def ask(instruction: str) -> list[Label]:
-        request = key_prefix.request(instruction)
-        last_error: AtcError | None = None
-        for _ in range(MAX_RETRIES + 1):
-            response = gateway.chat(request)
-            responses.append(response.text)
-            try:
-                return parse_response(response.text, prompt.answer_lines)
-            except (CountMismatch, UnknownLabel) as exc:
-                last_error = exc
-                request = key_prefix.request(instruction + "\n\n" + prompt.reminder)
-        raise Unparseable(
-            f"no parseable answer after {MAX_RETRIES + 1} attempts, the last: {last_error}"
-        ) from last_error
-
-    labels = [label for instruction in prompt.instructions for label in ask(instruction)]
-    return labels, responses

@@ -400,6 +400,56 @@ def test_run_rejects_undecodable_record_line(runner, small_dir, tmp_path):
         assert f"{out_dir / 'records.jsonl'}, line 2" in str(result.exception)
 
 
+
+def test_a_repeated_record_is_refused_by_eval_and_by_a_resume(runner, small_dir, tmp_path):
+    out_dir = tmp_path / "repeated"
+    config = write_config(tmp_path / "repeated.yaml", small_dir, out_dir)
+    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    records_path = out_dir / "records.jsonl"
+    lines = records_path.read_bytes().split(b"\n")
+    records_path.write_bytes(b"\n".join([lines[0], lines[1], lines[0], b""]))
+    essay_id = json.loads(lines[0])["essay_id"]
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    for args in (["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                 ["run", "--config", str(config)], ["run", "--config", str(config), "--dry-run"]):
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, AtcError)
+        assert str(result.exception) == (f"{records_path}, line 3: a second record for essay {essay_id},"
+                                         " whose first is on line 1")
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def retitle(corpus_dir: Path, essay_id: str, title: str) -> None:
+    """Give an essay of ``corpus_dir`` another title, shifting its annotation offsets to match."""
+    txt, ann = corpus_dir / f"{essay_id}.txt", corpus_dir / f"{essay_id}.ann"
+    old, body = txt.read_text(encoding="utf-8").split("\n", 1)
+    txt.write_text(f"{title}\n{body}", encoding="utf-8")
+    shift, lines = len(title) - len(old), []
+    for line in ann.read_text(encoding="utf-8").splitlines():
+        if line.startswith("T"):
+            tid, span, surface = line.split("\t")
+            label, start, end = span.split()
+            line = f"{tid}\t{label} {int(start) + shift} {int(end) + shift}\t{surface}"
+        lines.append(line)
+    ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_gold_echo_refuses_two_essays_of_one_title(small_dir, tmp_path, monkeypatch, capfd):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(small_dir, corpus_dir)
+    title = (corpus_dir / "essay001.txt").read_text(encoding="utf-8").split("\n", 1)[0]
+    retitle(corpus_dir, "essay002", title)
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir)
+    monkeypatch.setattr(sys, "argv", ["atc-icl", "run", "--config", str(config)])
+    monkeypatch.setattr(cli.signal, "signal", lambda *args: None)  # the test process keeps its SIGTERM handler
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 1
+    assert capfd.readouterr() == ("", f"error: essays essay001 and essay002 share the title {title!r},"
+                                      " so gold_echo cannot tell their prompts apart\n")
+    assert not out_dir.exists()
+
 def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path):
     out_dir = tmp_path / "shared"
     first = write_config(tmp_path / "k3.yaml", small_dir, out_dir)

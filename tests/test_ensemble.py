@@ -1,7 +1,8 @@
-"""Majority voting, per-round seeding, and the ensembling loop."""
+"""Majority voting, per-round seeding, and the ensembling loop: asking, retrying, voting."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -21,10 +22,11 @@ from atc_icl.ensemble import (
     run_ensemble,
 )
 from atc_icl.errors import ConfigError
-from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend
-from atc_icl.prompting import PromptConfig, PromptMode, build_prompt, classify_essay, render_labels
+from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend, chat_request_digest
+from atc_icl.prompting import (FORMAT_REMINDER, ONE_BY_ONE_REMINDER, PromptConfig, PromptMode, UnknownLabel,
+                               build_prompt, parse_response, render_info, render_labels)
 from atc_icl.selection import SelectionOutcome, SelectionStrategy, rank_neighbors, subsample
-from conftest import ScriptedChatBackend, simple_essay
+from conftest import ScriptedChatBackend, simple_essay, user_texts
 
 
 def brute_force_vote(votes):
@@ -196,6 +198,130 @@ def test_run_ensemble_round_failure_aborts_essay():
     assert gateway.calls("chat") == 3
 
 
+
+def ask_round(query, config, gateway, k=2, info=None, **settings):
+    """Run ``query`` through one round over ``make_pool()`` (no pool for k = 0).
+
+    Returns the record and the round's prompt, rebuilt from the round's chosen
+    demonstrations, so a test can compare what was sent with what
+    ``build_prompt`` renders.
+    """
+    icl = IclConfig(SelectionStrategy.KRN, k=k, n_rounds=1, prompt=config, run_seed=0, **settings)
+    pool = make_pool() if k else []
+    record = run_ensemble(query, pool, icl, gateway, info=info)
+    by_id = {e.essay_id: e for e in pool}
+    (prompt,) = build_prompt(query, [[by_id[i] for i in record.selections[0].chosen_ids]], config, info)
+    return record, prompt
+
+
+def component_of(request):
+    return int(re.search(r"component (\d+) of", request.user_text).group(1))
+
+
+def test_run_ensemble_asks_a_parseable_round_once(park_essay):
+    gateway = Gateway(chat_backend=ScriptedChatBackend([render_labels(gold_of(park_essay))]))
+    record, _ = ask_round(park_essay, prompt_config(), gateway)
+    assert list(record.rounds[0]) == gold_of(park_essay)
+    assert len(record.responses[0]) == 1
+
+
+def test_run_ensemble_retries_then_succeeds(park_essay):
+    gold = render_labels(gold_of(park_essay))
+    gateway = Gateway(chat_backend=ScriptedChatBackend(["not a label list", gold]))
+    record, _ = ask_round(park_essay, prompt_config(), gateway)
+    assert list(record.rounds[0]) == gold_of(park_essay)
+    assert record.responses[0] == ("not a label list", gold)
+
+
+def test_run_ensemble_retry_appends_reminder(park_essay):
+    seen = []
+
+    def responder(request):
+        seen.append(request.user_text)
+        return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
+
+    ask_round(park_essay, prompt_config(), Gateway(chat_backend=MockChatBackend(responder=responder)))
+    assert "Reminder:" not in seen[0]
+    assert "Reminder:" in seen[1]
+
+
+def test_all_at_once_retry_text_is_unchanged(park_essay):
+    seen = []
+
+    def responder(request):
+        seen.append(request.user_text)
+        return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
+
+    _, prompt = ask_round(park_essay, prompt_config(), Gateway(chat_backend=MockChatBackend(responder=responder)))
+    (base,) = user_texts(prompt)
+    assert seen == [base, base + "\n\nReminder: respond with exactly 4 lines, one per component, in the format "
+                    "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
+                    "Output nothing else."]
+
+
+def test_one_by_one_retry_asks_for_the_label_alone(park_essay):
+    gold = gold_of(park_essay)
+    seen = []
+
+    def responder(request):
+        seen.append(request.user_text)
+        return "garbage" if len(seen) == 1 else gold[component_of(request) - 1].display_name
+
+    config = prompt_config(PromptMode.ONE_BY_ONE)
+    record, prompt = ask_round(park_essay, config, Gateway(chat_backend=MockChatBackend(responder=responder)), k=0)
+    assert list(record.rounds[0]) == gold
+    assert len(record.responses[0]) == park_essay.m + 1
+    first = user_texts(prompt)[0]
+    assert seen[:2] == [first, first + "\n\n" + ONE_BY_ONE_REMINDER]
+    assert ONE_BY_ONE_REMINDER.startswith(FORMAT_REMINDER.split("{")[0])
+    assert "lines" not in ONE_BY_ONE_REMINDER and "<index>" not in ONE_BY_ONE_REMINDER
+
+
+def test_run_ensemble_round_fails_after_the_retry_budget(park_essay):
+    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: "always garbage"))
+    with pytest.raises(RoundFailed) as failed:
+        ask_round(park_essay, prompt_config(), gateway)
+    assert gateway.calls("chat") == 3  # initial attempt plus two retries
+    assert isinstance(failed.value.__cause__, UnknownLabel)
+    assert str(failed.value).endswith(f"the last: {failed.value.__cause__}")
+
+
+def test_run_ensemble_one_by_one_asks_once_per_component(park_essay):
+    gold = gold_of(park_essay)
+    gateway = Gateway(chat_backend=MockChatBackend(
+        responder=lambda request: gold[component_of(request) - 1].display_name))
+    record, _ = ask_round(park_essay, prompt_config(PromptMode.ONE_BY_ONE), gateway)
+    assert list(record.rounds[0]) == gold
+    assert gateway.calls("chat") == park_essay.m
+    assert len(record.responses[0]) == park_essay.m
+
+
+def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_essay):
+    gold = gold_of(park_essay)
+    seen = []
+
+    def responder(request):
+        seen.append(request)
+        return "garbage" if len(seen) == 2 else gold[component_of(request) - 1].display_name
+
+    config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
+    info = render_info({Label.MAJOR_CLAIM: 598, Label.CLAIM: 1202, Label.PREMISE: 3023})
+    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
+    record, prompt = ask_round(park_essay, config, gateway, info=info, model_name="gpt-3.5-turbo", temperature=0.5)
+    assert list(record.rounds[0]) == gold
+    assert len(seen) == park_essay.m + 1
+    sent = list(user_texts(prompt))
+    sent.insert(2, sent[1] + "\n\n" + ONE_BY_ONE_REMINDER)  # the retry of the second call
+    assert [request.user_text for request in seen] == sent
+    key_prefix = seen[0].key_prefix
+    assert all(request.key_prefix is key_prefix for request in seen)
+    assert key_prefix.context == prompt.context
+    assert (key_prefix.model_name, key_prefix.temperature) == ("gpt-3.5-turbo", 0.5)
+    for request in seen:
+        plain = dataclasses.replace(request)
+        assert plain.key_prefix is None
+        assert chat_request_digest(request) == chat_request_digest(plain)
+
 def test_run_ensemble_reproducible_given_config():
     query = simple_essay("q", "Query topic", [Label.CLAIM, Label.CLAIM])
     config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, prompt=prompt_config(), run_seed=21)
@@ -260,14 +386,14 @@ def test_prediction_record_dict_round_trip():
     assert PredictionRecord.from_dict(record.to_dict()) == record
 
 
+def prompt_hash_answer(query, user_text):
+    """An answer that depends on the whole prompt, so other demonstrations give other votes."""
+    h = hashlib.sha256(user_text.encode("utf-8")).digest()
+    return render_labels([LABELS[h[j] % 3] for j in range(query.m)])
+
+
 def prompt_hash_gateway(query):
-    """Answers that depend on the whole prompt, so other demonstrations give other votes."""
-
-    def responder(request):
-        h = hashlib.sha256(request.user_text.encode("utf-8")).digest()
-        return render_labels([LABELS[h[j] % 3] for j in range(query.m)])
-
-    return Gateway(chat_backend=MockChatBackend(responder=responder),
+    return Gateway(chat_backend=MockChatBackend(responder=lambda request: prompt_hash_answer(query, request.user_text)),
                    embedding_backend=HashEmbeddingBackend(dim=8))
 
 
@@ -289,10 +415,11 @@ def test_run_ensemble_matches_independent_rounds(strategy):
         outcome = SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, 3, pick_seed)),
                                    rank_seed, pick_seed)
         (prompt,) = build_prompt(query, [[pool_by_id[i] for i in outcome.chosen_ids]], config.prompt)
-        labels, raw = classify_essay(query, prompt, config, gateway)
+        (instruction,) = prompt.instructions
+        raw = prompt_hash_answer(query, prompt.context + instruction)
         selections.append(outcome)
-        rounds.append(tuple(labels))
-        responses.append(tuple(raw))
+        rounds.append(tuple(parse_response(raw, query.m)))
+        responses.append((raw,))
     per_component = list(zip(*rounds))
     expected = PredictionRecord(
         essay_id="q",

@@ -1,5 +1,5 @@
 """The offline grid script: one run_experiment per grid row, gold echo scores 1.0,
-title-kNN rows replay their embeddings from a packed store."""
+title-kNN rows replay their embeddings from a packed store, every shipped config is a row."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from atc_icl.config import load_run_config
 from atc_icl.gateway import ResponseStore
 from atc_icl.selection import SelectionStrategy
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_offline_grid.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_offline_grid.py"
 
 
 @pytest.fixture()
@@ -25,10 +27,11 @@ def grid():
 
 
 def test_gold_echo_grid_scores_perfectly_with_a_manifest_per_row(grid, monkeypatch, capsys):
-    out_dirs = []
+    out_dirs, seeds = [], set()
     run_experiment = grid.run_experiment
 
     def checked(config):
+        seeds.add(config.icl.run_seed)
         report = run_experiment(config)
         assert report.macro_f1 == 1.0
         manifest = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -42,6 +45,7 @@ def test_gold_echo_grid_scores_perfectly_with_a_manifest_per_row(grid, monkeypat
     monkeypatch.setattr(grid, "run_experiment", checked)
     assert grid.main(["--mock", "gold_echo"]) == 0
     assert len(set(out_dirs)) == len(grid.GRID)
+    assert seeds == {17}  # the --seed default, not the rows' own
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == len(grid.GRID) and all(row.endswith("1.000") for row in rows)
 
@@ -52,3 +56,12 @@ def test_gold_echo_grid_fails_below_perfect_score(grid, monkeypatch):
         grid, "run_experiment", lambda config: dataclasses.replace(run_experiment(config), macro_f1=0.5)
     )
     assert grid.main(["--mock", "gold_echo"]) == 1
+
+
+def test_every_shipped_config_is_a_grid_row(grid):
+    configs = sorted((ROOT / "configs").glob("*.yaml"))
+    assert len(configs) == 7
+    rows = [dataclasses.replace(icl, run_seed=0) for icl in grid.GRID]
+    for path in configs:
+        assert dataclasses.replace(load_run_config(path).icl, run_seed=0) in rows, path
+    assert len(rows) == len(set(rows)) == len(configs) + 3

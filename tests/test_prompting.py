@@ -1,8 +1,7 @@
-"""Prompt construction, response parsing, and the classify loop."""
+"""Prompt construction and response parsing."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from pathlib import Path
 from random import Random
@@ -11,30 +10,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atc_icl.corpus import LABELS, Label
-from atc_icl.ensemble import IclConfig
-from atc_icl.gateway import Gateway, MockChatBackend, chat_request_digest
 from atc_icl.prompting import (
     ALL_AT_ONCE_INSTRUCTION,
     CLASS_DEFINITIONS,
-    FORMAT_REMINDER,
     ONE_BY_ONE_INSTRUCTION,
-    ONE_BY_ONE_REMINDER,
     CountMismatch,
     MissingDemonstrations,
     MissingInfoBlock,
     PromptConfig,
     PromptMode,
     UnknownLabel,
-    Unparseable,
     build_info_block,
     build_prompt,
-    classify_essay,
     parse_response,
     render_info,
     render_labels,
 )
-from atc_icl.selection import SelectionStrategy
-from conftest import ScriptedChatBackend, build_essay, user_texts
+from conftest import build_essay, user_texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,12 +58,6 @@ def one_round(query, demos, config, info=None):
     """The prompt of a single round with ``demos``."""
     (prompt,) = build_prompt(query, [demos], config, info)
     return prompt
-
-
-def classify(query, demos, config, gateway):
-    """Ask one round with ``demos`` through ``gateway``, with the default model settings."""
-    icl = IclConfig(SelectionStrategy.KRN, k=len(demos), n_rounds=1, prompt=config, run_seed=0)
-    return classify_essay(query, one_round(query, demos, config), icl, gateway)
 
 
 def test_prompt_structure_counts_demo_sections(park_essay):
@@ -233,119 +219,3 @@ def test_round_trip_thousand_random_sequences():
         labels = [rng.choice(LABELS) for _ in range(rng.randint(1, 25))]
         assert parse_response(render_labels(labels), len(labels)) == labels
 
-
-def gold_of(essay):
-    return [c.gold_label for c in essay.components]
-
-
-def test_classify_essay_echo(park_essay):
-    gateway = Gateway(chat_backend=ScriptedChatBackend([render_labels(gold_of(park_essay))]))
-    labels, responses = classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
-    assert labels == gold_of(park_essay)
-    assert len(responses) == 1
-
-
-def test_classify_essay_retries_then_succeeds(park_essay):
-    gold = render_labels(gold_of(park_essay))
-    gateway = Gateway(chat_backend=ScriptedChatBackend(["not a label list", gold]))
-    labels, responses = classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
-    assert labels == gold_of(park_essay)
-    assert len(responses) == 2
-
-
-def test_classify_essay_retry_appends_reminder(park_essay):
-    seen = []
-
-    def responder(request):
-        seen.append(request.user_text)
-        return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
-
-    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
-    classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
-    assert "Reminder:" not in seen[0]
-    assert "Reminder:" in seen[1]
-
-
-def test_all_at_once_retry_text_is_unchanged(park_essay):
-    seen = []
-
-    def responder(request):
-        seen.append(request.user_text)
-        return "garbage" if len(seen) == 1 else render_labels(gold_of(park_essay))
-
-    demos = list(demo_pair())
-    classify(park_essay, demos, PromptConfig(), Gateway(chat_backend=MockChatBackend(responder=responder)))
-    (base,) = user_texts(one_round(park_essay, demos, PromptConfig()))
-    assert seen == [base, base + "\n\nReminder: respond with exactly 4 lines, one per component, in the format "
-                    "'<index>. <label>', where <label> is 'Major Claim', 'Claim', or 'Premise'. "
-                    "Output nothing else."]
-
-
-def test_one_by_one_retry_asks_for_the_label_alone(park_essay):
-    gold = gold_of(park_essay)
-    seen = []
-
-    def responder(request):
-        seen.append(request.user_text)
-        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
-        return "garbage" if len(seen) == 1 else gold[j - 1].display_name
-
-    config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
-    labels, responses = classify(park_essay, [], config, gateway)
-    assert labels == gold
-    assert len(responses) == park_essay.m + 1
-    first = user_texts(one_round(park_essay, [], config))[0]
-    assert seen[:2] == [first, first + "\n\n" + ONE_BY_ONE_REMINDER]
-    assert ONE_BY_ONE_REMINDER.startswith(FORMAT_REMINDER.split("{")[0])
-    assert "lines" not in ONE_BY_ONE_REMINDER and "<index>" not in ONE_BY_ONE_REMINDER
-
-
-def test_classify_essay_unparseable_after_budget(park_essay):
-    gateway = Gateway(chat_backend=MockChatBackend(responder=lambda request: "always garbage"))
-    with pytest.raises(Unparseable):
-        classify(park_essay, list(demo_pair()), PromptConfig(), gateway)
-    assert gateway.calls("chat") == 3  # initial attempt plus two retries
-
-
-def test_classify_essay_one_by_one(park_essay):
-    gold = gold_of(park_essay)
-
-    def responder(request):
-        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
-        return gold[j - 1].display_name
-
-    gateway = Gateway(chat_backend=MockChatBackend(responder=responder))
-    config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
-    labels, responses = classify(park_essay, list(demo_pair()), config, gateway)
-    assert labels == gold
-    assert gateway.calls("chat") == park_essay.m
-    assert len(responses) == park_essay.m
-
-
-def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_essay):
-    gold = gold_of(park_essay)
-    seen = []
-
-    def responder(request):
-        seen.append(request)
-        j = int(re.search(r"component (\d+) of", request.user_text).group(1))
-        return "garbage" if len(seen) == 2 else gold[j - 1].display_name
-
-    config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
-    prompt = one_round(park_essay, list(demo_pair()), config, info_block())
-    icl = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=1, prompt=config, run_seed=0)
-    labels, _ = classify_essay(park_essay, prompt, icl, Gateway(chat_backend=MockChatBackend(responder=responder)))
-    assert labels == gold
-    assert len(seen) == park_essay.m + 1
-    sent = list(user_texts(prompt))
-    sent.insert(2, sent[1] + "\n\n" + ONE_BY_ONE_REMINDER)  # the retry of the second call
-    assert [request.user_text for request in seen] == sent
-    key_prefix = seen[0].key_prefix
-    assert all(request.key_prefix is key_prefix for request in seen)
-    assert key_prefix.context == prompt.context
-    assert (key_prefix.model_name, key_prefix.temperature) == (icl.model_name, icl.temperature)
-    for request in seen:
-        plain = dataclasses.replace(request)
-        assert plain.key_prefix is None
-        assert chat_request_digest(request) == chat_request_digest(plain)
