@@ -3,10 +3,11 @@
 
 Demonstrates the whole pipeline without credentials: every grid row is one
 ``run_experiment`` over the synthetic test split with a mock chat backend,
-in its own run directory, and prints its report row. The published rows are
-the ``icl`` sections of the shipped ``configs/*.yaml``. Title embeddings are
-first recorded the way ``atc-icl embed`` does (hash vectors through the
-cache, then packed), and the title-kNN rows replay them from that store.
+in its own run directory, and prints its report row; the rows share their
+score columns. The published rows are the ``icl`` sections of the shipped
+``configs/*.yaml``. Title embeddings are first recorded the way ``atc-icl
+embed`` does (hash vectors through the cache, then packed), and the
+title-kNN rows replay them from that store.
 ``gold_echo`` must land macro F1 = 1.0 on every row, and the script exits 1
 when a row does not; ``constant`` shows what an always-Premise baseline scores.
 
@@ -26,7 +27,7 @@ from atc_icl.cli import embed_corpus, run_experiment
 from atc_icl.config import BackendConfig, RunConfig, load_run_config
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
-from atc_icl.metrics import render_report
+from atc_icl.metrics import render_score_rows
 from atc_icl.prompting import PromptConfig, PromptMode
 from atc_icl.selection import SelectionStrategy
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
@@ -79,12 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         recording = dataclasses.replace(replay, embedding="cache")
         embed_corpus(dataclasses.replace(configs[0], backend=recording))
 
-        imperfect = 0
+        imperfect, labelled = 0, []
         for config in configs:
             report = run_experiment(config)
             imperfect += report.macro_f1 < 1.0
-            labelled = dataclasses.replace(report, run_label=f"{report.run_label} ({config.icl.model_name})")
-            print(render_report(labelled).splitlines()[1])
+            labelled.append(dataclasses.replace(report, run_label=f"{report.run_label} ({config.icl.model_name})"))
+        print("\n".join(render_score_rows(labelled)[1:]))
 
     if args.mock == "gold_echo" and imperfect:
         print(f"error: {imperfect} gold_echo rows scored below macro F1 1.0", file=sys.stderr)

@@ -41,7 +41,7 @@ from .gateway import (
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
-from .mocks import constant_label_responder, gold_echo_responder
+from .mocks import Responder, constant_label_responder, gold_echo_responder
 from .prompting import PromptMode, build_info_block
 from .selection import SelectionStrategy
 
@@ -73,10 +73,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
 
     chat = None
     if chat_kind == "mock":
-        if backend.mock_mode == "gold_echo":
-            chat = MockChatBackend(responder=gold_echo_responder(corpus))
-        else:
-            chat = MockChatBackend(responder=constant_label_responder())
+        chat = MockChatBackend(responder=_mock_responder(backend, corpus))
     elif chat_kind == "live":
         chat = LiveChatBackend(session)
     if backend.chat in ("cache", "replay"):
@@ -96,6 +93,13 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
 def _chat_upstream(backend: BackendConfig) -> str:
     """What answers a chat request the store lacks: ``live``, ``mock``, or ``replay`` (nothing)."""
     return backend.cache_upstream if backend.chat == "cache" else backend.chat
+
+
+def _mock_responder(backend: BackendConfig, corpus: Corpus) -> Responder:
+    """The mock of ``backend.mock_mode``; ``gold_echo`` refuses two essays of one title."""
+    if backend.mock_mode == "gold_echo":
+        return gold_echo_responder(corpus)
+    return constant_label_responder()
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -438,6 +442,8 @@ def run(config_path: Path, dry_run: bool) -> None:
         )
     if dry_run:
         *_, corpus, remaining = _pending(config)
+        if _chat_upstream(config.backend) == "mock":
+            _mock_responder(config.backend, corpus)  # refuses what the run would refuse
         per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else 1 for e in remaining]
         click.echo(f"run label:       {run_label(icl)}")
         click.echo(f"config digest:   {config_digest(icl)}")

@@ -63,8 +63,11 @@ class Label(Enum):
     @property
     def tie_break_rank(self) -> int:
         """Higher rank wins ties in majority votes (frequency prior)."""
-        return {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}[self]
+        return TIE_BREAK_RANK[self]
 
+
+#: Label.tie_break_rank of each label, as one table for the vote's hot loop.
+TIE_BREAK_RANK = {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}
 
 #: Canonical report order: Major Claim, Claim, Premise.
 LABELS: tuple[Label, ...] = (Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE)

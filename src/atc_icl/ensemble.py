@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Essay, Label
+from .corpus import TIE_BREAK_RANK, Essay, Label
 from .errors import AtcError, ConfigError
 from .gateway import ChatKeyPrefix, Gateway
 from .prompting import (MAX_OUTPUT_TOKENS, MAX_RETRIES, CountMismatch, PromptConfig, PromptMode,
@@ -132,12 +132,15 @@ def derive_round_seed(run_seed: int, essay_id: str, round_index: int, purpose: s
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-def majority_vote(votes: Sequence[Label]) -> Label:
-    """Most frequent label; ties go to the higher train-set frequency."""
-    if not votes:
+def majority_vote(votes: Sequence[Label] | Counter[Label]) -> Label:
+    """Most frequent label; ties go to the higher train-set frequency.
+
+    ``votes`` holds one label per round, or is already their :class:`Counter`.
+    """
+    counts = votes if isinstance(votes, Counter) else Counter(votes)
+    if not counts:
         raise EmptyVotes("majority vote needs at least one vote")
-    counts = Counter(votes)
-    return max(Label, key=lambda label: (counts[label], label.tie_break_rank))
+    return max(counts, key=lambda label: (counts[label], TIE_BREAK_RANK[label]))
 
 
 def run_ensemble(
@@ -194,11 +197,10 @@ def run_ensemble(
         rounds.append(tuple(labels))
         responses.append(tuple(texts))
 
-    per_component = list(zip(*rounds))
-    final = tuple(majority_vote(list(votes)) for votes in per_component)
+    per_component = [Counter(votes) for votes in zip(*rounds)]
+    final = tuple(map(majority_vote, per_component))
     vote_counts = tuple(
-        {label.value: count for label, count in sorted(Counter(votes).items(), key=lambda kv: kv[0].value)}
-        for votes in per_component
+        dict(sorted((label.value, count) for label, count in counts.items())) for counts in per_component
     )
     return PredictionRecord(
         essay_id=query.essay_id,

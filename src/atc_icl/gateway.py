@@ -131,7 +131,7 @@ def _render_record(record: dict) -> str:
 
 # How a chat record (see _render_record) goes on after the escaped user text,
 # up to its response, and how it ends after the response.
-_CHAT_RECORD_MIDDLE = '"\n  },\n  "response": '
+_CHAT_RECORD_MIDDLE = b'"\n  },\n  "response": '
 _CHAT_RECORD_END = b"\n}\n"
 
 
@@ -154,6 +154,8 @@ class ChatKeyPrefix:
     the escaped context, from the same escaping. :meth:`_record_head` adds a
     request's own rest to it; :meth:`ResponseStore.put_chat` writes those
     bytes, and :meth:`ResponseStore.get_chat` compares a record with them.
+    Both methods take the escaped rest that :func:`_key_parts` makes once per
+    request.
     """
 
     model_name: str
@@ -189,19 +191,19 @@ class ChatKeyPrefix:
         object.__setattr__(request, "key_prefix", self)
         return request
 
-    def _digest(self, user_text: str) -> str:
+    def _digest(self, escaped_rest: bytes) -> str:
         state = self._state.copy()
-        state.update((_json_string_body(user_text[len(self.context):]) + '"}').encode("utf-8"))
+        state.update(escaped_rest + b'"}')
         return state.hexdigest()
 
-    def _record_head(self, user_text: str) -> tuple[bytes, bytes]:
-        """The bytes of the chat record of ``user_text`` up to its response, in two parts.
+    def _record_head(self, escaped_rest: bytes) -> tuple[bytes, bytes]:
+        """The bytes of a chat record up to its response, in two parts.
 
         The first is the group's, up to the end of the context; the second is
-        the escaped rest of ``user_text``, then the record up to the response.
+        ``escaped_rest``, a request's escaped user text after the context,
+        then the record up to the response.
         """
-        rest = _json_string_body(user_text[len(self.context):]) + _CHAT_RECORD_MIDDLE
-        return self._record_start, rest.encode("utf-8")
+        return self._record_start, escaped_rest + _CHAT_RECORD_MIDDLE
 
 
 def _request_fields(request: ChatRequest | ChatKeyPrefix, user_text: str) -> dict:
@@ -230,6 +232,9 @@ class ChatRequest:
     temperature: float = 0.0
     max_output_tokens: int = 1024
     key_prefix: ChatKeyPrefix | None = field(default=None, init=False, compare=False, repr=False)
+    # The UTF-8 of the JSON escape of the user text after the key prefix's
+    # context, made on first use by _key_parts.
+    _escaped_rest: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -265,17 +270,29 @@ def chat_request_digest(request: ChatRequest) -> str:
     It is computed from the request's key prefix, or from one with an empty
     context for a request without.
     """
-    return _key_prefix(request)._digest(request.user_text)
+    prefix, escaped_rest = _key_parts(request)
+    return prefix._digest(escaped_rest)
 
 
-def _key_prefix(request: ChatRequest) -> ChatKeyPrefix:
-    """The key prefix that made ``request``, or one with an empty context for a request without."""
+def _key_parts(request: ChatRequest) -> tuple[ChatKeyPrefix, bytes]:
+    """The key prefix of ``request`` and the UTF-8 of its user text after the prefix's context, JSON-escaped.
+
+    The prefix is the one that made ``request``, or one with an empty context
+    for a request without. The escape is made once and kept on the request,
+    so its digest and the record head that :meth:`ResponseStore.get_chat`
+    compares and :meth:`ResponseStore.put_chat` writes share it. Threads that
+    race to keep it keep equal bytes, so no lock is taken.
+    """
     prefix = request.key_prefix
     if prefix is None:
         prefix = ChatKeyPrefix(
             request.model_name, request.system_text, request.temperature, request.max_output_tokens
         )
-    return prefix
+    escaped_rest = request._escaped_rest
+    if escaped_rest is None:
+        escaped_rest = _json_string_body(request.user_text[len(prefix.context):]).encode("utf-8")
+        object.__setattr__(request, "_escaped_rest", escaped_rest)
+    return prefix, escaped_rest
 
 
 def embedding_digest(model_name: str, text: str) -> str:
@@ -353,11 +370,23 @@ class ResponseStore:
     def _read(self, kind: str, digest: str) -> bytes | None:
         # A plain string: a Path would intern every digest's file name, and
         # the interpreter's intern table then grows, and resizes, with reads.
+        # os.read of the fstat size skips the buffered file object; a short
+        # read goes on to EOF.
         try:
-            with open(os.path.join(self.root, kind, f"{digest}.json"), "rb") as handle:
-                return handle.read()
+            fd = os.open(os.path.join(self.root, kind, f"{digest}.json"), os.O_RDONLY)
         except FileNotFoundError:
             return None
+        try:
+            size = os.fstat(fd).st_size
+            data = os.read(fd, size)
+            if len(data) < size:
+                chunks = [data]
+                while chunk := os.read(fd, size):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+            return data
+        finally:
+            os.close(fd)
 
     def _parse(self, kind: str, digest: str, data: bytes) -> dict:
         try:
@@ -384,7 +413,8 @@ class ResponseStore:
         data = self._read("chat", digest)
         if data is None:
             return None
-        shared, own = _key_prefix(request)._record_head(request.user_text)
+        prefix, escaped_rest = _key_parts(request)
+        shared, own = prefix._record_head(escaped_rest)
         start = len(shared) + len(own)
         if data.startswith(shared) and data.startswith(own, len(shared)) and data.endswith(_CHAT_RECORD_END):
             try:
@@ -409,7 +439,8 @@ class ResponseStore:
         answer = json.dumps({"text": response.text, "usage": usage}, sort_keys=True, ensure_ascii=False, indent=2)
         # A JSON string holds no raw newline, so this indents only the layout.
         answer = answer.replace("\n", "\n  ").encode("utf-8")
-        head = _key_prefix(request)._record_head(request.user_text)
+        prefix, escaped_rest = _key_parts(request)
+        head = prefix._record_head(escaped_rest)
         self._write("chat", digest, b"".join([*head, answer, _CHAT_RECORD_END]))
 
     def get_embedding(self, digest: str) -> tuple[float, ...] | None:

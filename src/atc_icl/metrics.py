@@ -125,16 +125,29 @@ def aggregate_runs(
     return evaluate(preds, golds, run_label=run_label, config_digest=config_digest)
 
 
+def render_score_rows(reports: Sequence[EvaluationReport]) -> list[str]:
+    """A header, then one row per report: its run label and its MC / C / P / macro F1.
+
+    The run column is 40 characters wide, or as wide as the longest label, so
+    every score stays under its heading.
+    """
+    run_labels = [report.run_label or "-" for report in reports]
+    width = max([40, *map(len, run_labels)])
+    rows = [f"{'Run':<{width}}{'MC':>8}{'C':>8}{'P':>8}{'F1':>8}"]
+    for run_label, report in zip(run_labels, reports):
+        f1 = {label: report.per_label[label].f1 for label in LABELS}
+        rows.append(
+            f"{run_label:<{width}}"
+            f"{f1[Label.MAJOR_CLAIM]:>8.3f}{f1[Label.CLAIM]:>8.3f}"
+            f"{f1[Label.PREMISE]:>8.3f}{report.macro_f1:>8.3f}"
+        )
+    return rows
+
+
 def render_report(report: EvaluationReport) -> str:
     """Human-readable table in MC / C / P / F1 column order plus details."""
-    header = f"{'Run':<40}{'MC':>8}{'C':>8}{'P':>8}{'F1':>8}"
-    f1 = {label: report.per_label[label].f1 for label in LABELS}
-    row = (
-        f"{(report.run_label or '-'):<40}"
-        f"{f1[Label.MAJOR_CLAIM]:>8.3f}{f1[Label.CLAIM]:>8.3f}"
-        f"{f1[Label.PREMISE]:>8.3f}{report.macro_f1:>8.3f}"
-    )
-    lines = [header, row, "", f"{'class':<14}{'precision':>10}{'recall':>10}{'f1':>10}{'support':>10}"]
+    lines = [*render_score_rows([report]), ""]
+    lines.append(f"{'class':<14}{'precision':>10}{'recall':>10}{'f1':>10}{'support':>10}")
     for label in LABELS:
         m = report.per_label[label]
         lines.append(

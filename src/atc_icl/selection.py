@@ -63,9 +63,7 @@ def rank_neighbors(
     pool. Ties under the deterministic strategies break by ascending essay id;
     only the random strategy consumes ``rng_seed``.
     """
-    candidates = sorted(
-        (e for e in pool if e.essay_id != query.essay_id), key=lambda e: e.essay_id
-    )
+    candidates = [e for e in pool if e.essay_id != query.essay_id]
     if len(candidates) < n_neighbors:
         raise PoolTooSmall(
             f"need {n_neighbors} neighbors but only {len(candidates)} candidates"
@@ -73,13 +71,16 @@ def rank_neighbors(
     if n_neighbors == 0:
         return []
 
+    if strategy is SelectionStrategy.KNN_LEN:
+        # One keyed pass: the n smallest (component-count distance, id) pairs, in order.
+        m = query.m
+        nearest = heapq.nsmallest(n_neighbors, [(abs(len(e.components) - m), e.essay_id) for e in candidates])
+        return [essay_id for _, essay_id in nearest]
+
+    candidates.sort(key=lambda e: e.essay_id)
     if strategy is SelectionStrategy.KRN:
         rng = Random(rng_seed)
         return rng.sample([e.essay_id for e in candidates], n_neighbors)
-
-    if strategy is SelectionStrategy.KNN_LEN:
-        ranked = sorted(candidates, key=lambda e: (abs(e.m - query.m), e.essay_id))
-        return [e.essay_id for e in ranked[:n_neighbors]]
 
     if gateway is None or gateway.embedding_backend is None:
         raise EmbeddingUnavailable("title-embedding ranking needs an embedding gateway")

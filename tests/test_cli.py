@@ -434,21 +434,33 @@ def retitle(corpus_dir: Path, essay_id: str, title: str) -> None:
     ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_gold_echo_refuses_two_essays_of_one_title(small_dir, tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("chat", [{"chat": "mock"}, {"chat": "cache", "cache_upstream": "mock", "store_dir": "store"}],
+                         ids=["mock", "cache-over-mock"])
+def test_gold_echo_refuses_two_essays_of_one_title(small_dir, tmp_path, monkeypatch, capfd, chat, dry_run):
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(small_dir, corpus_dir)
     title = (corpus_dir / "essay001.txt").read_text(encoding="utf-8").split("\n", 1)[0]
     retitle(corpus_dir, "essay002", title)
     out_dir = tmp_path / "out"
-    config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir)
-    monkeypatch.setattr(sys, "argv", ["atc-icl", "run", "--config", str(config)])
+    config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir, backend=chat)
+    monkeypatch.setattr(sys, "argv", ["atc-icl", "run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
     monkeypatch.setattr(cli.signal, "signal", lambda *args: None)  # the test process keeps its SIGTERM handler
+    monkeypatch.setattr(cli, "HttpSession", None)  # no mock run builds a session
     with pytest.raises(SystemExit) as exited:
         cli.entrypoint()
     assert exited.value.code == 1
     assert capfd.readouterr() == ("", f"error: essays essay001 and essay002 share the title {title!r},"
                                       " so gold_echo cannot tell their prompts apart\n")
-    assert not out_dir.exists()
+    assert not out_dir.exists() and not (tmp_path / "store").exists()
+
+    # The constant mock does not look essays up by title.
+    write_config(tmp_path / "run.yaml", corpus_dir, out_dir, backend={**chat, "mock_mode": "constant"})
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 0
+    assert ("chat requests:" if dry_run else "Run ") in capfd.readouterr().out
+
 
 def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path):
     out_dir = tmp_path / "shared"

@@ -127,6 +127,9 @@ def make_pool(size=8):
     ]
 
 
+PROPERTY_POOL = make_pool()
+
+
 def gold_of(essay):
     return [c.gold_label for c in essay.components]
 
@@ -181,6 +184,30 @@ def test_run_ensemble_scripted_disagreement_matches_tally_oracle():
     for j in range(query.m):
         assert record.final[j] is brute_force_vote([labels[j] for labels in per_round])
     assert record.vote_counts[0] == {"Claim": 3, "MajorClaim": 2}
+
+
+def old_vote_rule(votes):
+    """``final`` and ``vote_counts`` of one component as the vote first computed them: ``max``
+    over all three labels by (count, tie-break rank), and the counts in label-value order."""
+    rank = {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}
+    final = max(LABELS, key=lambda label: (votes.count(label), rank[label]))
+    ordered = sorted(LABELS, key=lambda label: label.value)
+    return final, [(label.value, votes.count(label)) for label in ordered if label in votes]
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.sampled_from(LABELS), min_size=m, max_size=m), min_size=1, max_size=5)))
+def test_run_ensemble_final_and_vote_counts_follow_the_old_rule(per_round):
+    m = len(per_round[0])
+    query = simple_essay("q", "Query topic", [Label.PREMISE] * m)
+    gateway = Gateway(chat_backend=ScriptedChatBackend([render_labels(labels) for labels in per_round]))
+    config = IclConfig(SelectionStrategy.KNN_LEN, k=2, n_rounds=len(per_round), prompt=prompt_config(), run_seed=5)
+    record = run_ensemble(query, PROPERTY_POOL, config, gateway)
+    for j in range(m):
+        votes = [labels[j] for labels in per_round]
+        final, counts = old_vote_rule(votes)
+        assert record.final[j] is final is majority_vote(votes)
+        assert list(record.vote_counts[j].items()) == counts
 
 
 def test_run_ensemble_round_failure_aborts_essay():

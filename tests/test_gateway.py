@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from atc_icl import gateway as gateway_module
 from atc_icl.errors import AtcError
 from atc_icl.gateway import (
     MAX_RETRY_AFTER_S,
@@ -506,6 +507,40 @@ def test_a_record_without_its_request_is_refused(tmp_path, edit, message):
     digest = write_record(tmp_path, req(), canonical(record))
     with pytest.raises(AtcError, match=f"chat record {digest}.* {message}"):
         StoreChatBackend(ResponseStore(tmp_path)).complete(req())
+
+
+def test_a_hit_and_a_miss_each_escape_the_instruction_once(tmp_path, monkeypatch):
+    prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "shared \"context\" \u2028\n")
+    instruction = "Which class is \"component\" 2 of 3?\t\U0001F600"
+    real_escape, escaped = gateway_module._json_string_body, []
+    monkeypatch.setattr(gateway_module, "_json_string_body", lambda text: escaped.append(text) or real_escape(text))
+    backend = StoreChatBackend(ResponseStore(tmp_path), CountingChatBackend())
+    miss = backend.complete(prefix.request(instruction))
+    assert miss.backend_tag is BackendTag.LIVE and escaped == [instruction]
+    escaped.clear()
+    hit = backend.complete(prefix.request(instruction))
+    assert hit.backend_tag is BackendTag.CACHE and escaped == [instruction]
+    assert (hit.text, hit.usage) == (miss.text, miss.usage)
+
+
+def test_a_record_read_in_short_pieces_is_served_as_one_read_serves_it(tmp_path, monkeypatch):
+    request = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "caf\u00e9 context ").request("classify this")
+    digest = chat_request_digest(request)
+    store = ResponseStore(tmp_path)
+    store.put_chat(digest, request, ChatResponse("1. Cl\u00e4im", Usage(3, 1), BackendTag.LIVE))
+    data = (tmp_path / "chat" / f"{digest}.json").read_bytes()
+    assert store._read("chat", digest) == data
+    real_read, sizes = os.read, []
+
+    def short_read(fd, n):
+        piece = real_read(fd, min(n, 7))
+        sizes.append(len(piece))
+        return piece
+
+    monkeypatch.setattr(gateway_module.os, "read", short_read)
+    assert store._read("chat", digest) == data
+    assert len(sizes) == -(-len(data) // 7) + 1 and sizes[-1] == 0  # read on to EOF
+    assert store.get_chat(digest, request) == ("1. Cl\u00e4im", Usage(3, 1))
 
 
 FIXTURE_CHAT = sorted((Path(__file__).parent / "data" / "replay_fixture" / "store" / "chat").glob("*.json"))

@@ -17,6 +17,7 @@ from atc_icl.metrics import (
     aggregate_runs,
     evaluate,
     render_report,
+    render_score_rows,
 )
 
 MC, C, P = Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE
@@ -182,6 +183,26 @@ def test_render_report_column_order():
     header, row = text.splitlines()[0], text.splitlines()[1]
     assert header.split() == ["Run", "MC", "C", "P", "F1"]
     assert "info + essay + 5NN + 5Ens" in row
+
+
+@pytest.mark.parametrize("run_label", ["info + essay + fts + 5NN^len + 3Ens + one-by-one", "x" * 40, "x" * 41, ""])
+def test_a_long_run_label_keeps_every_score_under_its_heading(run_label):
+    report = evaluate([MC, C, P], [MC, C, C], run_label=run_label)
+    header, row = render_report(report).splitlines()[:2]
+    assert len(header) == len(row) == max(40, len(run_label)) + 32
+    assert (header[:-32].rstrip(), row[:-32].rstrip()) == ("Run", run_label or "-")
+    # Four 8-character columns, each score right-aligned under its heading.
+    assert header[-32:] == "      MC       C       P      F1"
+    scores = row[-32:]
+    assert [scores[j : j + 8] for j in range(0, 32, 8)] == ["   1.000", "   0.667", "   0.000", "   0.556"]
+
+
+def test_score_rows_of_several_reports_share_their_columns():
+    labels = ["essay + 5NN + 5Ens", "info + essay + fts + 5NN^len + 3Ens + one-by-one (gpt-4)", "k0"]
+    rows = render_score_rows([evaluate([MC, C, P], [MC, C, P], run_label=label) for label in labels])
+    assert len(rows) == 4 and len({len(row) for row in rows}) == 1
+    assert [row[: len(rows[0]) - 32].rstrip() for row in rows] == ["Run", *labels]
+    assert rows[0] == render_report(evaluate([MC], [MC], run_label=labels[1])).splitlines()[0]
 
 
 # Recorded from a seeded mix in which Major Claim occurs in the gold labels but

@@ -67,6 +67,22 @@ def test_knn_len_breaks_ties_by_essay_id():
     assert ranked == ["a", "b", "c", "d"]
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.randoms(use_true_random=False), st.data())
+def test_knn_len_one_pass_ranking_equals_the_sorted_oracle(counts, rng, data):
+    ids = [f"e{i:02d}" for i in range(len(counts))]
+    rng.shuffle(ids)  # pool order is not id order
+    pool = essays_with_counts(dict(zip(ids, counts)))
+    query = data.draw(st.sampled_from(pool))  # the query is in the pool
+    candidates = sorted((e for e in pool if e.essay_id != query.essay_id), key=lambda e: e.essay_id)
+    n = data.draw(st.integers(0, len(candidates)))
+    oracle = sorted(candidates, key=lambda e: (abs(e.m - query.m), e.essay_id))[:n]
+    assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, n, rng_seed=0) == [e.essay_id for e in oracle]
+    assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, 0, rng_seed=0) == []
+    with pytest.raises(PoolTooSmall, match=f"^need {len(pool)} neighbors but only {len(candidates)} candidates$"):
+        rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, len(pool), rng_seed=0)
+
+
 def test_knn_title_identical_embedding_ranks_first():
     query = simple_essay("q", "Query title", [Label.CLAIM])
     pool = [simple_essay(f"e{i}", f"Pool title {i}", [Label.CLAIM]) for i in range(3)]
