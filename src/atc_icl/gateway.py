@@ -28,8 +28,9 @@ An embedding record holds its vector as packed little-endian float64 (hex
 text), so a replay reads it back with no decimal parsing; records written
 earlier, with a JSON list of floats, still replay. ``atc-icl embed`` also
 writes one *pack* per embedding model, a single file of every title's
-float64 row, from which a kNN replay reads the whole pool without opening a
-record per title.
+float64 row and of the norms of and distances between those rows, from which
+a kNN replay ranks the whole pool without opening a record or unpacking a
+vector per title.
 :class:`Gateway` counts the calls each (operation, backend tag) served, and
 retries transport errors and 429s with jittered exponential backoff, waiting
 at least as long as a 429's ``Retry-After`` unless it asks for more than
@@ -51,6 +52,7 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -66,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .errors import AtcError, masked_url
 
@@ -321,17 +323,22 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return max(-1.0, min(1.0, dot / norms))
 
 
-def write_atomic(path: Path, data: str | bytes) -> None:
-    """Replace ``path`` with ``data`` (text as UTF-8) so no reader or crash sees a partial file.
+def write_atomic(path: Path, data: str | bytes | Iterable[bytes]) -> None:
+    """Replace ``path`` with ``data`` so no reader or crash sees a partial file.
 
-    The data goes to a uniquely named temp file next to ``path``, which is
-    then renamed over it; on any failure the temp file is removed and
+    ``data`` is text (written as UTF-8), bytes, or chunks of bytes, which are
+    written in order as they are made. The data goes to a uniquely named
+    temp file next to ``path``, which is then renamed over it; on any
+    failure, one in making a chunk too, the temp file is removed and
     ``path`` keeps its previous content.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as handle:
-            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -351,17 +358,19 @@ class ResponseStore:
 
     ``embed/`` may also hold one pack per embedding model (see
     :meth:`embedding_pack_path`): a JSON header line ``{"digests", "dim",
-    "model_name"}`` followed by one row of ``dim`` little-endian float64
-    values per listed digest, in header order. The pack headers are read on
-    the first embedding read, and a digest a pack lists is served from its
-    row; any other digest falls back to its record. Records and packs are
-    written with :func:`write_atomic`, so writers that share a store, in one
-    process or several, never see or leave a partial file.
+    "distances", "model_name"}`` followed by one row of ``dim`` little-endian
+    float64 values per listed digest, in header order, and then, when
+    ``distances`` is true, the distance block of those rows (see
+    :class:`_EmbeddingPack`). The pack headers are read on the first
+    embedding read, and a digest a pack lists is served from its row; any
+    other digest falls back to its record. Records and packs are written with
+    :func:`write_atomic`, so writers that share a store, in one process or
+    several, never see or leave a partial file.
     """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        # digest -> (pack, offset of its row); None until the first embedding read
+        # digest -> (pack, index of its row); None until the first embedding read
         self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
     def _path(self, kind: str, digest: str) -> Path:
@@ -452,8 +461,8 @@ class ResponseStore:
         """
         row = self._packs().get(digest)
         if row is not None:
-            pack, offset = row
-            return pack.row(offset)
+            pack, index = row
+            return pack.row(index)
         data = self._read("embed", digest)
         return None if data is None else _record_vector(self._parse("embed", digest, data), digest)
 
@@ -473,21 +482,46 @@ class ResponseStore:
                 if path != self.embedding_pack_path(pack.model_name):
                     raise AtcError(f"embedding pack {path} holds model {pack.model_name!r}, which is not filed there")
                 for index, digest in enumerate(pack.digests):
-                    rows[digest] = (pack, pack.first_row + index * pack.decoder.size)
+                    rows[digest] = (pack, index)
             self._pack_rows = rows
         return self._pack_rows
 
+    def embedding_distances(self, digest: str, others: Sequence[str]) -> list[tuple[float, float] | None] | None:
+        """(|v|, |u - v|) for each of ``others`` whose vector v is a row of the pack that lists ``digest``, whose row is u.
+
+        Both values are read from that pack's distance block, with one read
+        for ``digest``'s distances; they are the floats ``math.hypot(*v)``
+        and ``math.dist(u, v)`` return. A digest of ``others`` that the pack
+        does not list gets None, and so does the whole list when no pack with
+        a distance block lists ``digest``.
+        """
+        rows = self._packs()
+        row = rows.get(digest)
+        if row is None or row[0].norms is None:
+            return None
+        pack, index = row
+        distances, norms = pack.distances(index), pack.norms
+        found = []
+        for other in others:
+            row = rows.get(other)
+            found.append((norms[row[1]], distances[row[1]]) if row is not None and row[0] is pack else None)
+        return found
+
     def put_embedding_pack(self, model_name: str, digests: Iterable[str]) -> bool:
-        """Rewrite ``model_name``'s pack with the rows it holds plus the vectors of ``digests``.
+        """Rewrite ``model_name``'s pack with the rows it holds plus the vectors of ``digests``, and their distance block.
 
         Every row is read through :meth:`get_embedding`, so a digest with
         neither a pack row nor a record raises :class:`AtcError`, and all
         vectors must have one length. Returns False, and writes nothing, when
-        the pack already holds exactly these rows or there are none.
+        there are no rows, or when the pack already holds exactly these rows
+        and a distance block; that is decided from its header alone. The new
+        pack is streamed to its temp file; the rows are held packed, and only
+        a few of them unpacked at a time (see :func:`_distance_block`).
         """
-        held = [digest for digest, (pack, _) in self._packs().items() if pack.model_name == model_name]
+        current = next((pack for pack, _ in self._packs().values() if pack.model_name == model_name), None)
+        held = current.digests if current is not None else []
         order = list(dict.fromkeys([*held, *digests]))
-        if not order:
+        if not order or (len(order) == len(held) and current.norms is not None):
             return False
         rows = []
         encoder = None
@@ -503,17 +537,39 @@ class ResponseStore:
                     f" {model_name!r} has rows of {encoder.size // 8}"
                 )
             rows.append(encoder.pack(*values))
-        header = json.dumps({"digests": order, "dim": encoder.size // 8, "model_name": model_name}, sort_keys=True)
-        data = b"".join([(header + "\n").encode("utf-8"), *rows])
+        fields = {"digests": order, "dim": encoder.size // 8, "distances": True, "model_name": model_name}
+        header = (json.dumps(fields, sort_keys=True) + "\n").encode("utf-8")
         path = self.embedding_pack_path(model_name)
-        try:
-            if path.read_bytes() == data:
-                return False
-        except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, itertools.chain([header], rows, _distance_block(rows, encoder)))
         self._pack_rows = None
         return True
+
+
+# How many rows of a pack are unpacked at once while its distance block is made.
+_PACK_CHUNK = 16
+
+
+def _distance_block(rows: list[bytes], decoder: struct.Struct) -> Iterator[bytes]:
+    """The distance block of a pack of ``rows``, in two chunks of little-endian float64 values.
+
+    The first holds each row's ``math.hypot``; the second, row-major, the
+    ``math.dist`` from each row to every row. ``math.dist`` is symmetric, so
+    each pair is computed once, with at most _PACK_CHUNK + 1 rows unpacked.
+    """
+    n = len(rows)
+    yield struct.pack(f"<{n}d", *(math.hypot(*decoder.unpack(row)) for row in rows))
+    block = bytearray(8 * n * n)
+    put = struct.Struct("<d").pack_into
+    for start in range(0, n, _PACK_CHUNK):
+        chunk = [decoder.unpack(row) for row in rows[start : start + _PACK_CHUNK]]
+        for j in range(start, n):
+            other = decoder.unpack(rows[j])
+            for i, vector in enumerate(chunk[: j + 1 - start], start):
+                distance = math.dist(vector, other)
+                put(block, 8 * (i * n + j), distance)
+                put(block, 8 * (j * n + i), distance)
+    yield block
 
 
 def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
@@ -562,12 +618,17 @@ def _record_vector(record: dict, digest: str) -> tuple[float, ...]:
 
 
 class _EmbeddingPack:
-    """One open pack file: its header, and its rows read one at a time.
+    """One open pack file: its header, its rows read one at a time, and its distance block if it has one.
 
-    The file stays open, so a pack replaced after its header was read still
-    serves the rows that header lists; it is closed when the object goes. A
-    header that does not parse, or a length other than header + rows x dim x
-    8 bytes, raises :class:`AtcError` naming the file.
+    A header whose ``distances`` is true declares the distance block after
+    the rows, N + 1 rows of N little-endian float64 values for the N rows of
+    the pack: first each row's ``math.hypot``, kept as :attr:`norms`, then,
+    for each row, ``math.dist`` from it to every row, which
+    :meth:`distances` reads. The file stays open, so a pack replaced after
+    its header was read still serves the rows that header lists; it is closed
+    when the object goes. A header that does not parse, or a length other
+    than header + rows x dim x 8 bytes, plus (N + 1) x N x 8 with the block,
+    raises :class:`AtcError` naming the file.
     """
 
     def __init__(self, path: Path) -> None:
@@ -581,31 +642,46 @@ class _EmbeddingPack:
         try:
             header = json.loads(line)
             self.model_name, dim, self.digests = header["model_name"], header["dim"], header["digests"]
+            distances = header.get("distances", False)
             if not isinstance(self.model_name, str) or not isinstance(self.digests, list):
                 raise TypeError("model_name must be a string and digests a list")
             if not all(isinstance(digest, str) for digest in self.digests):
                 raise TypeError("every digest must be a string")
             if type(dim) is not int or dim < 0:
                 raise TypeError(f"dim must be a non-negative integer, not {dim!r}")
+            if type(distances) is not bool:
+                raise TypeError(f"distances must be true or false, not {distances!r}")
             if len(set(self.digests)) != len(self.digests):
                 raise ValueError("a digest is listed twice")
         except (ValueError, KeyError, TypeError) as exc:
             raise AtcError(f"corrupt embedding pack {path}: {exc}") from exc
+        n = len(self.digests)
         self.decoder = struct.Struct(f"<{dim}d")
         self.first_row = len(line)
+        self._block = self.first_row + n * self.decoder.size
+        self._block_row = struct.Struct(f"<{n}d")
         size = os.fstat(self._fd).st_size
-        expected = self.first_row + len(self.digests) * self.decoder.size
+        expected = self._block + ((n + 1) * self._block_row.size if distances else 0)
         if size != expected:
+            block = f" and their distance block of {n + 1} x {n}" if distances else ""
             raise AtcError(
                 f"truncated or inconsistent embedding pack {path}: {size} bytes, but its header"
-                f" lists {len(self.digests)} rows of {dim} float64 values ({expected} bytes)"
+                f" lists {n} rows of {dim} float64 values{block} ({expected} bytes)"
             )
+        self.norms = self._read(self._block, self._block_row) if distances else None
 
-    def row(self, offset: int) -> tuple[float, ...]:
-        raw = os.pread(self._fd, self.decoder.size, offset)
-        if len(raw) != self.decoder.size:
+    def _read(self, offset: int, decoder: struct.Struct) -> tuple[float, ...]:
+        raw = os.pread(self._fd, decoder.size, offset)
+        if len(raw) != decoder.size:
             raise AtcError(f"truncated embedding pack {self.path}: row at byte {offset} is cut short")
-        return self.decoder.unpack_from(raw)
+        return decoder.unpack(raw)
+
+    def row(self, index: int) -> tuple[float, ...]:
+        return self._read(self.first_row + index * self.decoder.size, self.decoder)
+
+    def distances(self, index: int) -> tuple[float, ...]:
+        """``math.dist`` from row ``index`` to every row, in row order, from the distance block."""
+        return self._read(self._block + (index + 1) * self._block_row.size, self._block_row)
 
 
 class ChatBackend(Protocol):
@@ -999,6 +1075,34 @@ class Gateway:
             raise ValueError("cannot embed empty text")
         vector, tag = self._with_retry(lambda: self.embedding_backend.embed(text))
         self.counts["embed", tag] += 1
+        return vector
+
+    def stored_distances(
+        self, query: EmbeddingVector, texts: Sequence[str]
+    ) -> list[tuple[float, float] | None] | None:
+        """(|v|, |query - v|) for each of ``texts`` whose stored vector v shares a pack with ``query``, else None.
+
+        ``query`` is a vector :meth:`embed` returned. The two values are read
+        from the pack's distance block (see
+        :meth:`ResponseStore.embedding_distances`), and each text found counts
+        as one embed call, as :meth:`embed` would have counted it;
+        :meth:`stored_embedding` reads its vector later without counting
+        again. The whole list is None when the embedding backend is not a
+        :class:`StoreEmbeddingBackend`, or no pack with a distance block
+        holds ``query``.
+        """
+        backend = self.embedding_backend
+        if not isinstance(backend, StoreEmbeddingBackend):
+            return None
+        digests = [embedding_digest(backend.model_name, text) for text in texts]
+        found = backend.store.embedding_distances(query.source_text_digest, digests)
+        if found is not None:
+            self.counts["embed", backend._hit_tag] += len(found) - found.count(None)
+        return found
+
+    def stored_embedding(self, text: str) -> EmbeddingVector:
+        """The vector of a text :meth:`stored_distances` found, read without counting a call."""
+        vector, _ = self.embedding_backend.embed(text)
         return vector
 
     def calls(self, operation: str) -> int:

@@ -107,6 +107,14 @@ def _rank_by_title(
     Every true top-n candidate survives: one whose upper bound is below the
     cut has n candidates whose exact cosines all exceed its own.
 
+    When ``query_vec`` and a candidate's vector are rows of one embedding
+    pack with a distance block (see :meth:`Gateway.stored_distances`), hv
+    and d are read from that block, and the vector itself only if it is held
+    at the end or gets the exact cosine at once. The block holds the very
+    floats ``math.hypot`` and ``math.dist`` return here (``dist`` is
+    symmetric), so the estimates, the held set and the result are the same
+    whichever way they came.
+
     Why ``est - slack <= cosine_similarity(v, q) <= est + slack`` holds, with
     u = 2**-53, r = |q| / |v| and slack = _COSINE_SLACK * (r + 1/r + 1).
     With both norms in _SAFE_NORMS and equal dimensions, no square, product
@@ -135,18 +143,26 @@ def _rank_by_title(
     hq = math.hypot(*q)
     lo, hi = _SAFE_NORMS
     query_safe = lo <= hq <= hi
+    stored = gateway.stored_distances(query_vec, [e.title for e in candidates]) if query_safe else None
     lower_bounds: list[float] = []  # min-heap of the n best lower bounds
-    held: list[tuple] = []  # min-heap of (upper bound, index, essay id, vector, exact cosine or None)
+    held: list[tuple] = []  # min-heap of (upper bound, index, essay id, vector or None, exact cosine or None)
     cut = -math.inf
     for index, essay in enumerate(candidates):
-        vector = gateway.embed(essay.title)
-        hv = math.hypot(*vector.values)
-        if query_safe and lo <= hv <= hi and len(vector.values) == len(q):
-            d = math.dist(q, vector.values)
+        pair = stored[index] if stored else None
+        if pair is None:
+            vector = gateway.embed(essay.title)
+            hv = math.hypot(*vector.values)
+        else:  # hv and d from the pack; the vector is read only if it is needed
+            vector, (hv, d) = None, pair
+        if query_safe and lo <= hv <= hi and (vector is None or len(vector.values) == len(q)):
+            if vector is not None:
+                d = math.dist(q, vector.values)
             estimate = (hq * hq + hv * hv - d * d) / (2.0 * hq * hv)
             slack = _COSINE_SLACK * (hq / hv + hv / hq + 1.0)
             low, high, exact = estimate - slack, estimate + slack, None
         else:
+            if vector is None:
+                vector = gateway.stored_embedding(essay.title)
             low = high = exact = cosine_similarity(vector, query_vec)
         if len(lower_bounds) < n_neighbors:
             heapq.heappush(lower_bounds, low)
@@ -158,10 +174,14 @@ def _rank_by_title(
             heapq.heappush(held, (high, index, essay.essay_id, vector, exact))
         while held and held[0][0] < cut:
             heapq.heappop(held)
-    scored = sorted(
-        (-(cosine_similarity(vector, query_vec) if exact is None else exact), essay_id)
-        for _, _, essay_id, vector, exact in held
-    )
+    scored = []
+    for _, index, essay_id, vector, exact in held:
+        if exact is None:
+            if vector is None:
+                vector = gateway.stored_embedding(candidates[index].title)
+            exact = cosine_similarity(vector, query_vec)
+        scored.append((-exact, essay_id))
+    scored.sort()
     return [essay_id for _, essay_id in scored[:n_neighbors]]
 
 

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from atc_icl import cli, gateway, prompting
+from atc_icl import cli, gateway, prompting, selection
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
 from atc_icl.corpus import Label
@@ -263,7 +263,7 @@ def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, smal
     pack = store.embedding_pack_path(model)
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
     titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
-    assert header == {"digests": [earlier, *titles], "dim": 8, "model_name": model}
+    assert header == {"digests": [earlier, *titles], "dim": 8, "distances": True, "model_name": model}
     written = pack.stat().st_mtime_ns, pack.read_bytes()
     runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
     assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
@@ -298,18 +298,24 @@ def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, smal
     assert pack.read_bytes() == recorded_store.embedding_pack_path(model).read_bytes()
 
     runner.invoke(main, ["run", "--config", str(replay_config("recorded", recorded))], catch_exceptions=False)
-    record_reads, row_reads = [], []
-    read, row = gateway.ResponseStore._read, gateway._EmbeddingPack.row
+    record_reads, row_reads, scored = [], [], []
+    read, row, cosine = gateway.ResponseStore._read, gateway._EmbeddingPack.row, selection.cosine_similarity
     monkeypatch.setattr(gateway.ResponseStore, "_read",
                         lambda self, kind, digest: record_reads.append(kind) or read(self, kind, digest))
     monkeypatch.setattr(gateway._EmbeddingPack, "row",
-                        lambda self, offset: row_reads.append(offset) or row(self, offset))
+                        lambda self, index: row_reads.append(self.digests[index]) or row(self, index))
+    monkeypatch.setattr(selection, "cosine_similarity",
+                        lambda vector, query: scored.append(vector.source_text_digest) or cosine(vector, query))
     runner.invoke(main, ["run", "--config", str(replay_config("legacy", legacy))], catch_exceptions=False)
     records = [(tmp_path / f"{name}-out" / "records.jsonl").read_bytes() for name in ("recorded", "legacy")]
     assert records[0] == records[1]
     manifest = json.loads((tmp_path / "legacy-out" / "manifest.json").read_text(encoding="utf-8"))
-    assert "embed" not in record_reads  # every title, pool and query alike, came from a pack row
-    assert len(row_reads) == manifest["embed_calls"] > 0
+    assert "embed" not in record_reads  # every title, pool and query alike, came from the pack
+    # The pool's distances come from the pack's distance block; rows are read
+    # only for each query and for the candidates scored exactly.
+    queries = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.test_essays()]
+    assert sorted(row_reads) == sorted(queries + scored)
+    assert len(queries) < len(row_reads) < manifest["embed_calls"]
 
 
 def test_replay_reads_the_embeddings_its_cache_twin_recorded(runner, small_dir, tmp_path, monkeypatch):

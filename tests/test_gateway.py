@@ -882,7 +882,7 @@ def record_and_pack(root, texts_values, model="m"):
 @st.composite
 def pack_rows(draw):
     dim = draw(st.integers(1, 32))
-    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES + [math.inf, math.nan])
     return draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=5))
 
 
@@ -895,8 +895,14 @@ def test_pack_rows_replay_bit_identically(rows):
             path.unlink()  # only the pack can serve the vectors now
         backend = StoreEmbeddingBackend(ResponseStore(tmp), "m")
         served = [backend.embed(text) for text in texts]
+        replay = Gateway(embedding_backend=backend)
+        distances = [replay.stored_distances(vector, texts) for vector, _ in served]
     assert all(tag is BackendTag.REPLAY and isinstance(vector.values, tuple) for vector, tag in served)
     assert [_f64(vector.values) for vector, _ in served] == [_f64(values) for values in rows]
+    # The distance block holds what math.hypot and math.dist make of the rows, bit for bit.
+    unpacked = [vector.values for vector, _ in served]
+    expected = [[(math.hypot(*v), math.dist(u, v)) for v in unpacked] for u in unpacked]
+    assert [[_f64(pair) for pair in found] for found in distances] == [[_f64(pair) for pair in row] for row in expected]
 
 
 def test_a_digest_the_pack_does_not_list_falls_back_to_its_record(tmp_path):
@@ -920,7 +926,10 @@ def test_rewriting_a_pack_keeps_its_rows_and_adds_new_ones_once(tmp_path):
     assert store.put_embedding_pack("m", [embedding_digest("m", "T2"), embedding_digest("m", "T1")])
     pack = store.embedding_pack_path("m")
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
-    assert header == {"digests": [embedding_digest("m", t) for t in ("T0", "T1", "T2")], "dim": 1, "model_name": "m"}
+    assert header == {"digests": [embedding_digest("m", t) for t in ("T0", "T1", "T2")], "dim": 1,
+                      "distances": True, "model_name": "m"}
+    # Rows 1.0, 2.0 and 3.0, then their norms and the 3 x 3 distances between them.
+    assert pack.read_bytes().split(b"\n", 1)[1] == struct.pack("<15d", 1, 2, 3, 1, 2, 3, 0, 1, 2, 1, 0, 1, 2, 1, 0)
     written = pack.read_bytes()
     assert not ResponseStore(tmp_path).put_embedding_pack("m", [embedding_digest("m", "T1")])
     assert pack.read_bytes() == written
@@ -939,16 +948,78 @@ def test_a_pack_refuses_vectors_of_two_lengths_under_one_model(tmp_path):
     assert not store.embedding_pack_path("m").exists()
 
 
+def test_an_old_layout_pack_serves_its_rows_and_is_rewritten_with_a_distance_block(tmp_path):
+    """A pack written before packs held distances: its header has no ``distances`` and its rows end the file."""
+    store = record_and_pack(tmp_path, [("T0", [3.0, 4.0]), ("T1", [0.0, 1.0])])
+    pack = store.embedding_pack_path("m")
+    header, rows = pack.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    del fields["distances"]
+    pack.write_bytes(json.dumps(fields, sort_keys=True).encode("utf-8") + b"\n" + rows[: 2 * 16])
+    (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()  # only the pack holds it now
+    old = ResponseStore(tmp_path)
+    vector = Gateway(embedding_backend=StoreEmbeddingBackend(old, "m")).embed("T0")
+    assert vector.values == (3.0, 4.0)
+    assert old.embedding_distances(vector.source_text_digest, [embedding_digest("m", "T1")]) is None
+    digests = [embedding_digest("m", text) for text in ("T0", "T1")]
+    assert old.put_embedding_pack("m", digests)  # the same rows, now with their block
+    assert pack.read_bytes() == b"".join([header, b"\n", rows])
+    upgraded = Gateway(embedding_backend=StoreEmbeddingBackend(ResponseStore(tmp_path), "m"))
+    found = upgraded.stored_distances(vector, ["T0", "T1", "T2"])
+    assert found == [(5.0, 0.0), (1.0, math.dist((3, 4), (0, 1))), None]
+    assert upgraded.counts == {("embed", BackendTag.REPLAY): 2}  # each title found, once
+
+
+def test_a_pack_that_holds_these_rows_and_a_block_is_left_alone_without_making_the_block(tmp_path, monkeypatch):
+    store = record_and_pack(tmp_path, [("T0", [1.0, 2.0]), ("T1", [3.0, 4.0])])
+    pack = store.embedding_pack_path("m")
+    written = pack.stat().st_mtime_ns, pack.read_bytes()
+
+    def no_block(rows, decoder):
+        raise AssertionError("the distance block was made again")
+
+    monkeypatch.setattr(gateway_module, "_distance_block", no_block)
+    reads = []
+    monkeypatch.setattr(ResponseStore, "get_embedding", lambda self, digest: reads.append(digest))
+    for digests in ([], [embedding_digest("m", "T1")], [embedding_digest("m", t) for t in ("T1", "T0")]):
+        assert not ResponseStore(tmp_path).put_embedding_pack("m", digests)
+    assert reads == []  # decided from the header alone
+    assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
+
+
+def test_a_pack_is_streamed_to_its_file_in_chunks(tmp_path, monkeypatch):
+    store = ResponseStore(tmp_path)
+    texts = [f"T{i}" for i in range(3)]
+    for i, text in enumerate(texts):
+        store.put_embedding(embedding_digest("m", text), "m", text, [float(i), 1.0])
+    chunks = []
+    write = gateway_module.write_atomic
+    monkeypatch.setattr(gateway_module, "write_atomic",
+                        lambda path, data: write(path, (chunks.append(len(chunk)) or chunk for chunk in data)))
+    assert store.put_embedding_pack("m", [embedding_digest("m", text) for text in texts])
+    header = len(store.embedding_pack_path("m").read_bytes().split(b"\n", 1)[0]) + 1
+    assert chunks == [header] + [16] * 3 + [24, 72]  # header, rows, norms, the distances between rows
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
-    [(lambda data: data[:-8], "truncated or inconsistent embedding pack {pack}: "),
+    [(lambda data: data[: data.index(b"\n") + 1 + 8], "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data[:-8], "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data[: data.index(b"\n") + 1 + 2 * 16], "truncated or inconsistent embedding pack {pack}: "),
      (lambda data: data + b"\0", "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data + bytes(16), "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data.replace(b'"distances": true', b'"distances": false'),
+      "truncated or inconsistent embedding pack {pack}: "),
+     (lambda data: data.replace(b'"distances": true', b'"distances": 1'), "corrupt embedding pack {pack}: "),
+     (lambda data: data.replace(b'"distances": true', b'"distances": "true"'), "corrupt embedding pack {pack}: "),
+     (lambda data: data.replace(b'"distances": true', b'"distances": null'), "corrupt embedding pack {pack}: "),
      (lambda data: data[: data.index(b"\n")], "truncated embedding pack {pack}: "),
      (lambda data: b"", "truncated embedding pack {pack}: "),
      (lambda data: b"{not json\n" + data.split(b"\n", 1)[1], "corrupt embedding pack {pack}: "),
      (lambda data: data.replace(b'"dim": 2', b'"dim": 2.0'), "corrupt embedding pack {pack}: "),
      (lambda data: data.replace(b'"model_name": "m"', b'"model_name": "n"'), "embedding pack {pack} holds model 'n'")],
-    ids=["rows-cut", "extra-byte", "header-cut", "empty", "header-not-json", "float-dim", "other-model"],
+    ids=["rows-cut", "block-cut", "no-block", "extra-byte", "block-too-long", "undeclared-block", "int-block-flag",
+         "string-block-flag", "null-block-flag", "header-cut", "empty", "header-not-json", "float-dim", "other-model"],
 )
 def test_a_corrupt_pack_raises_naming_its_file(tmp_path, corrupt, message):
     store = record_and_pack(tmp_path, [("T0", [1.0, 2.0]), ("T1", [3.0, 4.0])])

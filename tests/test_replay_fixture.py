@@ -13,9 +13,11 @@
   ``essay004`` as ``vector_f64`` records, ``essay005`` and ``essay006`` as
   records with a legacy JSON ``vector`` list.
 
-``<run>.records.jsonl`` is what that recording wrote. A change to a chat or
-embedding key, to any request text, or to the record format fails these
-tests. Do not re-record the fixture to make them pass: a store recorded
+``<run>.records.jsonl`` is what that recording wrote. The committed pack has
+no distance block, so replaying the store as it is ranks every pool title from
+its vector; a copy that ``atc-icl embed`` re-packs with a block must replay
+the same bytes. A change to a chat or embedding key, to any request text, or
+to the record format fails these tests. Do not re-record the fixture to make them pass: a store recorded
 against a paid model must keep replaying.
 """
 
@@ -29,7 +31,7 @@ import pytest
 from click.testing import CliRunner
 
 from atc_icl.cli import main
-from atc_icl.gateway import ResponseStore
+from atc_icl.gateway import ResponseStore, _EmbeddingPack
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 
 FIXTURE = Path(__file__).parent / "data" / "replay_fixture"
@@ -52,26 +54,22 @@ def fixture_corpus(tmp_path_factory) -> Path:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path, monkeypatch):
-    parsed, real_parse = [], ResponseStore._parse
-
-    def parse(self, kind, digest, data):
-        parsed.append(kind)
-        return real_parse(self, kind, digest, data)
-
-    monkeypatch.setattr(ResponseStore, "_parse", parse)
-    store = tmp_path / "store"
-    shutil.copytree(FIXTURE / "store", store)
-    out_dir = tmp_path / "out"
-    config = tmp_path / "replay.yaml"
+def replay_config(name: str, corpus: Path, store: Path, out_dir: Path) -> Path:
+    """A replay config of run ``name`` over ``corpus`` and ``store``, next to ``out_dir``."""
+    config = out_dir.with_suffix(".yaml")
     config.write_text(json.dumps({
-        "corpus_dir": str(fixture_corpus),
-        "split_file": str(fixture_corpus / SPLIT_FILE_NAME),
+        "corpus_dir": str(corpus),
+        "split_file": str(corpus / SPLIT_FILE_NAME),
         "out_dir": str(out_dir),
         "icl": RUNS[name],
         "backend": {"chat": "replay", "embedding": "replay", "store_dir": str(store)},
     }), encoding="utf-8")
+    return config
+
+
+def replay_run(name: str, corpus: Path, store: Path, out_dir: Path) -> dict:
+    """Replay run ``name``, check its records and counts against the recording, and return its manifest."""
+    config = replay_config(name, corpus, store, out_dir)
     result = CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert (out_dir / "records.jsonl").read_bytes() == (FIXTURE / f"{name}.records.jsonl").read_bytes()
@@ -80,9 +78,52 @@ def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path, m
     assert manifest["chat_calls"] == CHAT_CALLS[name]
     assert manifest["tokens"] == TOKENS[name]
     assert manifest["embed_calls"] == 6  # the query title and the five pool titles
+    return manifest
+
+
+@pytest.fixture
+def parsed_kinds(monkeypatch) -> list[str]:
+    """The kind of every store record that is parsed whole, in order."""
+    parsed, real_parse = [], ResponseStore._parse
+
+    def parse(self, kind, digest, data):
+        parsed.append(kind)
+        return real_parse(self, kind, digest, data)
+
+    monkeypatch.setattr(ResponseStore, "_parse", parse)
+    return parsed
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_committed_store_replays_byte_for_byte(name, fixture_corpus, tmp_path, parsed_kinds):
+    store = tmp_path / "store"
+    shutil.copytree(FIXTURE / "store", store)
+    replay_run(name, fixture_corpus, store, tmp_path / "out")
     # Each chat record is served from its request bytes and its parsed answer
     # alone; only the embedding records are parsed whole.
-    assert set(parsed) == {"embed"}
+    assert set(parsed_kinds) == {"embed"}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_committed_store_repacked_with_a_distance_block_replays_byte_for_byte(name, fixture_corpus, tmp_path,
+                                                                               parsed_kinds):
+    """``atc-icl embed`` over a copy of the store packs every title with a distance block; the replay is unchanged."""
+    store = tmp_path / "store"
+    shutil.copytree(FIXTURE / "store", store)
+    config = replay_config(name, fixture_corpus, store, tmp_path / "embed-out")
+    result = CliRunner().invoke(main, ["embed", "--config", str(config)], catch_exceptions=False)
+    assert "embedded 6 titles (0 live fetches, 0 cache hits, 6 replay/mock)" in result.output
+    pack = ResponseStore(store).embedding_pack_path("text-embedding-ada-002")
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    assert header["distances"] is True and len(header["digests"]) == 6
+    parsed_kinds.clear()
+    rows = []
+    row = _EmbeddingPack.row
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_EmbeddingPack, "row", lambda self, index: rows.append(index) or row(self, index))
+        replay_run(name, fixture_corpus, store, tmp_path / "out")
+    assert parsed_kinds == []  # every title from the pack
+    assert 1 < len(rows) < 6  # the query's row and the candidates scored exactly; the rest from the block
 
 
 def test_committed_store_holds_every_stored_form():

@@ -5,16 +5,20 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import tempfile
 import tracemalloc
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atc_icl import selection
 from atc_icl.corpus import Label
+from atc_icl.errors import AtcError
 from atc_icl.gateway import (
     BackendTag,
+    EmbeddingVector,
     Gateway,
     HashEmbeddingBackend,
     ResponseStore,
@@ -294,6 +298,100 @@ def test_knn_title_prefilter_equals_the_exhaustive_oracle(vectors, n, pool_size)
 
     args = (vectors, PROPERTY_QUERY, PROPERTY_POOL[:pool_size], min(n, pool_size))
     assert outcome(prefiltered, *args) == outcome(exhaustive_ranking, *args)
+
+
+def ranked_through(gateway, query, pool, n):
+    """(ranking or raised error, digests of the vectors scored exactly, in order) of one title-kNN ranking."""
+    scored = []
+
+    def recording(vector, query_vec):
+        scored.append(vector.source_text_digest)
+        return cosine_similarity(vector, query_vec)
+
+    with mock.patch.object(selection, "cosine_similarity", recording):
+        try:
+            result = rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, n, 0, gateway)
+        except AtcError as exc:
+            result = (type(exc), str(exc))
+    return result, scored
+
+
+def brute_force(vectors, query, pool, n, model):
+    """(ranking or raised error, digest of the candidate it rose at): every candidate scored, sorted by (-cosine, id)."""
+    def embedded(title):
+        return EmbeddingVector(tuple(vectors[title]), embedding_digest(model, title))
+
+    scored = []
+    for essay in sorted((e for e in pool if e.essay_id != query.essay_id), key=lambda e: e.essay_id):
+        try:
+            scored.append((-cosine_similarity(embedded(essay.title), embedded(query.title)), essay.essay_id))
+        except AtcError as exc:
+            return (type(exc), str(exc)), embedded(essay.title).source_text_digest
+    return [essay_id for _, essay_id in sorted(scored)[:n]], None
+
+
+@settings(max_examples=200, deadline=None)
+@given(title_vectors(), st.integers(1, len(PROPERTY_POOL)), st.integers(2, len(PROPERTY_POOL)), st.booleans(),
+       st.sets(st.sampled_from([e.title for e in PROPERTY_POOL] + [PROPERTY_QUERY.title]), max_size=3))
+def test_knn_title_from_a_distance_block_equals_ranking_without_it(vectors, n, pool_size, shared_title, unpacked):
+    """A store whose pack has a distance block ranks as the same vectors served without it, and as the brute-force sort.
+
+    The pack holds every title whose vector has the query's length, except
+    ``unpacked``; with ``shared_title`` a pool essay has the query's title.
+    """
+    model = "m"
+    pool = PROPERTY_POOL[:pool_size]
+    if shared_title:
+        pool = pool + [simple_essay("e99", PROPERTY_QUERY.title, [Label.CLAIM])]
+    n = min(n, len(pool))
+    dim = len(vectors[PROPERTY_QUERY.title])
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResponseStore(tmp)
+        for title, values in vectors.items():
+            store.put_embedding(embedding_digest(model, title), model, title, values)
+        store.put_embedding_pack(model, [embedding_digest(model, title) for title, values in vectors.items()
+                                         if len(values) == dim and title not in unpacked])
+        gateways = [Gateway(embedding_backend=MappingEmbeddingBackend(vectors, model)),
+                    Gateway(embedding_backend=StoreEmbeddingBackend(ResponseStore(tmp), model))]
+        (plain, plain_scored), (blocked, blocked_scored) = [ranked_through(g, PROPERTY_QUERY, pool, n)
+                                                            for g in gateways]
+    assert blocked == plain and blocked_scored == plain_scored
+    oracle, failed_at = brute_force(vectors, PROPERTY_QUERY, pool, n, model)
+    assert blocked == oracle
+    if failed_at is None:
+        assert gateways[0].calls("embed") == gateways[1].calls("embed") == 1 + len(pool)  # the query, then each candidate
+    else:
+        assert blocked_scored[-1] == failed_at  # the same error, at the same candidate
+
+
+def test_knn_title_counts_each_pool_title_once_whichever_way_it_is_read(tmp_path):
+    """Pool titles from the block, one with a huge stored norm, one outside the pack, one that is the query's title."""
+    vectors = {"Query": [1.0, 0.0], "Huge": [2.0**500, 2.0**499], "Near": [0.9, 0.1], "Far": [0.0, 1.0],
+               "Outside": [1.0, 1.0]}
+    store = ResponseStore(tmp_path)
+    for title, values in vectors.items():
+        store.put_embedding(embedding_digest("m", title), "m", title, values)
+    assert store.put_embedding_pack("m", [embedding_digest("m", t) for t in vectors if t != "Outside"])
+    pool = [simple_essay(f"e{i}", title, [Label.CLAIM]) for i, title in enumerate(["Huge", "Near", "Far", "Outside",
+                                                                                   "Query"])]
+    query = simple_essay("q", "Query", [Label.CLAIM])
+    packed = Gateway(embedding_backend=StoreEmbeddingBackend(ResponseStore(tmp_path), "m"))
+    read = []
+    embed = packed.embedding_backend.embed
+    packed.embedding_backend.embed = lambda text: read.append(text) or embed(text)
+    for n in (1, 2, 4):
+        read.clear()
+        plain = Gateway(embedding_backend=MappingEmbeddingBackend(vectors, "m"))
+        expected = ranked_through(plain, query, pool, n)
+        assert ranked_through(packed, query, pool, n) == expected
+        assert packed.calls("embed") == plain.calls("embed") == 6  # the query, then each pool title once
+        assert packed.counts["embed", BackendTag.REPLAY] == 6
+        packed.counts.clear()
+        # Read: the query, "Huge" (scored exactly at once), "Outside" (not in the pack), then the
+        # held candidates of the pack, which are scored exactly at the end.
+        assert read[:3] == ["Query", "Huge", "Outside"]
+        outside = embedding_digest("m", "Outside")
+        assert sorted(embedding_digest("m", t) for t in read[3:]) == sorted(d for d in expected[1][1:] if d != outside)
 
 
 @pytest.fixture(scope="module")
