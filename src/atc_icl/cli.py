@@ -24,7 +24,7 @@ import click
 from . import __version__, features, prompting
 from .config import BackendConfig, RunConfig, config_digest, load_run_config, run_label
 from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
-from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, run_ensemble
+from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, PromptCache, run_ensemble
 from .errors import AtcError
 from .finetune import export as export_finetune
 from .gateway import (
@@ -344,6 +344,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         click.echo(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", err=True)
 
     info = build_info_block(corpus) if icl.prompt.include_info else None
+    cache = PromptCache()
     pool = corpus.train_essays()
     failed = threading.Event()
 
@@ -353,7 +354,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
             return None
         counter = Gateway(gateway.chat_backend, gateway.embedding_backend, gateway.retry)
         try:
-            return run_ensemble(essay, pool, icl, counter, info=info), counter
+            return run_ensemble(essay, pool, icl, counter, info=info, cache=cache), counter
         except BaseException:
             failed.set()
             raise

@@ -73,7 +73,7 @@ TIE_BREAK_RANK = {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}
 LABELS: tuple[Label, ...] = (Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Half-open character interval ``[start, end)`` into an essay's raw text."""
 
@@ -88,7 +88,7 @@ class Span:
         return text[self.start : self.end]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgumentComponent:
     """A labeled argument component, addressed by its span in the raw text."""
 
@@ -99,13 +99,23 @@ class ArgumentComponent:
     paragraph_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Essay:
+    """One essay and its argument components.
+
+    Equal essays are equal in every field. An essay hashes by its id and raw
+    text, whose hashes Python keeps with the strings, so an essay keys a dict
+    without hashing each of its components on every lookup.
+    """
+
     essay_id: str
     title: str
     paragraphs: tuple[Span, ...]
     components: tuple[ArgumentComponent, ...]
     raw_text: str
+
+    def __hash__(self) -> int:
+        return hash((self.essay_id, self.raw_text))
 
     @property
     def m(self) -> int:

@@ -5,8 +5,11 @@ differ while the whole run stays reproducible) and classifies the query
 essay. All rounds' selections are made, and all their prompts built in one
 call, before the first chat call. :func:`run_ensemble` then asks each round
 itself: it sends the round's calls, retries malformed answers and parses
-them, while the ``prompting`` module renders the texts. Final labels come
-from a per-component majority vote over the rounds, ties broken by
+them, while the ``prompting`` module renders the texts. A round's requests
+are keyed through one prefix, joined from the round's prompt pieces; a
+:class:`PromptCache` keeps the pieces that recur across a run's essays, and
+their escapes, so each is rendered and escaped once per run. Final labels
+come from a per-component majority vote over the rounds, ties broken by
 train-set frequency: Premise > Claim > Major Claim.
 """
 
@@ -20,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .corpus import TIE_BREAK_RANK, Essay, Label
 from .errors import AtcError, ConfigError
-from .gateway import ChatKeyPrefix, Gateway
+from .gateway import ChatKeyPrefix, Gateway, escape_piece
 from .prompting import (MAX_OUTPUT_TOKENS, MAX_RETRIES, CountMismatch, PromptConfig, PromptMode,
                         UnknownLabel, build_prompt, parse_response)
 from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
@@ -122,6 +125,29 @@ class PredictionRecord:
         )
 
 
+@dataclass
+class PromptCache:
+    """The prompt pieces that recur across one run's essays, each made once.
+
+    ``bodies`` is the memo of demonstration bodies that
+    :func:`prompting.build_prompt` fills, keyed by the essays themselves, and
+    ``escapes`` holds :func:`gateway.escape_piece` of each piece but a query
+    section, keyed by the piece's text. ``cli.run_experiment`` makes one for
+    each run, so no piece outlives the corpus and prompt texts of its run. The
+    threads of a live run share it: two that miss the same piece at once each
+    make it, and equal text is kept.
+    """
+
+    bodies: dict[Essay, str] = field(default_factory=dict)
+    escapes: dict[str, bytes] = field(default_factory=dict)
+
+    def escape(self, piece: str) -> bytes:
+        escaped = self.escapes.get(piece)
+        if escaped is None:
+            escaped = self.escapes[piece] = escape_piece(piece)
+        return escaped
+
+
 def derive_round_seed(run_seed: int, essay_id: str, round_index: int, purpose: str) -> int:
     """Stable 64-bit seed for one (essay, round, purpose) triple.
 
@@ -149,6 +175,7 @@ def run_ensemble(
     config: IclConfig,
     gateway: Gateway,
     info: str | None = None,
+    cache: PromptCache | None = None,
 ) -> PredictionRecord:
     """Run ``n_rounds`` selection-and-classify rounds and aggregate by vote.
 
@@ -160,6 +187,10 @@ def run_ensemble(
     only its own instruction. A round whose answer stays unparseable aborts
     the whole essay with :class:`RoundFailed`; partial votes are never
     aggregated.
+
+    ``cache`` is the run's :class:`PromptCache`; without one, the pieces are
+    kept for this essay alone. The query section is escaped once for all
+    rounds and kept in no cache.
     """
     seeds = [
         (
@@ -171,12 +202,15 @@ def run_ensemble(
     selections = select_demonstrations(query, pool, config.strategy, config.k, seeds, gateway)
     pool_by_id = {e.essay_id: e for e in pool}
     demo_sets = [[pool_by_id[essay_id] for essay_id in outcome.chosen_ids] for outcome in selections]
+    if cache is None:
+        cache = PromptCache()
+    prompts = build_prompt(query, demo_sets, config.prompt, info, cache.bodies)
+    head = ChatKeyPrefix(config.model_name, prompts[0].system_text, config.temperature, MAX_OUTPUT_TOKENS)
+    query_escaped = escape_piece(prompts[0].pieces[-1])
     rounds: list[tuple[Label, ...]] = []
     responses: list[tuple[str, ...]] = []
-    for round_index, prompt in enumerate(build_prompt(query, demo_sets, config.prompt, info), start=1):
-        key_prefix = ChatKeyPrefix(
-            config.model_name, prompt.system_text, config.temperature, MAX_OUTPUT_TOKENS, prompt.context
-        )
+    for round_index, prompt in enumerate(prompts, start=1):
+        key_prefix = head.join(prompt.pieces, [*map(cache.escape, prompt.pieces[:-1]), query_escaped])
         labels: list[Label] = []
         texts: list[str] = []
         for instruction in prompt.instructions:

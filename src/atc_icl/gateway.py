@@ -50,6 +50,7 @@ it once. Store writes go through uniquely named temp files.
 from __future__ import annotations
 
 import base64
+import copy
 import functools
 import hashlib
 import itertools
@@ -121,9 +122,13 @@ class Usage:
     completion_tokens: int = 0
 
 
-def _json_string_body(text: str) -> str:
-    """``text`` as JSON writes it inside quotes, with non-ASCII characters left as they are."""
-    return json.dumps(text, ensure_ascii=False)[1:-1]
+def escape_piece(text: str) -> bytes:
+    """The UTF-8 of ``text`` as JSON writes it inside quotes, non-ASCII characters as they are.
+
+    This is what a key prefix hashes for ``text``. A lone surrogate has no
+    UTF-8 and raises :class:`UnicodeEncodeError`.
+    """
+    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
 
 
 def _render_record(record: dict) -> str:
@@ -158,6 +163,12 @@ class ChatKeyPrefix:
     bytes, and :meth:`ResponseStore.get_chat` compares a record with them.
     Both methods take the escaped rest that :func:`_key_parts` makes once per
     request.
+
+    By the same per-character escaping a prefix can grow: :meth:`join`
+    appends pieces to the context and hashes and keeps only their escapes,
+    which a caller may have made once for pieces that recur. So a round's
+    prefix is the prefix of its request fields, made once per essay, joined
+    with the round's pieces.
     """
 
     model_name: str
@@ -178,12 +189,30 @@ class ChatKeyPrefix:
         }
         # "user" sorts last: the payload ends with its opening quote, then '"}'.
         head = json.dumps(fields, sort_keys=True, ensure_ascii=False)[:-2]
-        context = _json_string_body(self.context).encode("utf-8")
+        context = escape_piece(self.context)
         object.__setattr__(self, "_state", hashlib.sha256(head.encode("utf-8") + context))
         # "user_text" sorts last too: the record so far ends with its opening quote.
         record = _render_record({"request": _request_fields(self, "")})
         record_head = record[: -len('"\n  }\n}\n')]
         object.__setattr__(self, "_record_start", record_head.encode("utf-8") + context)
+
+    def join(self, pieces: Sequence[str], escaped: Sequence[bytes]) -> ChatKeyPrefix:
+        """The prefix of these request fields whose context is this one's followed by ``pieces``.
+
+        ``escaped`` holds :func:`escape_piece` of each piece; it is not
+        checked. JSON escapes each character on its own, so the escapes
+        joined are the escape of the pieces joined, and the new prefix's
+        digests and records are those of a prefix made with the whole context
+        at once.
+        """
+        tail = b"".join(escaped)
+        state = self._state.copy()
+        state.update(tail)
+        prefix = copy.copy(self)
+        object.__setattr__(prefix, "context", self.context + "".join(pieces))
+        object.__setattr__(prefix, "_state", state)
+        object.__setattr__(prefix, "_record_start", self._record_start + tail)
+        return prefix
 
     def request(self, rest: str) -> ChatRequest:
         """The request with these fields and user text ``context + rest``, keyed through this prefix."""
@@ -292,7 +321,7 @@ def _key_parts(request: ChatRequest) -> tuple[ChatKeyPrefix, bytes]:
         )
     escaped_rest = request._escaped_rest
     if escaped_rest is None:
-        escaped_rest = _json_string_body(request.user_text[len(prefix.context):]).encode("utf-8")
+        escaped_rest = escape_piece(request.user_text[len(prefix.context):])
         object.__setattr__(request, "_escaped_rest", escaped_rest)
     return prefix, escaped_rest
 

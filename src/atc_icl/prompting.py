@@ -12,18 +12,21 @@ target component per call. The info block is rendered once per run by
 ``build_info_block``. ``build_prompt`` renders an essay's query section and
 instructions once and returns one :class:`Prompt` per ensembling round:
 rounds differ only in their demonstrations, and a round's one-by-one
-requests only in the closing instruction. This module only renders and
-parses text: ``ensemble.run_ensemble`` asks each round's calls, retries
-malformed answers and votes.
+requests only in the closing instruction. A round's context comes as its
+pieces, and a demonstration essay's body is one piece, which a caller's memo
+may keep for a whole run. This module only renders and parses text:
+``ensemble.run_ensemble`` asks each round's calls, retries malformed answers
+and votes.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
 from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
@@ -64,16 +67,23 @@ class Prompt:
     """One round's chat calls and how their answers are read.
 
     Each call's user text is the round's ``context`` followed by one of
-    ``instructions``. Every answer must hold ``answer_lines`` label lines; a
+    ``instructions``. The context is ``pieces`` joined: the info section, the
+    demonstrations' header, each demonstration's ``### Example i`` line and
+    body, and last the query section, the only piece that depends on the
+    query essay. Every answer must hold ``answer_lines`` label lines; a
     malformed one is asked again with ``reminder``, which opens with a blank
     line, appended to its instruction.
     """
 
     system_text: str
-    context: str
+    pieces: tuple[str, ...]
     instructions: tuple[str, ...]
     answer_lines: int
     reminder: str
+
+    @functools.cached_property
+    def context(self) -> str:
+        return "".join(self.pieces)
 
 
 SYSTEM_ALL_AT_ONCE = (
@@ -170,14 +180,12 @@ def render_info(train_stats: Mapping[Label, int]) -> str:
     return "\n".join(lines)
 
 
-def _render_demos(demos: Sequence[Essay]) -> str:
-    sections = [DEMO_HEADER]
-    for index, essay in enumerate(demos, start=1):
-        lines = [EXAMPLE_HEADER.format(i=index), TITLE_LINE.format(title=essay.title), DEMO_COMPONENTS_HEADER]
-        for i, component in enumerate(essay.components, start=1):
-            lines.append(f"{i}. {component.text} -> {component.gold_label.display_name}")
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections)
+def _render_demo_body(essay: Essay) -> str:
+    """A demonstration's section after its ``### Example i`` line, and the blank line after it."""
+    lines = [TITLE_LINE.format(title=essay.title), DEMO_COMPONENTS_HEADER]
+    for i, component in enumerate(essay.components, start=1):
+        lines.append(f"{i}. {component.text} -> {component.gold_label.display_name}")
+    return "\n".join(lines) + "\n\n"
 
 
 def _render_query(essay: Essay, config: PromptConfig) -> str:
@@ -198,6 +206,7 @@ def build_prompt(
     demo_sets: Sequence[Sequence[Essay]],
     config: PromptConfig,
     info: str | None = None,
+    bodies: MutableMapping[Essay, str] | None = None,
 ) -> tuple[Prompt, ...]:
     """Assemble every round's chat requests for ``query``: one prompt per demo set.
 
@@ -207,6 +216,12 @@ def build_prompt(
     followed by a blank line. Each user text is the context followed by one
     call's instruction: a single text in all-at-once mode, and in one-by-one
     mode m texts, the j-th asking about component j.
+
+    ``bodies`` keeps each demonstration essay's rendered body, its
+    :class:`Prompt` piece after the ``### Example i`` line, so an essay
+    demonstrated in several rounds or for several queries is rendered once.
+    It is keyed by the essays themselves. A body follows the prompt texts of
+    when it was rendered, so a memo must not outlive the run that made it.
     """
     if config.include_info and info is None:
         raise MissingInfoBlock("prompt config includes the info block but none was given")
@@ -221,12 +236,22 @@ def build_prompt(
         system_text = SYSTEM_ONE_BY_ONE
         instructions = tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
         answer_lines, reminder = 1, "\n\n" + ONE_BY_ONE_REMINDER
-    info_section = info + "\n\n" if config.include_info else ""
+    if bodies is None:
+        bodies = {}
+    info_pieces = (info + "\n\n",) if config.include_info else ()
+    demo_header = DEMO_HEADER + "\n\n"
+    example_lines = [EXAMPLE_HEADER.format(i=i) + "\n" for i in range(1, max(map(len, demo_sets), default=0) + 1)]
     query_section = _render_query(query, config) + "\n\n"
     prompts = []
     for demos in demo_sets:
-        context = info_section + (_render_demos(demos) + "\n\n" if demos else "") + query_section
-        prompts.append(Prompt(system_text, context, instructions, answer_lines, reminder))
+        pieces = [*info_pieces, demo_header] if demos else [*info_pieces]
+        for example_line, essay in zip(example_lines, demos):
+            body = bodies.get(essay)
+            if body is None:
+                body = bodies[essay] = _render_demo_body(essay)
+            pieces += (example_line, body)
+        pieces.append(query_section)
+        prompts.append(Prompt(system_text, tuple(pieces), instructions, answer_lines, reminder))
     return tuple(prompts)
 
 

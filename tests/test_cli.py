@@ -643,6 +643,40 @@ def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
     assert tree_bytes(tmp_path) == before
 
 
+def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations(runner, small_dir, small_corpus,
+                                                                                  tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(small_dir, changed)
+    lines = set()
+    for essay in small_corpus.train_essays():  # the case of each first component's first letter
+        text = (changed / f"{essay.essay_id}.txt").read_text(encoding="utf-8")
+        ann = (changed / f"{essay.essay_id}.ann").read_text(encoding="utf-8")
+        start, component = essay.components[0].span.start, essay.components[0].text
+        flipped = component[0].swapcase() + component[1:]
+        assert flipped != component and f"\t{component}\n" in ann
+        lines.add(f"1. {flipped} -> ")
+        (changed / f"{essay.essay_id}.txt").write_text(text[:start] + flipped[0] + text[start + 1:], encoding="utf-8")
+        (changed / f"{essay.essay_id}.ann").write_text(ann.replace(f"\t{component}\n", f"\t{flipped}\n", 1),
+                                                       encoding="utf-8")
+    store = tmp_path / "store"
+    backend = {"chat": "cache", "cache_upstream": "mock", "store_dir": str(store)}
+    icl = {"mode": "one_by_one", "fts": True}
+    requests = []
+    for name, corpus_dir in (("first", small_dir), ("second", changed)):
+        config = write_config(tmp_path / f"{name}.yaml", corpus_dir, tmp_path / name, icl=icl, backend=backend)
+        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        assert (tmp_path / name / "records.jsonl").read_bytes() == (tmp_path / "first" / "records.jsonl").read_bytes()
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["backend_tags_used"] == ["mock"]  # no request of the second run is one of the first's
+        requests.append({path.name: json.loads(path.read_text(encoding="utf-8"))["request"]["user_text"]
+                         for path in (store / "chat").iterdir()})
+    first, both = requests
+    assert len(both) == 2 * len(first) == 2 * manifest["chat_calls"]
+    second = [text for digest, text in both.items() if digest not in first]
+    assert all(any(line in text for line in lines) for text in second)
+    assert not any(line in text for line in lines for text in first.values())
+
+
 @pytest.mark.parametrize("name", ["CLASS_DEFINITIONS_HEADER", "TRAIN_COUNTS_LINE", "EXAMPLE_HEADER", "TITLE_LINE",
                                   "FULL_TEXT_HEADER", "DEMO_COMPONENTS_HEADER", "QUERY_COMPONENTS_HEADER"])
 def test_each_fixed_prompt_line_is_a_constant_the_prompt_digest_covers(small_corpus, monkeypatch, name):

@@ -16,17 +16,19 @@ from atc_icl.ensemble import (
     EmptyVotes,
     IclConfig,
     PredictionRecord,
+    PromptCache,
     RoundFailed,
     derive_round_seed,
     majority_vote,
     run_ensemble,
 )
 from atc_icl.errors import ConfigError
+from atc_icl import gateway as gateway_module
 from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend, chat_request_digest
 from atc_icl.prompting import (FORMAT_REMINDER, ONE_BY_ONE_REMINDER, PromptConfig, PromptMode, UnknownLabel,
                                build_prompt, parse_response, render_info, render_labels)
 from atc_icl.selection import SelectionOutcome, SelectionStrategy, rank_neighbors, subsample
-from conftest import ScriptedChatBackend, simple_essay, user_texts
+from conftest import ScriptedChatBackend, build_essay, simple_essay, user_texts
 
 
 def brute_force_vote(votes):
@@ -478,3 +480,69 @@ def test_run_ensemble_krn_ranks_every_round_anew():
     config = IclConfig(SelectionStrategy.KRN, k=3, n_rounds=5, prompt=prompt_config(), run_seed=4)
     record = run_ensemble(query, make_pool(), config, echo_gateway(query))
     assert len({frozenset(s.neighbor_ids) for s in record.selections}) > 1
+
+
+def reworded(essay):
+    """``essay`` under its id and title, with other component text and so other raw text."""
+    return build_essay(essay.essay_id, essay.title, [
+        [("Opening line about the topic. ", None), (f"statement number {i} fails", c.gold_label), (".", None)]
+        for i, c in enumerate(essay.components, start=1)])
+
+
+def respanned(essay):
+    """``essay`` with its raw text, but each component ends before the word after its number."""
+    return build_essay(essay.essay_id, essay.title, [
+        [("Opening line about the topic. ", None), (f"statement number {i}", c.gold_label), (" holds.", None)]
+        for i, c in enumerate(essay.components, start=1)])
+
+
+def ask_one_by_one(query, pool, cache):
+    """The record and the requests of a three-round one-by-one run of ``query`` over ``pool``."""
+    gold, seen = gold_of(query), []
+
+    def responder(request):
+        seen.append(request)
+        return gold[component_of(request) - 1].display_name
+
+    config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, run_seed=5,
+                       prompt=PromptConfig(include_info=True, mode=PromptMode.ONE_BY_ONE))
+    info = render_info({Label.MAJOR_CLAIM: 1, Label.CLAIM: 2, Label.PREMISE: 3})
+    record = run_ensemble(query, pool, config, Gateway(chat_backend=MockChatBackend(responder=responder)),
+                          info=info, cache=cache)
+    return record, seen
+
+
+@pytest.mark.parametrize("variant", [reworded, respanned])
+def test_a_prompt_cache_serves_no_text_of_another_corpus_with_the_same_ids(variant):
+    query = simple_essay("q", "Query topic", [Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE])
+    pools = [make_pool(), [variant(essay) for essay in make_pool()]]
+    assert [e.essay_id for e in pools[0]] == [e.essay_id for e in pools[1]] and pools[0] != pools[1]
+    assert (variant is respanned) == all(a.raw_text == b.raw_text for a, b in zip(*pools))
+    cache = PromptCache()  # shared by both corpora, which a run never does
+    (first, sent), (second, resent) = (ask_one_by_one(query, pool, cache) for pool in pools)
+    assert first.selections == second.selections and first.final == second.final
+    assert len(sent) == len(resent) == 3 * query.m
+    assert all(a.user_text != b.user_text for a, b in zip(sent, resent))
+    assert not {chat_request_digest(r) for r in sent} & {chat_request_digest(r) for r in resent}
+    for pool, requests in zip(pools, (sent, resent)):
+        _, alone = ask_one_by_one(query, pool, None)
+        assert [(r.user_text, chat_request_digest(r)) for r in requests] == \
+            [(r.user_text, chat_request_digest(r)) for r in alone]
+    chosen = {essay_id for s in first.selections for essay_id in s.chosen_ids}
+    assert len(cache.bodies) == 2 * len(chosen)
+
+
+def test_a_run_renders_and_escapes_each_recurring_piece_once(monkeypatch):
+    escaped = []
+    monkeypatch.setattr(ensemble, "escape_piece", lambda text: escaped.append(text) or gateway_module.escape_piece(text))
+    rendered = []
+    real_render = prompting._render_demo_body
+    monkeypatch.setattr(prompting, "_render_demo_body", lambda essay: rendered.append(essay.essay_id) or real_render(essay))
+    pool, cache = make_pool(), PromptCache()
+    queries = [simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM, Label.PREMISE]) for i in range(3)]
+    for query in queries:
+        ask_one_by_one(query, pool, cache)
+    assert sorted(rendered) == sorted(set(rendered)) == sorted(e.essay_id for e in cache.bodies)
+    # Each body and header once, and each query section once for its own essay.
+    assert len(escaped) == len(set(escaped)) == len(cache.escapes) + len(queries)
+    assert set(cache.escapes) == {piece for piece in escaped if not piece.startswith("## Query essay")}

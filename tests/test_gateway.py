@@ -198,6 +198,51 @@ def test_prefix_keyed_digest_equals_the_digest_without_a_prefix(
     assert chat_request_digest(keyed) == chat_request_digest(plain) == full_payload_digest(plain)
 
 
+# Pieces also draw lone surrogates, which have no UTF-8.
+PIECE_TEXT = st.text(st.characters(codec="utf-8") | AWKWARD | st.sampled_from(["\ud800", "\udfff", "\u00a0"]),
+                     max_size=30)
+
+
+@given(
+    pieces=st.lists(PIECE_TEXT, max_size=6),
+    rests=st.lists(KEY_TEXT, min_size=1, max_size=3),
+    temperature=st.sampled_from([0.0, 0.7, 0, 2]),
+)
+def test_a_prefix_joined_from_pieces_is_the_prefix_of_the_joined_text(pieces, rests, temperature):
+    head = ChatKeyPrefix("gpt-4", "sys \"x\"\n", temperature, 1024)
+    context = "".join(pieces)
+    try:
+        whole = ChatKeyPrefix("gpt-4", "sys \"x\"\n", temperature, 1024, context)
+    except UnicodeEncodeError as exc:
+        assert exc.reason == "surrogates not allowed"
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            [gateway_module.escape_piece(piece) for piece in pieces]
+        return
+    escapes = [gateway_module.escape_piece(piece) for piece in pieces]
+    joined = head.join(pieces, escapes)
+    assert joined.context == context and head.context == ""
+    assert joined._record_start == whole._record_start
+    twice = head.join(pieces[:1], escapes[:1]).join(pieces[1:], escapes[1:])
+    assert twice._record_start == whole._record_start and twice._digest(b"") == whole._digest(b"")
+    for rest in rests:
+        assume(context + rest)
+        escaped = gateway_module.escape_piece(rest)
+        assert joined._digest(escaped) == whole._digest(escaped)
+        assert joined._record_head(escaped) == whole._record_head(escaped)
+        request = joined.request(rest)
+        assert request.key_prefix is joined
+        assert chat_request_digest(request) == full_payload_digest(request)
+
+
+def test_a_pieces_escape_is_its_json_string_body_in_utf8():
+    head = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024)
+    pieces = ["shared \"context\"\n", "café\n\n"]
+    escaped = [gateway_module.escape_piece(piece) for piece in pieces]
+    assert escaped == [b'shared \\"context\\"\\n', "café\\n\\n".encode("utf-8")]
+    request = head.join(pieces, escaped).request("classify")
+    assert chat_request_digest(request) == full_payload_digest(req(user="".join(pieces) + "classify"))
+
+
 def test_a_request_cannot_be_given_a_prefix_from_outside():
     with pytest.raises(TypeError, match="key_prefix"):
         ChatRequest(system_text="sys", user_text="classify this", model_name="gpt-4",
@@ -512,8 +557,8 @@ def test_a_record_without_its_request_is_refused(tmp_path, edit, message):
 def test_a_hit_and_a_miss_each_escape_the_instruction_once(tmp_path, monkeypatch):
     prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "shared \"context\" \u2028\n")
     instruction = "Which class is \"component\" 2 of 3?\t\U0001F600"
-    real_escape, escaped = gateway_module._json_string_body, []
-    monkeypatch.setattr(gateway_module, "_json_string_body", lambda text: escaped.append(text) or real_escape(text))
+    real_escape, escaped = gateway_module.escape_piece, []
+    monkeypatch.setattr(gateway_module, "escape_piece", lambda text: escaped.append(text) or real_escape(text))
     backend = StoreChatBackend(ResponseStore(tmp_path), CountingChatBackend())
     miss = backend.complete(prefix.request(instruction))
     assert miss.backend_tag is BackendTag.LIVE and escaped == [instruction]

@@ -142,6 +142,28 @@ def test_build_prompt_gives_each_round_the_prompt_of_its_own_demos(park_essay):
     assert len({user_texts(prompt) for prompt in prompts}) == 3
 
 
+def test_a_rounds_pieces_are_its_context_and_a_memo_renders_each_demo_body_once(park_essay):
+    demo1, demo2 = demo_pair()
+    demo_sets = [[demo1], [demo2, demo1], []]
+    config = PromptConfig(include_info=True, include_fts=True, mode=PromptMode.ONE_BY_ONE)
+    bodies = {}
+    prompts = build_prompt(park_essay, demo_sets, config, info_block(), bodies)
+    assert prompts == build_prompt(park_essay, demo_sets, config, info_block())
+    assert list(bodies) == [demo1, demo2]
+    info, header, example, body, query = prompts[0].pieces
+    assert (info, header, example) == (info_block() + "\n\n", "## Demonstration essays\n\n", "### Example 1\n")
+    assert body is bodies[demo1] and body.startswith("Title: ") and body.endswith("\n\n")
+    assert query.startswith("## Query essay\n") and prompts[1].pieces[-1] is prompts[2].pieces[-1] is query
+    assert prompts[1].pieces[2:6] == ("### Example 1\n", bodies[demo2], "### Example 2\n", body)
+    assert prompts[2].pieces == (info, query)
+    for prompt in prompts:
+        assert prompt.context == "".join(prompt.pieces)
+    # A body in the memo is not rendered again, which is why a memo lives for one run only.
+    bodies = {demo1: "stale\n\n"}
+    (prompt,) = build_prompt(park_essay, [[demo1]], config, info_block(), bodies)
+    assert "stale" in prompt.context and list(bodies) == [demo1]
+
+
 def test_one_by_one_allows_zero_demos(park_essay):
     config = PromptConfig(mode=PromptMode.ONE_BY_ONE)
     texts = user_texts(one_round(park_essay, [], config))
