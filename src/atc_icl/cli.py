@@ -51,7 +51,7 @@ REPORT_JSON_NAME = "report.json"
 REPORT_TEXT_NAME = "report.txt"
 
 
-def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
+def make_gateway(config: RunConfig, corpus: Corpus | None) -> Gateway:
     """Wire chat and embedding backends according to the run config.
 
     ``cache`` puts the store in front of the configured upstream; ``replay``
@@ -61,12 +61,13 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
     keeps one keep-alive connection for each thread that posts, so the
     ``workers`` threads of a live run bound its connections. The gateway owns
     the session: close it when the run is done. It reads the proxy here, so a
-    bad proxy variable is refused first.
+    bad proxy variable is refused first. Given no corpus, it wires no chat side,
+    so an embedding-only caller builds no chat mock and no session for it.
     """
     backend = config.backend
     store = ResponseStore(backend.store_dir) if backend.store_dir else None
 
-    chat_kind = _chat_upstream(backend)
+    chat_kind = _chat_upstream(backend) if corpus is not None else None
     embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding
     live = "live" in (chat_kind, embed_kind)
     session = HttpSession(backend.base_url, backend.api_key_env) if live else None
@@ -76,7 +77,7 @@ def make_gateway(config: RunConfig, corpus: Corpus) -> Gateway:
         chat = MockChatBackend(responder=_mock_responder(backend, corpus))
     elif chat_kind == "live":
         chat = LiveChatBackend(session)
-    if backend.chat in ("cache", "replay"):
+    if corpus is not None and backend.chat in ("cache", "replay"):
         chat = StoreChatBackend(store, chat)
 
     embedder = None
@@ -163,7 +164,7 @@ def embed_corpus(config: RunConfig) -> Gateway:
     run reads the whole pool from one file.
     """
     corpus = load_corpus(config.corpus_dir, config.split_file)
-    gateway = make_gateway(config, corpus)
+    gateway = make_gateway(config, None)  # titles need no chat backend
     try:
         digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
     finally:

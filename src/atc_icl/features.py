@@ -3,19 +3,15 @@
 The structural features (first/last in paragraph, introduction/conclusion
 membership) render into a fixed four-sentence yes/no text block that can be
 injected into prompts or fine-tuning records. The contextual feature is the
-complete sentence covering the component.
+complete sentence covering the component. Both take an essay and the
+position of one of its components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import ArgumentComponent, Essay, Span
-from .errors import AtcError
-
-
-class ForeignComponent(AtcError):
-    """The component does not belong to the essay it was paired with."""
+from .corpus import Essay, Span
 
 
 # Tokens that end with a period but do not close a sentence.
@@ -87,33 +83,29 @@ def segment_sentences(text: str) -> list[Span]:
     return spans
 
 
-def _require_member(essay: Essay, component: ArgumentComponent) -> None:
-    if component not in essay.components:
-        raise ForeignComponent(
-            f"component {component.id} is not part of essay {essay.essay_id}"
-        )
+def extract_structural(essay: Essay, index: int) -> StructuralFeatures:
+    """Positional features of the essay's component at ``index``, counted from 0.
 
-
-def extract_structural(essay: Essay, component: ArgumentComponent) -> StructuralFeatures:
-    """Positional features of the component within its essay.
-
-    The introduction is the first body paragraph and the conclusion the last;
-    for a single-paragraph essay both flags are true (degenerate case).
+    Components are sorted by span start, so the components of a paragraph are
+    adjacent: a component is first (last) in its paragraph unless the one
+    before (after) it shares that paragraph. The introduction is the first
+    body paragraph and the conclusion the last; for a single-paragraph essay
+    both flags are true (degenerate case).
     """
-    _require_member(essay, component)
-    siblings = [c for c in essay.components if c.paragraph_index == component.paragraph_index]
+    components = essay.components
+    paragraph = components[index].paragraph_index
     return StructuralFeatures(
-        is_first_in_paragraph=component == siblings[0],
-        is_last_in_paragraph=component == siblings[-1],
-        in_introduction=component.paragraph_index == 0,
-        in_conclusion=component.paragraph_index == len(essay.paragraphs) - 1,
-        paragraph_number=component.paragraph_index + 1,
+        is_first_in_paragraph=index == 0 or components[index - 1].paragraph_index != paragraph,
+        is_last_in_paragraph=index == len(components) - 1 or components[index + 1].paragraph_index != paragraph,
+        in_introduction=paragraph == 0,
+        in_conclusion=paragraph == len(essay.paragraphs) - 1,
+        paragraph_number=paragraph + 1,
     )
 
 
-def covering_sentence(essay: Essay, component: ArgumentComponent) -> str:
-    """The minimal sentence-bounded expansion of the component span."""
-    _require_member(essay, component)
+def covering_sentence(essay: Essay, index: int) -> str:
+    """The minimal sentence-bounded expansion of the span of the essay's component at ``index``."""
+    component = essay.components[index]
     paragraph = essay.paragraphs[component.paragraph_index]
     paragraph_text = paragraph.slice(essay.raw_text)
     rel_start = component.span.start - paragraph.start

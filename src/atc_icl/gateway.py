@@ -158,11 +158,10 @@ class ChatKeyPrefix:
 
     The user text is also the last field of a request in its chat record, so
     the prefix keeps the UTF-8 of every record of the group up to the end of
-    the escaped context, from the same escaping. :meth:`_record_head` adds a
-    request's own rest to it; :meth:`ResponseStore.put_chat` writes those
+    the escaped context, from the same escaping. A request's record goes on
+    with the escaped rest that :func:`_key_parts` makes once per request,
+    then ``_CHAT_RECORD_MIDDLE``; :meth:`ResponseStore.put_chat` writes those
     bytes, and :meth:`ResponseStore.get_chat` compares a record with them.
-    Both methods take the escaped rest that :func:`_key_parts` makes once per
-    request.
 
     By the same per-character escaping a prefix can grow: :meth:`join`
     appends pieces to the context and hashes and keeps only their escapes,
@@ -226,15 +225,6 @@ class ChatKeyPrefix:
         state = self._state.copy()
         state.update(escaped_rest + b'"}')
         return state.hexdigest()
-
-    def _record_head(self, escaped_rest: bytes) -> tuple[bytes, bytes]:
-        """The bytes of a chat record up to its response, in two parts.
-
-        The first is the group's, up to the end of the context; the second is
-        ``escaped_rest``, a request's escaped user text after the context,
-        then the record up to the response.
-        """
-        return self._record_start, escaped_rest + _CHAT_RECORD_MIDDLE
 
 
 def _request_fields(request: ChatRequest | ChatKeyPrefix, user_text: str) -> dict:
@@ -377,13 +367,15 @@ def write_atomic(path: Path, data: str | bytes | Iterable[bytes]) -> None:
 class ResponseStore:
     """Content-addressed on-disk store of request/response JSON records.
 
-    Layout: ``<dir>/chat/<digest>.json`` and ``<dir>/embed/<digest>.json``.
-    Each chat record keeps the full request next to the response so fixtures
-    are auditable, and a read checks it against the request asked (see
-    :meth:`get_chat`). Each embedding record keeps its model name and text next
-    to ``vector_f64``, the vector as little-endian IEEE-754 float64 in hex
-    text. :meth:`get_embedding` reads it back, as it does a record written
-    before vectors were packed, whose ``vector`` is a JSON float list.
+    Layout: ``<dir>/chat/<digest>.json`` and ``<dir>/embed/<digest>.json``,
+    where the store works each digest out from what the record holds (see
+    :func:`chat_request_digest` and :func:`embedding_digest`). Each chat record
+    keeps the full request next to the response so fixtures are auditable, and
+    a read checks it against the request asked (see :meth:`get_chat`). Each
+    embedding record keeps its model name and text next to ``vector_f64``, the
+    vector as little-endian IEEE-754 float64 in hex text. :meth:`get_embedding`
+    reads it back, as it does a record written before vectors were packed,
+    whose ``vector`` is a JSON float list.
 
     ``embed/`` may also hold one pack per embedding model (see
     :meth:`embedding_pack_path`): a JSON header line ``{"digests", "dim",
@@ -399,19 +391,17 @@ class ResponseStore:
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        # "<dir><digest>.json" names a record. A plain string: a Path would intern every
+        # digest's file name, and the interpreter's intern table then grows, and resizes, with reads.
+        self._dirs = {kind: os.path.join(self.root, kind, "") for kind in ("chat", "embed")}
         # digest -> (pack, index of its row); None until the first embedding read
         self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
-    def _path(self, kind: str, digest: str) -> Path:
-        return self.root / kind / f"{digest}.json"
-
     def _read(self, kind: str, digest: str) -> bytes | None:
-        # A plain string: a Path would intern every digest's file name, and
-        # the interpreter's intern table then grows, and resizes, with reads.
         # os.read of the fstat size skips the buffered file object; a short
         # read goes on to EOF.
         try:
-            fd = os.open(os.path.join(self.root, kind, f"{digest}.json"), os.O_RDONLY)
+            fd = os.open(f"{self._dirs[kind]}{digest}.json", os.O_RDONLY)
         except FileNotFoundError:
             return None
         try:
@@ -430,15 +420,14 @@ class ResponseStore:
         try:
             return json.loads(data)
         except ValueError as exc:
-            raise AtcError(f"corrupt store record {self._path(kind, digest)}: {exc}") from exc
+            raise AtcError(f"corrupt store record {self._dirs[kind]}{digest}.json: {exc}") from exc
 
     def _write(self, kind: str, digest: str, data: str | bytes) -> None:
-        path = self._path(kind, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, data)
+        os.makedirs(self._dirs[kind], exist_ok=True)
+        write_atomic(Path(f"{self._dirs[kind]}{digest}.json"), data)
 
-    def get_chat(self, digest: str, request: ChatRequest) -> tuple[str, Usage] | None:
-        """The response text and token counts stored for ``request`` under ``digest``, or None.
+    def get_chat(self, request: ChatRequest) -> tuple[str, Usage] | None:
+        """The response text and token counts stored for ``request``, or None.
 
         A record whose bytes up to the response are the ones :meth:`put_chat`
         writes for ``request``, and which ends as it writes it, is served by
@@ -448,11 +437,12 @@ class ResponseStore:
         it with the wrong types, or holds no request or another request than
         ``request``, raises :class:`AtcError` naming the digest.
         """
+        prefix, escaped_rest = _key_parts(request)
+        digest = prefix._digest(escaped_rest)
         data = self._read("chat", digest)
         if data is None:
             return None
-        prefix, escaped_rest = _key_parts(request)
-        shared, own = prefix._record_head(escaped_rest)
+        shared, own = prefix._record_start, escaped_rest + _CHAT_RECORD_MIDDLE
         start = len(shared) + len(own)
         if data.startswith(shared) and data.startswith(own, len(shared)) and data.endswith(_CHAT_RECORD_END):
             try:
@@ -466,11 +456,11 @@ class ResponseStore:
         _check_record_request(record, request, digest)
         return answer
 
-    def put_chat(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
-        """Write the record of ``request`` and ``response`` under ``digest``.
+    def put_chat(self, request: ChatRequest, response: ChatResponse) -> None:
+        """Write the record of ``request`` and ``response``.
 
         Its bytes are :func:`_render_record` of ``{"request", "response"}``,
-        made from the request's record head, so that :meth:`get_chat` reads
+        made from the request's key prefix, so that :meth:`get_chat` reads
         back exactly what was written.
         """
         usage = {"prompt_tokens": response.usage.prompt_tokens, "completion_tokens": response.usage.completion_tokens}
@@ -478,8 +468,8 @@ class ResponseStore:
         # A JSON string holds no raw newline, so this indents only the layout.
         answer = answer.replace("\n", "\n  ").encode("utf-8")
         prefix, escaped_rest = _key_parts(request)
-        head = prefix._record_head(escaped_rest)
-        self._write("chat", digest, b"".join([*head, answer, _CHAT_RECORD_END]))
+        record = [prefix._record_start, escaped_rest, _CHAT_RECORD_MIDDLE, answer, _CHAT_RECORD_END]
+        self._write("chat", prefix._digest(escaped_rest), b"".join(record))
 
     def get_embedding(self, digest: str) -> tuple[float, ...] | None:
         """The vector stored for ``digest``, bit for bit as it was stored, or None.
@@ -495,9 +485,9 @@ class ResponseStore:
         data = self._read("embed", digest)
         return None if data is None else _record_vector(self._parse("embed", digest, data), digest)
 
-    def put_embedding(self, digest: str, model_name: str, text: str, values: Sequence[float]) -> None:
+    def put_embedding(self, model_name: str, text: str, values: Sequence[float]) -> None:
         packed = struct.pack(f"<{len(values)}d", *values).hex()
-        self._write("embed", digest, _render_record({"model_name": model_name, "text": text, "vector_f64": packed}))
+        self._write("embed", embedding_digest(model_name, text), _render_record({"model_name": model_name, "text": text, "vector_f64": packed}))
 
     def embedding_pack_path(self, model_name: str) -> Path:
         """Where ``model_name``'s pack lives; the name never matches ``*.json``."""
@@ -929,14 +919,13 @@ class StoreChatBackend:
         self._hit_tag = BackendTag.REPLAY if upstream is None else BackendTag.CACHE
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = chat_request_digest(request)
-        answer = self.store.get_chat(digest, request)
+        answer = self.store.get_chat(request)
         if answer is not None:
             return ChatResponse(*answer, backend_tag=self._hit_tag)
         if self.upstream is None:
-            raise ReplayMiss(f"no recorded chat response for digest {digest}")
+            raise ReplayMiss(f"no recorded chat response for digest {chat_request_digest(request)}")
         response = self.upstream.complete(request)
-        self.store.put_chat(digest, request, response)
+        self.store.put_chat(request, response)
         return response
 
 
@@ -1017,7 +1006,7 @@ class StoreEmbeddingBackend:
                 values = self.store.get_embedding(digest)  # another thread may have fetched it
                 if values is None:
                     vector, tag = self.upstream.embed(text)
-                    self.store.put_embedding(digest, self.model_name, text, vector.values)
+                    self.store.put_embedding(self.model_name, text, vector.values)
                     return vector, tag
         return EmbeddingVector(values=values, source_text_digest=digest), self._hit_tag
 

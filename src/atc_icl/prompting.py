@@ -194,10 +194,10 @@ def _render_query(essay: Essay, config: PromptConfig) -> str:
         lines.append(FULL_TEXT_HEADER)
         lines.append(essay.raw_text.rstrip("\n"))
     lines.append(QUERY_COMPONENTS_HEADER.format(m=essay.m))
-    for i, component in enumerate(essay.components, start=1):
-        lines.append(f"{i}. {component.text}")
+    for i, component in enumerate(essay.components):
+        lines.append(f"{i + 1}. {component.text}")
         if config.include_fts:
-            lines.append(render_featxt(extract_structural(essay, component)))
+            lines.append(render_featxt(extract_structural(essay, i)))
     return "\n".join(lines)
 
 

@@ -29,10 +29,6 @@ class EmbeddingUnavailable(AtcError):
     """Title-embedding strategy requested without an embedding gateway."""
 
 
-class BadK(AtcError):
-    """Subsample size must be exactly half the neighborhood size."""
-
-
 class SelectionStrategy(Enum):
     KRN = "krn"
     KNN_LEN = "knn_len"
@@ -185,17 +181,13 @@ def _rank_by_title(
     return [essay_id for _, essay_id in scored[:n_neighbors]]
 
 
-def subsample(neighbor_ids: Sequence[str], k: int, rng_seed: int) -> list[str]:
-    """Uniformly sample ``k`` of the neighbors, ``k`` = half the neighborhood.
+def subsample(neighbor_ids: Sequence[str], rng_seed: int) -> list[str]:
+    """Uniformly sample half of the neighbors, rounded down.
 
     The returned order is the sampling order and is used verbatim as the
     prompt order of demonstrations.
     """
-    if 2 * k != len(neighbor_ids):
-        raise BadK(f"k={k} must be exactly half of the neighborhood size {len(neighbor_ids)}")
-    if k == 0:
-        return []
-    return Random(rng_seed).sample(list(neighbor_ids), k)
+    return Random(rng_seed).sample(neighbor_ids, len(neighbor_ids) // 2)
 
 
 def select_demonstrations(
@@ -222,6 +214,6 @@ def select_demonstrations(
     else:
         neighborhoods = [rank_neighbors(query, pool, strategy, 2 * k, 0, gateway)] * len(seeds)
     return tuple(
-        SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, k, pick_seed)), rank_seed, pick_seed)
+        SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, pick_seed)), rank_seed, pick_seed)
         for neighbors, (rank_seed, pick_seed) in zip(neighborhoods, seeds)
     )

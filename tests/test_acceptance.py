@@ -350,8 +350,8 @@ def test_criterion_9_finetune_export_full_corpus(synth_corpus, tmp_path):
 
     essay = parse_essay(PARK_TEXT, PARK_ANN, "essay001")
     lines = [
-        json.dumps(build_record(essay, c, featxt=True), ensure_ascii=False)
-        for c in essay.components
+        json.dumps(build_record(essay, index, featxt=True), ensure_ascii=False)
+        for index in range(essay.m)
     ]
     assert "\n".join(lines) + "\n" == (DATA / "finetune_featxt_golden.jsonl").read_text(
         encoding="utf-8"

@@ -254,7 +254,7 @@ def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, smal
     model = gateway.HashEmbeddingBackend().model_name
     store = gateway.ResponseStore(store_dir)
     earlier = gateway.embedding_digest(model, "A title from another corpus")
-    store.put_embedding(earlier, model, "A title from another corpus", [1.0] * 8)
+    store.put_embedding(model, "A title from another corpus", [1.0] * 8)
     assert store.put_embedding_pack(model, [earlier])
     config_path = write_config(tmp_path / "embed.yaml", small_dir, tmp_path / "out",
                                backend={"embedding": "cache", "embedding_upstream": "hash",
@@ -438,6 +438,26 @@ def retitle(corpus_dir: Path, essay_id: str, title: str) -> None:
             line = f"{tid}\t{label} {int(start) + shift} {int(end) + shift}\t{surface}"
         lines.append(line)
     ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("chat", [{}, {"chat": "live", "base_url": "http://api.example.test/v1"}],
+                         ids=["gold-echo", "live"])
+def test_embed_wires_no_chat_backend(runner, small_dir, small_corpus, tmp_path, monkeypatch, chat):
+    """``atc-icl embed`` builds neither the gold-echo mock, which refuses two essays of one title, nor a live session."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(small_dir, corpus_dir)
+    retitle(corpus_dir, "essay002", small_corpus.by_id()["essay001"].title)
+    store_dir = tmp_path / "store"
+    config = write_config(tmp_path / "embed.yaml", corpus_dir, tmp_path / "out",
+                          backend={**chat, "embedding": "cache", "embedding_upstream": "hash",
+                                   "store_dir": str(store_dir)})
+    monkeypatch.setattr(cli, "HttpSession", None)  # building one would fail
+    result = runner.invoke(main, ["embed", "--config", str(config)], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert "embedded 12 titles (0 live fetches, 1 cache hits, 11 replay/mock)" in result.output
+    model = gateway.HashEmbeddingBackend().model_name
+    header = json.loads(gateway.ResponseStore(store_dir).embedding_pack_path(model).read_bytes().split(b"\n", 1)[0])
+    assert len(header["digests"]) == 11 and header["distances"] is True
 
 
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])

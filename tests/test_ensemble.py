@@ -441,7 +441,7 @@ def test_run_ensemble_matches_independent_rounds(strategy):
         rank_seed = derive_round_seed(29, "q", round_index, "rank")
         pick_seed = derive_round_seed(29, "q", round_index, "pick")
         neighbors = rank_neighbors(query, pool, strategy, 6, rank_seed, gateway)
-        outcome = SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, 3, pick_seed)),
+        outcome = SelectionOutcome(tuple(neighbors), tuple(subsample(neighbors, pick_seed)),
                                    rank_seed, pick_seed)
         (prompt,) = build_prompt(query, [[pool_by_id[i] for i in outcome.chosen_ids]], config.prompt)
         (instruction,) = prompt.instructions

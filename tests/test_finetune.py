@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from atc_icl import finetune
 from atc_icl.corpus import Label, Split, compute_stats, load_corpus, parse_essay
 from atc_icl.finetune import IoFailure, build_record, export
 from atc_icl.prompting import parse_response
@@ -32,7 +33,7 @@ def test_featxt_records_match_golden_file(tmp_path):
 
 def test_featxt_record_carries_all_five_feature_elements():
     essay = parse_essay(PARK_TEXT, PARK_ANN, "essay001")
-    record = build_record(essay, essay.components[0], featxt=True)
+    record = build_record(essay, 0, featxt=True)
     user = record["messages"][1]["content"]
     assert "Essay title: Keeping city parks open at night" in user
     assert "Sentence: City parks should stay open at night." in user
@@ -45,7 +46,7 @@ def test_featxt_record_carries_all_five_feature_elements():
 
 def test_plain_record_is_component_text_only():
     essay = parse_essay(PARK_TEXT, PARK_ANN, "essay001")
-    record = build_record(essay, essay.components[2], featxt=False)
+    record = build_record(essay, 2, featxt=False)
     assert record["messages"][1]["content"] == "they cost little to keep open"
     assert "Is the AC" not in record["messages"][1]["content"]
     assert record["messages"][2]["content"] == "Premise"
@@ -85,3 +86,25 @@ def test_export_is_byte_deterministic(small_corpus, tmp_path):
 def test_export_io_failure(small_corpus, tmp_path):
     with pytest.raises(IoFailure):
         export(small_corpus, Split.TRAIN, featxt=False, out=tmp_path / "missing-dir" / "x.jsonl")
+
+
+@pytest.mark.parametrize("failure, raised", [(OSError(28, "No space left on device"), IoFailure),
+                                             (KeyboardInterrupt(), KeyboardInterrupt)], ids=["os-error", "interrupt"])
+def test_an_export_cut_short_leaves_the_earlier_file_as_it_was(small_corpus, tmp_path, monkeypatch, failure, raised):
+    out = tmp_path / "export" / "train.jsonl"
+    out.parent.mkdir()
+    export(small_corpus, Split.TRAIN, featxt=True, out=out)
+    earlier = out.read_bytes()
+    real_build_record, built = finetune.build_record, []
+
+    def build_record(*args):
+        if len(built) == 3:  # fails after three lines were made
+            raise failure
+        built.append(args)
+        return real_build_record(*args)
+
+    monkeypatch.setattr(finetune, "build_record", build_record)
+    with pytest.raises(raised):
+        export(small_corpus, Split.TRAIN, featxt=False, out=out)
+    assert out.read_bytes() == earlier
+    assert list(out.parent.iterdir()) == [out]  # no temp file is left either

@@ -228,7 +228,6 @@ def test_a_prefix_joined_from_pieces_is_the_prefix_of_the_joined_text(pieces, re
         assume(context + rest)
         escaped = gateway_module.escape_piece(rest)
         assert joined._digest(escaped) == whole._digest(escaped)
-        assert joined._record_head(escaped) == whole._record_head(escaped)
         request = joined.request(rest)
         assert request.key_prefix is joined
         assert chat_request_digest(request) == full_payload_digest(request)
@@ -437,13 +436,13 @@ def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch)
     def replace(src, dst):
         if not interleaved:
             interleaved.append(src)
-            second.put_chat(digest, req(), response)
+            second.put_chat(req(), response)
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    first.put_chat(digest, req(), response)
+    first.put_chat(req(), response)
     assert interleaved
-    assert first.get_chat(digest, req()) == ("1. Claim", Usage(3, 1))
+    assert first.get_chat(req()) == ("1. Claim", Usage(3, 1))
     assert [p.name for p in (tmp_path / "store" / "chat").iterdir()] == [f"{digest}.json"]
 
 
@@ -486,11 +485,11 @@ def test_a_chat_record_is_its_canonical_json_and_is_served_without_a_full_parse(
     with tempfile.TemporaryDirectory() as root:
         store = ResponseStore(root)
         digest = chat_request_digest(request)
-        store.put_chat(digest, request, ChatResponse(text, Usage(5, 2), BackendTag.LIVE))
+        store.put_chat(request, ChatResponse(text, Usage(5, 2), BackendTag.LIVE))
         with open(os.path.join(root, "chat", f"{digest}.json"), "rb") as handle:
             assert handle.read() == canonical(chat_record(request, text, Usage(5, 2)))
         store._parse = no_full_parse
-        assert store.get_chat(digest, request) == (text, Usage(5, 2))
+        assert store.get_chat(request) == (text, Usage(5, 2))
 
 
 @pytest.mark.parametrize("layout", [{"indent": 4}, {"ensure_ascii": True}, {"indent": None}, {"sort_keys": False}],
@@ -572,7 +571,7 @@ def test_a_record_read_in_short_pieces_is_served_as_one_read_serves_it(tmp_path,
     request = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "caf\u00e9 context ").request("classify this")
     digest = chat_request_digest(request)
     store = ResponseStore(tmp_path)
-    store.put_chat(digest, request, ChatResponse("1. Cl\u00e4im", Usage(3, 1), BackendTag.LIVE))
+    store.put_chat(request, ChatResponse("1. Cl\u00e4im", Usage(3, 1), BackendTag.LIVE))
     data = (tmp_path / "chat" / f"{digest}.json").read_bytes()
     assert store._read("chat", digest) == data
     real_read, sizes = os.read, []
@@ -585,10 +584,11 @@ def test_a_record_read_in_short_pieces_is_served_as_one_read_serves_it(tmp_path,
     monkeypatch.setattr(gateway_module.os, "read", short_read)
     assert store._read("chat", digest) == data
     assert len(sizes) == -(-len(data) // 7) + 1 and sizes[-1] == 0  # read on to EOF
-    assert store.get_chat(digest, request) == ("1. Cl\u00e4im", Usage(3, 1))
+    assert store.get_chat(request) == ("1. Cl\u00e4im", Usage(3, 1))
 
 
-FIXTURE_CHAT = sorted((Path(__file__).parent / "data" / "replay_fixture" / "store" / "chat").glob("*.json"))
+FIXTURE_STORE = Path(__file__).parent / "data" / "replay_fixture" / "store"
+FIXTURE_CHAT = sorted((FIXTURE_STORE / "chat").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", FIXTURE_CHAT, ids=lambda path: path.stem[:12])
@@ -603,8 +603,40 @@ def test_every_fixture_chat_record_is_served_without_a_full_parse(path, monkeypa
     expected = record["response"]["text"], Usage(**record["response"]["usage"])
     real_loads, parsed = json.loads, []
     monkeypatch.setattr(json, "loads", lambda data, **kwargs: parsed.append(data) or real_loads(data, **kwargs))
-    assert store.get_chat(path.stem, keyed) == expected
+    assert store.get_chat(keyed) == expected
     assert len(parsed) == 1 and '"request"' not in parsed[0]
+
+
+@pytest.mark.parametrize("prefixed", [False, True], ids=["plain", "prefixed"])
+def test_the_fixture_recorded_again_gets_its_committed_names_and_bytes(tmp_path, prefixed):
+    """Every fixture record, written again into an empty store, is filed where it was, with the bytes it has.
+
+    Two embedding records hold a legacy JSON ``vector`` list; written again,
+    they keep their names and vectors, now packed.
+    """
+    store, committed = ResponseStore(tmp_path), ResponseStore(FIXTURE_STORE)
+    for path in FIXTURE_CHAT:
+        record = json.loads(path.read_bytes())
+        fields, response = record["request"], record["response"]
+        user = fields["user_text"]
+        split = len(user) // 2 if prefixed else 0
+        request = ChatKeyPrefix(fields["model_name"], fields["system_text"], fields["temperature"],
+                                fields["max_output_tokens"], user[:split]).request(user[split:])
+        store.put_chat(request, ChatResponse(response["text"], Usage(**response["usage"]), BackendTag.LIVE))
+        assert (tmp_path / "chat" / path.name).read_bytes() == path.read_bytes()
+    legacy = []
+    for path in sorted((FIXTURE_STORE / "embed").glob("*.json")):
+        record = json.loads(path.read_bytes())
+        store.put_embedding(record["model_name"], record["text"], committed.get_embedding(path.stem))
+        if "vector_f64" in record:
+            assert (tmp_path / "embed" / path.name).read_bytes() == path.read_bytes()
+        else:
+            legacy.append(path.stem)
+            assert store.get_embedding(path.stem) == committed.get_embedding(path.stem)
+    assert len(legacy) == 2
+    for kind in ("chat", "embed"):
+        names = sorted(path.name for path in (FIXTURE_STORE / kind).glob("*.json"))
+        assert sorted(path.name for path in (tmp_path / kind).iterdir()) == names
 
 
 def test_replay_only_gateway_performs_zero_network_calls(tmp_path):
@@ -876,7 +908,7 @@ EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623
 def test_packed_records_replay_bit_identically(values):
     with tempfile.TemporaryDirectory() as tmp:
         store = ResponseStore(tmp)
-        store.put_embedding(embedding_digest("m", "T"), "m", "T", values)
+        store.put_embedding("m", "T", values)
         record = json.loads((store.root / "embed" / f"{embedding_digest('m', 'T')}.json").read_text())
         assert set(record) == {"model_name", "text", "vector_f64"}
         vector, tag = StoreEmbeddingBackend(store, "m").embed("T")
@@ -919,7 +951,7 @@ def record_and_pack(root, texts_values, model="m"):
     """A store holding one record per (text, values), packed into ``model``'s pack."""
     store = ResponseStore(root)
     for text, values in texts_values:
-        store.put_embedding(embedding_digest(model, text), model, text, values)
+        store.put_embedding(model, text, values)
     assert store.put_embedding_pack(model, [embedding_digest(model, text) for text, _ in texts_values])
     return store
 
@@ -952,7 +984,7 @@ def test_pack_rows_replay_bit_identically(rows):
 
 def test_a_digest_the_pack_does_not_list_falls_back_to_its_record(tmp_path):
     store = record_and_pack(tmp_path, [("T0", [1.0, 2.0]), ("T1", [3.0, 4.0])])
-    store.put_embedding(embedding_digest("m", "T2"), "m", "T2", [5.0, 6.0])  # embedded after packing
+    store.put_embedding("m", "T2", [5.0, 6.0])  # embedded after packing
     (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()
     replay = ResponseStore(tmp_path)
     assert replay.get_embedding(embedding_digest("m", "T0")) == (1.0, 2.0)  # from the pack, its record gone
@@ -966,7 +998,7 @@ def test_a_digest_the_pack_does_not_list_falls_back_to_its_record(tmp_path):
 
 def test_rewriting_a_pack_keeps_its_rows_and_adds_new_ones_once(tmp_path):
     store = record_and_pack(tmp_path, [("T0", [1.0]), ("T1", [2.0])])
-    store.put_embedding(embedding_digest("m", "T2"), "m", "T2", [3.0])
+    store.put_embedding("m", "T2", [3.0])
     (tmp_path / "embed" / f"{embedding_digest('m', 'T0')}.json").unlink()  # still held by the pack
     assert store.put_embedding_pack("m", [embedding_digest("m", "T2"), embedding_digest("m", "T1")])
     pack = store.embedding_pack_path("m")
@@ -986,8 +1018,8 @@ def test_rewriting_a_pack_keeps_its_rows_and_adds_new_ones_once(tmp_path):
 def test_a_pack_refuses_vectors_of_two_lengths_under_one_model(tmp_path):
     store = ResponseStore(tmp_path)
     digests = [embedding_digest("m", text) for text in ("T0", "T1")]
-    store.put_embedding(digests[0], "m", "T0", [0.5, 0.5])
-    store.put_embedding(digests[1], "m", "T1", [0.5, 0.5, 0.5])
+    store.put_embedding("m", "T0", [0.5, 0.5])
+    store.put_embedding("m", "T1", [0.5, 0.5, 0.5])
     with pytest.raises(AtcError, match="has 3 values, but the pack of model 'm' has rows of 2"):
         store.put_embedding_pack("m", digests)
     assert not store.embedding_pack_path("m").exists()
@@ -1036,7 +1068,7 @@ def test_a_pack_is_streamed_to_its_file_in_chunks(tmp_path, monkeypatch):
     store = ResponseStore(tmp_path)
     texts = [f"T{i}" for i in range(3)]
     for i, text in enumerate(texts):
-        store.put_embedding(embedding_digest("m", text), "m", text, [float(i), 1.0])
+        store.put_embedding("m", text, [float(i), 1.0])
     chunks = []
     write = gateway_module.write_atomic
     monkeypatch.setattr(gateway_module, "write_atomic",

@@ -27,7 +27,6 @@ from atc_icl.gateway import (
     embedding_digest,
 )
 from atc_icl.selection import (
-    BadK,
     EmbeddingUnavailable,
     PoolTooSmall,
     SelectionStrategy,
@@ -157,8 +156,8 @@ def test_krn_is_seed_deterministic_and_uniform():
 
 def test_subsample_deterministic_and_order_preserving():
     ids = [f"e{i}" for i in range(10)]
-    picked = subsample(ids, 5, rng_seed=1234)
-    assert picked == subsample(ids, 5, rng_seed=1234)
+    picked = subsample(ids, rng_seed=1234)
+    assert picked == subsample(ids, rng_seed=1234)
     assert len(picked) == 5 and len(set(picked)) == 5
     assert set(picked) <= set(ids)
 
@@ -166,9 +165,9 @@ def test_subsample_deterministic_and_order_preserving():
 def test_subsample_two_choose_one():
     seen = set()
     for seed in range(20):
-        picked = subsample(["a", "b"], 1, seed)
+        picked = subsample(["a", "b"], seed)
         assert picked in (["a"], ["b"])
-        assert picked == subsample(["a", "b"], 1, seed)
+        assert picked == subsample(["a", "b"], seed)
         seen.add(picked[0])
     assert seen == {"a", "b"}
 
@@ -178,17 +177,15 @@ def test_subsample_uniformity_monte_carlo():
     counts = {essay_id: 0 for essay_id in ids}
     draws = 10_000
     for seed in range(draws):
-        for essay_id in subsample(ids, 5, seed):
+        for essay_id in subsample(ids, seed):
             counts[essay_id] += 1
     for essay_id, count in counts.items():
         assert abs(count / draws - 0.5) < 0.03, essay_id
 
 
-def test_bad_k_rejected():
-    with pytest.raises(BadK):
-        subsample([f"e{i}" for i in range(10)], 3, 0)
-    with pytest.raises(BadK):
-        subsample([], 1, 0)
+@given(st.lists(st.text(max_size=3), max_size=12), st.integers(min_value=0, max_value=2**64))
+def test_subsample_draws_half_the_neighborhood(ids, seed):
+    assert subsample(ids, seed) == Random(seed).sample(ids, len(ids) // 2)
 
 
 @settings(max_examples=25)
@@ -348,7 +345,7 @@ def test_knn_title_from_a_distance_block_equals_ranking_without_it(vectors, n, p
     with tempfile.TemporaryDirectory() as tmp:
         store = ResponseStore(tmp)
         for title, values in vectors.items():
-            store.put_embedding(embedding_digest(model, title), model, title, values)
+            store.put_embedding(model, title, values)
         store.put_embedding_pack(model, [embedding_digest(model, title) for title, values in vectors.items()
                                          if len(values) == dim and title not in unpacked])
         gateways = [Gateway(embedding_backend=MappingEmbeddingBackend(vectors, model)),
@@ -370,7 +367,7 @@ def test_knn_title_counts_each_pool_title_once_whichever_way_it_is_read(tmp_path
                "Outside": [1.0, 1.0]}
     store = ResponseStore(tmp_path)
     for title, values in vectors.items():
-        store.put_embedding(embedding_digest("m", title), "m", title, values)
+        store.put_embedding("m", title, values)
     assert store.put_embedding_pack("m", [embedding_digest("m", t) for t in vectors if t != "Outside"])
     pool = [simple_essay(f"e{i}", title, [Label.CLAIM]) for i, title in enumerate(["Huge", "Near", "Far", "Outside",
                                                                                    "Query"])]
