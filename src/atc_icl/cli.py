@@ -446,7 +446,7 @@ def run(config_path: Path, dry_run: bool) -> None:
         *_, corpus, remaining = _pending(config)
         if _chat_upstream(config.backend) == "mock":
             _mock_responder(config.backend, corpus)  # refuses what the run would refuse
-        per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else 1 for e in remaining]
+        per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else min(e.m, 1) for e in remaining]
         click.echo(f"run label:       {run_label(icl)}")
         click.echo(f"config digest:   {config_digest(icl)}")
         click.echo(f"essays to run:   {len(remaining)} (of {len(corpus.test_essays())} test essays)")

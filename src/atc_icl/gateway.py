@@ -1107,7 +1107,8 @@ class Gateway:
         :meth:`stored_embedding` reads its vector later without counting
         again. The whole list is None when the embedding backend is not a
         :class:`StoreEmbeddingBackend`, or no pack with a distance block
-        holds ``query``.
+        holds ``query``. Title-kNN bounds only the texts found here; it
+        embeds and scores every other text exactly.
         """
         backend = self.embedding_backend
         if not isinstance(backend, StoreEmbeddingBackend):

@@ -215,7 +215,7 @@ def build_prompt(
     info block, that round's demonstrations and the query section, each
     followed by a blank line. Each user text is the context followed by one
     call's instruction: a single text in all-at-once mode, and in one-by-one
-    mode m texts, the j-th asking about component j.
+    mode m texts, the j-th asking about component j; none when m is 0.
 
     ``bodies`` keeps each demonstration essay's rendered body, its
     :class:`Prompt` piece after the ``### Example i`` line, so an essay
@@ -230,7 +230,7 @@ def build_prompt(
 
     m = query.m
     if config.mode is PromptMode.ALL_AT_ONCE:
-        system_text, instructions = SYSTEM_ALL_AT_ONCE, (ALL_AT_ONCE_INSTRUCTION.format(m=m),)
+        system_text, instructions = SYSTEM_ALL_AT_ONCE, (ALL_AT_ONCE_INSTRUCTION.format(m=m),) if m else ()
         answer_lines, reminder = m, "\n\n" + FORMAT_REMINDER.format(m=m)
     else:
         system_text = SYSTEM_ONE_BY_ONE

@@ -5,6 +5,9 @@ uniformly at random, by closest argument-component count, or by cosine
 similarity of title embeddings. Half of the neighborhood is then sampled
 uniformly to form the demonstration set, and the sampled order becomes the
 prompt order.
+
+The title ranking scores each candidate exactly, except that a title it can
+bound from a pack's distance block is scored only if it may reach the top n.
 """
 
 from __future__ import annotations
@@ -94,33 +97,31 @@ def _rank_by_title(
     """The ``n_neighbors`` candidates of highest ``cosine_similarity`` to ``query_vec``.
 
     Returns what sorting every candidate by (-cosine_similarity, essay id)
-    would, but runs the exact ``fsum`` cosine only near the cut. Candidates
-    are embedded in the given order, and each is first bounded by a cheap
-    estimate from the law of cosines, |q - v|^2 = |q|^2 + |v|^2 - 2 q.v,
-    with ``math.hypot`` and ``math.dist``. A min-heap keeps the n best lower
-    bounds; its minimum, the cut, only grows. A vector is held only while its
-    upper bound reaches the cut, and the held ones get the exact cosine.
-    Every true top-n candidate survives: one whose upper bound is below the
-    cut has n candidates whose exact cosines all exceed its own.
+    would. A candidate with a stored pair of safe norms (hv = |v| and
+    d = |q - v| from a pack's distance block, see
+    :meth:`Gateway.stored_distances`) is only bounded at first, by the law of
+    cosines, |q - v|^2 = |q|^2 + |v|^2 - 2 q.v. Every other candidate is read
+    and scored exactly when it is reached, in candidate order, as the
+    brute-force sort does, so an error rises at the same candidate.
 
-    When ``query_vec`` and a candidate's vector are rows of one embedding
-    pack with a distance block (see :meth:`Gateway.stored_distances`), hv
-    and d are read from that block, and the vector itself only if it is held
-    at the end or gets the exact cosine at once. The block holds the very
-    floats ``math.hypot`` and ``math.dist`` return here (``dist`` is
-    symmetric), so the estimates, the held set and the result are the same
-    whichever way they came.
+    The cut is the n-th largest lower bound, an exact cosine being its own
+    bounds. A candidate whose upper bound is below the cut has n candidates
+    whose exact cosines all exceed its own, so only the others are scored
+    exactly, their vectors read through :meth:`Gateway.stored_embedding`.
 
     Why ``est - slack <= cosine_similarity(v, q) <= est + slack`` holds, with
     u = 2**-53, r = |q| / |v| and slack = _COSINE_SLACK * (r + 1/r + 1).
-    With both norms in _SAFE_NORMS and equal dimensions, no square, product
-    or difference overflows, and an underflowing product or square moves a
-    sum by at most 2**-1075 per coordinate, far below u |q| |v| >= 2**-853.
+    The rows of one pack share a dimension. With both norms in _SAFE_NORMS,
+    no square, product or difference overflows, and an underflowing product
+    or square moves a sum by at most 2**-1075 per coordinate, far below
+    u |q| |v| >= 2**-853.
 
-    * ``hypot`` and ``dist`` are within 1 ulp (2u) of the exact norm in
-      CPython >= 3.10, and each coordinate difference rounds by at most u,
-      so hq, hv and d are within 3u of |q|, |v| and |q - v|. Rounding
-      hq^2 + hv^2 - d^2 then errs by at most 22u (|q|^2 + |v|^2), because
+    * The block holds each row's ``hypot`` and each pair of rows' ``dist``
+      (both of :mod:`math`), and hq is the query's ``hypot`` here. ``hypot`` and
+      ``dist`` are within 1 ulp (2u) of the exact norm in CPython >= 3.10,
+      and each coordinate difference rounds by at most u, so hq, hv and d
+      are within 3u of |q|, |v| and |q - v|. Rounding hq^2 + hv^2 - d^2 then
+      errs by at most 22u (|q|^2 + |v|^2), because
       |q - v|^2 <= 2 (|q|^2 + |v|^2), and dividing by 2 hq hv adds 6u:
       |est - cos| <= 11u (r + 1/r) + 6u.
     * ``cosine_similarity`` sums the rounded products exactly with
@@ -129,54 +130,30 @@ def _rank_by_title(
       |exact - cos| <= 8u. Clamping to [-1, 1] only moves it towards cos.
 
     So the gap is below 16u (r + 1/r + 1), and the slack, 8192u (r + 1/r + 1),
-    is 512 times that. Any other vector (another dimension, or a norm that
-    is zero, subnormal, huge, inf or NaN) gets the exact cosine as soon as
-    it is reached, so DimensionMismatch, ZeroNorm and NonFiniteCosine rise
-    at the same candidate as they would without the prefilter. An inf or NaN
-    entry makes ``hypot`` inf or NaN, so such vectors always take this path.
+    is 512 times that. A row with an inf or NaN entry has an inf or NaN
+    ``hypot``, so it is never bounded.
     """
-    q = query_vec.values
-    hq = math.hypot(*q)
+    hq = math.hypot(*query_vec.values)
     lo, hi = _SAFE_NORMS
-    query_safe = lo <= hq <= hi
-    stored = gateway.stored_distances(query_vec, [e.title for e in candidates]) if query_safe else None
-    lower_bounds: list[float] = []  # min-heap of the n best lower bounds
-    held: list[tuple] = []  # min-heap of (upper bound, index, essay id, vector or None, exact cosine or None)
-    cut = -math.inf
-    for index, essay in enumerate(candidates):
-        pair = stored[index] if stored else None
-        if pair is None:
-            vector = gateway.embed(essay.title)
-            hv = math.hypot(*vector.values)
-        else:  # hv and d from the pack; the vector is read only if it is needed
-            vector, (hv, d) = None, pair
-        if query_safe and lo <= hv <= hi and (vector is None or len(vector.values) == len(q)):
-            if vector is not None:
-                d = math.dist(q, vector.values)
+    stored = gateway.stored_distances(query_vec, [e.title for e in candidates]) if lo <= hq <= hi else None
+    bounds: list[tuple[float, float, float | None]] = []  # (low, high, exact cosine or None) per candidate
+    for essay, pair in zip(candidates, stored or [None] * len(candidates)):
+        if pair is not None and lo <= pair[0] <= hi:
+            hv, d = pair
             estimate = (hq * hq + hv * hv - d * d) / (2.0 * hq * hv)
             slack = _COSINE_SLACK * (hq / hv + hv / hq + 1.0)
-            low, high, exact = estimate - slack, estimate + slack, None
+            bounds.append((estimate - slack, estimate + slack, None))
         else:
-            if vector is None:
-                vector = gateway.stored_embedding(essay.title)
-            low = high = exact = cosine_similarity(vector, query_vec)
-        if len(lower_bounds) < n_neighbors:
-            heapq.heappush(lower_bounds, low)
-        elif low > lower_bounds[0]:
-            heapq.heapreplace(lower_bounds, low)
-        if len(lower_bounds) == n_neighbors:
-            cut = lower_bounds[0]
-        if high >= cut:
-            heapq.heappush(held, (high, index, essay.essay_id, vector, exact))
-        while held and held[0][0] < cut:
-            heapq.heappop(held)
-    scored = []
-    for _, index, essay_id, vector, exact in held:
-        if exact is None:
-            if vector is None:
-                vector = gateway.stored_embedding(candidates[index].title)
+            vector = gateway.embed(essay.title) if pair is None else gateway.stored_embedding(essay.title)
             exact = cosine_similarity(vector, query_vec)
-        scored.append((-exact, essay_id))
+            bounds.append((exact, exact, exact))
+    cut = heapq.nlargest(n_neighbors, [low for low, _, _ in bounds])[-1]
+    scored = []
+    for essay, (_, high, exact) in zip(candidates, bounds):
+        if high >= cut:
+            if exact is None:
+                exact = cosine_similarity(gateway.stored_embedding(essay.title), query_vec)
+            scored.append((-exact, essay.essay_id))
     scored.sort()
     return [essay_id for _, essay_id in scored[:n_neighbors]]
 

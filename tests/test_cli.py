@@ -535,6 +535,26 @@ def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
     assert "macro F1: 1.0000" in result.output
 
 
+@pytest.mark.parametrize("mode", ["all_at_once", "one_by_one"])
+def test_an_essay_without_components_asks_nothing(runner, small_dir, small_corpus, tmp_path, mode):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(small_dir, corpus_dir)
+    empty = small_corpus.test_essays()[0]
+    (corpus_dir / f"{empty.essay_id}.ann").write_text("", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir, icl={"mode": mode})
+    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    assert result.exit_code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    others = [e for e in small_corpus.test_essays() if e is not empty]
+    assert manifest["chat_calls"] == 3 * sum(e.m if mode == "one_by_one" else 1 for e in others)  # 3 rounds
+    assert f"chat requests:   ~{manifest['chat_calls']} " in dry.output
+    records = [json.loads(line) for line in (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    (record,) = [r for r in records if r["essay_id"] == empty.essay_id]
+    assert (record["rounds"], record["final"], record["responses"]) == ([[]] * 3, [], [[]] * 3)
+
+
 def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
     out_dir = tmp_path / "separators"
     config = write_config(tmp_path / "separators.yaml", small_dir, out_dir)

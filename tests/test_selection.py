@@ -333,8 +333,10 @@ def brute_force(vectors, query, pool, n, model):
 def test_knn_title_from_a_distance_block_equals_ranking_without_it(vectors, n, pool_size, shared_title, unpacked):
     """A store whose pack has a distance block ranks as the same vectors served without it, and as the brute-force sort.
 
-    The pack holds every title whose vector has the query's length, except
-    ``unpacked``; with ``shared_title`` a pool essay has the query's title.
+    Without the block every candidate is scored once, in candidate order;
+    with it, none is scored twice. The pack holds every title whose vector
+    has the query's length, except ``unpacked``; with ``shared_title`` a pool
+    essay has the query's title.
     """
     model = "m"
     pool = PROPERTY_POOL[:pool_size]
@@ -352,13 +354,17 @@ def test_knn_title_from_a_distance_block_equals_ranking_without_it(vectors, n, p
                     Gateway(embedding_backend=StoreEmbeddingBackend(ResponseStore(tmp), model))]
         (plain, plain_scored), (blocked, blocked_scored) = [ranked_through(g, PROPERTY_QUERY, pool, n)
                                                             for g in gateways]
-    assert blocked == plain and blocked_scored == plain_scored
+    assert blocked == plain
     oracle, failed_at = brute_force(vectors, PROPERTY_QUERY, pool, n, model)
     assert blocked == oracle
+    in_order = [embedding_digest(model, e.title) for e in sorted(pool, key=lambda e: e.essay_id)]
     if failed_at is None:
         assert gateways[0].calls("embed") == gateways[1].calls("embed") == 1 + len(pool)  # the query, then each candidate
     else:
         assert blocked_scored[-1] == failed_at  # the same error, at the same candidate
+        in_order = in_order[:in_order.index(failed_at) + 1]
+    assert plain_scored == in_order
+    assert len(set(blocked_scored)) == len(blocked_scored)
 
 
 def test_knn_title_counts_each_pool_title_once_whichever_way_it_is_read(tmp_path):
@@ -379,16 +385,15 @@ def test_knn_title_counts_each_pool_title_once_whichever_way_it_is_read(tmp_path
     for n in (1, 2, 4):
         read.clear()
         plain = Gateway(embedding_backend=MappingEmbeddingBackend(vectors, "m"))
-        expected = ranked_through(plain, query, pool, n)
-        assert ranked_through(packed, query, pool, n) == expected
+        ranked, scored = ranked_through(packed, query, pool, n)
+        assert ranked == ranked_through(plain, query, pool, n)[0]
         assert packed.calls("embed") == plain.calls("embed") == 6  # the query, then each pool title once
         assert packed.counts["embed", BackendTag.REPLAY] == 6
         packed.counts.clear()
-        # Read: the query, "Huge" (scored exactly at once), "Outside" (not in the pack), then the
-        # held candidates of the pack, which are scored exactly at the end.
+        # Read: the query, "Huge" and "Outside" (scored exactly at once), then the held
+        # candidates of the pack, which are scored exactly at the end; each vector read is scored.
         assert read[:3] == ["Query", "Huge", "Outside"]
-        outside = embedding_digest("m", "Outside")
-        assert sorted(embedding_digest("m", t) for t in read[3:]) == sorted(d for d in expected[1][1:] if d != outside)
+        assert [embedding_digest("m", t) for t in read[1:]] == scored
 
 
 @pytest.fixture(scope="module")
@@ -402,19 +407,20 @@ def ada_replay(synth_corpus, tmp_path_factory):
     return Gateway(embedding_backend=StoreEmbeddingBackend(store, hashed.model_name))
 
 
-def test_knn_title_computes_exact_cosines_for_the_winners_only(synth_corpus, ada_replay, monkeypatch):
+def test_knn_title_computes_exact_cosines_for_the_winners_only(synth_corpus, ada_replay, tmp_path, monkeypatch):
     exact_calls = []
 
     def counting(a, b):
         exact_calls.append(a)
         return cosine_similarity(a, b)
 
+    packed = packed_replay(ada_replay.embedding_backend.store.root, tmp_path, synth_corpus.essays)
     monkeypatch.setattr(selection, "cosine_similarity", counting)
     pool = synth_corpus.train_essays()
     assert len(pool) == 322
     for query in synth_corpus.test_essays()[:3]:
         exact_calls.clear()
-        ranked = rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, ada_replay)
+        ranked = rank_neighbors(query, pool, SelectionStrategy.KNN_TITLE, 10, 0, packed)
         assert len(exact_calls) == 10
         assert ranked == exhaustive_ranking(query, pool, 10, ada_replay)
 
