@@ -38,11 +38,12 @@ from .gateway import (
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
+    embedding_digest,
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
 from .mocks import Responder, constant_label_responder, gold_echo_responder
-from .prompting import PromptMode, build_info_block
+from .prompting import build_info_block
 from .selection import SelectionStrategy
 
 MANIFEST_NAME = "manifest.json"
@@ -326,6 +327,12 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     written. Once an essay fails no other starts; those already asked finish,
     so their answers reach the store, and the first failure in essay order is
     raised, after one warning line on stderr for each other essay that failed.
+
+    A title-kNN run with a ``cache`` embedding backend that completes then
+    packs the titles of the pool and of every recorded essay that its store
+    holds, in corpus order, as :func:`embed_corpus` does, so that a later run
+    or replay ranks from the pack's distance block. A pack that already
+    lists those rows is left alone.
     """
     icl = config.icl
     label = run_label(icl)
@@ -424,6 +431,12 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         "report_file": REPORT_JSON_NAME,
         **counted,
     })
+    if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0 and config.backend.embedding == "cache":
+        store, model = gateway.embedding_backend.store, gateway.embedding_backend.model_name
+        ranked = {essay.essay_id for essay in pool} | {record.essay_id for record in records}
+        digests = [embedding_digest(model, e.title) for e in corpus.essays if e.essay_id in ranked]
+        # An earlier session may have ranked through another store_dir, which is no input of a record.
+        store.put_embedding_pack(model, [digest for digest in digests if store.get_embedding(digest) is not None])
     return report
 
 
@@ -446,7 +459,7 @@ def run(config_path: Path, dry_run: bool) -> None:
         *_, corpus, remaining = _pending(config)
         if _chat_upstream(config.backend) == "mock":
             _mock_responder(config.backend, corpus)  # refuses what the run would refuse
-        per_essay = [e.m if icl.prompt.mode is PromptMode.ONE_BY_ONE else min(e.m, 1) for e in remaining]
+        per_essay = [len(prompting.round_instructions(e.m, icl.prompt.mode)) for e in remaining]
         click.echo(f"run label:       {run_label(icl)}")
         click.echo(f"config digest:   {config_digest(icl)}")
         click.echo(f"essays to run:   {len(remaining)} (of {len(corpus.test_essays())} test essays)")

@@ -6,7 +6,7 @@ essay. All rounds' selections are made, and all their prompts built in one
 call, before the first chat call. :func:`run_ensemble` then asks each round
 itself: it sends the round's calls, retries malformed answers and parses
 them, while the ``prompting`` module renders the texts. A round's requests
-are keyed through one prefix, joined from the round's prompt pieces; a
+are extended from one request over the round's prompt pieces; a
 :class:`PromptCache` keeps the pieces that recur across a run's essays, and
 their escapes, so each is rendered and escaped once per run. Final labels
 come from a per-component majority vote over the rounds, ties broken by
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .corpus import TIE_BREAK_RANK, Essay, Label
 from .errors import AtcError, ConfigError
-from .gateway import ChatKeyPrefix, Gateway, escape_piece
+from .gateway import ChatRequest, Gateway
 from .prompting import (MAX_OUTPUT_TOKENS, MAX_RETRIES, CountMismatch, PromptConfig, PromptMode,
                         UnknownLabel, build_prompt, parse_response)
 from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
@@ -131,8 +131,8 @@ class PromptCache:
 
     ``bodies`` is the memo of demonstration bodies that
     :func:`prompting.build_prompt` fills, keyed by the essays themselves, and
-    ``escapes`` holds :func:`gateway.escape_piece` of each piece but a query
-    section, keyed by the piece's text. ``cli.run_experiment`` makes one for
+    ``escapes`` the memo of piece escapes that :meth:`gateway.ChatRequest.extend`
+    fills, keyed by the piece's text. ``cli.run_experiment`` makes one for
     each run, so no piece outlives the corpus and prompt texts of its run. The
     threads of a live run share it: two that miss the same piece at once each
     make it, and equal text is kept.
@@ -140,12 +140,6 @@ class PromptCache:
 
     bodies: dict[Essay, str] = field(default_factory=dict)
     escapes: dict[str, bytes] = field(default_factory=dict)
-
-    def escape(self, piece: str) -> bytes:
-        escaped = self.escapes.get(piece)
-        if escaped is None:
-            escaped = self.escapes[piece] = escape_piece(piece)
-        return escaped
 
 
 def derive_round_seed(run_seed: int, essay_id: str, round_index: int, purpose: str) -> int:
@@ -183,14 +177,13 @@ def run_ensemble(
     temperature of ``config`` and at most ``MAX_OUTPUT_TOKENS`` output tokens.
     A malformed answer is asked again, with the prompt's reminder appended, up
     to ``MAX_RETRIES`` times. Every request of a round, retries included, is
-    made by one key prefix over the round's context, so its store key hashes
-    only its own instruction. A round whose answer stays unparseable aborts
-    the whole essay with :class:`RoundFailed`; partial votes are never
+    extended from one request over the round's context, so its store key
+    hashes only its own instruction. A round whose answer stays unparseable
+    aborts the whole essay with :class:`RoundFailed`; partial votes are never
     aggregated.
 
     ``cache`` is the run's :class:`PromptCache`; without one, the pieces are
-    kept for this essay alone. The query section is escaped once for all
-    rounds and kept in no cache.
+    kept for this essay alone.
     """
     seeds = [
         (
@@ -205,16 +198,15 @@ def run_ensemble(
     if cache is None:
         cache = PromptCache()
     prompts = build_prompt(query, demo_sets, config.prompt, info, cache.bodies)
-    head = ChatKeyPrefix(config.model_name, prompts[0].system_text, config.temperature, MAX_OUTPUT_TOKENS)
-    query_escaped = escape_piece(prompts[0].pieces[-1])
+    head = ChatRequest(prompts[0].system_text, "", config.model_name, config.temperature, MAX_OUTPUT_TOKENS)
     rounds: list[tuple[Label, ...]] = []
     responses: list[tuple[str, ...]] = []
     for round_index, prompt in enumerate(prompts, start=1):
-        key_prefix = head.join(prompt.pieces, [*map(cache.escape, prompt.pieces[:-1]), query_escaped])
+        context = head.extend(prompt.pieces, cache.escapes)
         labels: list[Label] = []
         texts: list[str] = []
         for instruction in prompt.instructions:
-            request = key_prefix.request(instruction)
+            request = context.extend([instruction])
             for _ in range(MAX_RETRIES + 1):
                 texts.append(gateway.chat(request).text)
                 try:
@@ -222,7 +214,7 @@ def run_ensemble(
                     break
                 except (CountMismatch, UnknownLabel) as exc:
                     error = exc
-                    request = key_prefix.request(instruction + prompt.reminder)
+                    request = context.extend([instruction + prompt.reminder])
             else:
                 raise RoundFailed(
                     f"{query.essay_id}: round {round_index} failed: no parseable answer after "

@@ -16,10 +16,11 @@ both chat and embeddings:
 The store is content-addressed: chat records are keyed by a digest over
 (model name, system text, user text, temperature, max output tokens),
 embeddings by a digest over (model name, text), so recorded fixtures can be
-committed to a repository and replayed bit-identically. The requests of one
-prompting round are made by a :class:`ChatKeyPrefix`, which hashed the leading
-part of the user text they share once; their digests are the same as without
-it. The prefix also holds the bytes its requests' chat records start with, so
+committed to a repository and replayed bit-identically. A request keeps its
+hash state and the bytes its chat record starts with, and
+:meth:`ChatRequest.extend` carries them on, so the requests of one prompting
+round, extended from one request over the context they share, hash and
+escape only their own instructions; their digests are the same as without it.
 :meth:`ResponseStore.get_chat` serves a hit by comparing the record's request
 half with the request byte for byte and parsing only the answer; a record of
 another layout is parsed whole, and one recorded for another request is
@@ -50,7 +51,6 @@ it once. Store writes go through uniquely named temp files.
 from __future__ import annotations
 
 import base64
-import copy
 import functools
 import hashlib
 import itertools
@@ -69,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, MutableMapping, Protocol, Sequence
 
 from .errors import AtcError, masked_url
 
@@ -125,7 +125,7 @@ class Usage:
 def escape_piece(text: str) -> bytes:
     """The UTF-8 of ``text`` as JSON writes it inside quotes, non-ASCII characters as they are.
 
-    This is what a key prefix hashes for ``text``. A lone surrogate has no
+    This is what a :class:`ChatRequest` hashes for ``text``. A lone surrogate has no
     UTF-8 and raises :class:`UnicodeEncodeError`.
     """
     return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
@@ -142,92 +142,7 @@ _CHAT_RECORD_MIDDLE = b'"\n  },\n  "response": '
 _CHAT_RECORD_END = b"\n}\n"
 
 
-@dataclass(frozen=True)
-class ChatKeyPrefix:
-    """The part of a chat store key that a group of requests shares; it makes those requests.
-
-    It holds the request fields besides the user text, a ``context`` every
-    user text of the group starts with, and the SHA-256 state after the head
-    of the digest payload and the context. :meth:`request` builds each request
-    of the group from these fields. The payload (see
-    :func:`chat_request_digest`) ends with the user text, and JSON escapes each
-    character on its own, so the payload of any such request is that head,
-    the escaped context, then the escaped rest of the user text and ``"}``.
-    A digest copies the state and hashes only that rest. The state is never
-    updated in place, so requests in several threads may share one prefix.
-
-    The user text is also the last field of a request in its chat record, so
-    the prefix keeps the UTF-8 of every record of the group up to the end of
-    the escaped context, from the same escaping. A request's record goes on
-    with the escaped rest that :func:`_key_parts` makes once per request,
-    then ``_CHAT_RECORD_MIDDLE``; :meth:`ResponseStore.put_chat` writes those
-    bytes, and :meth:`ResponseStore.get_chat` compares a record with them.
-
-    By the same per-character escaping a prefix can grow: :meth:`join`
-    appends pieces to the context and hashes and keeps only their escapes,
-    which a caller may have made once for pieces that recur. So a round's
-    prefix is the prefix of its request fields, made once per essay, joined
-    with the round's pieces.
-    """
-
-    model_name: str
-    system_text: str
-    temperature: float
-    max_output_tokens: int
-    context: str = ""
-    _state: hashlib._Hash = field(init=False, compare=False, repr=False)
-    _record_start: bytes = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        fields = {
-            "model": self.model_name,
-            "system": self.system_text,
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-            "user": "",
-        }
-        # "user" sorts last: the payload ends with its opening quote, then '"}'.
-        head = json.dumps(fields, sort_keys=True, ensure_ascii=False)[:-2]
-        context = escape_piece(self.context)
-        object.__setattr__(self, "_state", hashlib.sha256(head.encode("utf-8") + context))
-        # "user_text" sorts last too: the record so far ends with its opening quote.
-        record = _render_record({"request": _request_fields(self, "")})
-        record_head = record[: -len('"\n  }\n}\n')]
-        object.__setattr__(self, "_record_start", record_head.encode("utf-8") + context)
-
-    def join(self, pieces: Sequence[str], escaped: Sequence[bytes]) -> ChatKeyPrefix:
-        """The prefix of these request fields whose context is this one's followed by ``pieces``.
-
-        ``escaped`` holds :func:`escape_piece` of each piece; it is not
-        checked. JSON escapes each character on its own, so the escapes
-        joined are the escape of the pieces joined, and the new prefix's
-        digests and records are those of a prefix made with the whole context
-        at once.
-        """
-        tail = b"".join(escaped)
-        state = self._state.copy()
-        state.update(tail)
-        prefix = copy.copy(self)
-        object.__setattr__(prefix, "context", self.context + "".join(pieces))
-        object.__setattr__(prefix, "_state", state)
-        object.__setattr__(prefix, "_record_start", self._record_start + tail)
-        return prefix
-
-    def request(self, rest: str) -> ChatRequest:
-        """The request with these fields and user text ``context + rest``, keyed through this prefix."""
-        request = ChatRequest(
-            self.system_text, self.context + rest, self.model_name, self.temperature, self.max_output_tokens
-        )
-        object.__setattr__(request, "key_prefix", self)
-        return request
-
-    def _digest(self, escaped_rest: bytes) -> str:
-        state = self._state.copy()
-        state.update(escaped_rest + b'"}')
-        return state.hexdigest()
-
-
-def _request_fields(request: ChatRequest | ChatKeyPrefix, user_text: str) -> dict:
+def _request_fields(request: ChatRequest, user_text: str) -> dict:
     """The ``request`` object of a chat record."""
     return {
         "model_name": request.model_name,
@@ -242,9 +157,17 @@ def _request_fields(request: ChatRequest | ChatKeyPrefix, user_text: str) -> dic
 class ChatRequest:
     """One chat completion request.
 
-    ``key_prefix`` is the :class:`ChatKeyPrefix` whose :meth:`~ChatKeyPrefix.request`
-    built the request, or None. It changes no digest, takes no part in
-    equality, hash or repr, and is never stored.
+    Its store key (see :func:`chat_request_digest`) ends with its user text,
+    and so does the part of its chat record before the response. JSON escapes
+    each character on its own, so the escape of a user text that goes on is
+    the escape of the text before followed by that of the rest. So the
+    request keeps the SHA-256 state after its digest payload up to the end of
+    the escaped user text, and its record's bytes up to the same point, both
+    made on first use, and :meth:`extend` carries them on by the rest alone.
+    The requests of one prompting round are extended from one request over
+    the round's shared context, so each hashes and escapes only its own
+    instruction. Neither takes part in equality, hash or repr, or is stored,
+    and neither is ever updated in place, so threads may share a request.
     """
 
     system_text: str
@@ -252,18 +175,66 @@ class ChatRequest:
     model_name: str
     temperature: float = 0.0
     max_output_tokens: int = 1024
-    key_prefix: ChatKeyPrefix | None = field(default=None, init=False, compare=False, repr=False)
-    # The UTF-8 of the JSON escape of the user text after the key prefix's
-    # context, made on first use by _key_parts.
-    _escaped_rest: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    # The hash state and the record's UTF-8 in chunks, None until first keyed (see _key).
+    _state: hashlib._Hash | None = field(default=None, init=False, compare=False, repr=False)
+    _record_start: tuple[bytes, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.user_text:
-            raise ValueError("user_text must be non-empty")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
+
+    def extend(self, pieces: Sequence[str], escapes: MutableMapping[str, bytes] | None = None) -> ChatRequest:
+        """The request of these fields whose user text is this one's followed by ``pieces``.
+
+        Each piece is escaped by :func:`escape_piece` through ``escapes``, a
+        memo keyed by the piece's text, which a caller keeps for pieces that
+        recur. Only those escapes are hashed and appended, so the new
+        request's digest and record are those of a request built with the
+        whole user text at once.
+        """
+        if escapes is None:
+            escapes = {}
+        parts = []
+        for piece in pieces:
+            escaped = escapes.get(piece)
+            if escaped is None:
+                escaped = escapes[piece] = escape_piece(piece)
+            parts.append(escaped)
+        tail = b"".join(parts)
+        state, record_start = self._key()
+        state = state.copy()
+        state.update(tail)
+        # Built without copy.copy or __init__, which would check the fields again: this is on every chat call.
+        request = object.__new__(ChatRequest)
+        request.__dict__.update(
+            self.__dict__, user_text=self.user_text + "".join(pieces), _state=state,
+            _record_start=(*record_start, tail),
+        )
+        return request
+
+    def _key(self) -> tuple[hashlib._Hash, tuple[bytes, ...]]:
+        """The hash state and record chunks of the request, made on first use.
+
+        Threads that race to make them keep equal values, so no lock is taken.
+        """
+        if self._state is None:
+            fields = {
+                "model": self.model_name,
+                "system": self.system_text,
+                "temperature": self.temperature,
+                "max_output_tokens": self.max_output_tokens,
+                "user": "",
+            }
+            # "user" sorts last: the payload ends with its opening quote, then '"}'.
+            head = json.dumps(fields, sort_keys=True, ensure_ascii=False)[:-2]
+            # "user_text" sorts last too: the record so far ends with its opening quote.
+            record_head = _render_record({"request": _request_fields(self, "")})[: -len('"\n  }\n}\n')]
+            escaped = escape_piece(self.user_text)
+            object.__setattr__(self, "_record_start", (record_head.encode("utf-8"), escaped))
+            object.__setattr__(self, "_state", hashlib.sha256(head.encode("utf-8") + escaped))
+        return self._state, self._record_start
 
 
 @dataclass(frozen=True)
@@ -288,32 +259,11 @@ def chat_request_digest(request: ChatRequest) -> str:
     """The store key of ``request``: SHA-256 of the UTF-8 of ``json.dumps({"max_output_tokens",
     "model", "system", "temperature", "user"}, sort_keys=True, ensure_ascii=False)``.
 
-    It is computed from the request's key prefix, or from one with an empty
-    context for a request without.
+    It finishes the request's hash state (see :class:`ChatRequest`) with the payload's closing ``"}``.
     """
-    prefix, escaped_rest = _key_parts(request)
-    return prefix._digest(escaped_rest)
-
-
-def _key_parts(request: ChatRequest) -> tuple[ChatKeyPrefix, bytes]:
-    """The key prefix of ``request`` and the UTF-8 of its user text after the prefix's context, JSON-escaped.
-
-    The prefix is the one that made ``request``, or one with an empty context
-    for a request without. The escape is made once and kept on the request,
-    so its digest and the record head that :meth:`ResponseStore.get_chat`
-    compares and :meth:`ResponseStore.put_chat` writes share it. Threads that
-    race to keep it keep equal bytes, so no lock is taken.
-    """
-    prefix = request.key_prefix
-    if prefix is None:
-        prefix = ChatKeyPrefix(
-            request.model_name, request.system_text, request.temperature, request.max_output_tokens
-        )
-    escaped_rest = request._escaped_rest
-    if escaped_rest is None:
-        escaped_rest = escape_piece(request.user_text[len(prefix.context):])
-        object.__setattr__(request, "_escaped_rest", escaped_rest)
-    return prefix, escaped_rest
+    state = request._key()[0].copy()
+    state.update(b'"}')
+    return state.hexdigest()
 
 
 def embedding_digest(model_name: str, text: str) -> str:
@@ -437,20 +387,23 @@ class ResponseStore:
         it with the wrong types, or holds no request or another request than
         ``request``, raises :class:`AtcError` naming the digest.
         """
-        prefix, escaped_rest = _key_parts(request)
-        digest = prefix._digest(escaped_rest)
+        digest = chat_request_digest(request)
         data = self._read("chat", digest)
         if data is None:
             return None
-        shared, own = prefix._record_start, escaped_rest + _CHAT_RECORD_MIDDLE
-        start = len(shared) + len(own)
-        if data.startswith(shared) and data.startswith(own, len(shared)) and data.endswith(_CHAT_RECORD_END):
-            try:
-                response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
-            except ValueError:
-                pass  # parsed whole below, which reports it
-            else:
-                return _record_answer({"response": response}, digest)
+        start = 0
+        for chunk in (*request._record_start, _CHAT_RECORD_MIDDLE):
+            if not data.startswith(chunk, start):
+                break
+            start += len(chunk)
+        else:
+            if data.endswith(_CHAT_RECORD_END):
+                try:
+                    response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
+                except ValueError:
+                    pass  # parsed whole below, which reports it
+                else:
+                    return _record_answer({"response": response}, digest)
         record = self._parse("chat", digest, data)
         answer = _record_answer(record, digest)
         _check_record_request(record, request, digest)
@@ -460,16 +413,15 @@ class ResponseStore:
         """Write the record of ``request`` and ``response``.
 
         Its bytes are :func:`_render_record` of ``{"request", "response"}``,
-        made from the request's key prefix, so that :meth:`get_chat` reads
-        back exactly what was written.
+        made from the record bytes the request keeps, so that
+        :meth:`get_chat` reads back exactly what was written.
         """
         usage = {"prompt_tokens": response.usage.prompt_tokens, "completion_tokens": response.usage.completion_tokens}
         answer = json.dumps({"text": response.text, "usage": usage}, sort_keys=True, ensure_ascii=False, indent=2)
         # A JSON string holds no raw newline, so this indents only the layout.
         answer = answer.replace("\n", "\n  ").encode("utf-8")
-        prefix, escaped_rest = _key_parts(request)
-        record = [prefix._record_start, escaped_rest, _CHAT_RECORD_MIDDLE, answer, _CHAT_RECORD_END]
-        self._write("chat", prefix._digest(escaped_rest), b"".join(record))
+        record = [*request._key()[1], _CHAT_RECORD_MIDDLE, answer, _CHAT_RECORD_END]
+        self._write("chat", chat_request_digest(request), b"".join(record))
 
     def get_embedding(self, digest: str) -> tuple[float, ...] | None:
         """The vector stored for ``digest``, bit for bit as it was stored, or None.
@@ -1080,6 +1032,8 @@ class Gateway:
     def chat(self, request: ChatRequest) -> ChatResponse:
         if self.chat_backend is None:
             raise GatewayConfigError("no chat backend configured")
+        if not request.user_text:
+            raise ValueError("cannot ask with empty user text")
         response = self._with_retry(lambda: self.chat_backend.complete(request))
         self.counts["chat", response.backend_tag] += 1
         self.tokens["prompt"] += response.usage.prompt_tokens

@@ -201,6 +201,17 @@ def _render_query(essay: Essay, config: PromptConfig) -> str:
     return "\n".join(lines)
 
 
+def round_instructions(m: int, mode: PromptMode) -> tuple[str, ...]:
+    """The instructions of one round's calls for a query essay of ``m`` components.
+
+    A single one in all-at-once mode and m in one-by-one mode, the j-th
+    asking about component j; none when m is 0.
+    """
+    if mode is PromptMode.ALL_AT_ONCE:
+        return (ALL_AT_ONCE_INSTRUCTION.format(m=m),) if m else ()
+    return tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
+
+
 def build_prompt(
     query: Essay,
     demo_sets: Sequence[Sequence[Essay]],
@@ -214,8 +225,7 @@ def build_prompt(
     section and the instructions are rendered once. A round's context is the
     info block, that round's demonstrations and the query section, each
     followed by a blank line. Each user text is the context followed by one
-    call's instruction: a single text in all-at-once mode, and in one-by-one
-    mode m texts, the j-th asking about component j; none when m is 0.
+    call's instruction (see :func:`round_instructions`).
 
     ``bodies`` keeps each demonstration essay's rendered body, its
     :class:`Prompt` piece after the ``### Example i`` line, so an essay
@@ -229,13 +239,11 @@ def build_prompt(
         raise MissingDemonstrations("all-at-once prompts need at least one demonstration")
 
     m = query.m
+    instructions = round_instructions(m, config.mode)
     if config.mode is PromptMode.ALL_AT_ONCE:
-        system_text, instructions = SYSTEM_ALL_AT_ONCE, (ALL_AT_ONCE_INSTRUCTION.format(m=m),) if m else ()
-        answer_lines, reminder = m, "\n\n" + FORMAT_REMINDER.format(m=m)
+        system_text, answer_lines, reminder = SYSTEM_ALL_AT_ONCE, m, "\n\n" + FORMAT_REMINDER.format(m=m)
     else:
-        system_text = SYSTEM_ONE_BY_ONE
-        instructions = tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
-        answer_lines, reminder = 1, "\n\n" + ONE_BY_ONE_REMINDER
+        system_text, answer_lines, reminder = SYSTEM_ONE_BY_ONE, 1, "\n\n" + ONE_BY_ONE_REMINDER
     if bodies is None:
         bodies = {}
     info_pieces = (info + "\n\n",) if config.include_info else ()

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from atc_icl import cli, gateway, prompting, selection
 from atc_icl.cli import main
 from atc_icl.config import config_digest, load_run_config
-from atc_icl.corpus import Label
+from atc_icl.corpus import Label, load_corpus
 from atc_icl.errors import AtcError
 from atc_icl.gateway import Usage
 from atc_icl.synth import SPLIT_FILE_NAME
@@ -555,6 +555,72 @@ def test_an_essay_without_components_asks_nothing(runner, small_dir, small_corpu
     assert (record["rounds"], record["final"], record["responses"]) == ([[]] * 3, [], [[]] * 3)
 
 
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["all_at_once", "one_by_one"]))
+def test_the_dry_run_counts_the_chat_calls_of_a_gold_echo_run(small_dir, data, mode):
+    """Whatever number of components, 0 to m, each test essay keeps; one keeps some, so that there is a report."""
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as root:
+        corpus_dir, out_dir = Path(root) / "corpus", Path(root) / "out"
+        shutil.copytree(small_dir, corpus_dir)
+        for i, essay in enumerate(load_corpus(small_dir, small_dir / SPLIT_FILE_NAME).test_essays()):
+            kept = data.draw(st.integers(min_value=1 if i == 0 else 0, max_value=essay.m), label=essay.essay_id)
+            lines = (corpus_dir / f"{essay.essay_id}.ann").read_text(encoding="utf-8").splitlines(keepends=True)
+            entities = [line for line in lines if line.startswith("T")]
+            (corpus_dir / f"{essay.essay_id}.ann").write_text("".join(entities[:kept]), encoding="utf-8")
+        config = write_config(Path(root) / "run.yaml", corpus_dir, out_dir, icl={"mode": mode})
+        dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert f"chat requests:   ~{manifest['chat_calls']} (excluding parse retries)" in dry.output
+
+
+def test_a_cache_title_run_leaves_its_titles_packed(runner, small_dir, small_corpus, tmp_path):
+    """Packed as ``atc-icl embed`` packs them, so that its replay ranks from the distance block."""
+    def config(name, **backend):
+        return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl={"strategy": "knn_title"},
+                            backend={"embedding_upstream": "hash", "store_dir": str(tmp_path / "store"), **backend})
+
+    cached = config("cached", embedding="cache")
+    assert runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False).exit_code == 0
+    model = gateway.HashEmbeddingBackend().model_name
+    pack = gateway.ResponseStore(tmp_path / "store").embedding_pack_path(model)
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
+    assert header == {"digests": titles, "dim": 8, "distances": True, "model_name": model}
+    written = pack.stat().st_mtime_ns, pack.read_bytes()
+    runner.invoke(main, ["embed", "--config", str(cached)], catch_exceptions=False)
+    shutil.rmtree(tmp_path / "cached")
+    runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False)  # a rerun over its own pack
+    assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
+    runner.invoke(main, ["run", "--config", str(config("replayed", embedding="replay"))], catch_exceptions=False)
+    runner.invoke(main, ["run", "--config", str(config("hashed", embedding="hash"))], catch_exceptions=False)
+    records = [(tmp_path / name / "records.jsonl").read_bytes() for name in ("cached", "replayed", "hashed")]
+    assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("case", ["replay", "knn_len", "krn", "failed"])
+def test_no_other_run_packs(runner, small_dir, tmp_path, case):
+    store = tmp_path / "store"
+    icl = {"strategy": "knn_title"}
+    backend = {"embedding": "cache", "embedding_upstream": "hash", "store_dir": str(store)}
+    if case == "replay":
+        first = write_config(tmp_path / "first.yaml", small_dir, tmp_path / "first", icl=icl, backend=backend)
+        runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+        for pack in (store / "embed").glob("pack-*.f64"):
+            pack.unlink()
+        backend["embedding"] = "replay"
+    elif case == "failed":
+        backend.update(chat="replay")  # no chat record: the first essay fails after its titles are embedded
+    else:
+        icl["strategy"] = case
+    config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out", icl=icl, backend=backend)
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == (1 if case == "failed" else 0)
+    assert not list(store.glob("embed/pack-*"))
+    assert case == "knn_len" or case == "krn" or list(store.glob("embed/*.json"))
+
+
 def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
     out_dir = tmp_path / "separators"
     config = write_config(tmp_path / "separators.yaml", small_dir, out_dir)
@@ -646,6 +712,19 @@ def cut_title_run(runner, corpus_dir, tmp_path):
     records = out_dir / "records.jsonl"
     records.write_bytes(records.read_bytes().splitlines(keepends=True)[0])
     return config, out_dir
+
+
+def test_a_resume_through_another_store_packs_the_titles_that_store_holds(runner, small_dir, small_corpus,
+                                                                         tmp_path):
+    _, out_dir = cut_title_run(runner, small_dir, tmp_path)
+    first = json.loads((out_dir / "records.jsonl").read_text(encoding="utf-8"))["essay_id"]
+    config = title_config(tmp_path, small_dir, "other", store_dir=str(tmp_path / "other"))
+    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    model = gateway.HashEmbeddingBackend().model_name
+    pack = gateway.ResponseStore(tmp_path / "other").embedding_pack_path(model)
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    assert header["digests"] == [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays
+                                 if essay.essay_id != first]
 
 
 def tree_bytes(root: Path) -> dict:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -325,7 +326,7 @@ def test_run_ensemble_one_by_one_asks_once_per_component(park_essay):
     assert len(record.responses[0]) == park_essay.m
 
 
-def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_essay):
+def test_every_request_of_a_one_by_one_round_is_extended_from_the_rounds_context(park_essay):
     gold = gold_of(park_essay)
     seen = []
 
@@ -342,13 +343,16 @@ def test_every_request_of_a_one_by_one_round_carries_the_rounds_key_prefix(park_
     sent = list(user_texts(prompt))
     sent.insert(2, sent[1] + "\n\n" + ONE_BY_ONE_REMINDER)  # the retry of the second call
     assert [request.user_text for request in seen] == sent
-    key_prefix = seen[0].key_prefix
-    assert all(request.key_prefix is key_prefix for request in seen)
-    assert key_prefix.context == prompt.context
-    assert (key_prefix.model_name, key_prefix.temperature) == ("gpt-3.5-turbo", 0.5)
+    # Each request's record chunks are the round context's own, then its instruction's escape.
+    context = seen[0]._record_start[:-1]
+    for request in seen:
+        assert len(request._record_start) == len(context) + 1
+        assert all(mine is shared for mine, shared in zip(request._record_start, context))
+    assert b"".join(context) == b"".join(dataclasses.replace(seen[0], user_text=prompt.context)._key()[1])
+    assert {(request.model_name, request.temperature) for request in seen} == {("gpt-3.5-turbo", 0.5)}
     for request in seen:
         plain = dataclasses.replace(request)
-        assert plain.key_prefix is None
+        assert plain._state is None
         assert chat_request_digest(request) == chat_request_digest(plain)
 
 def test_run_ensemble_reproducible_given_config():
@@ -533,16 +537,19 @@ def test_a_prompt_cache_serves_no_text_of_another_corpus_with_the_same_ids(varia
 
 
 def test_a_run_renders_and_escapes_each_recurring_piece_once(monkeypatch):
-    escaped = []
-    monkeypatch.setattr(ensemble, "escape_piece", lambda text: escaped.append(text) or gateway_module.escape_piece(text))
+    escaped, real_escape = [], gateway_module.escape_piece
+    monkeypatch.setattr(gateway_module, "escape_piece", lambda text: escaped.append(text) or real_escape(text))
     rendered = []
     real_render = prompting._render_demo_body
     monkeypatch.setattr(prompting, "_render_demo_body", lambda essay: rendered.append(essay.essay_id) or real_render(essay))
     pool, cache = make_pool(), PromptCache()
     queries = [simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM, Label.PREMISE]) for i in range(3)]
-    for query in queries:
-        ask_one_by_one(query, pool, cache)
+    calls = sum(len(ask_one_by_one(query, pool, cache)[1]) for query in queries)
     assert sorted(rendered) == sorted(set(rendered)) == sorted(e.essay_id for e in cache.bodies)
-    # Each body and header once, and each query section once for its own essay.
-    assert len(escaped) == len(set(escaped)) == len(cache.escapes) + len(queries)
-    assert set(cache.escapes) == {piece for piece in escaped if not piece.startswith("## Query essay")}
+    # Each piece once for the run (a body, a header, a query section), and each call's instruction for that call.
+    counts = Counter(escaped)
+    assert all(counts[piece] == 1 for piece in cache.escapes)
+    assert sum(piece.startswith("## Query essay") for piece in cache.escapes) == len(queries)
+    instructions = counts.keys() - cache.escapes.keys() - {""}  # "": the empty user text of each essay's first request
+    assert all(text.startswith("Which class is") for text in instructions)
+    assert sum(counts[text] for text in instructions) == calls

@@ -16,14 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from atc_icl import gateway as gateway_module
 from atc_icl.errors import AtcError
 from atc_icl.gateway import (
     MAX_RETRY_AFTER_S,
     BackendTag,
-    ChatKeyPrefix,
     ChatRequest,
     ChatResponse,
     DimensionMismatch,
@@ -100,8 +99,6 @@ def test_mock_chat_backend_answers_through_its_responder():
 
 
 def test_chat_request_validation():
-    with pytest.raises(ValueError):
-        ChatRequest(system_text="s", user_text="", model_name="m")
     for temperature in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
             ChatRequest(system_text="s", user_text="u", model_name="m", temperature=temperature)
@@ -162,145 +159,142 @@ def full_payload_digest(request):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def record_bytes(request):
+    """The bytes a request's chat record starts with, up to the end of its user text."""
+    return b"".join(request._key()[1])
+
+
 @pytest.mark.parametrize("fields, expected", CHAT_KEY_GOLDEN)
-def test_a_shared_key_prefix_keeps_the_golden_digests(fields, expected):
+def test_extend_keeps_the_golden_digests_at_every_cut(fields, expected):
     system, user, model, temperature, max_output_tokens = fields
     plain = ChatRequest(system_text=system, user_text=user, model_name=model, temperature=temperature,
                         max_output_tokens=max_output_tokens)
     for cut in range(len(user) + 1):
-        prefix = ChatKeyPrefix(model, system, temperature, max_output_tokens, user[:cut])
-        request = prefix.request(user[cut:])
-        assert request == plain and request.key_prefix is prefix
+        head = ChatRequest(system_text=system, user_text=user[:cut], model_name=model, temperature=temperature,
+                           max_output_tokens=max_output_tokens)
+        request = head.extend([user[cut:]])
+        assert request == plain and head.user_text == user[:cut]
         assert chat_request_digest(request) == expected
+        assert record_bytes(request) == record_bytes(plain)
+    # Over several steps, one character each, from an empty user text.
+    request = dataclasses.replace(plain, user_text="")
+    for character in user:
+        request = request.extend([character])
+    assert request == plain and chat_request_digest(request) == expected
+    assert record_bytes(request) == record_bytes(plain)
 
 
 # Characters JSON escapes, or writes as they are although they need care.
 AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "\u2028", "\u2029",
                            "\U0001F600", "\U0001D518", "\u00e9", "/"])
 KEY_TEXT = st.text(st.characters(codec="utf-8") | AWKWARD, max_size=40)
-
-
-@given(
-    context=KEY_TEXT,
-    suffix=KEY_TEXT,
-    model=KEY_TEXT,
-    system=KEY_TEXT,
-    temperature=st.floats(min_value=0.0, max_value=2.0) | st.sampled_from([0.0, 0.7, 1e-07, 1.0, 0, 1, 2]),
-    max_output_tokens=st.integers(min_value=1, max_value=2**40),
-)
-def test_prefix_keyed_digest_equals_the_digest_without_a_prefix(
-    context, suffix, model, system, temperature, max_output_tokens
-):
-    assume(context + suffix)
-    plain = ChatRequest(system_text=system, user_text=context + suffix, model_name=model,
-                        temperature=temperature, max_output_tokens=max_output_tokens)
-    keyed = ChatKeyPrefix(model, system, temperature, max_output_tokens, context).request(suffix)
-    assert chat_request_digest(keyed) == chat_request_digest(plain) == full_payload_digest(plain)
-
-
 # Pieces also draw lone surrogates, which have no UTF-8.
 PIECE_TEXT = st.text(st.characters(codec="utf-8") | AWKWARD | st.sampled_from(["\ud800", "\udfff", "\u00a0"]),
                      max_size=30)
 
 
 @given(
-    pieces=st.lists(PIECE_TEXT, max_size=6),
-    rests=st.lists(KEY_TEXT, min_size=1, max_size=3),
-    temperature=st.sampled_from([0.0, 0.7, 0, 2]),
+    context=KEY_TEXT,
+    steps=st.lists(st.lists(PIECE_TEXT, max_size=4), min_size=1, max_size=3),
+    model=KEY_TEXT,
+    system=KEY_TEXT,
+    temperature=st.floats(min_value=0.0, max_value=2.0) | st.sampled_from([0.0, 0.7, 1e-07, 1.0, 0, 1, 2]),
+    max_output_tokens=st.integers(min_value=1, max_value=2**40),
 )
-def test_a_prefix_joined_from_pieces_is_the_prefix_of_the_joined_text(pieces, rests, temperature):
-    head = ChatKeyPrefix("gpt-4", "sys \"x\"\n", temperature, 1024)
-    context = "".join(pieces)
+@example(context="caf\u00e9 \"quoted\" ", steps=[["line\u2028separator ", "\U0001F600\n"], ['say "yes"']],
+         model="gpt-4", system="syst\u00e8me \"x\"\n", temperature=0.7, max_output_tokens=256)
+def test_an_extended_request_is_keyed_as_one_built_directly(context, steps, model, system, temperature,
+                                                           max_output_tokens):
+    """Digest and record bytes, whether the user text comes whole or in pieces over several extends."""
+    fields = dict(system_text=system, model_name=model, temperature=temperature, max_output_tokens=max_output_tokens)
+    user = context + "".join(piece for step in steps for piece in step)
+    direct = ChatRequest(user_text=user, **fields)
     try:
-        whole = ChatKeyPrefix("gpt-4", "sys \"x\"\n", temperature, 1024, context)
+        expected = chat_request_digest(direct)
     except UnicodeEncodeError as exc:
         assert exc.reason == "surrogates not allowed"
         with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
-            [gateway_module.escape_piece(piece) for piece in pieces]
+            request = ChatRequest(user_text=context, **fields)
+            for step in steps:
+                request = request.extend(step)
         return
-    escapes = [gateway_module.escape_piece(piece) for piece in pieces]
-    joined = head.join(pieces, escapes)
-    assert joined.context == context and head.context == ""
-    assert joined._record_start == whole._record_start
-    twice = head.join(pieces[:1], escapes[:1]).join(pieces[1:], escapes[1:])
-    assert twice._record_start == whole._record_start and twice._digest(b"") == whole._digest(b"")
-    for rest in rests:
-        assume(context + rest)
-        escaped = gateway_module.escape_piece(rest)
-        assert joined._digest(escaped) == whole._digest(escaped)
-        request = joined.request(rest)
-        assert request.key_prefix is joined
-        assert chat_request_digest(request) == full_payload_digest(request)
+    assert expected == full_payload_digest(direct)
+    request, escapes = ChatRequest(user_text=context, **fields), {}
+    for step in steps:
+        before = request
+        request = request.extend(step, escapes)
+        assert before.user_text + "".join(step) == request.user_text  # the request extended is left as it was
+    assert request == direct and chat_request_digest(request) == expected
+    assert record_bytes(request) == record_bytes(direct)
+    assert escapes == {piece: gateway_module.escape_piece(piece) for step in steps for piece in step}
 
 
 def test_a_pieces_escape_is_its_json_string_body_in_utf8():
-    head = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024)
     pieces = ["shared \"context\"\n", "café\n\n"]
-    escaped = [gateway_module.escape_piece(piece) for piece in pieces]
-    assert escaped == [b'shared \\"context\\"\\n', "café\\n\\n".encode("utf-8")]
-    request = head.join(pieces, escaped).request("classify")
+    escapes = {}
+    request = req(user="").extend(pieces, escapes).extend(["classify"])
+    assert escapes == dict(zip(pieces, [b'shared \\"context\\"\\n', "café\\n\\n".encode("utf-8")]))
     assert chat_request_digest(request) == full_payload_digest(req(user="".join(pieces) + "classify"))
 
 
-def test_a_request_cannot_be_given_a_prefix_from_outside():
-    with pytest.raises(TypeError, match="key_prefix"):
-        ChatRequest(system_text="sys", user_text="classify this", model_name="gpt-4",
-                    key_prefix=ChatKeyPrefix("gpt-3.5", "sys", 0.0, 1024))
+def test_a_request_cannot_be_given_its_key_from_outside():
+    for name in ("_state", "_record_start"):
+        with pytest.raises(TypeError, match=name):
+            ChatRequest(system_text="sys", user_text="classify this", model_name="gpt-4", **{name: None})
 
 
-def test_replacing_a_field_of_a_prefixed_request_drops_the_prefix():
-    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
+def test_a_directly_built_request_is_keyed_only_when_first_asked():
+    request = req()
+    assert (request._state, request._record_start) == (None, None)
+    digest = chat_request_digest(request)
+    assert request._state is not None and chat_request_digest(request) == digest
+
+
+def test_replacing_a_field_of_an_extended_request_keys_its_new_fields():
+    keyed = req(user="classify ").extend(["this"])
     copy = dataclasses.replace(keyed)
-    assert copy.key_prefix is None
     assert copy == keyed and chat_request_digest(copy) == chat_request_digest(keyed) == chat_request_digest(req())
-    other = dataclasses.replace(keyed, user_text="classify that")
-    assert other.key_prefix is None
-    assert chat_request_digest(other) == full_payload_digest(req(user="classify that"))
+    for changes in ({"user_text": "classify that"}, {"model_name": "gpt-3.5"}, {"system_text": "other"},
+                    {"temperature": 0.7}, {"max_output_tokens": 16}):
+        other = dataclasses.replace(keyed, **changes)
+        assert chat_request_digest(other) == full_payload_digest(other) != chat_request_digest(keyed)
+        assert canonical(chat_record(other, "1. Claim", Usage())).startswith(record_bytes(other) + b'"\n  },')
 
 
-@pytest.mark.parametrize(
-    "fields, rest, message",
-    [((0.0, 1024, ""), "", "user_text must be non-empty"),
-     ((math.nan, 1024, "classify "), "this", "temperature must be finite"),
-     ((-0.5, 1024, "classify "), "this", "temperature must be finite"),
-     ((0.0, 0, "classify "), "this", "max_output_tokens must be positive")],
-    ids=["empty-user-text", "nan-temperature", "negative-temperature", "no-output-tokens"],
-)
-def test_a_prefixs_requests_are_checked_like_any_request(fields, rest, message):
-    temperature, max_output_tokens, context = fields
-    with pytest.raises(ValueError, match=message):
-        ChatKeyPrefix("gpt-4", "sys", temperature, max_output_tokens, context).request(rest)
-
-
-def test_equality_hash_and_repr_ignore_the_key_prefix():
+def test_equality_hash_and_repr_ignore_the_key():
     plain = req()
-    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
+    keyed = req(user="classify ").extend(["this"])
     assert keyed == plain
     assert hash(keyed) == hash(plain)
     assert repr(keyed) == repr(plain)
-    assert "key_prefix" not in repr(keyed)
+    assert "_state" not in repr(keyed) and "_record_start" not in repr(keyed)
 
 
-def test_one_prefix_shared_by_eight_threads_gives_the_sequential_digests():
+def test_one_request_shared_by_eight_threads_gives_the_sequential_digests():
     context = "shared context \u2028 \"quoted\" \U0001F600\n\n" * 500
-    prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, context)
-    batch = [prefix.request(f"Which class is argument component {j} of 64?") for j in range(1, 65)]
-    sequential = [chat_request_digest(request) for request in batch]
+    instructions = [f"Which class is argument component {j} of 64?" for j in range(1, 65)]
+
+    def digest(shared, instruction):
+        return chat_request_digest(shared.extend([instruction]))
+
+    shared = req(user=context)
+    sequential = [digest(shared, instruction) for instruction in instructions]
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(4):
-                assert list(pool.map(chat_request_digest, batch, timeout=60)) == sequential
+                shared = req(user=context)  # keyed first by whichever thread gets there
+                assert list(pool.map(digest, [shared] * 64, instructions, timeout=60)) == sequential
     finally:
         sys.setswitchinterval(switch_interval)
-    assert sequential == [full_payload_digest(request) for request in batch]
+    assert sequential == [full_payload_digest(req(user=context + instruction)) for instruction in instructions]
     assert len(set(sequential)) == 64
 
 
-def test_the_key_prefix_is_not_stored(tmp_path):
+def test_the_key_is_not_stored(tmp_path):
     store = ResponseStore(tmp_path)
-    keyed = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "classify ").request("this")
+    keyed = req(user="classify ").extend(["this"])
     StoreChatBackend(store, CountingChatBackend()).complete(keyed)
     (record_file,) = (tmp_path / "chat").iterdir()
     assert record_file.name == f"{chat_request_digest(req())}.json"
@@ -474,11 +468,12 @@ def no_full_parse(*args):
     raise AssertionError("the record was parsed whole")
 
 
-@given(context=KEY_TEXT, rest=KEY_TEXT.filter(bool), system=KEY_TEXT, text=KEY_TEXT, prefixed=st.booleans())
+@given(context=KEY_TEXT, rest=KEY_TEXT.filter(bool), system=KEY_TEXT, text=KEY_TEXT, extended=st.booleans())
 def test_a_chat_record_is_its_canonical_json_and_is_served_without_a_full_parse(context, rest, system, text,
-                                                                                 prefixed):
-    if prefixed:
-        request = ChatKeyPrefix("gpt-4", system, 0.7, 256, context).request(rest)
+                                                                                 extended):
+    if extended:
+        request = ChatRequest(system_text=system, user_text=context, model_name="gpt-4", temperature=0.7,
+                              max_output_tokens=256).extend([rest])
     else:
         request = ChatRequest(system_text=system, user_text=context + rest, model_name="gpt-4", temperature=0.7,
                               max_output_tokens=256)
@@ -554,21 +549,21 @@ def test_a_record_without_its_request_is_refused(tmp_path, edit, message):
 
 
 def test_a_hit_and_a_miss_each_escape_the_instruction_once(tmp_path, monkeypatch):
-    prefix = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "shared \"context\" \u2028\n")
+    context = req(user="").extend(["shared \"context\" \u2028\n"])
     instruction = "Which class is \"component\" 2 of 3?\t\U0001F600"
     real_escape, escaped = gateway_module.escape_piece, []
     monkeypatch.setattr(gateway_module, "escape_piece", lambda text: escaped.append(text) or real_escape(text))
     backend = StoreChatBackend(ResponseStore(tmp_path), CountingChatBackend())
-    miss = backend.complete(prefix.request(instruction))
+    miss = backend.complete(context.extend([instruction]))
     assert miss.backend_tag is BackendTag.LIVE and escaped == [instruction]
     escaped.clear()
-    hit = backend.complete(prefix.request(instruction))
+    hit = backend.complete(context.extend([instruction]))
     assert hit.backend_tag is BackendTag.CACHE and escaped == [instruction]
     assert (hit.text, hit.usage) == (miss.text, miss.usage)
 
 
 def test_a_record_read_in_short_pieces_is_served_as_one_read_serves_it(tmp_path, monkeypatch):
-    request = ChatKeyPrefix("gpt-4", "sys", 0.0, 1024, "caf\u00e9 context ").request("classify this")
+    request = req(user="caf\u00e9 context ").extend(["classify this"])
     digest = chat_request_digest(request)
     store = ResponseStore(tmp_path)
     store.put_chat(request, ChatResponse("1. Cl\u00e4im", Usage(3, 1), BackendTag.LIVE))
@@ -596,8 +591,9 @@ def test_every_fixture_chat_record_is_served_without_a_full_parse(path, monkeypa
     record = json.loads(path.read_bytes())
     fields = record["request"]
     user = fields["user_text"]
-    keyed = ChatKeyPrefix(fields["model_name"], fields["system_text"], fields["temperature"],
-                          fields["max_output_tokens"], user[: len(user) // 2]).request(user[len(user) // 2:])
+    head = ChatRequest(fields["system_text"], user[: len(user) // 2], fields["model_name"], fields["temperature"],
+                       fields["max_output_tokens"])
+    keyed = head.extend([user[len(user) // 2:]])
     assert chat_request_digest(keyed) == path.stem
     store = ResponseStore(path.parent.parent)
     expected = record["response"]["text"], Usage(**record["response"]["usage"])
@@ -607,8 +603,8 @@ def test_every_fixture_chat_record_is_served_without_a_full_parse(path, monkeypa
     assert len(parsed) == 1 and '"request"' not in parsed[0]
 
 
-@pytest.mark.parametrize("prefixed", [False, True], ids=["plain", "prefixed"])
-def test_the_fixture_recorded_again_gets_its_committed_names_and_bytes(tmp_path, prefixed):
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_the_fixture_recorded_again_gets_its_committed_names_and_bytes(tmp_path, extended):
     """Every fixture record, written again into an empty store, is filed where it was, with the bytes it has.
 
     Two embedding records hold a legacy JSON ``vector`` list; written again,
@@ -619,9 +615,11 @@ def test_the_fixture_recorded_again_gets_its_committed_names_and_bytes(tmp_path,
         record = json.loads(path.read_bytes())
         fields, response = record["request"], record["response"]
         user = fields["user_text"]
-        split = len(user) // 2 if prefixed else 0
-        request = ChatKeyPrefix(fields["model_name"], fields["system_text"], fields["temperature"],
-                                fields["max_output_tokens"], user[:split]).request(user[split:])
+        split = len(user) // 2 if extended else len(user)
+        request = ChatRequest(fields["system_text"], user[:split], fields["model_name"], fields["temperature"],
+                              fields["max_output_tokens"])
+        if extended:
+            request = request.extend([user[split:]])
         store.put_chat(request, ChatResponse(response["text"], Usage(**response["usage"]), BackendTag.LIVE))
         assert (tmp_path / "chat" / path.name).read_bytes() == path.read_bytes()
     legacy = []
@@ -798,6 +796,15 @@ def test_embed_empty_text_rejected():
     gateway = Gateway(embedding_backend=HashEmbeddingBackend(dim=4))
     with pytest.raises(ValueError):
         gateway.embed("")
+
+
+def test_chat_refuses_an_empty_user_text_before_any_backend_is_called():
+    backend = CountingChatBackend()
+    gateway = Gateway(chat_backend=backend)
+    for request in (req(user=""), req(user="").extend([]), req(user="").extend([""])):
+        with pytest.raises(ValueError, match="cannot ask with empty user text"):
+            gateway.chat(request)
+    assert backend.calls == 0 and not gateway.counts
 
 
 def test_hash_embeddings_are_deterministic_and_unit_norm():
