@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -26,7 +27,6 @@ from .config import BackendConfig, RunConfig, config_digest, load_run_config, ru
 from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, PromptCache, run_ensemble
 from .errors import AtcError
-from .finetune import export as export_finetune
 from .gateway import (
     BackendTag,
     Gateway,
@@ -42,9 +42,11 @@ from .gateway import (
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
-from .mocks import Responder, constant_label_responder, gold_echo_responder
 from .prompting import build_info_block
 from .selection import SelectionStrategy
+
+if TYPE_CHECKING:
+    from .mocks import Responder
 
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"
@@ -99,6 +101,9 @@ def _chat_upstream(backend: BackendConfig) -> str:
 
 def _mock_responder(backend: BackendConfig, corpus: Corpus) -> Responder:
     """The mock of ``backend.mock_mode``; ``gold_echo`` refuses two essays of one title."""
+    # Imported here, as is finetune by export, so a replay or live run does not load it.
+    from .mocks import constant_label_responder, gold_echo_responder
+
     if backend.mock_mode == "gold_echo":
         return gold_echo_responder(corpus)
     return constant_label_responder()
@@ -287,9 +292,10 @@ def _pending(config: RunConfig) -> tuple[dict, dict, list[PredictionRecord], int
     still to run. Reads only.
 
     A train pool smaller than the 2k-essay neighborhood each essay is ranked
-    in is refused here, before a run or an estimate starts, and so is an
-    ``out_dir`` of another config or other inputs. A ``replay`` session keeps
-    the answer source of the sessions before it.
+    in is refused here, before a run or an estimate starts, and so are a test
+    split with no argument component to score and an ``out_dir`` of another
+    config or other inputs. A ``replay`` session keeps the answer source of
+    the sessions before it.
     """
     corpus = load_corpus(config.corpus_dir, config.split_file)
     pool_size, k = len(corpus.train_essays()), config.icl.k
@@ -298,11 +304,15 @@ def _pending(config: RunConfig) -> tuple[dict, dict, list[PredictionRecord], int
             f"{config.split_file} lists {pool_size} train essays, but k = {k} needs a"
             f" neighborhood of {2 * k}"
         )
+    queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
+    if not any(e.components for e in queries):
+        raise AtcError(
+            f"{config.split_file} lists no test essay with an argument component: nothing to evaluate"
+        )
     inputs = _inputs(config, corpus)
     manifest = _read_manifest(config.out_dir, config_digest(config.icl), inputs)
     if inputs["answer_source"] is None and manifest:
         inputs["answer_source"] = manifest["inputs"]["answer_source"]
-    queries = sorted(corpus.test_essays(), key=lambda e: e.essay_id)
     records, complete = _load_records(config.out_dir / RECORDS_NAME)
     done_ids = {record.essay_id for record in records}
     return manifest, inputs, records, complete, corpus, [e for e in queries if e.essay_id not in done_ids]
@@ -505,6 +515,8 @@ def eval_cmd(records_path: Path, corpus_dir: Path, split_file: Path, json_out: P
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
 def export(corpus_dir: Path, split_file: Path, split: str, featxt: bool, out: Path) -> None:
     """Export fine-tuning chat records as JSONL, one per argument component."""
+    from .finetune import export as export_finetune
+
     corpus = load_corpus(corpus_dir, split_file)
     count = export_finetune(corpus, Split(split.upper()), featxt, out)
     click.echo(f"wrote {count} records to {out}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +49,8 @@ class Label(Enum):
 
     ``value`` is the token used in annotation files; ``display_name`` is the
     human-facing spelling used in prompts and exported records. The tie-break
-    order used by majority voting follows train-set frequency:
-    Premise > Claim > Major Claim.
+    order used by majority voting (:data:`TIE_BREAK_RANK`) follows train-set
+    frequency: Premise > Claim > Major Claim.
     """
 
     MAJOR_CLAIM = "MajorClaim"
@@ -60,13 +61,8 @@ class Label(Enum):
     def display_name(self) -> str:
         return "Major Claim" if self is Label.MAJOR_CLAIM else self.value
 
-    @property
-    def tie_break_rank(self) -> int:
-        """Higher rank wins ties in majority votes (frequency prior)."""
-        return TIE_BREAK_RANK[self]
 
-
-#: Label.tie_break_rank of each label, as one table for the vote's hot loop.
+#: The tie-break rank of each label: the higher rank wins a tied majority vote.
 TIE_BREAK_RANK = {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}
 
 #: Canonical report order: Major Claim, Claim, Premise.
@@ -179,33 +175,8 @@ class CorpusStats:
         }
 
 
-def _parse_entity_line(line: str, text: str, essay_id: str) -> tuple[str, Span, Label]:
-    parts = line.split("\t")
-    if len(parts) < 3:
-        raise MalformedAnnotation(f"{essay_id}: entity line needs 3 tab-separated fields: {line!r}")
-    tid, meta, surface = parts[0], parts[1], "\t".join(parts[2:])
-    meta_parts = meta.split(" ")
-    if len(meta_parts) != 3:
-        raise MalformedAnnotation(f"{essay_id}: bad entity header {meta!r} in {tid}")
-    label_token, start_s, end_s = meta_parts
-    try:
-        label = Label(label_token)
-    except ValueError:
-        raise MalformedAnnotation(f"{essay_id}: unknown label {label_token!r} in {tid}") from None
-    try:
-        start, end = int(start_s), int(end_s)
-    except ValueError:
-        raise MalformedAnnotation(f"{essay_id}: non-integer offsets in {tid}: {meta!r}") from None
-    if not (0 <= start < end <= len(text)):
-        raise MalformedAnnotation(f"{essay_id}: offsets [{start}, {end}) out of range in {tid}")
-    piece = text[start:end]
-    # brat replaces newlines in the surface column with spaces.
-    if surface != piece and surface != piece.replace("\n", " "):
-        raise MalformedAnnotation(
-            f"{essay_id}: surface text of {tid} does not match raw text slice "
-            f"({surface!r} vs {piece!r})"
-        )
-    return tid, Span(start, end), label
+#: The label of each annotation-file token.
+_LABEL_OF_TOKEN = {label.value: label for label in Label}
 
 
 def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) -> Essay:
@@ -213,8 +184,9 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
 
     Entity (``T``) lines become argument components, cross-checked against the
     raw text and sorted by span start; all other annotation lines are skipped.
-    An empty text or title line raises :class:`EmptyText`, and a component
-    outside every body paragraph :class:`MalformedAnnotation`.
+    An empty text or title line raises :class:`EmptyText`, and an entity line
+    of the wrong shape, or a component outside every body paragraph,
+    :class:`MalformedAnnotation`.
     """
     text = text_file_contents
     if not text.strip():
@@ -236,22 +208,44 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
     components = []
     seen_ids = set()
     for raw_line in ann_file_contents.split("\n"):
-        line = raw_line.rstrip("\r")
-        if not line.startswith("T"):
+        if not raw_line.startswith("T"):
             continue
-        tid, span, label = _parse_entity_line(line, text, essay_id)
+        line = raw_line.rstrip("\r")
+        fields = line.split("\t", 2)
+        if len(fields) < 3:
+            raise MalformedAnnotation(f"{essay_id}: entity line needs 3 tab-separated fields: {line!r}")
+        tid, meta, surface = fields
+        meta_parts = meta.split(" ")
+        if len(meta_parts) != 3:
+            raise MalformedAnnotation(f"{essay_id}: bad entity header {meta!r} in {tid}")
+        label_token, start_s, end_s = meta_parts
+        label = _LABEL_OF_TOKEN.get(label_token)
+        if label is None:
+            raise MalformedAnnotation(f"{essay_id}: unknown label {label_token!r} in {tid}")
+        try:
+            start, end = int(start_s), int(end_s)
+        except ValueError:
+            raise MalformedAnnotation(f"{essay_id}: non-integer offsets in {tid}: {meta!r}") from None
+        if not (0 <= start < end <= len(text)):
+            raise MalformedAnnotation(f"{essay_id}: offsets [{start}, {end}) out of range in {tid}")
+        piece = text[start:end]
+        # brat replaces newlines in the surface column with spaces.
+        if surface != piece and surface != piece.replace("\n", " "):
+            raise MalformedAnnotation(
+                f"{essay_id}: surface text of {tid} does not match raw text slice "
+                f"({surface!r} vs {piece!r})"
+            )
         if tid in seen_ids:
             raise MalformedAnnotation(f"{essay_id}: duplicate annotation id {tid}")
         seen_ids.add(tid)
         # Paragraphs are sorted and disjoint: only the last one starting at or
         # before the component can hold it.
-        index = bisect_right(paragraph_starts, span.start) - 1
-        if index < 0 or span.end > paragraphs[index].end:
+        index = bisect_right(paragraph_starts, start) - 1
+        if index < 0 or end > paragraphs[index].end:
             raise MalformedAnnotation(
                 f"{essay_id}: component {tid} does not lie within a single body paragraph"
             )
-        components.append(ArgumentComponent(id=tid, span=span, text=span.slice(text), gold_label=label,
-                                            paragraph_index=index))
+        components.append(ArgumentComponent(tid, Span(start, end), piece, label, index))
 
     components.sort(key=lambda c: c.span.start)
     for before, after in zip(components, components[1:]):
@@ -267,13 +261,14 @@ def parse_essay(text_file_contents: str, ann_file_contents: str, essay_id: str) 
     )
 
 
-def _read_utf8(path: Path, digest: hashlib._Hash | None = None) -> str:
+def _read_utf8(path: Path | str, digest: hashlib._Hash | None = None) -> str:
     """A file's contents decoded as UTF-8, with no newline translation.
 
     The bytes read, prefixed by their length, are fed into ``digest`` if given.
     """
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise AtcError(f"cannot read {path}: {exc}") from None
@@ -321,22 +316,26 @@ def load_corpus(root_dir: Path | str, split_file: Path | str) -> Corpus:
     run can tell whether a resume sees the same corpus.
     """
     root = Path(root_dir)
-    txt_files = sorted(root.glob("*.txt"))
-    ann_files = sorted(root.glob("*.ann"))
-    txt_ids = {p.stem for p in txt_files}
-    ann_ids = {p.stem for p in ann_files}
-    if not txt_files and not ann_files:
+    try:
+        names = sorted(os.listdir(root))
+    except OSError:
+        names = []  # as Path.glob, a missing or unlistable directory holds no essay
+    # An essay id is its files' Path.stem, so a bare ".txt" is its own stem.
+    txt_names = {name[:-4] or name: name for name in names if name.endswith(".txt")}
+    ann_ids = {name[:-4] or name for name in names if name.endswith(".ann")}
+    if not txt_names and not ann_ids:
         raise MissingPair(f"no .txt/.ann essay pairs found under {root}")
-    unpaired = sorted(txt_ids.symmetric_difference(ann_ids))
+    unpaired = sorted(txt_names.keys() ^ ann_ids)
     if unpaired:
         raise MissingPair(f"essays without a .txt/.ann counterpart: {', '.join(unpaired)}")
 
+    prefix = str(root / "_")[:-1]  # what Path puts before a name joined to root: "" for ".", "c/" for "c"
     digest = hashlib.sha256()
     essays = []
-    for txt_path in txt_files:
-        text = _read_utf8(txt_path, digest)
-        ann = _read_utf8(root / (txt_path.stem + ".ann"), digest)
-        essays.append(parse_essay(text, ann, txt_path.stem))
+    for essay_id, name in txt_names.items():  # in file name order
+        text = _read_utf8(prefix + name, digest)
+        ann = _read_utf8(prefix + essay_id + ".ann", digest)
+        essays.append(parse_essay(text, ann, essay_id))
     essays.sort(key=lambda e: e.essay_id)
 
     split = read_split_file(split_file, digest)

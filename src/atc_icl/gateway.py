@@ -448,7 +448,14 @@ class ResponseStore:
     def _packs(self) -> dict[str, tuple[_EmbeddingPack, int]]:
         if self._pack_rows is None:
             rows = {}
-            for path in sorted((self.root / "embed").glob("pack-*.f64")):
+            embed_dir = self.root / "embed"
+            try:
+                with os.scandir(embed_dir) as entries:
+                    names = sorted(e.name for e in entries if e.name.startswith("pack-") and e.name.endswith(".f64"))
+            except OSError:
+                names = []  # as Path.glob, a missing or unlistable directory holds no pack
+            for name in names:
+                path = embed_dir / name
                 pack = _EmbeddingPack(path)
                 if path != self.embedding_pack_path(pack.model_name):
                     raise AtcError(f"embedding pack {path} holds model {pack.model_name!r}, which is not filed there")

@@ -21,7 +21,6 @@ and votes.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -66,8 +65,8 @@ class PromptConfig:
 class Prompt:
     """One round's chat calls and how their answers are read.
 
-    Each call's user text is the round's ``context`` followed by one of
-    ``instructions``. The context is ``pieces`` joined: the info section, the
+    Each call's user text is the round's context, its ``pieces`` joined,
+    followed by one of ``instructions``. The pieces are the info section, the
     demonstrations' header, each demonstration's ``### Example i`` line and
     body, and last the query section, the only piece that depends on the
     query essay. Every answer must hold ``answer_lines`` label lines; a
@@ -80,10 +79,6 @@ class Prompt:
     instructions: tuple[str, ...]
     answer_lines: int
     reminder: str
-
-    @functools.cached_property
-    def context(self) -> str:
-        return "".join(self.pieces)
 
 
 SYSTEM_ALL_AT_ONCE = (

@@ -84,7 +84,7 @@ def simple_essay(essay_id: str, title: str, labels: list[Label]) -> Essay:
 
 def user_texts(prompt) -> tuple[str, ...]:
     """The user text of each of ``prompt``'s calls: its context followed by one instruction."""
-    return tuple(prompt.context + instruction for instruction in prompt.instructions)
+    return tuple("".join(prompt.pieces) + instruction for instruction in prompt.instructions)
 
 
 class MappingEmbeddingBackend:

@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 from atc_icl.cli import main
 from atc_icl.config import load_run_config, run_label
-from atc_icl.corpus import LABELS, Label, Split, compute_stats, load_corpus
+from atc_icl.corpus import LABELS, TIE_BREAK_RANK, Label, Split, compute_stats, load_corpus
 from atc_icl.ensemble import majority_vote
 from atc_icl.finetune import export
 from atc_icl.gateway import Gateway, cosine_similarity
@@ -187,7 +187,7 @@ def test_criterion_4_majority_vote_exhaustive():
         best = None
         for label in LABELS:
             count = sum(1 for v in votes if v is label)
-            key = (count, label.tie_break_rank)
+            key = (count, TIE_BREAK_RANK[label])
             if best is None or key > best[0]:
                 best = (key, label)
         return best[1]

@@ -517,6 +517,25 @@ def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(runner,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("case", ["no-test-essay", "no-component"])
+def test_a_test_split_with_nothing_to_evaluate_is_refused_before_any_work(runner, small_dir, small_corpus, tmp_path,
+                                                                          case, dry_run):
+    corpus_dir, out_dir = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(small_dir, corpus_dir)
+    split_file = corpus_dir / SPLIT_FILE_NAME
+    if case == "no-test-essay":
+        split_file.write_text("".join(f'"{e.essay_id}";"TRAIN"\n' for e in small_corpus.essays), encoding="utf-8")
+    else:
+        for essay in small_corpus.test_essays():
+            (corpus_dir / f"{essay.essay_id}.ann").write_text("", encoding="utf-8")
+    config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir)
+    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    assert isinstance(result.exception, AtcError)
+    assert str(result.exception) == f"{split_file} lists no test essay with an argument component: nothing to evaluate"
+    assert not out_dir.exists()
+
+
 def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_dir, tmp_path):
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "run.yaml", small_dir, out_dir,
@@ -804,7 +823,7 @@ def test_each_fixed_prompt_line_is_a_constant_the_prompt_digest_covers(small_cor
         info = prompting.build_info_block(small_corpus)
         demos = [small_corpus.train_essays()[:2]]
         (prompt,) = prompting.build_prompt(small_corpus.test_essays()[0], demos, config, info)
-        return prompt.context, cli._prompt_digest()
+        return "".join(prompt.pieces), cli._prompt_digest()
 
     before = render()
     monkeypatch.setattr(prompting, name, getattr(prompting, name) + " ")
@@ -1009,6 +1028,47 @@ def test_sigterm_keeps_the_session_counts_in_the_manifest(runner, small_dir, tmp
     counts = [(manifest(d)["chat_calls"], manifest(d)["embed_calls"]) for d in (stopped_dir, full_dir)]
     assert counts[0] == counts[1] == (12, 36)
     assert (stopped_dir / "records.jsonl").read_bytes() == (full_dir / "records.jsonl").read_bytes()
+
+
+LOADED_MODULES_AFTER = """
+import json, sys
+from atc_icl import cli
+
+if sys.argv[1:]:
+    cli.main(sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("atc_icl."))))
+"""
+
+
+@pytest.mark.parametrize("command", ["import", "replay", "mock", "export"])
+def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(runner, small_dir, small_corpus, tmp_path,
+                                                                         command):
+    """In a fresh interpreter, where no test has imported them already."""
+    store, out = tmp_path / "store", tmp_path / "out"
+    if command == "replay":
+        record = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "recorded",
+                              backend={"chat": "cache", "cache_upstream": "mock", "store_dir": str(store)})
+        assert runner.invoke(main, ["run", "--config", str(record)]).exit_code == 0
+    backend = {"chat": "replay", "store_dir": str(store)} if command == "replay" else {}
+    config = write_config(tmp_path / "run.yaml", small_dir, out, backend=backend)
+    args = {
+        "import": [],
+        "replay": ["run", "--config", str(config)],
+        "mock": ["run", "--config", str(config)],
+        "export": ["export", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--split", "train", "--out", str(out)],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES_AFTER, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert ("atc_icl.mocks" in loaded, "atc_icl.finetune" in loaded) == (command == "mock", command == "export")
+    if command in ("replay", "mock"):
+        assert "macro F1: 1.0000" in done.stdout
+    if command == "export":
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == sum(e.m for e in small_corpus.train_essays())
 
 
 @pytest.fixture(scope="module")

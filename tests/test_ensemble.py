@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atc_icl import ensemble, prompting
-from atc_icl.corpus import LABELS, Label
+from atc_icl.corpus import LABELS, TIE_BREAK_RANK, Label
 from atc_icl.ensemble import (
     EmptyVotes,
     IclConfig,
@@ -42,7 +42,7 @@ def brute_force_vote(votes):
         for vote in votes:
             if vote is label:
                 count += 1
-        key = (count, label.tie_break_rank)
+        key = (count, TIE_BREAK_RANK[label])
         if best_key is None or key > best_key:
             best_key = key
             best_label = label
@@ -348,7 +348,7 @@ def test_every_request_of_a_one_by_one_round_is_extended_from_the_rounds_context
     for request in seen:
         assert len(request._record_start) == len(context) + 1
         assert all(mine is shared for mine, shared in zip(request._record_start, context))
-    assert b"".join(context) == b"".join(dataclasses.replace(seen[0], user_text=prompt.context)._key()[1])
+    assert b"".join(context) == b"".join(dataclasses.replace(seen[0], user_text="".join(prompt.pieces))._key()[1])
     assert {(request.model_name, request.temperature) for request in seen} == {("gpt-3.5-turbo", 0.5)}
     for request in seen:
         plain = dataclasses.replace(request)
@@ -449,7 +449,7 @@ def test_run_ensemble_matches_independent_rounds(strategy):
                                    rank_seed, pick_seed)
         (prompt,) = build_prompt(query, [[pool_by_id[i] for i in outcome.chosen_ids]], config.prompt)
         (instruction,) = prompt.instructions
-        raw = prompt_hash_answer(query, prompt.context + instruction)
+        raw = prompt_hash_answer(query, "".join(prompt.pieces) + instruction)
         selections.append(outcome)
         rounds.append(tuple(parse_response(raw, query.m)))
         responses.append((raw,))

@@ -1085,6 +1085,26 @@ def test_a_pack_is_streamed_to_its_file_in_chunks(tmp_path, monkeypatch):
     assert chunks == [header] + [16] * 3 + [24, 72]  # header, rows, norms, the distances between rows
 
 
+def test_a_store_without_embed_lists_no_pack_and_other_names_are_not_packs(tmp_path):
+    store = ResponseStore(tmp_path)
+    digest = embedding_digest("m", "T0")
+    assert store.get_embedding(digest) is None and store.embedding_distances(digest, [digest]) is None
+    assert not store.put_embedding_pack("m", [])
+    (tmp_path / "embed").mkdir()
+    for name in ("pack-1.f64.tmp", "old-pack-1.f64", "pack-1.json", "pack.f64"):
+        (tmp_path / "embed" / name).write_bytes(b"not a pack")
+    assert ResponseStore(tmp_path).get_embedding(digest) is None
+
+
+def test_a_pack_filed_under_another_model_is_refused(tmp_path):
+    store = record_and_pack(tmp_path, [("T0", [1.0, 2.0])])
+    misfiled = store.embedding_pack_path("n")
+    store.embedding_pack_path("m").rename(misfiled)
+    message = f"embedding pack {misfiled} holds model 'm', which is not filed there"
+    with pytest.raises(AtcError, match=f"^{re.escape(message)}$"):
+        ResponseStore(tmp_path).get_embedding(embedding_digest("m", "T0"))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(lambda data: data[: data.index(b"\n") + 1 + 8], "truncated or inconsistent embedding pack {pack}: "),

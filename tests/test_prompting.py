@@ -128,7 +128,7 @@ def test_a_rounds_context_is_its_user_texts_up_to_the_instruction(park_essay, mo
         assert prompt.instructions == (ALL_AT_ONCE_INSTRUCTION.format(m=m),)
     else:
         assert prompt.instructions == tuple(ONE_BY_ONE_INSTRUCTION.format(j=j, m=m) for j in range(1, m + 1))
-    head, query = prompt.context.split("## Query essay\n")
+    head, query = "".join(prompt.pieces).split("## Query essay\n")
     assert head.startswith("## Task information\n") and "## Demonstration essays\n" in head
     assert query.endswith("\n\n") and "Which class is" not in query and "Classify all" not in query
 
@@ -156,12 +156,10 @@ def test_a_rounds_pieces_are_its_context_and_a_memo_renders_each_demo_body_once(
     assert query.startswith("## Query essay\n") and prompts[1].pieces[-1] is prompts[2].pieces[-1] is query
     assert prompts[1].pieces[2:6] == ("### Example 1\n", bodies[demo2], "### Example 2\n", body)
     assert prompts[2].pieces == (info, query)
-    for prompt in prompts:
-        assert prompt.context == "".join(prompt.pieces)
     # A body in the memo is not rendered again, which is why a memo lives for one run only.
     bodies = {demo1: "stale\n\n"}
     (prompt,) = build_prompt(park_essay, [[demo1]], config, info_block(), bodies)
-    assert "stale" in prompt.context and list(bodies) == [demo1]
+    assert "stale" in "".join(prompt.pieces) and list(bodies) == [demo1]
 
 
 def test_one_by_one_allows_zero_demos(park_essay):
