@@ -178,8 +178,11 @@ def run_ensemble(
     A malformed answer is asked again, with the prompt's reminder appended, up
     to ``MAX_RETRIES`` times. Every request of a round, retries included, is
     extended from one request over the round's context, so its store key
-    hashes only its own instruction. A round whose answer stays unparseable
-    aborts the whole essay with :class:`RoundFailed`; partial votes are never
+    hashes only its own instruction, and a round of several instructions
+    marks that request as shared (see :meth:`ChatRequest.extend`), so a
+    store files the context once. Instructions and the reminder are escaped
+    through ``cache`` too. A round whose answer stays unparseable aborts the
+    whole essay with :class:`RoundFailed`; partial votes are never
     aggregated.
 
     ``cache`` is the run's :class:`PromptCache`; without one, the pieces are
@@ -202,11 +205,11 @@ def run_ensemble(
     rounds: list[tuple[Label, ...]] = []
     responses: list[tuple[str, ...]] = []
     for round_index, prompt in enumerate(prompts, start=1):
-        context = head.extend(prompt.pieces, cache.escapes)
+        context = head.extend(prompt.pieces, cache.escapes, shared=len(prompt.instructions) > 1)
         labels: list[Label] = []
         texts: list[str] = []
         for instruction in prompt.instructions:
-            request = context.extend([instruction])
+            request = context.extend([instruction], cache.escapes)
             for _ in range(MAX_RETRIES + 1):
                 texts.append(gateway.chat(request).text)
                 try:
@@ -214,7 +217,7 @@ def run_ensemble(
                     break
                 except (CountMismatch, UnknownLabel) as exc:
                     error = exc
-                    request = context.extend([instruction + prompt.reminder])
+                    request = context.extend([instruction, prompt.reminder], cache.escapes)
             else:
                 raise RoundFailed(
                     f"{query.essay_id}: round {round_index} failed: no parseable answer after "

@@ -24,7 +24,9 @@ escape only their own instructions; their digests are the same as without it.
 :meth:`ResponseStore.get_chat` serves a hit by comparing the record's request
 half with the request byte for byte and parsing only the answer; a record of
 another layout is parsed whole, and one recorded for another request is
-refused.
+refused. A round context that several requests share is filed once, and an
+extended request joins its user text only when something reads it, so a
+replayed one-by-one round reads and compares its context once.
 An embedding record holds its vector as packed little-endian float64 (hex
 text), so a replay reads it back with no decimal parsing; records written
 earlier, with a JSON list of floats, still replay. ``atc-icl embed`` also
@@ -140,6 +142,12 @@ def _render_record(record: dict) -> str:
 # up to its response, and how it ends after the response.
 _CHAT_RECORD_MIDDLE = b'"\n  },\n  "response": '
 _CHAT_RECORD_END = b"\n}\n"
+# How the record of a request extended from a shared round context starts, up
+# to the digest that names the context's file, and goes on up to the escaped
+# rest of its user text; and how a context file ends after its escaped user text.
+_CONTEXT_RECORD_HEAD = b'{\n  "request": {\n    "context": "'
+_CONTEXT_RECORD_REST = b'",\n    "user_text_rest": "'
+_CONTEXT_FILE_END = b'"\n  }\n}\n'
 
 
 def _request_fields(request: ChatRequest, user_text: str) -> dict:
@@ -166,8 +174,13 @@ class ChatRequest:
     made on first use, and :meth:`extend` carries them on by the rest alone.
     The requests of one prompting round are extended from one request over
     the round's shared context, so each hashes and escapes only its own
-    instruction. Neither takes part in equality, hash or repr, or is stored,
-    and neither is ever updated in place, so threads may share a request.
+    instruction. An extended request keeps its user text as the pieces it
+    was extended by, and joins them when the text is first read, so a
+    request that only a store serves never copies the context. None of this
+    takes part in equality, hash or repr, or is stored. What is set after a
+    request is made (its key, its joined text, and on a shared context the
+    store that checked its file) is set whole, and threads that race to set
+    it set values that hold alike, so threads may share a request.
     """
 
     system_text: str
@@ -178,6 +191,15 @@ class ChatRequest:
     # The hash state and the record's UTF-8 in chunks, None until first keyed (see _key).
     _state: hashlib._Hash | None = field(default=None, init=False, compare=False, repr=False)
     _record_start: tuple[bytes, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    # An extended request's user text, in pieces; it is joined on first read (see __getattr__).
+    _text_parts: tuple[str, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    # For a round context that several requests extend (see extend's shared): what each of their
+    # chat records holds before its own escaped part. It names the context's file (see ResponseStore).
+    _shared: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    # The shared round context this request was extended from, if any.
+    _context: ChatRequest | None = field(default=None, init=False, compare=False, repr=False)
+    # On a shared context: the store whose context file was found or written to hold it.
+    _checked: ResponseStore | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.temperature) or self.temperature < 0:
@@ -185,7 +207,17 @@ class ChatRequest:
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
 
-    def extend(self, pieces: Sequence[str], escapes: MutableMapping[str, bytes] | None = None) -> ChatRequest:
+    def __getattr__(self, name: str):
+        # Called only for what the instance lacks: an extended request's user text before its first read.
+        if name != "user_text" or self._text_parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        text = "".join(self._text_parts)
+        object.__setattr__(self, "user_text", text)
+        return text
+
+    def extend(
+        self, pieces: Sequence[str], escapes: MutableMapping[str, bytes] | None = None, shared: bool = False
+    ) -> ChatRequest:
         """The request of these fields whose user text is this one's followed by ``pieces``.
 
         Each piece is escaped by :func:`escape_piece` through ``escapes``, a
@@ -193,6 +225,10 @@ class ChatRequest:
         recur. Only those escapes are hashed and appended, so the new
         request's digest and record are those of a request built with the
         whole user text at once.
+
+        ``shared`` marks the new request as a round context that more than
+        one request extends: a :class:`ResponseStore` then files its text
+        once, and the records of those requests hold only their own parts.
         """
         if escapes is None:
             escapes = {}
@@ -209,9 +245,14 @@ class ChatRequest:
         # Built without copy.copy or __init__, which would check the fields again: this is on every chat call.
         request = object.__new__(ChatRequest)
         request.__dict__.update(
-            self.__dict__, user_text=self.user_text + "".join(pieces), _state=state,
-            _record_start=(*record_start, tail),
+            system_text=self.system_text, model_name=self.model_name, temperature=self.temperature,
+            max_output_tokens=self.max_output_tokens, _state=state, _record_start=(*record_start, tail),
+            _text_parts=(*(self._text_parts or (self.user_text,)), *pieces),
+            _context=self if self._shared is not None else self._context,
         )
+        if shared:
+            head = (_CONTEXT_RECORD_HEAD, chat_request_digest(request).encode("ascii"), _CONTEXT_RECORD_REST)
+            object.__setattr__(request, "_shared", b"".join(head))
         return request
 
     def _key(self) -> tuple[hashlib._Hash, tuple[bytes, ...]]:
@@ -321,7 +362,15 @@ class ResponseStore:
     where the store works each digest out from what the record holds (see
     :func:`chat_request_digest` and :func:`embedding_digest`). Each chat record
     keeps the full request next to the response so fixtures are auditable, and
-    a read checks it against the request asked (see :meth:`get_chat`). Each
+    a read checks it against the request asked (see :meth:`get_chat`). A
+    request extended from a shared round context (see
+    :meth:`ChatRequest.extend`) is recorded in two parts: the context once, as
+    ``<dir>/chat-context/<digest>.json``, the record of the context request
+    with no response, and a record ``{"request": {"context",
+    "user_text_rest"}, "response"}`` naming that file by its digest. Its
+    bytes up to the escape of ``user_text_rest``, replaced by the context
+    file's up to the end of its user text's escape, are the record of the
+    request built whole. Each
     embedding record keeps its model name and text next to ``vector_f64``, the
     vector as little-endian IEEE-754 float64 in hex text. :meth:`get_embedding`
     reads it back, as it does a record written before vectors were packed,
@@ -343,7 +392,7 @@ class ResponseStore:
         self.root = Path(root)
         # "<dir><digest>.json" names a record. A plain string: a Path would intern every
         # digest's file name, and the interpreter's intern table then grows, and resizes, with reads.
-        self._dirs = {kind: os.path.join(self.root, kind, "") for kind in ("chat", "embed")}
+        self._dirs = {kind: os.path.join(self.root, kind, "") for kind in ("chat", "chat-context", "embed")}
         # digest -> (pack, index of its row); None until the first embedding read
         self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
@@ -380,33 +429,38 @@ class ResponseStore:
         """The response text and token counts stored for ``request``, or None.
 
         A record whose bytes up to the response are the ones :meth:`put_chat`
-        writes for ``request``, and which ends as it writes it, is served by
-        parsing only its response. Any other record, such as one of another
-        layout, is parsed whole: one that does not decode raises
-        :class:`AtcError` naming the file; one that lacks the answer, or holds
-        it with the wrong types, or holds no request or another request than
-        ``request``, raises :class:`AtcError` naming the digest.
+        writes for ``request``, or for the request built whole, and which ends
+        as it writes it, is served by parsing only its response; one that
+        names a context file compares only the request's own part, and the
+        file once per round (see :meth:`_check_context`). Any other record,
+        such as one of another layout, is parsed whole: one that does not
+        decode raises :class:`AtcError` naming the file; one that lacks the
+        answer, or holds it with the wrong types, or holds no request or
+        another request than ``request``, raises :class:`AtcError` naming the
+        digest.
         """
         digest = chat_request_digest(request)
         data = self._read("chat", digest)
         if data is None:
             return None
-        start = 0
-        for chunk in (*request._record_start, _CHAT_RECORD_MIDDLE):
-            if not data.startswith(chunk, start):
-                break
-            start += len(chunk)
+        context = request._context
+        if context is not None and data.startswith(_CONTEXT_RECORD_HEAD):
+            chunks = _context_record_start(request)
         else:
-            if data.endswith(_CHAT_RECORD_END):
-                try:
-                    response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
-                except ValueError:
-                    pass  # parsed whole below, which reports it
-                else:
-                    return _record_answer({"response": response}, digest)
+            context, chunks = None, request._record_start
+        start = _after(data, (*chunks, _CHAT_RECORD_MIDDLE))
+        if start is not None and data.endswith(_CHAT_RECORD_END):
+            try:
+                response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
+            except ValueError:
+                pass  # parsed whole below, which reports it
+            else:
+                if context is not None:
+                    self._check_context(context)
+                return _record_answer({"response": response}, digest)
         record = self._parse("chat", digest, data)
         answer = _record_answer(record, digest)
-        _check_record_request(record, request, digest)
+        self._check_record_request(record, request, digest)
         return answer
 
     def put_chat(self, request: ChatRequest, response: ChatResponse) -> None:
@@ -414,14 +468,71 @@ class ResponseStore:
 
         Its bytes are :func:`_render_record` of ``{"request", "response"}``,
         made from the record bytes the request keeps, so that
-        :meth:`get_chat` reads back exactly what was written.
+        :meth:`get_chat` reads back exactly what was written. The record of a
+        request extended from a shared round context names the context's
+        file, written first, once per context request.
         """
         usage = {"prompt_tokens": response.usage.prompt_tokens, "completion_tokens": response.usage.completion_tokens}
         answer = json.dumps({"text": response.text, "usage": usage}, sort_keys=True, ensure_ascii=False, indent=2)
         # A JSON string holds no raw newline, so this indents only the layout.
         answer = answer.replace("\n", "\n  ").encode("utf-8")
-        record = [*request._key()[1], _CHAT_RECORD_MIDDLE, answer, _CHAT_RECORD_END]
-        self._write("chat", chat_request_digest(request), b"".join(record))
+        context = request._context
+        if context is None:
+            start = request._key()[1]
+        else:
+            if context._checked is not self:
+                text = b"".join((*context._record_start, _CONTEXT_FILE_END))
+                self._write("chat-context", chat_request_digest(context), text)
+                object.__setattr__(context, "_checked", self)
+            start = _context_record_start(request)
+        record = b"".join((*start, _CHAT_RECORD_MIDDLE, answer, _CHAT_RECORD_END))
+        self._write("chat", chat_request_digest(request), record)
+
+    def _check_context(self, context: ChatRequest) -> None:
+        """Raise :class:`AtcError` naming the file unless the file of a shared round context holds it, byte for byte.
+
+        A match is kept on the context request, so each store reads the file once per round.
+        """
+        if context._checked is self:
+            return
+        digest = chat_request_digest(context)
+        data = self._read("chat-context", digest)
+        expected = (*context._record_start, _CONTEXT_FILE_END)
+        if data is None or _after(data, expected) != len(data):
+            state = "is missing" if data is None else "does not hold the round context of the request asked"
+            raise AtcError(f"chat context file {self._dirs['chat-context']}{digest}.json {state}")
+        object.__setattr__(context, "_checked", self)
+
+    def _check_record_request(self, record: dict, request: ChatRequest, digest: str) -> None:
+        """Raise :class:`AtcError` unless the chat record holds ``request``, field for field.
+
+        A record that names a context file holds the user text of the context
+        file's request followed by its ``user_text_rest``.
+        """
+        stored = record.get("request")
+        if not isinstance(stored, dict):
+            raise AtcError(f"malformed chat record {digest}: no 'request' object")
+        if "context" in stored:
+            name, rest = stored["context"], stored.get("user_text_rest")
+            # A digest, so that the name points into chat-context/ and nowhere else.
+            if not isinstance(name, str) or len(name) != 64 or name.strip("0123456789abcdef"):
+                raise AtcError(f"malformed chat record {digest}: its context is not a digest")
+            if not isinstance(rest, str):
+                raise AtcError(f"malformed chat record {digest}: no 'user_text_rest' string")
+            path = f"{self._dirs['chat-context']}{name}.json"
+            data = self._read("chat-context", name)
+            if data is None:
+                raise AtcError(f"chat record {digest} names the chat context file {path}, which is missing")
+            context = self._parse("chat-context", name, data).get("request")
+            if not isinstance(context, dict) or not isinstance(context.get("user_text"), str):
+                raise AtcError(f"malformed chat context file {path}: no 'request' object with a 'user_text' string")
+            stored = {**context, "user_text": context["user_text"] + rest}
+        for name, value in _request_fields(request, request.user_text).items():
+            if name not in stored:
+                raise AtcError(f"malformed chat record {digest}: no {name!r} field")
+            # The type too: 1024 and 1024.0 are different requests with different digests.
+            if type(stored[name]) is not type(value) or stored[name] != value:
+                raise AtcError(f"chat record {digest} was recorded for another request: its {name} differs")
 
     def get_embedding(self, digest: str) -> tuple[float, ...] | None:
         """The vector stored for ``digest``, bit for bit as it was stored, or None.
@@ -567,17 +678,20 @@ def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
     return text, Usage(*counts)
 
 
-def _check_record_request(record: dict, request: ChatRequest, digest: str) -> None:
-    """Raise :class:`AtcError` unless the chat record holds ``request``, field for field."""
-    stored = record.get("request")
-    if not isinstance(stored, dict):
-        raise AtcError(f"malformed chat record {digest}: no 'request' object")
-    for name, value in _request_fields(request, request.user_text).items():
-        if name not in stored:
-            raise AtcError(f"malformed chat record {digest}: no {name!r} field")
-        # The type too: 1024 and 1024.0 are different requests with different digests.
-        if type(stored[name]) is not type(value) or stored[name] != value:
-            raise AtcError(f"chat record {digest} was recorded for another request: its {name} differs")
+def _context_record_start(request: ChatRequest) -> tuple[bytes, ...]:
+    """The record bytes of a request extended from a shared round context, up to the end of its own escaped part."""
+    context = request._context
+    return (context._shared, *request._record_start[len(context._record_start) :])
+
+
+def _after(data: bytes, chunks: Iterable[bytes]) -> int | None:
+    """Where ``data`` goes on after starting with ``chunks``, one after another; None if it does not."""
+    start = 0
+    for chunk in chunks:
+        if not data.startswith(chunk, start):
+            return None
+        start += len(chunk)
+    return start
 
 
 def _record_vector(record: dict, digest: str) -> tuple[float, ...]:
@@ -1039,7 +1153,8 @@ class Gateway:
     def chat(self, request: ChatRequest) -> ChatResponse:
         if self.chat_backend is None:
             raise GatewayConfigError("no chat backend configured")
-        if not request.user_text:
+        # An extended request's text is not joined for this: it is empty exactly when each of its parts is.
+        if not any(request._text_parts or (request.user_text,)):
             raise ValueError("cannot ask with empty user text")
         response = self._with_retry(lambda: self.chat_backend.complete(request))
         self.counts["chat", response.backend_tag] += 1

@@ -147,6 +147,7 @@ MAX_RETRIES = 2
 MAX_OUTPUT_TOKENS = 1024
 
 _MARKER_RE = re.compile(r"^\s*(?:[-*•]+\s*)?(?:\(?\d+\)?\s*[.):\-]\s*)?")
+_SPACE_RE = re.compile(r"\s+")
 _LABEL_ALIASES = {
     "major claim": Label.MAJOR_CLAIM,
     "majorclaim": Label.MAJOR_CLAIM,
@@ -259,7 +260,7 @@ def build_prompt(
 
 
 def _match_label(core: str) -> Label | None:
-    normalized = re.sub(r"\s+", " ", core).strip().strip("\"'").rstrip(".").strip().lower()
+    normalized = _SPACE_RE.sub(" ", core).strip().strip("\"'").rstrip(".").strip().lower()
     return _LABEL_ALIASES.get(normalized)
 
 

@@ -87,6 +87,34 @@ def user_texts(prompt) -> tuple[str, ...]:
     return tuple("".join(prompt.pieces) + instruction for instruction in prompt.instructions)
 
 
+# How a chat record that names a context file starts, up to that file's digest; how it goes on
+# after the digest, up to the escaped rest of its user text; how a context file ends after its escaped user text.
+CONTEXT_RECORD_HEAD = b'{\n  "request": {\n    "context": "'
+CONTEXT_RECORD_REST = b'",\n    "user_text_rest": "'
+CONTEXT_FILE_END = b'"\n  }\n}\n'
+
+
+def inline_chat_record(store: Path, data: bytes) -> bytes:
+    """The bytes of the chat record ``data`` of ``store`` as a request built whole gets them.
+
+    A record that names a context file gets its bytes up to the escaped rest
+    of its user text replaced by the context file's bytes up to the end of
+    its escaped user text; any other record is returned as it is.
+    """
+    if not data.startswith(CONTEXT_RECORD_HEAD):
+        return data
+    end = len(CONTEXT_RECORD_HEAD) + 64  # of the context file's digest
+    assert data.startswith(CONTEXT_RECORD_REST, end)
+    context = (store / "chat-context" / f"{data[end - 64 : end].decode('ascii')}.json").read_bytes()
+    assert context.endswith(CONTEXT_FILE_END)
+    return context[: -len(CONTEXT_FILE_END)] + data[end + len(CONTEXT_RECORD_REST) :]
+
+
+def inline_chat_records(store: Path) -> dict[str, bytes]:
+    """Every chat record of ``store`` by its file name, as :func:`inline_chat_record` rebuilds it."""
+    return {path.name: inline_chat_record(store, path.read_bytes()) for path in (store / "chat").iterdir()}
+
+
 class MappingEmbeddingBackend:
     """Mock embeddings from an explicit text-to-vector mapping."""
 

@@ -23,6 +23,7 @@ from atc_icl.corpus import Label, load_corpus
 from atc_icl.errors import AtcError
 from atc_icl.gateway import Usage
 from atc_icl.synth import SPLIT_FILE_NAME
+from conftest import CONTEXT_RECORD_HEAD, inline_chat_records
 
 
 @pytest.fixture()
@@ -781,6 +782,9 @@ def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
     assert tree_bytes(tmp_path) == before
 
 
+ONE_BY_ONE = {"mode": "one_by_one", "fts": True}
+
+
 def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations(runner, small_dir, small_corpus,
                                                                                   tmp_path):
     changed = tmp_path / "changed"
@@ -798,21 +802,84 @@ def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations
                                                        encoding="utf-8")
     store = tmp_path / "store"
     backend = {"chat": "cache", "cache_upstream": "mock", "store_dir": str(store)}
-    icl = {"mode": "one_by_one", "fts": True}
     requests = []
     for name, corpus_dir in (("first", small_dir), ("second", changed)):
-        config = write_config(tmp_path / f"{name}.yaml", corpus_dir, tmp_path / name, icl=icl, backend=backend)
+        config = write_config(tmp_path / f"{name}.yaml", corpus_dir, tmp_path / name, icl=ONE_BY_ONE, backend=backend)
         assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
         assert (tmp_path / name / "records.jsonl").read_bytes() == (tmp_path / "first" / "records.jsonl").read_bytes()
         manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["backend_tags_used"] == ["mock"]  # no request of the second run is one of the first's
-        requests.append({path.name: json.loads(path.read_text(encoding="utf-8"))["request"]["user_text"]
-                         for path in (store / "chat").iterdir()})
+        requests.append({name: json.loads(data)["request"]["user_text"]
+                         for name, data in inline_chat_records(store).items()})
     first, both = requests
     assert len(both) == 2 * len(first) == 2 * manifest["chat_calls"]
     second = [text for digest, text in both.items() if digest not in first]
     assert all(any(line in text for line in lines) for text in second)
     assert not any(line in text for line in lines for text in first.values())
+
+
+def test_a_replayed_one_by_one_run_never_joins_a_user_text(runner, small_dir, tmp_path, monkeypatch):
+    joins, real_getattr = [], gateway.ChatRequest.__getattr__
+
+    def counting_getattr(request, name):
+        joins.append(name)
+        return real_getattr(request, name)
+
+    monkeypatch.setattr(gateway.ChatRequest, "__getattr__", counting_getattr)
+    store = str(tmp_path / "store")
+    counts = []
+    for name, backend in (("recorded", {"chat": "cache", "cache_upstream": "mock", "store_dir": store}),
+                          ("replayed", {"chat": "replay", "store_dir": store})):
+        joins.clear()
+        config = write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl=ONE_BY_ONE, backend=backend)
+        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        counts.append(joins.count("user_text"))
+    records = [(tmp_path / name / "records.jsonl").read_bytes() for name in ("recorded", "replayed")]
+    assert records[0] == records[1]
+    manifest = json.loads((tmp_path / "recorded" / "manifest.json").read_text(encoding="utf-8"))
+    assert counts == [manifest["chat_calls"], 0]  # the mock reads each request's text; the replay reads none
+
+
+def test_a_store_of_inline_and_context_records_resumes_and_replays_to_the_same_records(runner, small_dir, tmp_path,
+                                                                                       monkeypatch):
+    def config(name, **backend):
+        return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl=ONE_BY_ONE,
+                            backend={"store_dir": str(tmp_path / "store"), **backend})
+
+    def run(path):
+        assert runner.invoke(main, ["run", "--config", str(path)], catch_exceptions=False).exit_code == 0
+
+    recorded = write_config(tmp_path / "recorded.yaml", small_dir, tmp_path / "recorded", icl=ONE_BY_ONE,
+                            backend={"chat": "cache", "cache_upstream": "mock", "store_dir": str(tmp_path / "first")})
+    run(recorded)
+    full = (tmp_path / "recorded" / "records.jsonl").read_bytes()
+    # Every other request's record as a store written before context files holds it: inline.
+    inline = inline_chat_records(tmp_path / "first")
+    (tmp_path / "store" / "chat").mkdir(parents=True)
+    for name in sorted(inline)[::2]:
+        (tmp_path / "store" / "chat" / name).write_bytes(inline[name])
+    cache = config("resumed", chat="cache", cache_upstream="mock")
+    real_run_ensemble, started = cli.run_ensemble, []
+
+    def stops_before_the_second_essay(query, *args, **kwargs):
+        if started:
+            raise RuntimeError("interrupted")
+        started.append(query.essay_id)
+        return real_run_ensemble(query, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_ensemble", stops_before_the_second_essay)
+        assert isinstance(runner.invoke(main, ["run", "--config", str(cache)]).exception, RuntimeError)
+    assert len((tmp_path / "resumed" / "records.jsonl").read_bytes().splitlines()) == 1
+    run(cache)
+    assert (tmp_path / "resumed" / "records.jsonl").read_bytes() == full
+    layouts = {path.read_bytes().startswith(CONTEXT_RECORD_HEAD) for path in (tmp_path / "store" / "chat").iterdir()}
+    assert layouts == {False, True}
+    assert inline_chat_records(tmp_path / "store") == inline
+    run(config("replayed", chat="replay"))
+    assert (tmp_path / "replayed" / "records.jsonl").read_bytes() == full
+    manifest = json.loads((tmp_path / "replayed" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["backend_tags_used"] == ["replay"]
 
 
 @pytest.mark.parametrize("name", ["CLASS_DEFINITIONS_HEADER", "TRAIN_COUNTS_LINE", "EXAMPLE_HEADER", "TITLE_LINE",

@@ -546,10 +546,10 @@ def test_a_run_renders_and_escapes_each_recurring_piece_once(monkeypatch):
     queries = [simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM, Label.PREMISE]) for i in range(3)]
     calls = sum(len(ask_one_by_one(query, pool, cache)[1]) for query in queries)
     assert sorted(rendered) == sorted(set(rendered)) == sorted(e.essay_id for e in cache.bodies)
-    # Each piece once for the run (a body, a header, a query section), and each call's instruction for that call.
+    # Each piece once for the run: a body, a header, a query section, and an instruction, which many calls share.
     counts = Counter(escaped)
     assert all(counts[piece] == 1 for piece in cache.escapes)
     assert sum(piece.startswith("## Query essay") for piece in cache.escapes) == len(queries)
-    instructions = counts.keys() - cache.escapes.keys() - {""}  # "": the empty user text of each essay's first request
-    assert all(text.startswith("Which class is") for text in instructions)
-    assert sum(counts[text] for text in instructions) == calls
+    assert counts.keys() - cache.escapes.keys() == {""}  # "": the empty user text of each essay's first request
+    instructions = [piece for piece in cache.escapes if piece.startswith("Which class is")]
+    assert len(instructions) == 2 and calls == 3 * 3 * 2  # components 1 and 2 of 2, asked 3 rounds of 3 queries

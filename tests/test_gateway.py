@@ -12,11 +12,12 @@ import re
 import struct
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from atc_icl import gateway as gateway_module
 from atc_icl.errors import AtcError
@@ -47,7 +48,7 @@ from atc_icl.gateway import (
     chat_request_digest,
     embedding_digest,
 )
-from conftest import MappingEmbeddingBackend, OpenAIServer
+from conftest import MappingEmbeddingBackend, OpenAIServer, inline_chat_record
 
 
 def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
@@ -637,6 +638,177 @@ def test_the_fixture_recorded_again_gets_its_committed_names_and_bytes(tmp_path,
         assert sorted(path.name for path in (tmp_path / kind).iterdir()) == names
 
 
+def shared_round(context="shared \"context\" café  \n\n", rests=("Which is 1?", "Which is 2?", "Which is 3?"),
+                 system="sys"):
+    """A round context that several requests share, marked so, and the request of each of ``rests``."""
+    head = ChatRequest(system_text=system, user_text="", model_name="gpt-4", temperature=0.7, max_output_tokens=256)
+    shared = head.extend([context], shared=True)
+    return shared, [shared.extend([rest]) for rest in rests]
+
+
+def context_file_bytes(shared):
+    """What a shared round context's file holds: the record of its request, with no response."""
+    fields = {"model_name": shared.model_name, "system_text": shared.system_text, "user_text": shared.user_text,
+              "temperature": shared.temperature, "max_output_tokens": shared.max_output_tokens}
+    return canonical({"request": fields})
+
+
+@given(context=KEY_TEXT, rests=st.lists(KEY_TEXT, min_size=2, max_size=3), system=KEY_TEXT, text=KEY_TEXT)
+def test_a_shared_rounds_records_rebuild_the_records_of_requests_built_whole(context, rests, system, text):
+    shared, requests = shared_round(context, rests, system)
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        store = ResponseStore(root)
+        for request in requests:
+            store.put_chat(request, ChatResponse(text, Usage(5, 2), BackendTag.LIVE))
+        (context_file,) = (root / "chat-context").iterdir()
+        assert context_file.name == f"{chat_request_digest(shared)}.json"
+        assert context_file.read_bytes() == context_file_bytes(shared)
+        for request, rest in zip(requests, rests):
+            data = (root / "chat" / f"{chat_request_digest(request)}.json").read_bytes()
+            answer = {"text": text, "usage": {"prompt_tokens": 5, "completion_tokens": 2}}
+            assert data == canonical({"request": {"context": context_file.stem, "user_text_rest": rest},
+                                      "response": answer})
+            assert inline_chat_record(root, data) == canonical(chat_record(request, text, Usage(5, 2)))
+        # A new round over the same context reads its file once, and parses no record whole.
+        _, again = shared_round(context, rests, system)
+        store = ResponseStore(root)
+        real_read, reads = store._read, []
+        store._read = lambda kind, digest: reads.append(kind) or real_read(kind, digest)
+        store._parse = no_full_parse
+        assert [store.get_chat(request) for request in again] == [(text, Usage(5, 2))] * len(rests)
+        assert reads.count("chat-context") == 1 and reads.count("chat") == len(rests)
+        assert not any("user_text" in vars(request) for request in again)  # served without joining a text
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_cut_context_file_or_record_is_refused_naming_it_or_serves_its_whole_answer(data):
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        store = ResponseStore(root)
+        _, requests = shared_round()
+        for j, request in enumerate(requests):
+            store.put_chat(request, ChatResponse(f"{j + 1}. Claim", Usage(j, 1), BackendTag.LIVE))
+        path = data.draw(st.sampled_from(sorted((root / "chat-context").iterdir()) + sorted((root / "chat").iterdir())))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: data.draw(st.integers(0, len(whole) - 1))])
+        _, again = shared_round()
+        store = ResponseStore(root)
+        for j, request in enumerate(again):
+            try:
+                answer = store.get_chat(request)
+            except AtcError as exc:
+                assert path.stem in str(exc)  # its digest, or its path
+            else:
+                assert answer == (f"{j + 1}. Claim", Usage(j, 1))
+
+
+@pytest.mark.parametrize("edit, state", [(lambda path, other: path.write_bytes(other.read_bytes()),
+                                          "does not hold the round context of the request asked"),
+                                         (lambda path, other: path.unlink(), "is missing")],
+                         ids=["another-rounds", "missing"])
+def test_a_record_whose_context_file_does_not_hold_its_rounds_context_is_refused_naming_it(tmp_path, edit, state):
+    store = ResponseStore(tmp_path)
+    (first, firsts), (second, seconds) = shared_round("first context\n"), shared_round("second context\n")
+    for request in firsts + seconds:
+        store.put_chat(request, ChatResponse("1. Claim", Usage(3, 1), BackendTag.LIVE))
+    path, other = (tmp_path / "chat-context" / f"{chat_request_digest(shared)}.json" for shared in (first, second))
+    edit(path, other)
+    upstream = CountingChatBackend()
+    for backend in (StoreChatBackend(ResponseStore(tmp_path)), StoreChatBackend(ResponseStore(tmp_path), upstream)):
+        _, again = shared_round("first context\n")
+        with pytest.raises(AtcError, match=f"^chat context file {re.escape(str(path))} {state}$"):
+            backend.complete(again[0])
+    assert upstream.calls == 0
+    _, again = shared_round("second context\n")
+    assert ResponseStore(tmp_path).get_chat(again[0]) == ("1. Claim", Usage(3, 1))
+
+
+def test_a_record_that_names_another_context_file_is_refused_naming_its_digest(tmp_path):
+    store = ResponseStore(tmp_path)
+    (_, firsts), (_, seconds) = shared_round("first context\n"), shared_round("second context\n")
+    for request in firsts + seconds:
+        store.put_chat(request, ChatResponse("1. Claim", Usage(3, 1), BackendTag.LIVE))
+    for copied, request in ((firsts[1], firsts[0]), (seconds[0], firsts[0])):  # of its round, and of another
+        digest = chat_request_digest(request)
+        target = tmp_path / "chat" / f"{digest}.json"
+        target.write_bytes((tmp_path / "chat" / f"{chat_request_digest(copied)}.json").read_bytes())
+        _, again = shared_round("first context\n")
+        with pytest.raises(AtcError, match=f"^chat record {digest} was recorded for another request: its user_text "):
+            ResponseStore(tmp_path).get_chat(again[0])
+
+
+@pytest.mark.parametrize("context, message", [(".." + "0" * 62, "its context is not a digest"),
+                                              (None, "its context is not a digest"),
+                                              ("0" * 64, "names the chat context file .*, which is missing")])
+def test_a_record_that_names_no_context_file_of_the_store_is_refused(tmp_path, context, message):
+    request = req()
+    record = {"request": {"context": context, "user_text_rest": "this"},
+              "response": {"text": "1. Claim", "usage": {"prompt_tokens": 3, "completion_tokens": 1}}}
+    digest = write_record(tmp_path, request, canonical(record))
+    with pytest.raises(AtcError, match=f"chat record {digest}.* {message}"):
+        ResponseStore(tmp_path).get_chat(request)
+
+
+def test_two_threads_that_write_one_rounds_context_at_once_leave_one_file_of_its_bytes(tmp_path, monkeypatch):
+    barrier, real_replace = threading.Barrier(2, timeout=30), os.replace
+
+    def replace(src, dst):
+        if "chat-context" in str(dst):
+            barrier.wait()  # both temp files are written before either is renamed
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    backend = StoreChatBackend(ResponseStore(tmp_path), CountingChatBackend())
+    # Each thread holds the round's context as a request of its own, so each writes its file.
+    (first, firsts), (_, seconds) = shared_round(), shared_round()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert [r.backend_tag for r in pool.map(backend.complete, [firsts[0], seconds[1]], timeout=60)] == \
+            [BackendTag.LIVE] * 2
+    (context_file,) = (tmp_path / "chat-context").iterdir()
+    assert context_file.read_bytes() == context_file_bytes(first)
+    assert all(path.suffix == ".json" for kind in ("chat", "chat-context") for path in (tmp_path / kind).iterdir())
+    _, again = shared_round()
+    assert [backend.complete(again[j]).backend_tag for j in (0, 1)] == [BackendTag.CACHE] * 2
+
+
+def test_a_one_instruction_round_or_a_request_built_whole_keeps_its_record_inline(tmp_path):
+    store = ResponseStore(tmp_path)
+    head = req(user="")
+    for request in (head.extend(["shared context\n"]).extend(["classify this"]), req(user="classify that")):
+        store.put_chat(request, ChatResponse("1. Claim", Usage(3, 1), BackendTag.LIVE))
+        data = (tmp_path / "chat" / f"{chat_request_digest(request)}.json").read_bytes()
+        assert data == canonical(chat_record(request, "1. Claim", Usage(3, 1)))
+    assert not (tmp_path / "chat-context").exists()
+
+
+def test_an_inline_record_serves_a_request_of_a_shared_round_and_a_context_record_one_built_whole(tmp_path):
+    """Records written before context files replay a one-by-one round; a context record replays a direct request."""
+    _, requests = shared_round()
+    write_record(tmp_path, requests[0], canonical(chat_record(requests[0], "1. Claim", Usage(3, 1))))
+    store = ResponseStore(tmp_path)
+    store._parse = no_full_parse
+    assert store.get_chat(requests[0]) == ("1. Claim", Usage(3, 1))
+    assert not (tmp_path / "chat-context").exists()
+    store.put_chat(requests[1], ChatResponse("2. Premise", Usage(4, 1), BackendTag.LIVE))
+    whole = dataclasses.replace(requests[1])
+    assert whole._text_parts is None and whole == requests[1]
+    assert ResponseStore(tmp_path).get_chat(whole) == ("2. Premise", Usage(4, 1))
+
+
+def test_an_extended_request_joins_its_user_text_when_it_is_first_read():
+    shared = req(user="shared ").extend(["context "], shared=True)
+    request = shared.extend(["classify ", "this"])
+    assert "user_text" not in vars(request) and "user_text" not in vars(shared)
+    assert request == req(user="shared context classify this")  # equality reads it
+    assert vars(request)["user_text"] == "shared context classify this"
+    assert request.user_text is vars(request)["user_text"]  # joined once, then kept
+    assert "user_text" not in vars(shared)
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        request.other  # noqa: B018
+
+
 def test_replay_only_gateway_performs_zero_network_calls(tmp_path):
     store = ResponseStore(tmp_path / "store")
     StoreChatBackend(store, CountingChatBackend()).complete(req())
@@ -801,10 +973,13 @@ def test_embed_empty_text_rejected():
 def test_chat_refuses_an_empty_user_text_before_any_backend_is_called():
     backend = CountingChatBackend()
     gateway = Gateway(chat_backend=backend)
-    for request in (req(user=""), req(user="").extend([]), req(user="").extend([""])):
+    shared = req(user="").extend(["", ""], shared=True)
+    for request in (req(user=""), req(user="").extend([]), req(user="").extend([""]), shared.extend([""])):
         with pytest.raises(ValueError, match="cannot ask with empty user text"):
             gateway.chat(request)
+        assert request._text_parts is None or "user_text" not in vars(request)  # told without joining it
     assert backend.calls == 0 and not gateway.counts
+    assert gateway.chat(shared.extend(["", "x"])).text == "1. Premise" and backend.calls == 1
 
 
 def test_hash_embeddings_are_deterministic_and_unit_norm():
