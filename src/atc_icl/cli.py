@@ -26,7 +26,7 @@ from . import __version__, features, prompting
 from .config import BackendConfig, RunConfig, config_digest, load_run_config, run_label
 from .corpus import Corpus, Essay, LABELS, Split, compute_stats, load_corpus
 from .ensemble import STANDARD_K, STANDARD_N_ROUNDS, PredictionRecord, PromptCache, run_ensemble
-from .errors import AtcError
+from .errors import AtcError, ConfigError
 from .gateway import (
     BackendTag,
     Gateway,
@@ -64,11 +64,21 @@ def make_gateway(config: RunConfig, corpus: Corpus | None) -> Gateway:
     keeps one keep-alive connection for each thread that posts, so the
     ``workers`` threads of a live run bound its connections. The gateway owns
     the session: close it when the run is done. It reads the proxy here, so a
-    bad proxy variable is refused first. Given no corpus, it wires no chat side,
-    so an embedding-only caller builds no chat mock and no session for it.
+    bad proxy variable is refused first, and so is a ``store_dir`` that is, or
+    lies under, something other than a directory. Given no corpus, it wires no
+    chat side, so an embedding-only caller builds no chat mock and no session
+    for it.
     """
     backend = config.backend
-    store = ResponseStore(backend.store_dir) if backend.store_dir else None
+    store = None
+    if backend.store_dir:
+        # Checked on the nearest part of the path that exists, as a store's first read or write would fail there.
+        existing = backend.store_dir
+        while not existing.exists() and existing != existing.parent:
+            existing = existing.parent
+        if not existing.is_dir():
+            raise ConfigError(f"backend.store_dir {backend.store_dir} cannot hold a store: {existing} is not a directory")
+        store = ResponseStore(backend.store_dir)
 
     chat_kind = _chat_upstream(backend) if corpus is not None else None
     embed_kind = backend.embedding_upstream if backend.embedding == "cache" else backend.embedding

@@ -57,6 +57,9 @@ class Label(Enum):
     CLAIM = "Claim"
     PREMISE = "Premise"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is Python code run on every vote.
+    __hash__ = object.__hash__
+
     @property
     def display_name(self) -> str:
         return "Major Claim" if self is Label.MAJOR_CLAIM else self.value

@@ -8,7 +8,8 @@ itself: it sends the round's calls, retries malformed answers and parses
 them, while the ``prompting`` module renders the texts. A round's requests
 are extended from one request over the round's prompt pieces; a
 :class:`PromptCache` keeps the pieces that recur across a run's essays, and
-their escapes, so each is rendered and escaped once per run. Final labels
+their escapes, so each is rendered and escaped once per run, and the labels
+of each answer text, so a recurring answer is parsed once. Final labels
 come from a per-component majority vote over the rounds, ties broken by
 train-set frequency: Premise > Claim > Major Claim.
 """
@@ -130,16 +131,20 @@ class PromptCache:
     """The prompt pieces that recur across one run's essays, each made once.
 
     ``bodies`` is the memo of demonstration bodies that
-    :func:`prompting.build_prompt` fills, keyed by the essays themselves, and
+    :func:`prompting.build_prompt` fills, keyed by the essays themselves,
     ``escapes`` the memo of piece escapes that :meth:`gateway.ChatRequest.extend`
-    fills, keyed by the piece's text. ``cli.run_experiment`` makes one for
-    each run, so no piece outlives the corpus and prompt texts of its run. The
-    threads of a live run share it: two that miss the same piece at once each
-    make it, and equal text is kept.
+    fills, keyed by the piece's text, and ``parsed`` the memo of the labels
+    :func:`prompting.parse_response` read from an answer, keyed by the
+    answer's text and the label count asked; an answer that does not parse is
+    not kept, so it is parsed, and refused, each time. ``cli.run_experiment``
+    makes one for each run, so no piece outlives the corpus and prompt texts
+    of its run. The threads of a live run share it: two that miss the same
+    piece at once each make it, and equal values are kept.
     """
 
     bodies: dict[Essay, str] = field(default_factory=dict)
     escapes: dict[str, bytes] = field(default_factory=dict)
+    parsed: dict[tuple[str, int], tuple[Label, ...]] = field(default_factory=dict)
 
 
 def derive_round_seed(run_seed: int, essay_id: str, round_index: int, purpose: str) -> int:
@@ -181,9 +186,9 @@ def run_ensemble(
     hashes only its own instruction, and a round of several instructions
     marks that request as shared (see :meth:`ChatRequest.extend`), so a
     store files the context once. Instructions and the reminder are escaped
-    through ``cache`` too. A round whose answer stays unparseable aborts the
-    whole essay with :class:`RoundFailed`; partial votes are never
-    aggregated.
+    through ``cache`` too, and answers parsed through it. A round whose
+    answer stays unparseable aborts the whole essay with
+    :class:`RoundFailed`; partial votes are never aggregated.
 
     ``cache`` is the run's :class:`PromptCache`; without one, the pieces are
     kept for this essay alone.
@@ -211,13 +216,19 @@ def run_ensemble(
         for instruction in prompt.instructions:
             request = context.extend([instruction], cache.escapes)
             for _ in range(MAX_RETRIES + 1):
-                texts.append(gateway.chat(request).text)
-                try:
-                    labels += parse_response(texts[-1], prompt.answer_lines)
-                    break
-                except (CountMismatch, UnknownLabel) as exc:
-                    error = exc
-                    request = context.extend([instruction, prompt.reminder], cache.escapes)
+                text = gateway.chat(request).text
+                texts.append(text)
+                parsed = cache.parsed.get((text, prompt.answer_lines))
+                if parsed is None:
+                    try:
+                        parsed = tuple(parse_response(text, prompt.answer_lines))
+                    except (CountMismatch, UnknownLabel) as exc:
+                        error = exc
+                        request = context.extend([instruction, prompt.reminder], cache.escapes)
+                        continue
+                    cache.parsed[text, prompt.answer_lines] = parsed
+                labels += parsed
+                break
             else:
                 raise RoundFailed(
                     f"{query.essay_id}: round {round_index} failed: no parseable answer after "

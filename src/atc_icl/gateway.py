@@ -117,6 +117,9 @@ class BackendTag(Enum):
     REPLAY = "replay"
     MOCK = "mock"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is Python code run on every count.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Usage:
@@ -142,6 +145,8 @@ def _render_record(record: dict) -> str:
 # up to its response, and how it ends after the response.
 _CHAT_RECORD_MIDDLE = b'"\n  },\n  "response": '
 _CHAT_RECORD_END = b"\n}\n"
+# Decodes one JSON value that starts at the first character: json.loads with no leading whitespace skipped.
+_decode_json = json.JSONDecoder().raw_decode
 # How the record of a request extended from a shared round context starts, up
 # to the digest that names the context's file, and goes on up to the escaped
 # rest of its user text; and how a context file ends after its escaped user text.
@@ -397,23 +402,31 @@ class ResponseStore:
         self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
     def _read(self, kind: str, digest: str) -> bytes | None:
+        """The bytes of a record, or None when there is no such file.
+
+        Any other failure to read it (a directory in its place, a permission
+        or I/O error) raises :class:`AtcError` naming the file.
+        """
         # os.read of the fstat size skips the buffered file object; a short
         # read goes on to EOF.
+        path = f"{self._dirs[kind]}{digest}.json"
         try:
-            fd = os.open(f"{self._dirs[kind]}{digest}.json", os.O_RDONLY)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                size = os.fstat(fd).st_size
+                data = os.read(fd, size)
+                if len(data) < size:
+                    chunks = [data]
+                    while chunk := os.read(fd, size):
+                        chunks.append(chunk)
+                    data = b"".join(chunks)
+                return data
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             return None
-        try:
-            size = os.fstat(fd).st_size
-            data = os.read(fd, size)
-            if len(data) < size:
-                chunks = [data]
-                while chunk := os.read(fd, size):
-                    chunks.append(chunk)
-                data = b"".join(chunks)
-            return data
-        finally:
-            os.close(fd)
+        except OSError as exc:
+            raise AtcError(f"cannot read store record {path}: {exc.strerror or exc}") from exc
 
     def _parse(self, kind: str, digest: str, data: bytes) -> dict:
         try:
@@ -443,21 +456,23 @@ class ResponseStore:
         data = self._read("chat", digest)
         if data is None:
             return None
+        # A record naming the context's file holds its _shared in place of the context's own chunks.
         context = request._context
-        if context is not None and data.startswith(_CONTEXT_RECORD_HEAD):
-            chunks = _context_record_start(request)
+        if context is not None and data.startswith(context._shared):
+            start = _after(data, request._record_start, len(context._record_start), len(context._shared))
         else:
-            context, chunks = None, request._record_start
-        start = _after(data, (*chunks, _CHAT_RECORD_MIDDLE))
-        if start is not None and data.endswith(_CHAT_RECORD_END):
+            context, start = None, _after(data, request._record_start)
+        if start is not None and data.startswith(_CHAT_RECORD_MIDDLE, start) and data.endswith(_CHAT_RECORD_END):
             try:
-                response = json.loads(data[start : -len(_CHAT_RECORD_END)].decode("utf-8"))
+                answer = data[start + len(_CHAT_RECORD_MIDDLE) : -len(_CHAT_RECORD_END)].decode("utf-8")
+                response, end = _decode_json(answer)
             except ValueError:
                 pass  # parsed whole below, which reports it
             else:
-                if context is not None:
-                    self._check_context(context)
-                return _record_answer({"response": response}, digest)
+                if end == len(answer):
+                    if context is not None:
+                        self._check_context(context)
+                    return _response_answer(response, digest)
         record = self._parse("chat", digest, data)
         answer = _record_answer(record, digest)
         self._check_record_request(record, request, digest)
@@ -678,19 +693,35 @@ def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
     return text, Usage(*counts)
 
 
+def _response_answer(response: object, digest: str) -> tuple[str, Usage]:
+    """The answer of a chat record's parsed ``response``, as :func:`_record_answer` reads it.
+
+    The shape :meth:`ResponseStore.put_chat` writes is checked here, with no
+    record wrapped around it; :func:`_record_answer` reports any other.
+    """
+    try:
+        text, usage = response["text"], response["usage"]
+        prompt_tokens, completion_tokens = usage["prompt_tokens"], usage["completion_tokens"]
+    except (KeyError, TypeError):
+        pass
+    else:
+        if type(text) is str and type(prompt_tokens) is int and type(completion_tokens) is int:
+            return text, Usage(prompt_tokens, completion_tokens)
+    return _record_answer({"response": response}, digest)
+
+
 def _context_record_start(request: ChatRequest) -> tuple[bytes, ...]:
     """The record bytes of a request extended from a shared round context, up to the end of its own escaped part."""
     context = request._context
     return (context._shared, *request._record_start[len(context._record_start) :])
 
 
-def _after(data: bytes, chunks: Iterable[bytes]) -> int | None:
-    """Where ``data`` goes on after starting with ``chunks``, one after another; None if it does not."""
-    start = 0
-    for chunk in chunks:
-        if not data.startswith(chunk, start):
+def _after(data: bytes, chunks: Sequence[bytes], first: int = 0, start: int = 0) -> int | None:
+    """Where ``data`` goes on after holding ``chunks[first:]``, one after another, from ``start``; None if it does not."""
+    for index in range(first, len(chunks)):
+        if not data.startswith(chunks[index], start):
             return None
-        start += len(chunk)
+        start += len(chunks[index])
     return start
 
 
@@ -1130,11 +1161,12 @@ class Gateway:
     tokens: Counter[str] = field(default_factory=Counter)
     session: HttpSession | None = None
 
-    def _with_retry(self, operation: Callable):
+    def _with_retry(self, operation: Callable, argument):
+        """``operation(argument)``, retried by :attr:`retry` on transport errors and 429s."""
         last: Exception | None = None
         for attempt in range(self.retry.attempts):
             try:
-                return operation()
+                return operation(argument)
             except (TransportError, RateLimited) as exc:
                 last = exc
                 retry_after = getattr(exc, "retry_after", None) or 0.0
@@ -1156,7 +1188,7 @@ class Gateway:
         # An extended request's text is not joined for this: it is empty exactly when each of its parts is.
         if not any(request._text_parts or (request.user_text,)):
             raise ValueError("cannot ask with empty user text")
-        response = self._with_retry(lambda: self.chat_backend.complete(request))
+        response = self._with_retry(self.chat_backend.complete, request)
         self.counts["chat", response.backend_tag] += 1
         self.tokens["prompt"] += response.usage.prompt_tokens
         self.tokens["completion"] += response.usage.completion_tokens
@@ -1167,7 +1199,7 @@ class Gateway:
             raise GatewayConfigError("no embedding backend configured")
         if not text:
             raise ValueError("cannot embed empty text")
-        vector, tag = self._with_retry(lambda: self.embedding_backend.embed(text))
+        vector, tag = self._with_retry(self.embedding_backend.embed, text)
         self.counts["embed", tag] += 1
         return vector
 

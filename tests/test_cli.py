@@ -548,6 +548,23 @@ def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_di
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["cache", "replay", "embed"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_a_store_dir_that_is_no_directory_is_refused_before_any_work(runner, small_dir, tmp_path, command, under):
+    blocker = tmp_path / "store"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    store_dir = blocker / "chat" if under else blocker
+    backend = {"cache": {"chat": "cache", "cache_upstream": "mock"}, "replay": {"chat": "replay"},
+               "embed": {"embedding": "cache", "embedding_upstream": "hash"}}[command]
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "run.yaml", small_dir, out_dir, backend={**backend, "store_dir": str(store_dir)})
+    result = runner.invoke(main, ["embed" if command == "embed" else "run", "--config", str(config)])
+    assert isinstance(result.exception, AtcError)
+    assert str(result.exception) == f"backend.store_dir {store_dir} cannot hold a store: {blocker} is not a directory"
+    assert not out_dir.exists()
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
     config = write_config(tmp_path / "k4.yaml", small_dir, tmp_path / "out", icl={"k": 4})
     result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)

@@ -553,3 +553,50 @@ def test_a_run_renders_and_escapes_each_recurring_piece_once(monkeypatch):
     assert counts.keys() - cache.escapes.keys() == {""}  # "": the empty user text of each essay's first request
     instructions = [piece for piece in cache.escapes if piece.startswith("Which class is")]
     assert len(instructions) == 2 and calls == 3 * 3 * 2  # components 1 and 2 of 2, asked 3 rounds of 3 queries
+
+
+def test_an_answer_parsed_for_one_label_count_is_still_refused_for_another():
+    cache = PromptCache()
+    one = simple_essay("q1", "Query topic 1", [Label.CLAIM])
+    two = simple_essay("q2", "Query topic 2", [Label.CLAIM, Label.PREMISE])
+    config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=1, prompt=prompt_config(), run_seed=0)
+    answers = ["1. Claim", "1. Claim", "1. Claim\n2. Premise"]
+    gateway = Gateway(chat_backend=ScriptedChatBackend(answers))
+    assert run_ensemble(one, make_pool(), config, gateway, cache=cache).rounds == ((Label.CLAIM,),)
+    record = run_ensemble(two, make_pool(), config, gateway, cache=cache)
+    assert record.rounds == ((Label.CLAIM, Label.PREMISE),)
+    assert record.responses == (("1. Claim", "1. Claim\n2. Premise"),)  # the first refused: 1 line of 2
+    assert cache.parsed == {("1. Claim", 1): (Label.CLAIM,), ("1. Claim\n2. Premise", 2): (Label.CLAIM, Label.PREMISE)}
+
+
+def test_a_malformed_answer_is_parsed_and_refused_each_time_it_comes(monkeypatch):
+    parsed, failed = [], []
+
+    def counting_parse(text, m):  # as the benchmark's tracer counts parse retries
+        parsed.append(text)
+        try:
+            return parse_response(text, m)
+        except (prompting.CountMismatch, UnknownLabel):
+            failed.append(text)
+            raise
+
+    monkeypatch.setattr(ensemble, "parse_response", counting_parse)
+    cache = PromptCache()
+    config = IclConfig(SelectionStrategy.KRN, k=2, n_rounds=2, prompt=prompt_config(), run_seed=0)
+    query = simple_essay("q", "Query topic", [Label.CLAIM])
+    gateway = Gateway(chat_backend=ScriptedChatBackend(["garbage", "1. Claim"] * 2))
+    record = run_ensemble(query, make_pool(), config, gateway, cache=cache)
+    assert record.responses == (("garbage", "1. Claim"),) * 2
+    assert failed == ["garbage", "garbage"]  # a retry in each round
+    assert parsed == ["garbage", "1. Claim", "garbage"]  # the good answer's labels come from the memo the 2nd time
+    assert list(cache.parsed) == [("1. Claim", 1)]
+
+
+def test_labels_and_backend_tags_hash_by_identity_and_ties_break_as_ranked():
+    assert Label.__hash__ is object.__hash__ and gateway_module.BackendTag.__hash__ is object.__hash__
+    # Whatever order a Counter meets tied labels in, the higher train-set frequency wins.
+    for order in itertools.permutations(LABELS):
+        for size in (2, 3):
+            tied = order[:size]
+            expected = max(tied, key=TIE_BREAK_RANK.__getitem__)
+            assert majority_vote(Counter(tied)) is majority_vote(list(tied) * 2) is expected

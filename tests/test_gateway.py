@@ -383,10 +383,22 @@ def test_corrupt_store_record_names_the_file(tmp_path):
         StoreChatBackend(store).complete(req())
 
 
+@pytest.mark.parametrize("kind", ["chat", "chat-context"])
+def test_a_record_that_cannot_be_read_names_the_file(tmp_path, kind):
+    context = ChatRequest("sys", "", "gpt-4").extend(["the round's context, "], shared=True)
+    request = context.extend(["classify this"])
+    ResponseStore(tmp_path).put_chat(request, ChatResponse("1. Premise", Usage(3, 2), BackendTag.LIVE))
+    path = tmp_path / kind / f"{chat_request_digest(request if kind == 'chat' else context)}.json"
+    path.unlink()
+    path.mkdir()  # a directory where the record should be
+    with pytest.raises(AtcError, match=f"^cannot read store record {re.escape(str(path))}: Is a directory$"):
+        StoreChatBackend(ResponseStore(tmp_path)).complete(context.extend(["classify this"]))
+
+
 _USAGE = {"prompt_tokens": 3, "completion_tokens": 2}
 
 
-@pytest.mark.parametrize(
+MALFORMED_RECORDS = pytest.mark.parametrize(
     "record, message",
     [({}, "no 'response' field"),
      ({"response": {"text": "1. Premise"}}, "no 'usage' field"),
@@ -407,6 +419,9 @@ _USAGE = {"prompt_tokens": 3, "completion_tokens": 2}
     ids=["empty", "no-usage", "no-text", "no-prompt-tokens", "no-completion-tokens", "response-not-a-mapping",
          "null-text", "list-text", "string-count", "float-count", "null-count", "bool-count"],
 )
+
+
+@MALFORMED_RECORDS
 def test_malformed_chat_record_names_its_digest(tmp_path, record, message):
     digest = chat_request_digest(req())
     path = tmp_path / "chat" / f"{digest}.json"
@@ -417,6 +432,40 @@ def test_malformed_chat_record_names_its_digest(tmp_path, record, message):
         with pytest.raises(AtcError, match=f"malformed chat record {digest}: {message}"):
             backend.complete(req())
     assert upstream.calls == 0
+
+
+@MALFORMED_RECORDS
+@pytest.mark.parametrize("layout", ["inline", "context"])
+def test_a_malformed_answer_in_the_layout_put_chat_writes_is_reported_as_a_whole_parse_reports_it(
+    tmp_path, monkeypatch, record, message, layout
+):
+    if layout == "inline":
+        request = req()
+    else:
+        context = ChatRequest("sys", "", "gpt-4").extend(["the round's context, "], shared=True)
+        request = context.extend(["classify this"])
+    store = ResponseStore(tmp_path)
+    store.put_chat(request, ChatResponse("1. Premise", Usage(3, 2), BackendTag.LIVE))  # and the context file
+    digest = chat_request_digest(request)
+    path = tmp_path / "chat" / f"{digest}.json"
+    written = json.loads(path.read_bytes())
+
+    def render(answer):
+        return (json.dumps({**answer, "request": written["request"]}, sort_keys=True, ensure_ascii=False, indent=2)
+                + "\n").encode("utf-8")
+
+    assert render({"response": written["response"]}) == path.read_bytes()  # the layout put_chat writes
+    path.write_bytes(render(record))
+    with pytest.raises(AtcError) as whole:
+        gateway_module._record_answer(record, digest)
+    assert re.fullmatch(f"malformed chat record {digest}: {message}.*", str(whole.value))
+    real_loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda data, **kwargs: parsed.append(data) or real_loads(data, **kwargs))
+    with pytest.raises(AtcError) as served:
+        ResponseStore(tmp_path).get_chat(request)
+    assert str(served.value) == str(whole.value)
+    # Every case with a response is refused in place, by the answer check alone; only "empty" is parsed whole.
+    assert len(parsed) == ("response" not in record)
 
 
 def test_store_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
@@ -598,8 +647,9 @@ def test_every_fixture_chat_record_is_served_without_a_full_parse(path, monkeypa
     assert chat_request_digest(keyed) == path.stem
     store = ResponseStore(path.parent.parent)
     expected = record["response"]["text"], Usage(**record["response"]["usage"])
-    real_loads, parsed = json.loads, []
+    real_loads, real_decode, parsed = json.loads, gateway_module._decode_json, []
     monkeypatch.setattr(json, "loads", lambda data, **kwargs: parsed.append(data) or real_loads(data, **kwargs))
+    monkeypatch.setattr(gateway_module, "_decode_json", lambda text: parsed.append(text) or real_decode(text))
     assert store.get_chat(keyed) == expected
     assert len(parsed) == 1 and '"request"' not in parsed[0]
 
