@@ -145,7 +145,7 @@ def _render_record(record: dict) -> str:
 # up to its response, and how it ends after the response.
 _CHAT_RECORD_MIDDLE = b'"\n  },\n  "response": '
 _CHAT_RECORD_END = b"\n}\n"
-# Decodes one JSON value that starts at the first character: json.loads with no leading whitespace skipped.
+# Decodes one JSON value that starts at the first character: json.loads with no whitespace skipped around it.
 _decode_json = json.JSONDecoder().raw_decode
 # How the record of a request extended from a shared round context starts, up
 # to the digest that names the context's file, and goes on up to the escaped
@@ -472,9 +472,11 @@ class ResponseStore:
                 if end == len(answer):
                     if context is not None:
                         self._check_context(context)
-                    return _response_answer(response, digest)
+                    return _record_answer(response, digest)
         record = self._parse("chat", digest, data)
-        answer = _record_answer(record, digest)
+        if not isinstance(record, dict) or "response" not in record:
+            raise AtcError(f"malformed chat record {digest}: no 'response' field")
+        answer = _record_answer(record["response"], digest)
         self._check_record_request(record, request, digest)
         return answer
 
@@ -676,38 +678,22 @@ def _distance_block(rows: list[bytes], decoder: struct.Struct) -> Iterator[bytes
     yield block
 
 
-def _record_answer(record: dict, digest: str) -> tuple[str, Usage]:
-    """The answer of a chat record: its response text and token counts."""
+def _record_answer(response: object, digest: str) -> tuple[str, Usage]:
+    """The answer of a chat record's parsed ``response``: its text and token counts."""
     try:
-        response = record["response"]
         text, usage = response["text"], response["usage"]
-        counts = usage["prompt_tokens"], usage["completion_tokens"]
-        if not isinstance(text, str):
-            raise TypeError(f"text is {type(text).__name__}, not a string")
-        if any(type(count) is not int for count in counts):
-            raise TypeError(f"token counts {counts} are not integers")
+        prompt_tokens, completion_tokens = usage["prompt_tokens"], usage["completion_tokens"]
     except KeyError as exc:
         raise AtcError(f"malformed chat record {digest}: no {exc} field") from None
     except TypeError as exc:
         raise AtcError(f"malformed chat record {digest}: {exc}") from exc
-    return text, Usage(*counts)
-
-
-def _response_answer(response: object, digest: str) -> tuple[str, Usage]:
-    """The answer of a chat record's parsed ``response``, as :func:`_record_answer` reads it.
-
-    The shape :meth:`ResponseStore.put_chat` writes is checked here, with no
-    record wrapped around it; :func:`_record_answer` reports any other.
-    """
-    try:
-        text, usage = response["text"], response["usage"]
-        prompt_tokens, completion_tokens = usage["prompt_tokens"], usage["completion_tokens"]
-    except (KeyError, TypeError):
-        pass
-    else:
-        if type(text) is str and type(prompt_tokens) is int and type(completion_tokens) is int:
-            return text, Usage(prompt_tokens, completion_tokens)
-    return _record_answer({"response": response}, digest)
+    if type(text) is not str:
+        raise AtcError(f"malformed chat record {digest}: text is {type(text).__name__}, not a string")
+    if type(prompt_tokens) is not int or type(completion_tokens) is not int:
+        raise AtcError(
+            f"malformed chat record {digest}: token counts {(prompt_tokens, completion_tokens)} are not integers"
+        )
+    return text, Usage(prompt_tokens, completion_tokens)
 
 
 def _context_record_start(request: ChatRequest) -> tuple[bytes, ...]:

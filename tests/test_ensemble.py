@@ -591,12 +591,3 @@ def test_a_malformed_answer_is_parsed_and_refused_each_time_it_comes(monkeypatch
     assert parsed == ["garbage", "1. Claim", "garbage"]  # the good answer's labels come from the memo the 2nd time
     assert list(cache.parsed) == [("1. Claim", 1)]
 
-
-def test_labels_and_backend_tags_hash_by_identity_and_ties_break_as_ranked():
-    assert Label.__hash__ is object.__hash__ and gateway_module.BackendTag.__hash__ is object.__hash__
-    # Whatever order a Counter meets tied labels in, the higher train-set frequency wins.
-    for order in itertools.permutations(LABELS):
-        for size in (2, 3):
-            tied = order[:size]
-            expected = max(tied, key=TIE_BREAK_RANK.__getitem__)
-            assert majority_vote(Counter(tied)) is majority_vote(list(tied) * 2) is expected
