@@ -43,7 +43,7 @@ from .gateway import (
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
 from .prompting import build_info_block
-from .selection import SelectionStrategy
+from .selection import EssayPool, SelectionStrategy
 
 if TYPE_CHECKING:
     from .mocks import Responder
@@ -183,11 +183,11 @@ def embed_corpus(config: RunConfig) -> Gateway:
     gateway = make_gateway(config, None)  # titles need no chat backend
     try:
         digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
+        embedder = gateway.embedding_backend
+        if isinstance(embedder, StoreEmbeddingBackend):
+            embedder.store.put_embedding_pack(embedder.model_name, digests)
     finally:
         gateway.close()
-    embedder = gateway.embedding_backend
-    if isinstance(embedder, StoreEmbeddingBackend):
-        embedder.store.put_embedding_pack(embedder.model_name, digests)
     return gateway
 
 
@@ -373,7 +373,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
 
     info = build_info_block(corpus) if icl.prompt.include_info else None
     cache = PromptCache()
-    pool = corpus.train_essays()
+    pool = EssayPool(corpus.train_essays())
     failed = threading.Event()
 
     def run_essay(essay: Essay) -> tuple[PredictionRecord, Gateway] | None:

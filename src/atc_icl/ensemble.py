@@ -8,10 +8,11 @@ itself: it sends the round's calls, retries malformed answers and parses
 them, while the ``prompting`` module renders the texts. A round's requests
 are extended from one request over the round's prompt pieces; a
 :class:`PromptCache` keeps the pieces that recur across a run's essays, and
-their escapes, so each is rendered and escaped once per run, and the labels
-of each answer text, so a recurring answer is parsed once. Final labels
-come from a per-component majority vote over the rounds, ties broken by
-train-set frequency: Premise > Claim > Major Claim.
+their escapes, so each is rendered and escaped once per run, the labels
+of each answer text, so a recurring answer is parsed once, and the vote of
+each pattern of round labels, so a recurring pattern is counted once. Final
+labels come from a per-component majority vote over the rounds, ties broken
+by train-set frequency: Premise > Claim > Major Claim.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import AtcError, ConfigError
 from .gateway import ChatRequest, Gateway
 from .prompting import (MAX_OUTPUT_TOKENS, MAX_RETRIES, CountMismatch, PromptConfig, PromptMode,
                         UnknownLabel, build_prompt, parse_response)
-from .selection import SelectionOutcome, SelectionStrategy, select_demonstrations
+from .selection import SelectionOutcome, SelectionStrategy, essay_pool, select_demonstrations
 
 #: k and n values used by the published experiment grid (n=1 is the
 #: no-ensembling row); anything else is accepted but reported as nonstandard.
@@ -136,15 +137,30 @@ class PromptCache:
     fills, keyed by the piece's text, and ``parsed`` the memo of the labels
     :func:`prompting.parse_response` read from an answer, keyed by the
     answer's text and the label count asked; an answer that does not parse is
-    not kept, so it is parsed, and refused, each time. ``cli.run_experiment``
-    makes one for each run, so no piece outlives the corpus and prompt texts
-    of its run. The threads of a live run share it: two that miss the same
-    piece at once each make it, and equal values are kept.
+    not kept, so it is parsed, and refused, each time. ``votes`` is the memo
+    of :meth:`vote`, keyed by one component's labels, one per round.
+    ``cli.run_experiment`` makes one for each run, so no piece outlives the
+    corpus and prompt texts of its run. The threads of a live run share it:
+    two that miss the same piece at once each make it, and equal values are
+    kept.
     """
 
     bodies: dict[Essay, str] = field(default_factory=dict)
     escapes: dict[str, bytes] = field(default_factory=dict)
     parsed: dict[tuple[str, int], tuple[Label, ...]] = field(default_factory=dict)
+    votes: dict[tuple[Label, ...], tuple[Label, dict[str, int]]] = field(default_factory=dict)
+
+    def vote(self, labels: tuple[Label, ...]) -> tuple[Label, dict[str, int]]:
+        """The :func:`majority_vote` of ``labels`` and their counts by label value, in value order.
+
+        The counts are the memo's own dict: copy them before handing them out.
+        """
+        found = self.votes.get(labels)
+        if found is None:
+            counts = Counter(labels)
+            found = majority_vote(counts), dict(sorted((label.value, count) for label, count in counts.items()))
+            self.votes[labels] = found
+        return found
 
 
 def derive_round_seed(run_seed: int, essay_id: str, round_index: int, purpose: str) -> int:
@@ -191,7 +207,8 @@ def run_ensemble(
     :class:`RoundFailed`; partial votes are never aggregated.
 
     ``cache`` is the run's :class:`PromptCache`; without one, the pieces are
-    kept for this essay alone.
+    kept for this essay alone. A ``pool`` that is no
+    :class:`selection.EssayPool` is indexed for this essay alone.
     """
     seeds = [
         (
@@ -200,9 +217,9 @@ def run_ensemble(
         )
         for round_index in range(1, config.n_rounds + 1)
     ]
+    pool = essay_pool(pool)
     selections = select_demonstrations(query, pool, config.strategy, config.k, seeds, gateway)
-    pool_by_id = {e.essay_id: e for e in pool}
-    demo_sets = [[pool_by_id[essay_id] for essay_id in outcome.chosen_ids] for outcome in selections]
+    demo_sets = [[pool.by_id[essay_id] for essay_id in outcome.chosen_ids] for outcome in selections]
     if cache is None:
         cache = PromptCache()
     prompts = build_prompt(query, demo_sets, config.prompt, info, cache.bodies)
@@ -237,16 +254,12 @@ def run_ensemble(
         rounds.append(tuple(labels))
         responses.append(tuple(texts))
 
-    per_component = [Counter(votes) for votes in zip(*rounds)]
-    final = tuple(map(majority_vote, per_component))
-    vote_counts = tuple(
-        dict(sorted((label.value, count) for label, count in counts.items())) for counts in per_component
-    )
+    votes = [cache.vote(labels) for labels in zip(*rounds)]
     return PredictionRecord(
         essay_id=query.essay_id,
         rounds=tuple(rounds),
-        final=final,
-        vote_counts=vote_counts,
+        final=tuple(label for label, _ in votes),
+        vote_counts=tuple(counts.copy() for _, counts in votes),
         selections=selections,
         responses=tuple(responses),
     )

@@ -360,6 +360,15 @@ def write_atomic(path: Path, data: str | bytes | Iterable[bytes]) -> None:
         raise
 
 
+# The bytes one read of a store record asks for; a chat record takes one read and one more for EOF.
+_READ_SIZE = 1 << 16
+
+
+def _close_descriptors(fds: dict[str, int]) -> None:
+    while fds:
+        os.close(fds.popitem()[1])
+
+
 class ResponseStore:
     """Content-addressed on-disk store of request/response JSON records.
 
@@ -391,6 +400,10 @@ class ResponseStore:
     other digest falls back to its record. Records and packs are written with
     :func:`write_atomic`, so writers that share a store, in one process or
     several, never see or leave a partial file.
+
+    Records are read through a descriptor of their kind's directory, opened
+    on the first read that finds the directory; :meth:`close` releases them,
+    and so does a store that goes unclosed, when it goes, as a pack does.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -398,6 +411,8 @@ class ResponseStore:
         # "<dir><digest>.json" names a record. A plain string: a Path would intern every
         # digest's file name, and the interpreter's intern table then grows, and resizes, with reads.
         self._dirs = {kind: os.path.join(self.root, kind, "") for kind in ("chat", "chat-context", "embed")}
+        self._dir_fds: dict[str, int] = {}  # kind -> descriptor of its directory, once one was found
+        weakref.finalize(self, _close_descriptors, self._dir_fds)
         # digest -> (pack, index of its row); None until the first embedding read
         self._pack_rows: dict[str, tuple[_EmbeddingPack, int]] | None = None
 
@@ -407,26 +422,33 @@ class ResponseStore:
         Any other failure to read it (a directory in its place, a permission
         or I/O error) raises :class:`AtcError` naming the file.
         """
-        # os.read of the fstat size skips the buffered file object; a short
-        # read goes on to EOF.
-        path = f"{self._dirs[kind]}{digest}.json"
+        # The record is opened by name in its kind's directory, so no read resolves the
+        # store's path again, and read to EOF with no fstat. A directory not there yet is
+        # looked for again on the next read: a cache run's first write makes it.
         try:
-            fd = os.open(path, os.O_RDONLY)
+            dir_fd = self._dir_fds.get(kind)
+            if dir_fd is None:
+                dir_fd = os.open(self._dirs[kind], os.O_RDONLY | os.O_DIRECTORY)
+                # Threads that open it at once all use the descriptor stored first.
+                if self._dir_fds.setdefault(kind, dir_fd) != dir_fd:
+                    os.close(dir_fd)
+                    dir_fd = self._dir_fds[kind]
+            fd = os.open(f"{digest}.json", os.O_RDONLY, dir_fd=dir_fd)
             try:
-                size = os.fstat(fd).st_size
-                data = os.read(fd, size)
-                if len(data) < size:
-                    chunks = [data]
-                    while chunk := os.read(fd, size):
-                        chunks.append(chunk)
-                    data = b"".join(chunks)
-                return data
+                chunks = []
+                while chunk := os.read(fd, _READ_SIZE):
+                    chunks.append(chunk)
             finally:
                 os.close(fd)
         except FileNotFoundError:
             return None
         except OSError as exc:
-            raise AtcError(f"cannot read store record {path}: {exc.strerror or exc}") from exc
+            raise AtcError(f"cannot read store record {self._dirs[kind]}{digest}.json: {exc.strerror or exc}") from exc
+        return b"".join(chunks)
+
+    def close(self) -> None:
+        """Release the directory descriptors that reads opened; a later read opens them again."""
+        _close_descriptors(self._dir_fds)
 
     def _parse(self, kind: str, digest: str, data: bytes) -> dict:
         try:
@@ -1225,6 +1247,9 @@ class Gateway:
         return {tag for _, tag in self.counts}
 
     def close(self) -> None:
-        """Close the HTTP session the gateway owns, and every connection it holds."""
+        """Close the HTTP session the gateway owns, and every connection it holds, and its backends' stores."""
         if self.session is not None:
             self.session.close()
+        for backend in (self.chat_backend, self.embedding_backend):
+            if isinstance(backend, (StoreChatBackend, StoreEmbeddingBackend)):
+                backend.store.close()

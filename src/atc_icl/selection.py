@@ -6,8 +6,10 @@ similarity of title embeddings. Half of the neighborhood is then sampled
 uniformly to form the demonstration set, and the sampled order becomes the
 prompt order.
 
-The title ranking scores each candidate exactly, except that a title it can
-bound from a pack's distance block is scored only if it may reach the top n.
+The count ranking walks a run's :class:`EssayPool`, which buckets the pool
+by component count once for every query. The title ranking scores each
+candidate exactly, except that a title it can bound from a pack's distance
+block is scored only if it may reach the top n.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Essay
 from .errors import AtcError
@@ -36,6 +38,47 @@ class SelectionStrategy(Enum):
     KRN = "krn"
     KNN_LEN = "knn_len"
     KNN_TITLE = "knn_title"
+
+
+class EssayPool(tuple):
+    """A run's candidate essays, in the order given, indexed once for every query.
+
+    ``by_id`` maps each essay id to its essay, and ``by_count`` each component
+    count to the ids of the essays that have it, in ascending order.
+    """
+
+    def __init__(self, essays: Iterable[Essay]) -> None:
+        # tuple.__new__ has already made the tuple of ``essays``.
+        self.by_id = {essay.essay_id: essay for essay in self}
+        by_count: dict[int, list[str]] = {}
+        for essay in sorted(self, key=lambda essay: essay.essay_id):
+            by_count.setdefault(essay.m, []).append(essay.essay_id)
+        self.by_count = by_count
+
+    def nearest_by_count(self, query: Essay, n: int) -> list[str]:
+        """The ids of the ``n`` essays but ``query`` whose component counts are closest to its m, ties by id.
+
+        Walks outward from m: distance d takes the ids of counts m - d and
+        m + d, merged by id, until n are found or the pool is walked.
+        """
+        found: list[str] = []
+        unwalked, distance = len(self), 0
+        while len(found) < n and unwalked:
+            ids = self.by_count.get(query.m - distance, [])
+            above = self.by_count.get(query.m + distance) if distance else None
+            if above:
+                ids = sorted(ids + above) if ids else above
+            unwalked -= len(ids)
+            found += [essay_id for essay_id in ids if essay_id != query.essay_id]
+            distance += 1
+        if len(found) < n:
+            raise PoolTooSmall(f"need {n} neighbors but only {len(found)} candidates")
+        return found[:n]
+
+
+def essay_pool(essays: Sequence[Essay]) -> EssayPool:
+    """``essays`` if it is an :class:`EssayPool` already, else their pool."""
+    return essays if isinstance(essays, EssayPool) else EssayPool(essays)
 
 
 @dataclass(frozen=True)
@@ -60,8 +103,11 @@ def rank_neighbors(
 
     The query essay is excluded from the candidates even if present in the
     pool. Ties under the deterministic strategies break by ascending essay id;
-    only the random strategy consumes ``rng_seed``.
+    only the random strategy consumes ``rng_seed``. Count ranking reads the
+    index of an :class:`EssayPool`, and indexes any other ``pool`` first.
     """
+    if strategy is SelectionStrategy.KNN_LEN:
+        return essay_pool(pool).nearest_by_count(query, n_neighbors)
     candidates = [e for e in pool if e.essay_id != query.essay_id]
     if len(candidates) < n_neighbors:
         raise PoolTooSmall(
@@ -69,12 +115,6 @@ def rank_neighbors(
         )
     if n_neighbors == 0:
         return []
-
-    if strategy is SelectionStrategy.KNN_LEN:
-        # One keyed pass: the n smallest (component-count distance, id) pairs, in order.
-        m = query.m
-        nearest = heapq.nsmallest(n_neighbors, [(abs(len(e.components) - m), e.essay_id) for e in candidates])
-        return [essay_id for _, essay_id in nearest]
 
     candidates.sort(key=lambda e: e.essay_id)
     if strategy is SelectionStrategy.KRN:

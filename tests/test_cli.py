@@ -732,6 +732,31 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_runs_in_one_process_leave_no_store_descriptor_open(small_dir, tmp_path):
+    """Each run, one that fails too, releases the store directories its reads opened, also for its packing."""
+    store = {"store_dir": str(tmp_path / "store")}
+    one_by_one = {"mode": "one_by_one", "fts": True}
+    title = {"strategy": "knn_title"}
+    embed = {"embedding": "cache", "embedding_upstream": "hash"}
+    runs = [(one_by_one, {"chat": "cache", "cache_upstream": "mock", **store}),
+            (one_by_one, {"chat": "replay", **store}),
+            (title, {"chat": "cache", "cache_upstream": "mock", **embed, **store}),
+            (title, {"chat": "replay", "embedding": "replay", "embedding_upstream": "hash", **store}),
+            (one_by_one, {"chat": "replay", "store_dir": str(tmp_path / "empty")})]  # fails on its first miss
+    before = len(os.listdir("/proc/self/fd"))
+    for index, (icl, backend) in enumerate(runs):
+        config = load_run_config(write_config(tmp_path / f"{index}.yaml", small_dir, tmp_path / f"out{index}",
+                                              icl=icl, backend=backend))
+        if index == len(runs) - 1:
+            with pytest.raises(gateway.ReplayMiss):
+                cli.run_experiment(config)
+        else:
+            cli.run_experiment(config)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert (tmp_path / "out1" / "records.jsonl").read_bytes() == (tmp_path / "out0" / "records.jsonl").read_bytes()
+
+
 def title_config(tmp_path, corpus_dir, name, **backend):
     """A title-kNN config writing to ``tmp_path / "cut"``: by default a gold-echo
     mock and hash-8 embeddings, each through the store ``tmp_path / "store"``."""

@@ -591,3 +591,24 @@ def test_a_malformed_answer_is_parsed_and_refused_each_time_it_comes(monkeypatch
     assert parsed == ["garbage", "1. Claim", "garbage"]  # the good answer's labels come from the memo the 2nd time
     assert list(cache.parsed) == [("1. Claim", 1)]
 
+
+
+@given(st.lists(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5).map(tuple), max_size=12))
+def test_the_vote_memo_counts_as_majority_vote_does(patterns):
+    cache = PromptCache()
+    for labels in patterns:  # a pattern drawn twice is served from the memo
+        counts = Counter(labels)
+        assert cache.vote(labels) == (majority_vote(counts), dict(sorted((l.value, n) for l, n in counts.items())))
+    assert cache.votes.keys() == set(patterns)
+
+
+def test_records_that_share_a_vote_pattern_share_no_counts():
+    cache, config = PromptCache(), IclConfig(SelectionStrategy.KRN, k=2, n_rounds=3, prompt=prompt_config(), run_seed=0)
+    one, two = (simple_essay(f"q{i}", f"Query topic {i}", [Label.CLAIM, Label.PREMISE]) for i in (1, 2))
+    first = run_ensemble(one, make_pool(), config, echo_gateway(one), cache=cache)
+    second = run_ensemble(two, make_pool(), config, echo_gateway(two), cache=cache)
+    assert first.vote_counts == second.vote_counts == ({"Claim": 3}, {"Premise": 3})
+    expected = second.to_dict()
+    first.vote_counts[0]["Claim"] = 0
+    assert second.to_dict() == expected
+    assert run_ensemble(two, make_pool(), config, echo_gateway(two), cache=cache).to_dict() == expected

@@ -395,6 +395,41 @@ def test_a_record_that_cannot_be_read_names_the_file(tmp_path, kind):
         StoreChatBackend(ResponseStore(tmp_path)).complete(context.extend(["classify this"]))
 
 
+def test_a_store_serves_what_it_wrote_into_directories_its_first_reads_did_not_find(tmp_path):
+    store = ResponseStore(tmp_path / "store")  # no chat/, chat-context/ or embed/ yet, as for a first cache run
+    chat = StoreChatBackend(store, CountingChatBackend())
+    context = req(user="").extend(["the round's context, "], shared=True)
+    for request in (req(), context.extend(["classify this"])):  # filed inline, and with a context file
+        assert chat.complete(request).backend_tag is BackendTag.LIVE
+        assert chat.complete(request).backend_tag is BackendTag.CACHE
+    assert chat.upstream.calls == 2
+    embedder = StoreEmbeddingBackend(store, "hash-embed-8", HashEmbeddingBackend())
+    assert [embedder.embed("T")[1] for _ in range(2)] == [BackendTag.MOCK, BackendTag.CACHE]
+    store.close()
+    assert chat.complete(req()).backend_tag is BackendTag.CACHE  # a read after close opens chat/ again
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_a_store_opens_each_directory_once_and_closing_the_gateway_releases_it(tmp_path):
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    store = ResponseStore(tmp_path)
+    chat = StoreChatBackend(store, CountingChatBackend())
+    embedder = StoreEmbeddingBackend(store, "hash-embed-8", HashEmbeddingBackend())
+    before = open_descriptors()
+    for _ in range(3):
+        chat.complete(req())
+        embedder.embed("T")
+    assert open_descriptors() == before + 2  # chat/ and embed/
+    Gateway(chat_backend=chat, embedding_backend=embedder).close()
+    assert open_descriptors() == before
+    unclosed = ResponseStore(tmp_path)
+    assert unclosed.get_chat(req()) is not None and open_descriptors() == before + 1
+    del unclosed  # released when it goes
+    assert open_descriptors() == before
+
+
 _USAGE = {"prompt_tokens": 3, "completion_tokens": 2}
 
 

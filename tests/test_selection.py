@@ -11,7 +11,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from atc_icl import selection
 from atc_icl.corpus import Label
@@ -28,6 +28,7 @@ from atc_icl.gateway import (
 )
 from atc_icl.selection import (
     EmbeddingUnavailable,
+    EssayPool,
     PoolTooSmall,
     SelectionStrategy,
     rank_neighbors,
@@ -71,19 +72,28 @@ def test_knn_len_breaks_ties_by_essay_id():
 
 
 @settings(max_examples=200)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.randoms(use_true_random=False), st.data())
-def test_knn_len_one_pass_ranking_equals_the_sorted_oracle(counts, rng, data):
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=14), st.lists(st.integers(0, 8), max_size=3),
+       st.randoms(use_true_random=False), st.integers(0, 15))
+@example([4, 6, 6, 4, 5], [5], Random(0), 4)  # counts 4 and 6 tie at distance 1 on both sides of m = 5
+def test_knn_len_one_pass_ranking_equals_the_sorted_oracle(counts, outside_counts, rng, n):
+    """One pool index ranks every query, in the pool or not, as sorting its candidates by (count distance, id) does."""
     ids = [f"e{i:02d}" for i in range(len(counts))]
     rng.shuffle(ids)  # pool order is not id order
-    pool = essays_with_counts(dict(zip(ids, counts)))
-    query = data.draw(st.sampled_from(pool))  # the query is in the pool
-    candidates = sorted((e for e in pool if e.essay_id != query.essay_id), key=lambda e: e.essay_id)
-    n = data.draw(st.integers(0, len(candidates)))
-    oracle = sorted(candidates, key=lambda e: (abs(e.m - query.m), e.essay_id))[:n]
-    assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, n, rng_seed=0) == [e.essay_id for e in oracle]
-    assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, 0, rng_seed=0) == []
-    with pytest.raises(PoolTooSmall, match=f"^need {len(pool)} neighbors but only {len(candidates)} candidates$"):
-        rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, len(pool), rng_seed=0)
+    essays = essays_with_counts(dict(zip(ids, counts)))
+    pool = EssayPool(essays)
+    # Queries outside the pool, with ids that sort before and after the pool's.
+    outside = essays_with_counts({f"{'a' if i % 2 else 'x'}{i}": m for i, m in enumerate(outside_counts)})
+    for query in essays + outside:
+        candidates = [e for e in essays if e.essay_id != query.essay_id]
+        size = min(n, len(candidates))
+        oracle = [e.essay_id for e in sorted(candidates, key=lambda e: (abs(e.m - query.m), e.essay_id))[:size]]
+        assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, size, rng_seed=0) == oracle
+        assert rank_neighbors(query, essays, SelectionStrategy.KNN_LEN, size, rng_seed=0) == oracle  # indexed on the call
+        assert rank_neighbors(query, pool, SelectionStrategy.KNN_LEN, 0, rng_seed=0) == []
+        message = f"^need {len(candidates) + 1} neighbors but only {len(candidates)} candidates$"
+        for ranked in (pool, essays):
+            with pytest.raises(PoolTooSmall, match=message):
+                rank_neighbors(query, ranked, SelectionStrategy.KNN_LEN, len(candidates) + 1, rng_seed=0)
 
 
 def test_knn_title_identical_embedding_ranks_first():
@@ -189,14 +199,16 @@ def test_subsample_draws_half_the_neighborhood(ids, seed):
 
 
 @settings(max_examples=25)
-@given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=2, max_value=5))
-def test_select_demonstrations_is_deterministic(seed, k):
+@given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=2, max_value=5), st.sampled_from(SelectionStrategy))
+def test_select_demonstrations_is_deterministic(seed, k, strategy):
     pool = [simple_essay(f"e{i:02d}", f"T{i}", [Label.CLAIM] * (i % 4 + 1)) for i in range(12)]
     query = simple_essay("q", "Q", [Label.CLAIM, Label.PREMISE])
     seeds = [(seed, seed + 1), (seed + 2, seed + 3)]
-    first = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seeds)
-    second = select_demonstrations(query, pool, SelectionStrategy.KRN, k, seeds)
+    gateway = Gateway(embedding_backend=HashEmbeddingBackend())
+    first = select_demonstrations(query, pool, strategy, k, seeds, gateway)
+    second = select_demonstrations(query, pool, strategy, k, seeds, gateway)
     assert first == second
+    assert select_demonstrations(query, EssayPool(pool), strategy, k, seeds, gateway) == first  # a run's pool
     assert [(o.rank_seed, o.pick_seed) for o in first] == seeds
     for outcome in first:
         assert len(outcome.neighbor_ids) == 2 * k
