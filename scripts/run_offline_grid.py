@@ -5,9 +5,10 @@ Demonstrates the whole pipeline without credentials: every grid row is one
 ``run_experiment`` over the synthetic test split with a mock chat backend,
 in its own run directory, and prints its report row; the rows share their
 score columns. The published rows are the ``icl`` sections of the shipped
-``configs/*.yaml``. Title embeddings are first recorded the way ``atc-icl
-embed`` does (hash vectors through the cache, then packed), and the
-title-kNN rows replay them from that store.
+``configs/*.yaml``. Title embeddings are first recorded and packed by
+``embed_corpus``, as ``atc-icl embed`` and a title-kNN ``cache`` run record
+them (hash vectors through the cache), and the title-kNN rows replay them
+from that store.
 ``gold_echo`` must land macro F1 = 1.0 on every row, and the script exits 1
 when a row does not; ``constant`` shows what an always-Premise baseline scores.
 
@@ -18,12 +19,13 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import tempfile
 from pathlib import Path
 
-from atc_icl.cli import embed_corpus, run_experiment
+from atc_icl.cli import embed_corpus, make_gateway, run_experiment
 from atc_icl.config import BackendConfig, RunConfig, load_run_config
 from atc_icl.corpus import load_corpus
 from atc_icl.ensemble import IclConfig
@@ -77,8 +79,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             for row, icl in enumerate(GRID)
         ]
-        recording = dataclasses.replace(replay, embedding="cache")
-        embed_corpus(dataclasses.replace(configs[0], backend=recording))
+        recording = dataclasses.replace(configs[0], backend=dataclasses.replace(replay, embedding="cache"))
+        with contextlib.closing(make_gateway(recording, None)) as gateway:
+            embed_corpus(corpus, gateway)
 
         imperfect, labelled = 0, []
         for config in configs:

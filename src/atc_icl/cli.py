@@ -10,6 +10,7 @@ replay-backed reruns byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,7 +39,6 @@ from .gateway import (
     ResponseStore,
     StoreChatBackend,
     StoreEmbeddingBackend,
-    embedding_digest,
     write_atomic,
 )
 from .metrics import EvaluationReport, aggregate_runs, render_report
@@ -161,7 +161,10 @@ def stats(corpus_dir: Path, split_file: Path, scope: str, json_out: Path | None)
               type=click.Path(exists=True, dir_okay=False, path_type=Path))
 def embed(config_path: Path) -> None:
     """Warm the title-embedding cache for every essay in the corpus, and pack it."""
-    gateway = embed_corpus(load_run_config(config_path))
+    config = load_run_config(config_path)
+    corpus = load_corpus(config.corpus_dir, config.split_file)
+    with contextlib.closing(make_gateway(config, None)) as gateway:  # titles need no chat backend
+        embed_corpus(corpus, gateway)
     total = gateway.calls("embed")
     fetched = gateway.counts["embed", BackendTag.LIVE]
     cached = gateway.counts["embed", BackendTag.CACHE]
@@ -172,23 +175,18 @@ def embed(config_path: Path) -> None:
     )
 
 
-def embed_corpus(config: RunConfig) -> Gateway:
-    """Embed every essay title through the configured backend; return the gateway.
+def embed_corpus(corpus: Corpus, gateway: Gateway) -> None:
+    """Embed every essay title of ``corpus``, in corpus order, through ``gateway``, which counts the calls.
 
     With a store-backed embedding backend, the model's pack is then rewritten
     from the rows it held plus every title just embedded, so that a title-kNN
-    run reads the whole pool from one file.
+    run reads the whole pool from one file. ``atc-icl embed`` calls it, and
+    so does :func:`run_experiment` before its first essay.
     """
-    corpus = load_corpus(config.corpus_dir, config.split_file)
-    gateway = make_gateway(config, None)  # titles need no chat backend
-    try:
-        digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
-        embedder = gateway.embedding_backend
-        if isinstance(embedder, StoreEmbeddingBackend):
-            embedder.store.put_embedding_pack(embedder.model_name, digests)
-    finally:
-        gateway.close()
-    return gateway
+    digests = [gateway.embed(essay.title).source_text_digest for essay in corpus.essays]
+    embedder = gateway.embedding_backend
+    if isinstance(embedder, StoreEmbeddingBackend):
+        embedder.store.put_embedding_pack(embedder.model_name, digests)
 
 
 def _load_records(path: Path) -> tuple[list[PredictionRecord], int]:
@@ -348,11 +346,13 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     so their answers reach the store, and the first failure in essay order is
     raised, after one warning line on stderr for each other essay that failed.
 
-    A title-kNN run with a ``cache`` embedding backend that completes then
-    packs the titles of the pool and of every recorded essay that its store
-    holds, in corpus order, as :func:`embed_corpus` does, so that a later run
-    or replay ranks from the pack's distance block. A pack that already
-    lists those rows is left alone.
+    A title-kNN run with k > 0 and a ``cache`` embedding backend first packs
+    every corpus title through :func:`embed_corpus`, as ``atc-icl embed``
+    does, so that each ranking, and a later replay's, reads the pack's
+    distance block. Its calls are left out of ``embed_calls``, which counts
+    the rankings' lookups alone, but their backends are in
+    ``backend_tags_used``. A failure while packing ends the session as a
+    failed essay does, with no record written.
     """
     icl = config.icl
     label = run_label(icl)
@@ -400,8 +400,13 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         }
 
     counted = counts()
+    packing = Gateway(embedding_backend=gateway.embedding_backend, retry=gateway.retry)
     executor, futures = None, []
     try:
+        if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0 and config.backend.embedding == "cache":
+            embed_corpus(corpus, packing)
+            if gateway.session is not None:  # this thread's connection: a live run's workers bound its connections
+                gateway.session.close()
         with open(records_path, "a", encoding="utf-8") as handle:
             if _chat_upstream(config.backend) == "live":
                 # Imported here, so a replay or mock run does not pay for it in set-up.
@@ -445,18 +450,12 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
         "config_digest": digest,
         "inputs": inputs,
         "run_seed": icl.run_seed,
-        "backend_tags_used": sorted(tag.value for tag in gateway.tags_used()),
+        "backend_tags_used": sorted(tag.value for tag in gateway.tags_used() | packing.tags_used()),
         "essay_ids": [record.essay_id for record in records],
         "records_file": RECORDS_NAME,
         "report_file": REPORT_JSON_NAME,
         **counted,
     })
-    if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0 and config.backend.embedding == "cache":
-        store, model = gateway.embedding_backend.store, gateway.embedding_backend.model_name
-        ranked = {essay.essay_id for essay in pool} | {record.essay_id for record in records}
-        digests = [embedding_digest(model, e.title) for e in corpus.essays if e.essay_id in ranked]
-        # An earlier session may have ranked through another store_dir, which is no input of a record.
-        store.put_embedding_pack(model, [digest for digest in digests if store.get_embedding(digest) is not None])
     return report
 
 

@@ -22,7 +22,7 @@ from atc_icl.config import config_digest, load_run_config
 from atc_icl.corpus import Label, load_corpus
 from atc_icl.errors import AtcError
 from atc_icl.gateway import Usage
-from atc_icl.synth import SPLIT_FILE_NAME
+from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
 from conftest import CONTEXT_RECORD_HEAD, inline_chat_records
 
 
@@ -636,7 +636,7 @@ def test_a_cache_title_run_leaves_its_titles_packed(runner, small_dir, small_cor
     assert records[0] == records[1] == records[2]
 
 
-@pytest.mark.parametrize("case", ["replay", "knn_len", "krn", "failed"])
+@pytest.mark.parametrize("case", ["replay", "knn_len", "krn"])
 def test_no_other_run_packs(runner, small_dir, tmp_path, case):
     store = tmp_path / "store"
     icl = {"strategy": "knn_title"}
@@ -647,15 +647,125 @@ def test_no_other_run_packs(runner, small_dir, tmp_path, case):
         for pack in (store / "embed").glob("pack-*.f64"):
             pack.unlink()
         backend["embedding"] = "replay"
-    elif case == "failed":
-        backend.update(chat="replay")  # no chat record: the first essay fails after its titles are embedded
     else:
         icl["strategy"] = case
     config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out", icl=icl, backend=backend)
-    result = runner.invoke(main, ["run", "--config", str(config)])
-    assert result.exit_code == (1 if case == "failed" else 0)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
     assert not list(store.glob("embed/pack-*"))
-    assert case == "knn_len" or case == "krn" or list(store.glob("embed/*.json"))
+    assert case != "replay" or list(store.glob("embed/*.json"))
+
+
+def count_cosines(monkeypatch) -> list:
+    """One entry for each exact cosine a ranking takes from now on."""
+    scored, cosine = [], selection.cosine_similarity
+    monkeypatch.setattr(selection, "cosine_similarity", lambda vector, query: scored.append(1) or cosine(vector, query))
+    return scored
+
+
+def hash_upstream(monkeypatch, fails_after: int | None = None) -> list[str]:
+    """The titles a run's hash upstream fetches from now on. With ``fails_after``, each
+    fetch after that many raises a transport error, which the run retries with no wait."""
+    fetched = []
+
+    class Upstream(gateway.HashEmbeddingBackend):
+        def embed(self, text):
+            if len(fetched) == fails_after:
+                raise gateway.TransportError("embeddings endpoint went away")
+            fetched.append(text)
+            return super().embed(text)
+
+    make_gateway = cli.make_gateway
+
+    def no_wait(*args):
+        made = make_gateway(*args)
+        made.retry = gateway.RetryPolicy(sleep=lambda seconds: None)
+        return made
+
+    monkeypatch.setattr(cli, "HashEmbeddingBackend", Upstream)
+    monkeypatch.setattr(cli, "make_gateway", no_wait)
+    return fetched
+
+
+def test_a_first_cache_title_run_ranks_from_the_pack_as_its_replay_does(runner, tmp_path, monkeypatch):
+    """Every title is packed before the first essay ranks, so no pool title is scored the slow way."""
+    corpus_dir = tmp_path / "corpus"
+    generate_corpus(corpus_dir, small_shape(40, 28), seed=5)
+    corpus = load_corpus(corpus_dir, corpus_dir / SPLIT_FILE_NAME)
+    scored, counts = count_cosines(monkeypatch), []
+    for embedding in ("cache", "replay"):
+        config = write_config(tmp_path / f"{embedding}.yaml", corpus_dir, tmp_path / embedding,
+                              icl={"strategy": "knn_title"},
+                              backend={"embedding": embedding, "embedding_upstream": "hash",
+                                       "store_dir": str(tmp_path / "store")})
+        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        counts.append(len(scored))
+        scored.clear()
+    assert (tmp_path / "cache" / "records.jsonl").read_bytes() == (tmp_path / "replay" / "records.jsonl").read_bytes()
+    assert 0 < counts[0] == counts[1] < len(corpus.train_essays()) * len(corpus.test_essays()) / 4
+
+
+def test_a_title_run_names_the_backend_its_packing_fetched_from(runner, small_dir, tmp_path):
+    """Chat replayed from a store that holds no title yet: only the packing fetches hash vectors."""
+    store = {"store_dir": str(tmp_path / "store")}
+    recording = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "recorded", icl={"strategy": "knn_title"},
+                             backend={"chat": "cache", "cache_upstream": "mock", "embedding": "hash", **store})
+    assert runner.invoke(main, ["run", "--config", str(recording)], catch_exceptions=False).exit_code == 0
+    config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out", icl={"strategy": "knn_title"},
+                          backend={"chat": "replay", "embedding": "cache", "embedding_upstream": "hash", **store})
+    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["backend_tags_used"] == ["cache", "mock", "replay"]
+    assert f"embedding calls: {manifest['embed_calls']} " in dry.output
+
+
+def test_a_run_that_fails_on_its_first_essay_leaves_every_title_packed(runner, small_dir, small_corpus, tmp_path,
+                                                                       monkeypatch):
+    """Its resume then ranks from the pack's distance block, as a replay of the store does."""
+    def config(name, out, **backend):
+        return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / out, icl={"strategy": "knn_title"},
+                            backend={"embedding": "cache", "embedding_upstream": "hash",
+                                     "store_dir": str(tmp_path / "store"), **backend})
+
+    failing = config("failing", "out", chat="replay")  # no chat record: the first essay fails
+    assert runner.invoke(main, ["run", "--config", str(failing)]).exit_code == 1
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == b""
+    model = gateway.HashEmbeddingBackend().model_name
+    pack = gateway.ResponseStore(tmp_path / "store").embedding_pack_path(model)
+    header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
+    titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
+    assert header == {"digests": titles, "dim": 8, "distances": True, "model_name": model}
+    scored = count_cosines(monkeypatch)
+    resumed = config("resumed", "out", chat="cache", cache_upstream="mock")
+    assert runner.invoke(main, ["run", "--config", str(resumed)], catch_exceptions=False).exit_code == 0
+    resumed_scores = len(scored)
+    replayed = config("replayed", "replayed", chat="replay", embedding="replay")
+    assert runner.invoke(main, ["run", "--config", str(replayed)], catch_exceptions=False).exit_code == 0
+    assert 0 < resumed_scores == len(scored) - resumed_scores
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == (tmp_path / "replayed" / "records.jsonl").read_bytes()
+
+
+def test_a_failure_while_packing_leaves_what_it_fetched_and_no_pack(small_dir, small_corpus, tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    config = load_run_config(write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out",
+                                          icl={"strategy": "knn_title"},
+                                          backend={"embedding": "cache", "embedding_upstream": "hash",
+                                                   "store_dir": str(store)}))
+    titles = [essay.title for essay in small_corpus.essays]
+    fetched = hash_upstream(monkeypatch, fails_after=3)
+    with pytest.raises(gateway.TransportError):
+        cli.run_experiment(config)
+    assert fetched == titles[:3]
+    assert not (tmp_path / "out" / "records.jsonl").exists()
+    assert sorted(path.name for path in (store / "embed").iterdir()) == sorted(
+        f"{gateway.embedding_digest('hash-embed-8', title)}.json" for title in titles[:3])
+    stub = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert (stub["chat_calls"], stub["embed_calls"]) == (0, 0)
+
+    fetched = hash_upstream(monkeypatch)
+    cli.run_experiment(config)
+    assert fetched == titles[3:]
+    assert list(store.glob("embed/pack-*.f64"))
 
 
 def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
@@ -733,7 +843,7 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
-def test_runs_in_one_process_leave_no_store_descriptor_open(small_dir, tmp_path):
+def test_runs_in_one_process_leave_no_store_descriptor_open(small_dir, tmp_path, monkeypatch):
     """Each run, one that fails too, releases the store directories its reads opened, also for its packing."""
     store = {"store_dir": str(tmp_path / "store")}
     one_by_one = {"mode": "one_by_one", "fts": True}
@@ -753,6 +863,12 @@ def test_runs_in_one_process_leave_no_store_descriptor_open(small_dir, tmp_path)
                 cli.run_experiment(config)
         else:
             cli.run_experiment(config)
+    with monkeypatch.context() as patched:
+        hash_upstream(patched, fails_after=3)
+        config = load_run_config(write_config(tmp_path / "packing.yaml", small_dir, tmp_path / "packing", icl=title,
+                                              backend={**embed, "store_dir": str(tmp_path / "unpacked")}))
+        with pytest.raises(gateway.TransportError):
+            cli.run_experiment(config)  # fails on its fourth title
     assert len(os.listdir("/proc/self/fd")) == before
     assert (tmp_path / "out1" / "records.jsonl").read_bytes() == (tmp_path / "out0" / "records.jsonl").read_bytes()
 
@@ -776,17 +892,17 @@ def cut_title_run(runner, corpus_dir, tmp_path):
     return config, out_dir
 
 
-def test_a_resume_through_another_store_packs_the_titles_that_store_holds(runner, small_dir, small_corpus,
-                                                                         tmp_path):
-    _, out_dir = cut_title_run(runner, small_dir, tmp_path)
-    first = json.loads((out_dir / "records.jsonl").read_text(encoding="utf-8"))["essay_id"]
+def test_a_resume_through_another_store_packs_every_title_into_it(runner, small_dir, small_corpus, tmp_path):
+    """The title of the essay recorded through the first store too: the resume fetches it once more."""
+    cut_title_run(runner, small_dir, tmp_path)
     config = title_config(tmp_path, small_dir, "other", store_dir=str(tmp_path / "other"))
     assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
     model = gateway.HashEmbeddingBackend().model_name
     pack = gateway.ResponseStore(tmp_path / "other").embedding_pack_path(model)
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
-    assert header["digests"] == [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays
-                                 if essay.essay_id != first]
+    titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
+    assert header["digests"] == titles
+    assert sorted(path.stem for path in (tmp_path / "other" / "embed").glob("*.json")) == sorted(titles)
 
 
 def tree_bytes(root: Path) -> dict:
