@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -74,12 +73,12 @@ def main(argv: list[str] | None = None) -> int:
             RunConfig(
                 corpus_dir=corpus_dir, split_file=corpus_dir / SPLIT_FILE_NAME,
                 out_dir=Path(tmp) / "out" / f"row{row}",
-                icl=dataclasses.replace(icl, run_seed=args.seed),
+                icl=icl._replace(run_seed=args.seed),
                 backend=replay,
             )
             for row, icl in enumerate(GRID)
         ]
-        recording = dataclasses.replace(configs[0], backend=dataclasses.replace(replay, embedding="cache"))
+        recording = configs[0]._replace(backend=replay._replace(embedding="cache"))
         with contextlib.closing(make_gateway(recording, None)) as gateway:
             embed_corpus(corpus, gateway)
 
@@ -87,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         for config in configs:
             report = run_experiment(config)
             imperfect += report.macro_f1 < 1.0
-            labelled.append(dataclasses.replace(report, run_label=f"{report.run_label} ({config.icl.model_name})"))
+            labelled.append(report._replace(run_label=f"{report.run_label} ({config.icl.model_name})"))
         print("\n".join(render_score_rows(labelled)[1:]))
 
     if args.mock == "gold_echo" and imperfect:

@@ -72,12 +72,7 @@ def make_gateway(config: RunConfig, corpus: Corpus | None) -> Gateway:
     backend = config.backend
     store = None
     if backend.store_dir:
-        # Checked on the nearest part of the path that exists, as a store's first read or write would fail there.
-        existing = backend.store_dir
-        while not existing.exists() and existing != existing.parent:
-            existing = existing.parent
-        if not existing.is_dir():
-            raise ConfigError(f"backend.store_dir {backend.store_dir} cannot hold a store: {existing} is not a directory")
+        _check_directory(backend.store_dir, f"backend.store_dir {backend.store_dir} cannot hold a store")
         store = ResponseStore(backend.store_dir)
 
     chat_kind = _chat_upstream(backend) if corpus is not None else None
@@ -104,6 +99,15 @@ def make_gateway(config: RunConfig, corpus: Corpus | None) -> Gateway:
     return Gateway(chat_backend=chat, embedding_backend=embedder, session=session)
 
 
+def _check_directory(path: Path, refusal: str) -> None:
+    """Refuse ``path`` with ``refusal`` if its nearest part that exists, where a first write fails, is no directory."""
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"{refusal}: {existing} is not a directory")
+
+
 def _chat_upstream(backend: BackendConfig) -> str:
     """What answers a chat request the store lacks: ``live``, ``mock``, or ``replay`` (nothing)."""
     return backend.cache_upstream if backend.chat == "cache" else backend.chat
@@ -120,7 +124,10 @@ def _mock_responder(backend: BackendConfig, corpus: Corpus) -> Responder:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    try:
+        write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise AtcError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _print_stats(stats, scope: str) -> None:
@@ -301,10 +308,12 @@ def _pending(config: RunConfig) -> tuple[dict, dict, list[PredictionRecord], int
 
     A train pool smaller than the 2k-essay neighborhood each essay is ranked
     in is refused here, before a run or an estimate starts, and so are a test
-    split with no argument component to score and an ``out_dir`` of another
-    config or other inputs. A ``replay`` session keeps the answer source of
-    the sessions before it.
+    split with no argument component to score, an ``out_dir`` that is, or
+    lies under, something other than a directory, and one of another config
+    or other inputs. A ``replay`` session keeps the answer source of the
+    sessions before it.
     """
+    _check_directory(config.out_dir, f"out_dir {config.out_dir} cannot hold a run")
     corpus = load_corpus(config.corpus_dir, config.split_file)
     pool_size, k = len(corpus.train_essays()), config.icl.k
     if 2 * k > pool_size:

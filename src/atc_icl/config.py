@@ -14,9 +14,8 @@ import hashlib
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -49,8 +48,7 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname) and plain
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class _BackendFields(NamedTuple):
     chat: str = "mock"
     mock_mode: str = "gold_echo"
     cache_upstream: str = "live"  # inner backend when chat == "cache"
@@ -63,7 +61,14 @@ class BackendConfig:
     api_key_env: str = "OPENAI_API_KEY"
     workers: int = 2  # essays a live run asks at once, each thread on one keep-alive connection to base_url
 
-    def __post_init__(self) -> None:
+
+class BackendConfig(_BackendFields):
+    """The backends that answer a run's chat and embedding calls, and the store they keep; checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BackendConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.chat not in CHAT_BACKENDS:
             raise ConfigError(f"chat backend must be one of {CHAT_BACKENDS}")
         if self.embedding not in EMBEDDING_BACKENDS:
@@ -87,6 +92,11 @@ class BackendConfig:
                 "backend.base_url must be an absolute http:// or https:// URL with a host, not"
                 f" {masked_url(self.base_url)!r}; it takes no user info, query or fragment"
             )
+        return self
+
+    @classmethod
+    def _make(cls, values) -> BackendConfig:  # so that _replace checks the fields too
+        return cls(*values)
 
     @property
     def embedding_model_name(self) -> str:
@@ -101,18 +111,17 @@ class BackendConfig:
         return f"hash-embed-{self.embedding_dim}" if hashed else self.embedding_model
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus_dir: Path
     split_file: Path
     out_dir: Path
     icl: IclConfig
-    backend: BackendConfig = field(default_factory=BackendConfig)
+    backend: BackendConfig = BackendConfig()
 
 
 TOP_LEVEL_KEYS = ("corpus_dir", "split_file", "out_dir", "icl", "backend")
 ICL_KEYS = ("strategy", "k", "n", "info", "essay", "fts", "mode", "model", "run_seed", "temperature")
-BACKEND_KEYS = tuple(f.name for f in fields(BackendConfig))
+BACKEND_KEYS = BackendConfig._fields
 
 
 def _checked(section: object, where: str, known: tuple[str, ...], path: Path | str) -> dict:

@@ -20,10 +20,9 @@ import hashlib
 import io
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import AtcError
 
@@ -72,23 +71,30 @@ TIE_BREAK_RANK = {Label.MAJOR_CLAIM: 0, Label.CLAIM: 1, Label.PREMISE: 2}
 LABELS: tuple[Label, ...] = (Label.MAJOR_CLAIM, Label.CLAIM, Label.PREMISE)
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """Half-open character interval ``[start, end)`` into an essay's raw text."""
-
+class _SpanFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+
+class Span(_SpanFields):
+    """Half-open character interval ``[start, end)`` into an essay's raw text."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> Span:
+        if start < 0 or start >= end:
+            raise ValueError(f"invalid span [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, values) -> Span:  # so that _replace checks the span too
+        return cls(*values)
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
 
 
-@dataclass(frozen=True, slots=True)
-class ArgumentComponent:
+class ArgumentComponent(NamedTuple):
     """A labeled argument component, addressed by its span in the raw text."""
 
     id: str
@@ -98,8 +104,7 @@ class ArgumentComponent:
     paragraph_index: int
 
 
-@dataclass(frozen=True, slots=True)
-class Essay:
+class Essay(NamedTuple):
     """One essay and its argument components.
 
     Equal essays are equal in every field. An essay hashes by its id and raw
@@ -130,8 +135,7 @@ class Split(Enum):
     TEST = "TEST"
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """All essays plus the official train/test split, immutable after load.
 
     ``digest`` is the SHA-256 over the bytes of every essay's .txt and .ann
@@ -158,8 +162,7 @@ class Corpus:
         return {e.essay_id: e for e in self.essays}
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     essay_count: int
     paragraph_count: int
     sentence_count: int

@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import TIE_BREAK_RANK, Essay, Label
 from .errors import AtcError, ConfigError
@@ -44,15 +43,7 @@ class RoundFailed(AtcError):
     """One ensembling round ended unparseable; the essay gets no record."""
 
 
-@dataclass(frozen=True)
-class IclConfig:
-    """Full experiment configuration for one ensembling run.
-
-    The neighborhood size is tied to ``k`` (always 2k). ``k = 0`` is the
-    demonstration-free special case used to score fine-tuned models, and
-    requires one-by-one mode with a single round.
-    """
-
+class _IclFields(NamedTuple):
     strategy: SelectionStrategy
     k: int
     n_rounds: int
@@ -61,7 +52,19 @@ class IclConfig:
     model_name: str = "gpt-4"
     temperature: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class IclConfig(_IclFields):
+    """Full experiment configuration for one ensembling run.
+
+    The neighborhood size is tied to ``k`` (always 2k). ``k = 0`` is the
+    demonstration-free special case used to score fine-tuned models, and
+    requires one-by-one mode with a single round.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IclConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 0:
             raise ConfigError("k must be non-negative")
         if self.n_rounds < 1:
@@ -73,13 +76,17 @@ class IclConfig:
                 raise ConfigError("k=0 (no demonstrations) requires one-by-one mode")
             if self.n_rounds != 1:
                 raise ConfigError("k=0 has no selection randomness; use n_rounds=1")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> IclConfig:  # so that _replace checks the fields too
+        return cls(*values)
 
     def is_standard_grid(self) -> bool:
         return self.k in STANDARD_K and self.n_rounds in STANDARD_N_ROUNDS
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """Per-essay predictions with full provenance for one run."""
 
     essay_id: str
@@ -87,7 +94,7 @@ class PredictionRecord:
     final: tuple[Label, ...]
     vote_counts: tuple[Mapping[str, int], ...]
     selections: tuple[SelectionOutcome, ...]
-    responses: tuple[tuple[str, ...], ...] = field(default=())
+    responses: tuple[tuple[str, ...], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +134,6 @@ class PredictionRecord:
         )
 
 
-@dataclass
 class PromptCache:
     """The prompt pieces that recur across one run's essays, each made once.
 
@@ -145,10 +151,16 @@ class PromptCache:
     kept.
     """
 
-    bodies: dict[Essay, str] = field(default_factory=dict)
-    escapes: dict[str, bytes] = field(default_factory=dict)
-    parsed: dict[tuple[str, int], tuple[Label, ...]] = field(default_factory=dict)
-    votes: dict[tuple[Label, ...], tuple[Label, dict[str, int]]] = field(default_factory=dict)
+    def __init__(self, bodies: dict[Essay, str] | None = None, escapes: dict[str, bytes] | None = None,
+                 parsed: dict[tuple[str, int], tuple[Label, ...]] | None = None,
+                 votes: dict[tuple[Label, ...], tuple[Label, dict[str, int]]] | None = None) -> None:
+        self.bodies = {} if bodies is None else bodies
+        self.escapes = {} if escapes is None else escapes
+        self.parsed = {} if parsed is None else parsed
+        self.votes = {} if votes is None else votes
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def vote(self, labels: tuple[Label, ...]) -> tuple[Label, dict[str, int]]:
         """The :func:`majority_vote` of ``labels`` and their counts by label value, in value order.

@@ -9,7 +9,7 @@ position of one of its components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Essay, Span
 
@@ -32,8 +32,7 @@ FEATXT_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class StructuralFeatures:
+class StructuralFeatures(NamedTuple):
     is_first_in_paragraph: bool
     is_last_in_paragraph: bool
     in_introduction: bool

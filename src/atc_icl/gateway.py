@@ -68,10 +68,9 @@ import time
 import urllib.parse
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, MutableMapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, MutableMapping, NamedTuple, Protocol, Sequence
 
 from .errors import AtcError, masked_url
 
@@ -121,8 +120,7 @@ class BackendTag(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Usage:
+class Usage(NamedTuple):
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
@@ -166,7 +164,6 @@ def _request_fields(request: ChatRequest, user_text: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class ChatRequest:
     """One chat completion request.
 
@@ -188,29 +185,43 @@ class ChatRequest:
     it set values that hold alike, so threads may share a request.
     """
 
-    system_text: str
-    user_text: str
-    model_name: str
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
+    _fields = ("system_text", "user_text", "model_name", "temperature", "max_output_tokens")
     # The hash state and the record's UTF-8 in chunks, None until first keyed (see _key).
-    _state: hashlib._Hash | None = field(default=None, init=False, compare=False, repr=False)
-    _record_start: tuple[bytes, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    _state: hashlib._Hash | None = None
+    _record_start: tuple[bytes, ...] | None = None
     # An extended request's user text, in pieces; it is joined on first read (see __getattr__).
-    _text_parts: tuple[str, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    _text_parts: tuple[str, ...] | None = None
     # For a round context that several requests extend (see extend's shared): what each of their
     # chat records holds before its own escaped part. It names the context's file (see ResponseStore).
-    _shared: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _shared: bytes | None = None
     # The shared round context this request was extended from, if any.
-    _context: ChatRequest | None = field(default=None, init=False, compare=False, repr=False)
+    _context: ChatRequest | None = None
     # On a shared context: the store whose context file was found or written to hold it.
-    _checked: ResponseStore | None = field(default=None, init=False, compare=False, repr=False)
+    _checked: ResponseStore | None = None
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.temperature) or self.temperature < 0:
-            raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
-        if self.max_output_tokens <= 0:
+    def __init__(self, system_text: str, user_text: str, model_name: str, temperature: float = 0.0,
+                 max_output_tokens: int = 1024) -> None:
+        if not math.isfinite(temperature) or temperature < 0:
+            raise ValueError(f"temperature must be finite and non-negative, not {temperature!r}")
+        if max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
+        self.__dict__.update(system_text=system_text, user_text=user_text, model_name=model_name,
+                             temperature=temperature, max_output_tokens=max_output_tokens)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is ChatRequest else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"ChatRequest({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __getattr__(self, name: str):
         # Called only for what the instance lacks: an extended request's user text before its first read.
@@ -283,17 +294,31 @@ class ChatRequest:
         return self._state, self._record_start
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     text: str
     usage: Usage
     backend_tag: BackendTag
 
 
-@dataclass(frozen=True)
 class EmbeddingVector:
-    values: tuple[float, ...]
-    source_text_digest: str
+    """A text's embedding and the digest it is stored under; equal in both, and never assigned."""
+
+    def __init__(self, values: tuple[float, ...], source_text_digest: str) -> None:
+        self.__dict__.update(values=values, source_text_digest=source_text_digest)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not EmbeddingVector:
+            return NotImplemented
+        return (self.values, self.source_text_digest) == (other.values, other.source_text_digest)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.source_text_digest))
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector(values={self.values!r}, source_text_digest={self.source_text_digest!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @functools.cached_property
     def norm(self) -> float:
@@ -1033,7 +1058,7 @@ class StoreChatBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         answer = self.store.get_chat(request)
         if answer is not None:
-            return ChatResponse(*answer, backend_tag=self._hit_tag)
+            return ChatResponse(*answer, self._hit_tag)
         if self.upstream is None:
             raise ReplayMiss(f"no recorded chat response for digest {chat_request_digest(request)}")
         response = self.upstream.complete(request)
@@ -1132,7 +1157,6 @@ ReplayEmbeddingBackend = StoreEmbeddingBackend
 MAX_RETRY_AFTER_S = 300.0
 
 
-@dataclass
 class RetryPolicy:
     """Bounded exponential backoff with jitter, on transport and rate-limit errors only.
 
@@ -1143,13 +1167,17 @@ class RetryPolicy:
     :data:`MAX_RETRY_AFTER_S`, which is not retried.
     """
 
-    attempts: int = 3
-    base_delay: float = 1.0
-    sleep: Callable[[float], None] = time.sleep
-    draw: Callable[[float, float], float] = random.uniform
+    def __init__(self, attempts: int = 3, base_delay: float = 1.0, sleep: Callable[[float], None] = time.sleep,
+                 draw: Callable[[float, float], float] = random.uniform) -> None:
+        self.attempts = attempts
+        self.base_delay = base_delay
+        self.sleep = sleep
+        self.draw = draw
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
-@dataclass
 class Gateway:
     """Facade over one chat backend and one embedding backend.
 
@@ -1162,12 +1190,18 @@ class Gateway:
     :meth:`close` closes it.
     """
 
-    chat_backend: ChatBackend | None = None
-    embedding_backend: EmbeddingBackend | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    counts: Counter[tuple[str, BackendTag]] = field(default_factory=Counter)
-    tokens: Counter[str] = field(default_factory=Counter)
-    session: HttpSession | None = None
+    def __init__(self, chat_backend: ChatBackend | None = None, embedding_backend: EmbeddingBackend | None = None,
+                 retry: RetryPolicy | None = None, counts: Counter[tuple[str, BackendTag]] | None = None,
+                 tokens: Counter[str] | None = None, session: HttpSession | None = None) -> None:
+        self.chat_backend = chat_backend
+        self.embedding_backend = embedding_backend
+        self.retry = RetryPolicy() if retry is None else retry
+        self.counts = Counter() if counts is None else counts
+        self.tokens = Counter() if tokens is None else tokens
+        self.session = session
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def _with_retry(self, operation: Callable, argument):
         """``operation(argument)``, retried by :attr:`retry` on transport errors and 429s."""

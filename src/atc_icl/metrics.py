@@ -8,8 +8,7 @@ three-column report shape. All 0/0 ratios resolve to 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import LABELS, Corpus, Label, Split
 from .ensemble import PredictionRecord
@@ -32,16 +31,14 @@ class MissingEssay(AtcError):
     """A prediction record refers to an essay absent from the corpus."""
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     per_label: Mapping[Label, ClassMetrics]
     macro_f1: float
     components: int

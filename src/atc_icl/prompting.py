@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping, NamedTuple, Sequence
 
 from .corpus import LABELS, Corpus, Essay, Label
 from .errors import AtcError
@@ -53,16 +52,14 @@ class PromptMode(Enum):
     ONE_BY_ONE = "one_by_one"
 
 
-@dataclass(frozen=True)
-class PromptConfig:
+class PromptConfig(NamedTuple):
     include_info: bool = False
     include_essay: bool = False
     include_fts: bool = False
     mode: PromptMode = PromptMode.ALL_AT_ONCE
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
     """One round's chat calls and how their answers are read.
 
     Each call's user text is the round's context, its ``pieces`` joined,

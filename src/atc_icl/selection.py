@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Essay
 from .errors import AtcError
@@ -81,8 +80,7 @@ def essay_pool(essays: Sequence[Essay]) -> EssayPool:
     return essays if isinstance(essays, EssayPool) else EssayPool(essays)
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(NamedTuple):
     """Provenance of one selection step: the neighborhood, the picks, the seeds."""
 
     neighbor_ids: tuple[str, ...]

@@ -87,6 +87,13 @@ def user_texts(prompt) -> tuple[str, ...]:
     return tuple("".join(prompt.pieces) + instruction for instruction in prompt.instructions)
 
 
+def rebuilt(request: ChatRequest, **changes) -> ChatRequest:
+    """A request built through the constructor from the five fields of ``request``, with ``changes``."""
+    fields = dict(system_text=request.system_text, user_text=request.user_text, model_name=request.model_name,
+                  temperature=request.temperature, max_output_tokens=request.max_output_tokens)
+    return ChatRequest(**{**fields, **changes})
+
+
 # How a chat record that names a context file starts, up to that file's digest; how it goes on
 # after the digest, up to the escaped rest of its user text; how a context file ends after its escaped user text.
 CONTEXT_RECORD_HEAD = b'{\n  "request": {\n    "context": "'

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -563,6 +562,46 @@ def test_a_store_dir_that_is_no_directory_is_refused_before_any_work(runner, sma
     assert str(result.exception) == f"backend.store_dir {store_dir} cannot hold a store: {blocker} is not a directory"
     assert not out_dir.exists()
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def exits_with_one_error_line(argv, monkeypatch, capfd) -> tuple[str, str]:
+    """stdout and the one ``error:`` line on stderr of ``atc-icl argv``, which must exit 1 with no traceback."""
+    monkeypatch.setattr(sys, "argv", ["atc-icl", *argv])
+    monkeypatch.setattr(cli.signal, "signal", lambda *args: None)  # the test process keeps its SIGTERM handler
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 1
+    out, err = capfd.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in out + err
+    return out, err
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("under", [False, True], ids=["the-config", "under-the-config"])
+def test_an_out_dir_that_is_no_directory_is_refused_before_any_work(small_dir, tmp_path, monkeypatch, capfd,
+                                                                   dry_run, under):
+    config = tmp_path / "run.yaml"
+    out_dir = config / "sub" if under else config
+    write_config(config, small_dir, out_dir)
+    written = config.read_bytes()
+    _, err = exits_with_one_error_line(["run", "--config", str(config), *(["--dry-run"] if dry_run else [])],
+                                       monkeypatch, capfd)
+    assert err == f"error: out_dir {out_dir} cannot hold a run: {config} is not a directory\n"
+    assert config.read_bytes() == written and sorted(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_json_out_into_a_missing_directory_is_one_error_line(small_dir, tmp_path, monkeypatch, capfd, command):
+    json_out = tmp_path / "missing" / "report.json"
+    corpus_args = [str(small_dir), str(small_dir / SPLIT_FILE_NAME)]
+    if command == "eval":
+        config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out")
+        assert CliRunner().invoke(main, ["run", "--config", str(config)]).exit_code == 0
+        corpus_args.insert(0, str(tmp_path / "out" / "records.jsonl"))
+    out, err = exits_with_one_error_line([command, *corpus_args, "--json-out", str(json_out)], monkeypatch, capfd)
+    assert ("macro F1" if command == "eval" else "Corpus statistics") in out  # the report comes first
+    assert err == f"error: cannot write {json_out}: No such file or directory\n"
+    assert not json_out.parent.exists()
 
 
 def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
@@ -1141,7 +1180,8 @@ def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, smal
     monkeypatch.setattr(gateway, "open", open_tearing_the_manifest, raising=False)
     stopped = runner.invoke(main, ["run", "--config", str(config)])
     monkeypatch.undo()
-    assert isinstance(stopped.exception, OSError) and tear
+    assert isinstance(stopped.exception, AtcError) and isinstance(stopped.exception.__cause__, OSError) and tear
+    assert str(stopped.exception) == f"cannot write {out_dir / 'manifest.json'}: No space left on device"
     digest = config_digest(load_run_config(config).icl)
     inputs = json.loads((full_dir / "manifest.json").read_text(encoding="utf-8"))["inputs"]
     previous = json.dumps({"config_digest": digest, "inputs": inputs}, indent=2, sort_keys=True) + "\n"
@@ -1180,7 +1220,7 @@ def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monk
             answered.append(request)
             response = real_complete(request)
             usage = Usage(len(request.user_text.split()), len(response.text.split()))
-            return dataclasses.replace(response, usage=usage)
+            return response._replace(usage=usage)
 
         gateway.chat_backend.complete = complete
         return gateway
@@ -1261,14 +1301,14 @@ from atc_icl import cli
 
 if sys.argv[1:]:
     cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("atc_icl."))))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("atc_icl.") or name == "dataclasses")))
 """
 
 
 @pytest.mark.parametrize("command", ["import", "replay", "mock", "export"])
 def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(runner, small_dir, small_corpus, tmp_path,
                                                                          command):
-    """In a fresh interpreter, where no test has imported them already."""
+    """In a fresh interpreter, where no test has imported them already; no command generates a dataclass."""
     store, out = tmp_path / "store", tmp_path / "out"
     if command == "replay":
         record = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "recorded",
@@ -1289,6 +1329,7 @@ def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(runner, 
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert ("atc_icl.mocks" in loaded, "atc_icl.finetune" in loaded) == (command == "mock", command == "export")
+    assert "dataclasses" not in loaded
     if command in ("replay", "mock"):
         assert "macro F1: 1.0000" in done.stdout
     if command == "export":

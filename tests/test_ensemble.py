@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import re
@@ -29,7 +28,7 @@ from atc_icl.gateway import Gateway, HashEmbeddingBackend, MockChatBackend, chat
 from atc_icl.prompting import (FORMAT_REMINDER, ONE_BY_ONE_REMINDER, PromptConfig, PromptMode, UnknownLabel,
                                build_prompt, parse_response, render_info, render_labels)
 from atc_icl.selection import SelectionOutcome, SelectionStrategy, rank_neighbors, subsample
-from conftest import ScriptedChatBackend, build_essay, simple_essay, user_texts
+from conftest import ScriptedChatBackend, build_essay, rebuilt, simple_essay, user_texts
 
 
 def brute_force_vote(votes):
@@ -348,10 +347,10 @@ def test_every_request_of_a_one_by_one_round_is_extended_from_the_rounds_context
     for request in seen:
         assert len(request._record_start) == len(context) + 1
         assert all(mine is shared for mine, shared in zip(request._record_start, context))
-    assert b"".join(context) == b"".join(dataclasses.replace(seen[0], user_text="".join(prompt.pieces))._key()[1])
+    assert b"".join(context) == b"".join(rebuilt(seen[0], user_text="".join(prompt.pieces))._key()[1])
     assert {(request.model_name, request.temperature) for request in seen} == {("gpt-3.5-turbo", 0.5)}
     for request in seen:
-        plain = dataclasses.replace(request)
+        plain = rebuilt(request)
         assert plain._state is None
         assert chat_request_digest(request) == chat_request_digest(plain)
 

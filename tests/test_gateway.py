@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -48,7 +47,7 @@ from atc_icl.gateway import (
     chat_request_digest,
     embedding_digest,
 )
-from conftest import MappingEmbeddingBackend, OpenAIServer, inline_chat_record
+from conftest import MappingEmbeddingBackend, OpenAIServer, inline_chat_record, rebuilt
 
 
 def req(user="classify this", model="gpt-4", temperature=0.0, max_output_tokens=1024):
@@ -178,7 +177,7 @@ def test_extend_keeps_the_golden_digests_at_every_cut(fields, expected):
         assert chat_request_digest(request) == expected
         assert record_bytes(request) == record_bytes(plain)
     # Over several steps, one character each, from an empty user text.
-    request = dataclasses.replace(plain, user_text="")
+    request = rebuilt(plain, user_text="")
     for character in user:
         request = request.extend([character])
     assert request == plain and chat_request_digest(request) == expected
@@ -253,11 +252,11 @@ def test_a_directly_built_request_is_keyed_only_when_first_asked():
 
 def test_replacing_a_field_of_an_extended_request_keys_its_new_fields():
     keyed = req(user="classify ").extend(["this"])
-    copy = dataclasses.replace(keyed)
+    copy = rebuilt(keyed)
     assert copy == keyed and chat_request_digest(copy) == chat_request_digest(keyed) == chat_request_digest(req())
     for changes in ({"user_text": "classify that"}, {"model_name": "gpt-3.5"}, {"system_text": "other"},
                     {"temperature": 0.7}, {"max_output_tokens": 16}):
-        other = dataclasses.replace(keyed, **changes)
+        other = rebuilt(keyed, **changes)
         assert chat_request_digest(other) == full_payload_digest(other) != chat_request_digest(keyed)
         assert canonical(chat_record(other, "1. Claim", Usage())).startswith(record_bytes(other) + b'"\n  },')
 
@@ -873,7 +872,7 @@ def test_an_inline_record_serves_a_request_of_a_shared_round_and_a_context_recor
     assert store.get_chat(requests[0]) == ("1. Claim", Usage(3, 1))
     assert not (tmp_path / "chat-context").exists()
     store.put_chat(requests[1], ChatResponse("2. Premise", Usage(4, 1), BackendTag.LIVE))
-    whole = dataclasses.replace(requests[1])
+    whole = rebuilt(requests[1])
     assert whole._text_parts is None and whole == requests[1]
     assert ResponseStore(tmp_path).get_chat(whole) == ("2. Premise", Usage(4, 1))
 

@@ -3,7 +3,6 @@ title-kNN rows replay their embeddings from a packed store, every shipped config
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -53,7 +52,7 @@ def test_gold_echo_grid_scores_perfectly_with_a_manifest_per_row(grid, monkeypat
 def test_gold_echo_grid_fails_below_perfect_score(grid, monkeypatch):
     run_experiment = grid.run_experiment
     monkeypatch.setattr(
-        grid, "run_experiment", lambda config: dataclasses.replace(run_experiment(config), macro_f1=0.5)
+        grid, "run_experiment", lambda config: run_experiment(config)._replace(macro_f1=0.5)
     )
     assert grid.main(["--mock", "gold_echo"]) == 1
 
@@ -61,7 +60,7 @@ def test_gold_echo_grid_fails_below_perfect_score(grid, monkeypatch):
 def test_every_shipped_config_is_a_grid_row(grid):
     configs = sorted((ROOT / "configs").glob("*.yaml"))
     assert len(configs) == 7
-    rows = [dataclasses.replace(icl, run_seed=0) for icl in grid.GRID]
+    rows = [icl._replace(run_seed=0) for icl in grid.GRID]
     for path in configs:
-        assert dataclasses.replace(load_run_config(path).icl, run_seed=0) in rows, path
+        assert load_run_config(path).icl._replace(run_seed=0) in rows, path
     assert len(rows) == len(set(rows)) == len(configs) + 3
