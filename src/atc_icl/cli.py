@@ -10,6 +10,7 @@ replay-backed reruns byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -19,9 +20,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__, features, prompting
 from .config import BackendConfig, RunConfig, config_digest, load_run_config, run_label
@@ -130,42 +129,62 @@ def _write_json(path: Path, data: dict) -> None:
         raise AtcError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _print_stats(stats, scope: str) -> None:
-    click.echo(f"Corpus statistics ({scope}):")
-    click.echo(f"  Essays      {stats.essay_count:>8}")
-    click.echo(f"  Paragraphs  {stats.paragraph_count:>8}")
-    click.echo(f"  Sentences   {stats.sentence_count:>8}")
-    click.echo(f"  Tokens      {stats.token_count:>8}")
-    click.echo("Component statistics:")
-    for label in LABELS:
-        click.echo(f"  {label.display_name + 's':<14}{stats.label_counts[label]:>6}")
-    click.echo(f"  {'Total':<14}{stats.component_count:>6}")
+COMMANDS: dict[str, argparse.Namespace] = {}
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="atc-icl")
-def main() -> None:
-    """Argument type classification experiments on persuasive essays."""
+def command(*arguments: tuple[tuple, dict], name: str | None = None) -> Callable[[Callable], argparse.Namespace]:
+    """Declare the function the subcommand ``name`` (by default its own) taking ``arguments``. :func:`main` looks
+    up the returned command's ``callback`` at each call, so a caller may wrap it."""
+    def declare(callback: Callable) -> argparse.Namespace:
+        COMMANDS[name or callback.__name__] = declared = argparse.Namespace(callback=callback, arguments=arguments)
+        return declared
+    return declare
 
 
-@main.command()
-@click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.argument("split_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--scope", type=click.Choice(["all", "train", "test"]), default="all")
-@click.option("--json-out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+def _arg(*names: str, **options) -> tuple[tuple, dict]:
+    """One argument of a subcommand, as ``ArgumentParser.add_argument`` takes it."""
+    return names, options
+
+
+def _path(kind: str, exists: bool = True) -> Callable[[str], Path]:
+    """An argparse ``type``: a Path, refused as a usage error if it names the other kind, or, with ``exists``, nothing."""
+    def check(value: str) -> Path:
+        path = Path(value)
+        if path.exists() and path.is_dir() != (kind == "Directory"):
+            raise argparse.ArgumentTypeError(f"{kind} '{value}' is a {'file' if kind == 'Directory' else 'directory'}.")
+        if exists and not path.exists():
+            raise argparse.ArgumentTypeError(f"{kind} '{value}' does not exist.")
+        return path
+    return check
+
+
+_CORPUS_DIR = _arg("corpus_dir", metavar="CORPUS_DIR", type=_path("Directory"))
+_SPLIT_FILE = _arg("split_file", metavar="SPLIT_FILE", type=_path("File"))
+_CONFIG = _arg("--config", dest="config_path", metavar="FILE", required=True, type=_path("File"))
+_JSON_OUT = _arg("--json-out", metavar="FILE", type=_path("File", exists=False))
+_HELP = _arg("--help", action="help", help="Show this message and exit.")
+
+
+@command(_CORPUS_DIR, _SPLIT_FILE, _arg("--scope", choices=["all", "train", "test"], default="all"), _JSON_OUT)
 def stats(corpus_dir: Path, split_file: Path, scope: str, json_out: Path | None) -> None:
     """Print corpus statistics for the chosen scope."""
     corpus = load_corpus(corpus_dir, split_file)
     result = compute_stats(corpus, None if scope == "all" else Split(scope.upper()))
-    _print_stats(result, scope)
+    print(f"Corpus statistics ({scope}):")
+    print(f"  Essays      {result.essay_count:>8}")
+    print(f"  Paragraphs  {result.paragraph_count:>8}")
+    print(f"  Sentences   {result.sentence_count:>8}")
+    print(f"  Tokens      {result.token_count:>8}")
+    print("Component statistics:")
+    for label in LABELS:
+        print(f"  {label.display_name + 's':<14}{result.label_counts[label]:>6}")
+    print(f"  {'Total':<14}{result.component_count:>6}")
     if json_out is not None:
         _write_json(json_out, result.to_dict())
-        click.echo(f"wrote {json_out}")
+        print(f"wrote {json_out}")
 
 
-@main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@command(_CONFIG)
 def embed(config_path: Path) -> None:
     """Warm the title-embedding cache for every essay in the corpus, and pack it."""
     config = load_run_config(config_path)
@@ -176,10 +195,7 @@ def embed(config_path: Path) -> None:
     fetched = gateway.counts["embed", BackendTag.LIVE]
     cached = gateway.counts["embed", BackendTag.CACHE]
     other = total - fetched - cached
-    click.echo(
-        f"embedded {total} titles ({fetched} live fetches, {cached} cache hits, "
-        f"{other} replay/mock)"
-    )
+    print(f"embedded {total} titles ({fetched} live fetches, {cached} cache hits, {other} replay/mock)")
 
 
 def embed_corpus(corpus: Corpus, gateway: Gateway) -> None:
@@ -378,7 +394,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     size = records_path.stat().st_size if records_path.exists() else 0
     if size > complete:
         os.truncate(records_path, complete)
-        click.echo(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", err=True)
+        print(f"warning: {records_path}: dropped {size - complete} bytes of a torn last record", file=sys.stderr)
 
     info = build_info_block(corpus) if icl.prompt.include_info else None
     cache = PromptCache()
@@ -442,7 +458,7 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
                 error = None if future.cancelled() else future.exception()
                 if error is not None and error is not exc:
                     message = f"{type(error).__name__}: {error}".replace("\n", " ")
-                    click.echo(f"warning: essay {essay.essay_id} failed too: {message}", err=True)
+                    print(f"warning: essay {essay.essay_id} failed too: {message}", file=sys.stderr)
         raise
     finally:
         if executor is not None:
@@ -468,87 +484,101 @@ def run_experiment(config: RunConfig) -> EvaluationReport:
     return report
 
 
-@main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--dry-run", is_flag=True, help="Print the request estimate and exit.")
+@command(_CONFIG, _arg("--dry-run", action="store_true", help="Print the request estimate and exit."))
 def run(config_path: Path, dry_run: bool) -> None:
     """Run the selection + prompting + ensembling loop over the test split."""
     config = load_run_config(config_path)
     icl = config.icl
     if not icl.is_standard_grid():
         k_values, n_values = (",".join(map(str, values)) for values in (STANDARD_K, STANDARD_N_ROUNDS))
-        click.echo(
-            f"note: k={icl.k}, n={icl.n_rounds} is outside the standard grid "
-            f"(k in {{{k_values}}}, n in {{{n_values}}})",
-            err=True,
-        )
+        print(f"note: k={icl.k}, n={icl.n_rounds} is outside the standard grid "
+              f"(k in {{{k_values}}}, n in {{{n_values}}})", file=sys.stderr)
     if dry_run:
         *_, corpus, remaining = _pending(config)
         if _chat_upstream(config.backend) == "mock":
             _mock_responder(config.backend, corpus)  # refuses what the run would refuse
         per_essay = [len(prompting.round_instructions(e.m, icl.prompt.mode)) for e in remaining]
-        click.echo(f"run label:       {run_label(icl)}")
-        click.echo(f"config digest:   {config_digest(icl)}")
-        click.echo(f"essays to run:   {len(remaining)} (of {len(corpus.test_essays())} test essays)")
-        click.echo(f"chat requests:   ~{icl.n_rounds * sum(per_essay)} (excluding parse retries)")
+        print(f"run label:       {run_label(icl)}")
+        print(f"config digest:   {config_digest(icl)}")
+        print(f"essays to run:   {len(remaining)} (of {len(corpus.test_essays())} test essays)")
+        print(f"chat requests:   ~{icl.n_rounds * sum(per_essay)} (excluding parse retries)")
         if icl.strategy is SelectionStrategy.KNN_TITLE and icl.k > 0:
             # Each essay embeds its own title and every pool title once.
             pool = corpus.train_essays() if remaining else []
             titles = {e.title for e in [*pool, *remaining]}
-            click.echo(f"embedding calls: {len(remaining) * (len(pool) + 1)} "
-                       f"({len(titles)} distinct titles)")
+            print(f"embedding calls: {len(remaining) * (len(pool) + 1)} ({len(titles)} distinct titles)")
         return
 
     report = run_experiment(config)
     out_dir = config.out_dir
-    click.echo(render_report(report))
-    click.echo(f"\nwrote {out_dir / RECORDS_NAME}, {out_dir / REPORT_JSON_NAME}, {out_dir / MANIFEST_NAME}")
+    print(render_report(report))
+    print(f"\nwrote {out_dir / RECORDS_NAME}, {out_dir / REPORT_JSON_NAME}, {out_dir / MANIFEST_NAME}")
 
 
-@main.command("eval")
-@click.argument("records_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.argument("split_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--json-out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+@command(_arg("records_path", metavar="RECORDS_PATH", type=_path("File")), _CORPUS_DIR, _SPLIT_FILE, _JSON_OUT,
+         name="eval")
 def eval_cmd(records_path: Path, corpus_dir: Path, split_file: Path, json_out: Path | None) -> None:
     """Score a records file against the corpus gold labels."""
     corpus = load_corpus(corpus_dir, split_file)
     records, _ = _load_records(records_path)
     if not records:
-        raise click.ClickException(f"no records found in {records_path}")
+        raise AtcError(f"no records found in {records_path}")
     report = aggregate_runs(records, corpus)
-    click.echo(render_report(report))
+    print(render_report(report))
     if json_out is not None:
         _write_json(json_out, report.to_dict())
-        click.echo(f"wrote {json_out}")
+        print(f"wrote {json_out}")
 
 
-@main.command()
-@click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.argument("split_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--split", type=click.Choice(["train", "test"]), required=True)
-@click.option("--featxt/--no-featxt", default=False,
-              help="Inject title, sentence, paragraph number, and feature text.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
+@command(_CORPUS_DIR, _SPLIT_FILE, _arg("--split", choices=["train", "test"], required=True),
+         _arg("--featxt", action=argparse.BooleanOptionalAction, default=False,
+              help="Inject title, sentence, paragraph number, and feature text."),
+         _arg("--out", metavar="FILE", required=True, type=_path("File", exists=False)))
 def export(corpus_dir: Path, split_file: Path, split: str, featxt: bool, out: Path) -> None:
     """Export fine-tuning chat records as JSONL, one per argument component."""
     from .finetune import export as export_finetune
 
     corpus = load_corpus(corpus_dir, split_file)
     count = export_finetune(corpus, Split(split.upper()), featxt, out)
-    click.echo(f"wrote {count} records to {out}")
+    print(f"wrote {count} records to {out}")
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run the subcommand ``argv`` (by default ``sys.argv[1:]``) names; return the exit code, 0 or 2 for a usage error.
+
+    In ``standalone_mode`` an :class:`AtcError` prints one ``error:`` line, and Ctrl-C ``Aborted!``, on stderr and
+    gives 1; otherwise they propagate, and so does a usage error's ``SystemExit``.
+    """
+    parser = argparse.ArgumentParser(prog="atc-icl", description="Argument type classification experiments on"
+                                     " persuasive essays.", add_help=False, allow_abbrev=False)
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, declared in COMMANDS.items():
+        doc = declared.callback.__doc__
+        subparser = subparsers.add_parser(name, help=doc, description=doc, add_help=False, allow_abbrev=False)
+        for names, options in [*declared.arguments, _HELP]:
+            subparser.add_argument(*names, **options)
+    for names, options in [_arg("--version", action="version", version=f"%(prog)s, version {__version__}",
+                                help="Show the version and exit."), _HELP]:
+        parser.add_argument(*names, **options)
+    try:
+        args = vars(parser.parse_args(argv))
+        COMMANDS[args.pop("command")].callback(**args)
+    except (SystemExit, AtcError, KeyboardInterrupt) as exc:
+        if not standalone_mode:
+            raise
+        if isinstance(exc, SystemExit):  # a usage error, --help or --version, or SIGTERM
+            return exc.code
+        sys.stdout.flush()  # what the command printed comes first
+        print(f"error: {exc}" if isinstance(exc, AtcError) else "\nAborted!", file=sys.stderr)
+        return 1
+    return 0
 
 
 def entrypoint() -> None:
     # SIGTERM unwinds like any other failure, so a stopped run still leaves
     # its session's counts in the manifest.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    try:
-        main(standalone_mode=True)
-    except AtcError as exc:  # pragma: no cover - thin wrapper
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -70,5 +70,5 @@ def export(corpus: Corpus, split: Split, featxt: bool, out: Path | str) -> int:
     try:
         write_atomic(Path(out), lines)
     except OSError as exc:
-        raise IoFailure(f"cannot write {out}: {exc}") from exc
+        raise IoFailure(f"cannot write {out}: {exc.strerror or exc}") from exc
     return sum(essay.m for essay in essays)

@@ -3,7 +3,9 @@ local OpenAI-compatible server."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import socket
 import ssl
@@ -14,10 +16,11 @@ from collections import Counter, deque
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import pytest
 
+from atc_icl import cli
 from atc_icl.corpus import Corpus, Essay, Label, load_corpus, parse_essay
 from atc_icl.gateway import (BackendTag, ChatRequest, ChatResponse, EmbeddingVector, HashEmbeddingBackend,
                              HttpSession, Usage, embedding_digest)
@@ -194,6 +197,54 @@ def small_dir(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def small_corpus(small_dir: Path) -> Corpus:
     return load_corpus(small_dir, small_dir / SPLIT_FILE_NAME)
+
+
+class Invocation(NamedTuple):
+    """What ``atc-icl argv`` did: its exit code, what it printed, and what its command raised (None if nothing)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(argv: list[str], catch_exceptions: bool = True) -> Invocation:
+    """Run ``cli.main(argv)`` in standalone mode, as the ``atc-icl`` script does, and capture stdout and stderr.
+
+    What the command raised is kept as ``exception``, whether ``main`` reported it as an ``error:`` line or let it
+    through, as a bug, which a process exits 1 on; with ``catch_exceptions=False`` it is raised here instead. It is
+    seen through each command's ``callback``, which ``main`` looks up at each call.
+    """
+    raised: list[BaseException] = []
+
+    def recording(callback):
+        def call(**kwargs):
+            try:
+                return callback(**kwargs)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+        return call
+
+    callbacks = {name: command.callback for name, command in cli.COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        for name, callback in callbacks.items():
+            cli.COMMANDS[name].callback = recording(callback)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            exit_code = cli.main(argv)
+    except Exception as exc:  # what main lets through: the process would exit 1 with its traceback
+        exit_code, raised = 1, raised or [exc]
+    finally:
+        for name, callback in callbacks.items():
+            cli.COMMANDS[name].callback = callback
+    if raised and not catch_exceptions:
+        raise raised[0]
+    return Invocation(exit_code, out.getvalue(), err.getvalue(), raised[0] if raised else None)
 
 
 def pytest_runtest_logreport(report):

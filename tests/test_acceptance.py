@@ -17,9 +17,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
-from atc_icl.cli import main
 from atc_icl.config import load_run_config, run_label
 from atc_icl.corpus import LABELS, TIE_BREAK_RANK, Label, Split, compute_stats, load_corpus
 from atc_icl.ensemble import majority_vote
@@ -29,7 +27,7 @@ from atc_icl.metrics import evaluate
 from atc_icl.prompting import parse_response, render_labels
 from atc_icl.selection import SelectionStrategy, rank_neighbors
 from atc_icl.synth import SPLIT_FILE_NAME
-from conftest import MappingEmbeddingBackend, simple_essay, user_texts
+from conftest import MappingEmbeddingBackend, invoke, simple_essay, user_texts
 
 REPO = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -146,7 +144,6 @@ def naive_all_premise_macro(gold: list[Label]) -> float:
 
 
 def test_criterion_3_gold_echo_full_test_split(synth_dir, synth_corpus, tmp_path):
-    runner = CliRunner()
     icl_lines = [
         "strategy: knn_len", "k: 5", "n: 5", "info: true", "essay: true",
         "fts: false", "mode: all_at_once", "model: gpt-4", "run_seed: 11",
@@ -157,7 +154,7 @@ def test_criterion_3_gold_echo_full_test_split(synth_dir, synth_corpus, tmp_path
         tmp_path / "gold.yaml", synth_dir, gold_dir,
         ["chat: mock", "mock_mode: gold_echo"], icl_lines,
     )
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     report = json.loads((gold_dir / "report.json").read_text(encoding="utf-8"))
     assert report["macro_f1"] == 1.0
@@ -169,7 +166,7 @@ def test_criterion_3_gold_echo_full_test_split(synth_dir, synth_corpus, tmp_path
         tmp_path / "premise.yaml", synth_dir, premise_dir,
         ["chat: mock", "mock_mode: constant"], icl_lines,
     )
-    result2 = runner.invoke(main, ["run", "--config", str(config2)], catch_exceptions=False)
+    result2 = invoke(["run", "--config", str(config2)], catch_exceptions=False)
     assert result2.exit_code == 0
     elapsed = time.monotonic() - started
     report2 = json.loads((premise_dir / "report.json").read_text(encoding="utf-8"))
@@ -291,7 +288,6 @@ def test_criterion_7_metrics_fixtures_and_equivariance():
 
 
 def test_criterion_8_replay_reruns_are_byte_identical(small_dir, tmp_path):
-    runner = CliRunner()
     store = tmp_path / "store"
     icl_lines = [
         "strategy: knn_title", "k: 3", "n: 3", "info: true", "essay: true",
@@ -304,7 +300,7 @@ def test_criterion_8_replay_reruns_are_byte_identical(small_dir, tmp_path):
     config = _write_run_config(
         tmp_path / "record.yaml", small_dir, tmp_path / "recorded", record_backend, icl_lines
     )
-    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
 
     outputs = []
     for name in ("replay-a", "replay-b"):
@@ -313,7 +309,7 @@ def test_criterion_8_replay_reruns_are_byte_identical(small_dir, tmp_path):
         replay_config = _write_run_config(
             tmp_path / f"{name}.yaml", small_dir, out_dir, replay_backend, icl_lines
         )
-        result = runner.invoke(main, ["run", "--config", str(replay_config)], catch_exceptions=False)
+        result = invoke(["run", "--config", str(replay_config)], catch_exceptions=False)
         assert result.exit_code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         # Chat answers come from the recorded store, embeddings from the

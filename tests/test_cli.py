@@ -12,7 +12,6 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from atc_icl import cli, gateway, prompting, selection
@@ -22,12 +21,7 @@ from atc_icl.corpus import Label, load_corpus
 from atc_icl.errors import AtcError
 from atc_icl.gateway import Usage
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
-from conftest import CONTEXT_RECORD_HEAD, inline_chat_records
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from conftest import CONTEXT_RECORD_HEAD, inline_chat_records, invoke
 
 
 def write_config(path: Path, corpus_dir: Path, out_dir: Path, **overrides) -> Path:
@@ -61,13 +55,10 @@ def write_config(path: Path, corpus_dir: Path, out_dir: Path, **overrides) -> Pa
     return path
 
 
-def test_stats_prints_and_writes_json(runner, small_dir, tmp_path):
+def test_stats_prints_and_writes_json(small_dir, tmp_path):
     json_out = tmp_path / "stats.json"
-    result = runner.invoke(
-        main,
-        ["stats", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--json-out", str(json_out)],
-        catch_exceptions=False,
-    )
+    result = invoke(["stats", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--json-out", str(json_out)],
+                    catch_exceptions=False)
     assert result.exit_code == 0
     assert "Essays" in result.output and "Major Claims" in result.output
     payload = json.loads(json_out.read_text(encoding="utf-8"))
@@ -76,30 +67,27 @@ def test_stats_prints_and_writes_json(runner, small_dir, tmp_path):
         payload["components"]["Claim"] + payload["components"]["Premise"]
 
 
-def test_stats_train_scope(runner, small_dir):
-    result = runner.invoke(
-        main,
-        ["stats", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--scope", "train"],
-        catch_exceptions=False,
-    )
+def test_stats_train_scope(small_dir):
+    result = invoke(["stats", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--scope", "train"],
+                    catch_exceptions=False)
     assert result.exit_code == 0
     assert result.output.startswith("Corpus statistics (train):\n")
     assert "Essays             8" in result.output
 
 
-def test_stats_missing_corpus_errors(runner, tmp_path):
+def test_stats_missing_corpus_errors(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     split = tmp_path / "split.csv"
     split.write_text('"ID";"SET"\n', encoding="utf-8")
-    result = runner.invoke(main, ["stats", str(empty), str(split)])
+    result = invoke(["stats", str(empty), str(split)])
     assert result.exit_code != 0
 
 
-def test_run_gold_echo_end_to_end(runner, small_dir, tmp_path):
+def test_run_gold_echo_end_to_end(small_dir, tmp_path):
     out_dir = tmp_path / "run1"
     config = write_config(tmp_path / "run.yaml", small_dir, out_dir)
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     assert "info + essay + 3NN^len + 3Ens" in result.output
 
@@ -116,20 +104,20 @@ def test_run_gold_echo_end_to_end(runner, small_dir, tmp_path):
     assert manifest["essay_ids"] == sorted(json.loads(line)["essay_id"] for line in records)
 
 
-def test_run_dry_run_writes_nothing(runner, small_dir, tmp_path):
+def test_run_dry_run_writes_nothing(small_dir, tmp_path):
     out_dir = tmp_path / "run-dry"
     config = write_config(tmp_path / "dry.yaml", small_dir, out_dir)
-    result = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     assert result.exit_code == 0
     assert "essays to run:   4" in result.output
     assert "chat requests:   ~12" in result.output  # 4 essays x 3 rounds
     assert not (out_dir / "records.jsonl").exists()
 
 
-def test_run_resumes_after_interrupt(runner, small_dir, tmp_path):
+def test_run_resumes_after_interrupt(small_dir, tmp_path):
     full_dir = tmp_path / "full"
     config = write_config(tmp_path / "full.yaml", small_dir, full_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     full_records = (full_dir / "records.jsonl").read_text(encoding="utf-8")
 
     resumed_dir = tmp_path / "resumed"
@@ -139,7 +127,7 @@ def test_run_resumes_after_interrupt(runner, small_dir, tmp_path):
         full_records.splitlines()[0] + "\n", encoding="utf-8"
     )
     config2 = write_config(tmp_path / "resume.yaml", small_dir, resumed_dir)
-    result = runner.invoke(main, ["run", "--config", str(config2)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config2)], catch_exceptions=False)
     assert result.exit_code == 0
     assert (resumed_dir / "records.jsonl").read_text(encoding="utf-8") == full_records
     assert (resumed_dir / "report.json").read_text(encoding="utf-8") == (
@@ -147,33 +135,33 @@ def test_run_resumes_after_interrupt(runner, small_dir, tmp_path):
     ).read_text(encoding="utf-8")
 
 
-def test_run_rerun_skips_all_and_keeps_report(runner, small_dir, tmp_path):
+def test_run_rerun_skips_all_and_keeps_report(small_dir, tmp_path):
     out_dir = tmp_path / "rerun"
     config = write_config(tmp_path / "rerun.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     records_before = (out_dir / "records.jsonl").read_bytes()
     report_before = (out_dir / "report.json").read_bytes()
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     assert (out_dir / "records.jsonl").read_bytes() == records_before
     assert (out_dir / "report.json").read_bytes() == report_before
 
 
-def test_run_nonstandard_grid_is_flagged(runner, small_dir, tmp_path):
+def test_run_nonstandard_grid_is_flagged(small_dir, tmp_path):
     out_dir = tmp_path / "nonstd"
     config = write_config(tmp_path / "nonstd.yaml", small_dir, out_dir, icl={"k": 2, "n": 1})
-    result = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     assert result.exit_code == 0
     assert "outside the standard grid (k in {3,5}, n in {1,3,5})" in result.output
 
 
-def test_run_constant_premise_mock(runner, small_dir, small_corpus, tmp_path):
+def test_run_constant_premise_mock(small_dir, small_corpus, tmp_path):
     out_dir = tmp_path / "constant"
     config = write_config(
         tmp_path / "constant.yaml", small_dir, out_dir,
         backend={"chat": "mock", "mock_mode": "constant"},
     )
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     premise_total = sum(
@@ -191,17 +179,13 @@ def test_run_constant_premise_mock(runner, small_dir, small_corpus, tmp_path):
     assert report["macro_f1"] == pytest.approx(expected_macro, abs=1e-9)
 
 
-def test_eval_command_matches_run_report(runner, small_dir, tmp_path):
+def test_eval_command_matches_run_report(small_dir, tmp_path):
     out_dir = tmp_path / "run-eval"
     config = write_config(tmp_path / "runeval.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     json_out = tmp_path / "eval.json"
-    result = runner.invoke(
-        main,
-        ["eval", str(out_dir / "records.jsonl"), str(small_dir), str(small_dir / SPLIT_FILE_NAME),
-         "--json-out", str(json_out)],
-        catch_exceptions=False,
-    )
+    result = invoke(["eval", str(out_dir / "records.jsonl"), str(small_dir), str(small_dir / SPLIT_FILE_NAME),
+                     "--json-out", str(json_out)], catch_exceptions=False)
     assert result.exit_code == 0
     evaluated = json.loads(json_out.read_text(encoding="utf-8"))
     run_report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
@@ -209,21 +193,17 @@ def test_eval_command_matches_run_report(runner, small_dir, tmp_path):
     assert evaluated["per_label"] == run_report["per_label"]
 
 
-def test_export_command(runner, small_dir, tmp_path):
+def test_export_command(small_dir, tmp_path):
     out = tmp_path / "train.jsonl"
-    result = runner.invoke(
-        main,
-        ["export", str(small_dir), str(small_dir / SPLIT_FILE_NAME),
-         "--split", "train", "--featxt", "--out", str(out)],
-        catch_exceptions=False,
-    )
+    result = invoke(["export", str(small_dir), str(small_dir / SPLIT_FILE_NAME),
+                     "--split", "train", "--featxt", "--out", str(out)], catch_exceptions=False)
     assert result.exit_code == 0
     count = int(result.output.split()[1])
     assert len(out.read_text(encoding="utf-8").splitlines()) == count
     assert "Is the AC first in its paragraph" in out.read_text(encoding="utf-8")
 
 
-def test_embed_command_cache_idempotency(runner, small_dir, tmp_path):
+def test_embed_command_cache_idempotency(small_dir, tmp_path):
     store = tmp_path / "store"
     config_path = tmp_path / "embed.yaml"
     config_path.write_text(
@@ -242,14 +222,14 @@ def test_embed_command_cache_idempotency(runner, small_dir, tmp_path):
         ),
         encoding="utf-8",
     )
-    first = runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    first = invoke(["embed", "--config", str(config_path)], catch_exceptions=False)
     assert first.exit_code == 0
     assert "embedded 12 titles (0 live fetches, 0 cache hits, 12 replay/mock)" in first.output
-    second = runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    second = invoke(["embed", "--config", str(config_path)], catch_exceptions=False)
     assert "embedded 12 titles (0 live fetches, 12 cache hits, 0 replay/mock)" in second.output
 
 
-def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, small_dir, small_corpus, tmp_path):
+def test_embed_command_packs_the_titles_next_to_rows_already_packed(small_dir, small_corpus, tmp_path):
     store_dir = tmp_path / "store"
     model = gateway.HashEmbeddingBackend().model_name
     store = gateway.ResponseStore(store_dir)
@@ -259,24 +239,24 @@ def test_embed_command_packs_the_titles_next_to_rows_already_packed(runner, smal
     config_path = write_config(tmp_path / "embed.yaml", small_dir, tmp_path / "out",
                                backend={"embedding": "cache", "embedding_upstream": "hash",
                                         "store_dir": str(store_dir)})
-    runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    invoke(["embed", "--config", str(config_path)], catch_exceptions=False)
     pack = store.embedding_pack_path(model)
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
     titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
     assert header == {"digests": [earlier, *titles], "dim": 8, "distances": True, "model_name": model}
     written = pack.stat().st_mtime_ns, pack.read_bytes()
-    runner.invoke(main, ["embed", "--config", str(config_path)], catch_exceptions=False)
+    invoke(["embed", "--config", str(config_path)], catch_exceptions=False)
     assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
 
 
-def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, small_corpus, tmp_path, monkeypatch):
+def test_embed_packs_a_legacy_store_as_a_recording_would(small_dir, small_corpus, tmp_path, monkeypatch):
     """A store of records written before vectors were packed, and no pack, goes through ``atc-icl embed``."""
     model = gateway.HashEmbeddingBackend().model_name
     recorded, legacy = tmp_path / "recorded", tmp_path / "legacy"
     record_config = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "record-out",
                                  backend={"embedding": "cache", "embedding_upstream": "hash",
                                           "store_dir": str(recorded)})
-    runner.invoke(main, ["embed", "--config", str(record_config)], catch_exceptions=False)
+    invoke(["embed", "--config", str(record_config)], catch_exceptions=False)
     recorded_store = gateway.ResponseStore(recorded)
     (legacy / "embed").mkdir(parents=True)
     for path in (recorded / "embed").glob("*.json"):
@@ -291,13 +271,13 @@ def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, smal
                             icl={"strategy": "knn_title"},
                             backend={"embedding": "replay", "embedding_model": model, "store_dir": str(store_dir)})
 
-    result = runner.invoke(main, ["embed", "--config", str(replay_config("legacy-embed", legacy))],
-                           catch_exceptions=False)
+    result = invoke(["embed", "--config", str(replay_config("legacy-embed", legacy))],
+                    catch_exceptions=False)
     assert "embedded 12 titles (0 live fetches, 0 cache hits, 12 replay/mock)" in result.output
     pack = gateway.ResponseStore(legacy).embedding_pack_path(model)
     assert pack.read_bytes() == recorded_store.embedding_pack_path(model).read_bytes()
 
-    runner.invoke(main, ["run", "--config", str(replay_config("recorded", recorded))], catch_exceptions=False)
+    invoke(["run", "--config", str(replay_config("recorded", recorded))], catch_exceptions=False)
     record_reads, row_reads, scored = [], [], []
     read, row, cosine = gateway.ResponseStore._read, gateway._EmbeddingPack.row, selection.cosine_similarity
     monkeypatch.setattr(gateway.ResponseStore, "_read",
@@ -306,7 +286,7 @@ def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, smal
                         lambda self, index: row_reads.append(self.digests[index]) or row(self, index))
     monkeypatch.setattr(selection, "cosine_similarity",
                         lambda vector, query: scored.append(vector.source_text_digest) or cosine(vector, query))
-    runner.invoke(main, ["run", "--config", str(replay_config("legacy", legacy))], catch_exceptions=False)
+    invoke(["run", "--config", str(replay_config("legacy", legacy))], catch_exceptions=False)
     records = [(tmp_path / f"{name}-out" / "records.jsonl").read_bytes() for name in ("recorded", "legacy")]
     assert records[0] == records[1]
     manifest = json.loads((tmp_path / "legacy-out" / "manifest.json").read_text(encoding="utf-8"))
@@ -318,7 +298,7 @@ def test_embed_packs_a_legacy_store_as_a_recording_would(runner, small_dir, smal
     assert len(queries) < len(row_reads) < manifest["embed_calls"]
 
 
-def test_replay_reads_the_embeddings_its_cache_twin_recorded(runner, small_dir, tmp_path, monkeypatch):
+def test_replay_reads_the_embeddings_its_cache_twin_recorded(small_dir, tmp_path, monkeypatch):
     """Changing only ``embedding: cache`` to ``replay`` finds every title ``atc-icl embed`` recorded."""
     def config(name, embedding):
         return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / f"{name}-out",
@@ -327,11 +307,11 @@ def test_replay_reads_the_embeddings_its_cache_twin_recorded(runner, small_dir, 
                                      "store_dir": str(tmp_path / "store")})
 
     cached = config("cache", "cache")
-    runner.invoke(main, ["embed", "--config", str(cached)], catch_exceptions=False)
-    runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False)
+    invoke(["embed", "--config", str(cached)], catch_exceptions=False)
+    invoke(["run", "--config", str(cached)], catch_exceptions=False)
     for upstream in ("HashEmbeddingBackend", "LiveEmbeddingBackend"):
         monkeypatch.setattr(cli, upstream, None)  # a replay builds no upstream
-    result = runner.invoke(main, ["run", "--config", str(config("replay", "replay"))], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config("replay", "replay"))], catch_exceptions=False)
     assert result.exit_code == 0
     manifest = json.loads((tmp_path / "replay-out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["backend_tags_used"] == ["mock", "replay"]
@@ -339,7 +319,7 @@ def test_replay_reads_the_embeddings_its_cache_twin_recorded(runner, small_dir, 
     assert records[0] == records[1]
 
 
-def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
+def test_embed_replay_without_fixtures_fails(small_dir, tmp_path):
     config_path = tmp_path / "replay.yaml"
     config_path.write_text(
         textwrap.dedent(
@@ -356,16 +336,16 @@ def test_embed_replay_without_fixtures_fails(runner, small_dir, tmp_path):
         ),
         encoding="utf-8",
     )
-    result = runner.invoke(main, ["embed", "--config", str(config_path)])
+    result = invoke(["embed", "--config", str(config_path)])
     assert result.exit_code != 0
     assert isinstance(result.exception, Exception)
 
 
 @pytest.mark.parametrize("cut", ["first_byte", "middle", "before_newline"])
-def test_run_resumes_after_torn_tail(runner, small_dir, tmp_path, cut):
+def test_run_resumes_after_torn_tail(small_dir, tmp_path, cut):
     full_dir = tmp_path / "full"
-    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
-                  catch_exceptions=False)
+    invoke(["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+           catch_exceptions=False)
     full_records = (full_dir / "records.jsonl").read_bytes()
 
     # Simulate a run killed while writing its last record.
@@ -380,37 +360,37 @@ def test_run_resumes_after_torn_tail(runner, small_dir, tmp_path, cut):
     config = write_config(tmp_path / "resume.yaml", small_dir, resumed_dir)
 
     # Dry runs and eval read the complete records only and never truncate.
-    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    dry = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     assert "essays to run:   1 (of 4 test essays)" in dry.output
-    evaluated = runner.invoke(main, ["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
-                              catch_exceptions=False)
+    evaluated = invoke(["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                       catch_exceptions=False)
     assert evaluated.exit_code == 0
     assert records_path.read_bytes() == torn
 
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     assert f"warning: {records_path}: dropped {keep} bytes" in result.stderr
     assert records_path.read_bytes() == full_records
     assert (resumed_dir / "report.json").read_bytes() == (full_dir / "report.json").read_bytes()
 
 
-def test_run_rejects_undecodable_record_line(runner, small_dir, tmp_path):
+def test_run_rejects_undecodable_record_line(small_dir, tmp_path):
     out_dir = tmp_path / "bad"
     config = write_config(tmp_path / "bad.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     first_line = (out_dir / "records.jsonl").read_bytes().split(b"\n")[0]
     (out_dir / "records.jsonl").write_bytes(first_line + b"\nnot json\n")
     for args in (["run", "--config", str(config)], ["run", "--config", str(config), "--dry-run"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert isinstance(result.exception, AtcError)
         assert f"{out_dir / 'records.jsonl'}, line 2" in str(result.exception)
 
 
 
-def test_a_repeated_record_is_refused_by_eval_and_by_a_resume(runner, small_dir, tmp_path):
+def test_a_repeated_record_is_refused_by_eval_and_by_a_resume(small_dir, tmp_path):
     out_dir = tmp_path / "repeated"
     config = write_config(tmp_path / "repeated.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     records_path = out_dir / "records.jsonl"
     lines = records_path.read_bytes().split(b"\n")
     records_path.write_bytes(b"\n".join([lines[0], lines[1], lines[0], b""]))
@@ -418,7 +398,7 @@ def test_a_repeated_record_is_refused_by_eval_and_by_a_resume(runner, small_dir,
     before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
     for args in (["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
                  ["run", "--config", str(config)], ["run", "--config", str(config), "--dry-run"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert isinstance(result.exception, AtcError)
         assert str(result.exception) == (f"{records_path}, line 3: a second record for essay {essay_id},"
                                          " whose first is on line 1")
@@ -442,7 +422,7 @@ def retitle(corpus_dir: Path, essay_id: str, title: str) -> None:
 
 @pytest.mark.parametrize("chat", [{}, {"chat": "live", "base_url": "http://api.example.test/v1"}],
                          ids=["gold-echo", "live"])
-def test_embed_wires_no_chat_backend(runner, small_dir, small_corpus, tmp_path, monkeypatch, chat):
+def test_embed_wires_no_chat_backend(small_dir, small_corpus, tmp_path, monkeypatch, chat):
     """``atc-icl embed`` builds neither the gold-echo mock, which refuses two essays of one title, nor a live session."""
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(small_dir, corpus_dir)
@@ -452,7 +432,7 @@ def test_embed_wires_no_chat_backend(runner, small_dir, small_corpus, tmp_path, 
                           backend={**chat, "embedding": "cache", "embedding_upstream": "hash",
                                    "store_dir": str(store_dir)})
     monkeypatch.setattr(cli, "HttpSession", None)  # building one would fail
-    result = runner.invoke(main, ["embed", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["embed", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert "embedded 12 titles (0 live fetches, 1 cache hits, 11 replay/mock)" in result.output
     model = gateway.HashEmbeddingBackend().model_name
@@ -488,10 +468,10 @@ def test_gold_echo_refuses_two_essays_of_one_title(small_dir, tmp_path, monkeypa
     assert ("chat requests:" if dry_run else "Run ") in capfd.readouterr().out
 
 
-def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path):
+def test_run_refuses_to_resume_under_another_config(small_dir, tmp_path):
     out_dir = tmp_path / "shared"
     first = write_config(tmp_path / "k3.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+    invoke(["run", "--config", str(first)], catch_exceptions=False)
     recorded_digest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["config_digest"]
     before = {name: (out_dir / name).read_bytes() for name in ("records.jsonl", "report.json", "manifest.json")}
 
@@ -499,17 +479,17 @@ def test_run_refuses_to_resume_under_another_config(runner, small_dir, tmp_path)
     new_digest = config_digest(load_run_config(second).icl)
     assert new_digest != recorded_digest
     for args in (["run", "--config", str(second)], ["run", "--config", str(second), "--dry-run"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert isinstance(result.exception, AtcError)
         assert recorded_digest in str(result.exception) and new_digest in str(result.exception)
     assert {name: (out_dir / name).read_bytes() for name in before} == before
 
 
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
-def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(runner, small_dir, tmp_path, dry_run):
+def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(small_dir, tmp_path, dry_run):
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "k5.yaml", small_dir, out_dir, icl={"k": 5})
-    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    result = invoke(["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
     assert isinstance(result.exception, AtcError)
     message = str(result.exception)
     assert str(small_dir / SPLIT_FILE_NAME) in message
@@ -519,7 +499,7 @@ def test_a_pool_smaller_than_the_neighborhood_is_refused_before_any_work(runner,
 
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
 @pytest.mark.parametrize("case", ["no-test-essay", "no-component"])
-def test_a_test_split_with_nothing_to_evaluate_is_refused_before_any_work(runner, small_dir, small_corpus, tmp_path,
+def test_a_test_split_with_nothing_to_evaluate_is_refused_before_any_work(small_dir, small_corpus, tmp_path,
                                                                           case, dry_run):
     corpus_dir, out_dir = tmp_path / "corpus", tmp_path / "out"
     shutil.copytree(small_dir, corpus_dir)
@@ -530,17 +510,17 @@ def test_a_test_split_with_nothing_to_evaluate_is_refused_before_any_work(runner
         for essay in small_corpus.test_essays():
             (corpus_dir / f"{essay.essay_id}.ann").write_text("", encoding="utf-8")
     config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir)
-    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    result = invoke(["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
     assert isinstance(result.exception, AtcError)
     assert str(result.exception) == f"{split_file} lists no test essay with an argument component: nothing to evaluate"
     assert not out_dir.exists()
 
 
-def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_dir, tmp_path):
+def test_a_base_url_without_a_scheme_is_refused_before_any_work(small_dir, tmp_path):
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "run.yaml", small_dir, out_dir,
                           backend={"chat": "live", "base_url": "localhost:9/v1"})
-    result = runner.invoke(main, ["run", "--config", str(config)])
+    result = invoke(["run", "--config", str(config)])
     assert isinstance(result.exception, AtcError)
     assert str(result.exception) == (f"{config}: backend.base_url must be an absolute http:// or https:// URL"
                                      " with a host, not 'localhost:9/v1'; it takes no user info, query or fragment")
@@ -549,7 +529,7 @@ def test_a_base_url_without_a_scheme_is_refused_before_any_work(runner, small_di
 
 @pytest.mark.parametrize("command", ["cache", "replay", "embed"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-def test_a_store_dir_that_is_no_directory_is_refused_before_any_work(runner, small_dir, tmp_path, command, under):
+def test_a_store_dir_that_is_no_directory_is_refused_before_any_work(small_dir, tmp_path, command, under):
     blocker = tmp_path / "store"
     blocker.write_text("not a directory\n", encoding="utf-8")
     store_dir = blocker / "chat" if under else blocker
@@ -557,7 +537,7 @@ def test_a_store_dir_that_is_no_directory_is_refused_before_any_work(runner, sma
                "embed": {"embedding": "cache", "embedding_upstream": "hash"}}[command]
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "run.yaml", small_dir, out_dir, backend={**backend, "store_dir": str(store_dir)})
-    result = runner.invoke(main, ["embed" if command == "embed" else "run", "--config", str(config)])
+    result = invoke(["embed" if command == "embed" else "run", "--config", str(config)])
     assert isinstance(result.exception, AtcError)
     assert str(result.exception) == f"backend.store_dir {store_dir} cannot hold a store: {blocker} is not a directory"
     assert not out_dir.exists()
@@ -596,7 +576,7 @@ def test_json_out_into_a_missing_directory_is_one_error_line(small_dir, tmp_path
     corpus_args = [str(small_dir), str(small_dir / SPLIT_FILE_NAME)]
     if command == "eval":
         config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out")
-        assert CliRunner().invoke(main, ["run", "--config", str(config)]).exit_code == 0
+        assert invoke(["run", "--config", str(config)]).exit_code == 0
         corpus_args.insert(0, str(tmp_path / "out" / "records.jsonl"))
     out, err = exits_with_one_error_line([command, *corpus_args, "--json-out", str(json_out)], monkeypatch, capfd)
     assert ("macro F1" if command == "eval" else "Corpus statistics") in out  # the report comes first
@@ -604,23 +584,91 @@ def test_json_out_into_a_missing_directory_is_one_error_line(small_dir, tmp_path
     assert not json_out.parent.exists()
 
 
-def test_a_pool_exactly_the_neighborhood_runs(runner, small_dir, tmp_path):
+def test_export_into_a_missing_directory_names_only_the_given_path(small_dir, tmp_path, monkeypatch, capfd):
+    out = tmp_path / "nowhere" / "x.jsonl"
+    _, err = exits_with_one_error_line(["export", str(small_dir), str(small_dir / SPLIT_FILE_NAME), "--split", "train",
+                                        "--out", str(out)], monkeypatch, capfd)
+    assert err == f"error: cannot write {out}: No such file or directory\n"  # not the temp file write_atomic opened
+
+
+def test_eval_of_a_records_file_without_records_is_one_error_line(small_dir, tmp_path, monkeypatch, capfd):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    _, err = exits_with_one_error_line(["eval", str(empty), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                                       monkeypatch, capfd)
+    assert err == f"error: no records found in {empty}\n"
+
+
+def test_version_prints_its_line(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--version"], standalone_mode=False)
+    assert exited.value.code == 0
+    assert invoke(["--version"]) == (0, "atc-icl, version 0.1.0\n", "", None)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["run"], ["run", "--config"], ["run", "--conf", "x.yaml"],
+                                  ["stats", "--scope", "all"], ["export", ".", ".", "--split", "dev", "--out", "x"]])
+def test_a_usage_error_exits_2_without_a_traceback(argv):
+    result = invoke(argv)
+    assert result.exit_code == 2 and result.exception is None
+    assert result.stdout == "" and result.stderr.startswith("usage: atc-icl") and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("path", ["missing.yaml", "."], ids=["missing", "a-directory"])
+def test_a_config_that_is_no_file_is_a_usage_error_before_the_command_runs(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.run, "callback", lambda **kwargs: pytest.fail("the command ran"))
+    result = invoke(["run", "--config", path])
+    assert result.exit_code == 2
+    assert "argument --config: File " in result.stderr.splitlines()[-1]
+
+
+def test_ctrl_c_in_a_command_is_aborted_without_a_traceback(small_dir, tmp_path, monkeypatch):
+    def interrupted(**kwargs):
+        print("partial output")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.run, "callback", interrupted)
+    config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out")
+    result = invoke(["run", "--config", str(config)])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "partial output\n", "\nAborted!\n")
+    assert isinstance(result.exception, KeyboardInterrupt)
+
+
+def test_main_calls_the_callback_patched_onto_the_command(small_dir, tmp_path, monkeypatch):
+    config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out")
+    calls = []
+    monkeypatch.setattr(cli.run, "callback", lambda **kwargs: calls.append(kwargs))
+    assert main(["run", "--config", str(config)], standalone_mode=False) == 0
+    assert calls == [{"config_path": config, "dry_run": False}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_without_standalone_mode_what_a_command_raises_propagates(small_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(AtcError, match="^no records found in "):
+        main(["eval", str(empty), str(small_dir), str(small_dir / SPLIT_FILE_NAME)], standalone_mode=False)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_pool_exactly_the_neighborhood_runs(small_dir, tmp_path):
     config = write_config(tmp_path / "k4.yaml", small_dir, tmp_path / "out", icl={"k": 4})
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     assert "macro F1: 1.0000" in result.output
 
 
 @pytest.mark.parametrize("mode", ["all_at_once", "one_by_one"])
-def test_an_essay_without_components_asks_nothing(runner, small_dir, small_corpus, tmp_path, mode):
+def test_an_essay_without_components_asks_nothing(small_dir, small_corpus, tmp_path, mode):
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(small_dir, corpus_dir)
     empty = small_corpus.test_essays()[0]
     (corpus_dir / f"{empty.essay_id}.ann").write_text("", encoding="utf-8")
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "run.yaml", corpus_dir, out_dir, icl={"mode": mode})
-    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
-    result = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    dry = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     others = [e for e in small_corpus.test_essays() if e is not empty]
@@ -635,7 +683,6 @@ def test_an_essay_without_components_asks_nothing(runner, small_dir, small_corpu
 @given(data=st.data(), mode=st.sampled_from(["all_at_once", "one_by_one"]))
 def test_the_dry_run_counts_the_chat_calls_of_a_gold_echo_run(small_dir, data, mode):
     """Whatever number of components, 0 to m, each test essay keeps; one keeps some, so that there is a report."""
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as root:
         corpus_dir, out_dir = Path(root) / "corpus", Path(root) / "out"
         shutil.copytree(small_dir, corpus_dir)
@@ -645,51 +692,51 @@ def test_the_dry_run_counts_the_chat_calls_of_a_gold_echo_run(small_dir, data, m
             entities = [line for line in lines if line.startswith("T")]
             (corpus_dir / f"{essay.essay_id}.ann").write_text("".join(entities[:kept]), encoding="utf-8")
         config = write_config(Path(root) / "run.yaml", corpus_dir, out_dir, icl={"mode": mode})
-        dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
-        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        dry = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+        assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         assert f"chat requests:   ~{manifest['chat_calls']} (excluding parse retries)" in dry.output
 
 
-def test_a_cache_title_run_leaves_its_titles_packed(runner, small_dir, small_corpus, tmp_path):
+def test_a_cache_title_run_leaves_its_titles_packed(small_dir, small_corpus, tmp_path):
     """Packed as ``atc-icl embed`` packs them, so that its replay ranks from the distance block."""
     def config(name, **backend):
         return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl={"strategy": "knn_title"},
                             backend={"embedding_upstream": "hash", "store_dir": str(tmp_path / "store"), **backend})
 
     cached = config("cached", embedding="cache")
-    assert runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(cached)], catch_exceptions=False).exit_code == 0
     model = gateway.HashEmbeddingBackend().model_name
     pack = gateway.ResponseStore(tmp_path / "store").embedding_pack_path(model)
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
     titles = [gateway.embedding_digest(model, essay.title) for essay in small_corpus.essays]
     assert header == {"digests": titles, "dim": 8, "distances": True, "model_name": model}
     written = pack.stat().st_mtime_ns, pack.read_bytes()
-    runner.invoke(main, ["embed", "--config", str(cached)], catch_exceptions=False)
+    invoke(["embed", "--config", str(cached)], catch_exceptions=False)
     shutil.rmtree(tmp_path / "cached")
-    runner.invoke(main, ["run", "--config", str(cached)], catch_exceptions=False)  # a rerun over its own pack
+    invoke(["run", "--config", str(cached)], catch_exceptions=False)  # a rerun over its own pack
     assert (pack.stat().st_mtime_ns, pack.read_bytes()) == written
-    runner.invoke(main, ["run", "--config", str(config("replayed", embedding="replay"))], catch_exceptions=False)
-    runner.invoke(main, ["run", "--config", str(config("hashed", embedding="hash"))], catch_exceptions=False)
+    invoke(["run", "--config", str(config("replayed", embedding="replay"))], catch_exceptions=False)
+    invoke(["run", "--config", str(config("hashed", embedding="hash"))], catch_exceptions=False)
     records = [(tmp_path / name / "records.jsonl").read_bytes() for name in ("cached", "replayed", "hashed")]
     assert records[0] == records[1] == records[2]
 
 
 @pytest.mark.parametrize("case", ["replay", "knn_len", "krn"])
-def test_no_other_run_packs(runner, small_dir, tmp_path, case):
+def test_no_other_run_packs(small_dir, tmp_path, case):
     store = tmp_path / "store"
     icl = {"strategy": "knn_title"}
     backend = {"embedding": "cache", "embedding_upstream": "hash", "store_dir": str(store)}
     if case == "replay":
         first = write_config(tmp_path / "first.yaml", small_dir, tmp_path / "first", icl=icl, backend=backend)
-        runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+        invoke(["run", "--config", str(first)], catch_exceptions=False)
         for pack in (store / "embed").glob("pack-*.f64"):
             pack.unlink()
         backend["embedding"] = "replay"
     else:
         icl["strategy"] = case
     config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out", icl=icl, backend=backend)
-    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    assert invoke(["run", "--config", str(config)]).exit_code == 0
     assert not list(store.glob("embed/pack-*"))
     assert case != "replay" or list(store.glob("embed/*.json"))
 
@@ -725,7 +772,7 @@ def hash_upstream(monkeypatch, fails_after: int | None = None) -> list[str]:
     return fetched
 
 
-def test_a_first_cache_title_run_ranks_from_the_pack_as_its_replay_does(runner, tmp_path, monkeypatch):
+def test_a_first_cache_title_run_ranks_from_the_pack_as_its_replay_does(tmp_path, monkeypatch):
     """Every title is packed before the first essay ranks, so no pool title is scored the slow way."""
     corpus_dir = tmp_path / "corpus"
     generate_corpus(corpus_dir, small_shape(40, 28), seed=5)
@@ -736,29 +783,29 @@ def test_a_first_cache_title_run_ranks_from_the_pack_as_its_replay_does(runner, 
                               icl={"strategy": "knn_title"},
                               backend={"embedding": embedding, "embedding_upstream": "hash",
                                        "store_dir": str(tmp_path / "store")})
-        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
         counts.append(len(scored))
         scored.clear()
     assert (tmp_path / "cache" / "records.jsonl").read_bytes() == (tmp_path / "replay" / "records.jsonl").read_bytes()
     assert 0 < counts[0] == counts[1] < len(corpus.train_essays()) * len(corpus.test_essays()) / 4
 
 
-def test_a_title_run_names_the_backend_its_packing_fetched_from(runner, small_dir, tmp_path):
+def test_a_title_run_names_the_backend_its_packing_fetched_from(small_dir, tmp_path):
     """Chat replayed from a store that holds no title yet: only the packing fetches hash vectors."""
     store = {"store_dir": str(tmp_path / "store")}
     recording = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "recorded", icl={"strategy": "knn_title"},
                              backend={"chat": "cache", "cache_upstream": "mock", "embedding": "hash", **store})
-    assert runner.invoke(main, ["run", "--config", str(recording)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(recording)], catch_exceptions=False).exit_code == 0
     config = write_config(tmp_path / "run.yaml", small_dir, tmp_path / "out", icl={"strategy": "knn_title"},
                           backend={"chat": "replay", "embedding": "cache", "embedding_upstream": "hash", **store})
-    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
-    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    dry = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["backend_tags_used"] == ["cache", "mock", "replay"]
     assert f"embedding calls: {manifest['embed_calls']} " in dry.output
 
 
-def test_a_run_that_fails_on_its_first_essay_leaves_every_title_packed(runner, small_dir, small_corpus, tmp_path,
+def test_a_run_that_fails_on_its_first_essay_leaves_every_title_packed(small_dir, small_corpus, tmp_path,
                                                                        monkeypatch):
     """Its resume then ranks from the pack's distance block, as a replay of the store does."""
     def config(name, out, **backend):
@@ -767,7 +814,7 @@ def test_a_run_that_fails_on_its_first_essay_leaves_every_title_packed(runner, s
                                      "store_dir": str(tmp_path / "store"), **backend})
 
     failing = config("failing", "out", chat="replay")  # no chat record: the first essay fails
-    assert runner.invoke(main, ["run", "--config", str(failing)]).exit_code == 1
+    assert invoke(["run", "--config", str(failing)]).exit_code == 1
     assert (tmp_path / "out" / "records.jsonl").read_bytes() == b""
     model = gateway.HashEmbeddingBackend().model_name
     pack = gateway.ResponseStore(tmp_path / "store").embedding_pack_path(model)
@@ -776,10 +823,10 @@ def test_a_run_that_fails_on_its_first_essay_leaves_every_title_packed(runner, s
     assert header == {"digests": titles, "dim": 8, "distances": True, "model_name": model}
     scored = count_cosines(monkeypatch)
     resumed = config("resumed", "out", chat="cache", cache_upstream="mock")
-    assert runner.invoke(main, ["run", "--config", str(resumed)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(resumed)], catch_exceptions=False).exit_code == 0
     resumed_scores = len(scored)
     replayed = config("replayed", "replayed", chat="replay", embedding="replay")
-    assert runner.invoke(main, ["run", "--config", str(replayed)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(replayed)], catch_exceptions=False).exit_code == 0
     assert 0 < resumed_scores == len(scored) - resumed_scores
     assert (tmp_path / "out" / "records.jsonl").read_bytes() == (tmp_path / "replayed" / "records.jsonl").read_bytes()
 
@@ -807,10 +854,10 @@ def test_a_failure_while_packing_leaves_what_it_fetched_and_no_pack(small_dir, s
     assert list(store.glob("embed/pack-*.f64"))
 
 
-def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
+def test_records_split_on_newlines_only(small_dir, tmp_path):
     out_dir = tmp_path / "separators"
     config = write_config(tmp_path / "separators.yaml", small_dir, out_dir)
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     records_path = out_dir / "records.jsonl"
     # Raw response texts are kept unescaped; U+2028 inside one is not a line break.
     first = json.loads(records_path.read_text(encoding="utf-8").splitlines()[0])
@@ -818,34 +865,34 @@ def test_records_split_on_newlines_only(runner, small_dir, tmp_path):
     lines = records_path.read_text(encoding="utf-8").split("\n")
     lines[0] = json.dumps(first, sort_keys=True, ensure_ascii=False)
     records_path.write_text("\n".join(lines), encoding="utf-8")
-    result = runner.invoke(main, ["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
-                           catch_exceptions=False)
+    result = invoke(["eval", str(records_path), str(small_dir), str(small_dir / SPLIT_FILE_NAME)],
+                    catch_exceptions=False)
     assert result.exit_code == 0
     assert "macro F1: 1.0000" in result.output
 
 
-def test_dry_run_embedding_calls_match_the_real_run(runner, small_dir, small_corpus, tmp_path):
+def test_dry_run_embedding_calls_match_the_real_run(small_dir, small_corpus, tmp_path):
     out_dir = tmp_path / "knn-title"
     config = write_config(tmp_path / "title.yaml", small_dir, out_dir,
                           icl={"strategy": "knn_title", "n": 5}, backend={"embedding": "hash"})
-    dry = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    dry = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     pool, queries = small_corpus.train_essays(), small_corpus.test_essays()
     titles = {e.title for e in [*pool, *queries]}
     expected = len(queries) * (len(pool) + 1)
     assert f"embedding calls: {expected} ({len(titles)} distinct titles)" in dry.output
 
-    runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["embed_calls"] == expected
 
-    rerun = runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
+    rerun = invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False)
     assert "embedding calls: 0 (0 distinct titles)" in rerun.output
 
 
-def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_dir, tmp_path, monkeypatch):
+def test_run_stopped_before_its_first_manifest_is_still_checked(small_dir, tmp_path, monkeypatch):
     full_dir = tmp_path / "full"
-    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
-                  catch_exceptions=False)
+    invoke(["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+           catch_exceptions=False)
 
     out_dir = tmp_path / "stopped"
     first = write_config(tmp_path / "k3.yaml", small_dir, out_dir)
@@ -859,7 +906,7 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
         return real_run_ensemble(query, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_ensemble", dies_on_second_essay)
-    stopped = runner.invoke(main, ["run", "--config", str(first)])
+    stopped = invoke(["run", "--config", str(first)])
     assert isinstance(stopped.exception, RuntimeError)
     monkeypatch.undo()
     assert len((out_dir / "records.jsonl").read_bytes().splitlines()) == 1
@@ -871,11 +918,11 @@ def test_run_stopped_before_its_first_manifest_is_still_checked(runner, small_di
     second = write_config(tmp_path / "k1.yaml", small_dir, out_dir, icl={"k": 1})
     new_digest = config_digest(load_run_config(second).icl)
     for args in (["run", "--config", str(second)], ["run", "--config", str(second), "--dry-run"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert isinstance(result.exception, AtcError)
         assert recorded_digest in str(result.exception) and new_digest in str(result.exception)
 
-    resumed = runner.invoke(main, ["run", "--config", str(first)], catch_exceptions=False)
+    resumed = invoke(["run", "--config", str(first)], catch_exceptions=False)
     assert resumed.exit_code == 0
     for name in ("records.jsonl", "report.json"):
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
@@ -921,21 +968,21 @@ def title_config(tmp_path, corpus_dir, name, **backend):
                         backend=backend)
 
 
-def cut_title_run(runner, corpus_dir, tmp_path):
+def cut_title_run(corpus_dir, tmp_path):
     """A run of the default :func:`title_config`, cut to its first record."""
     config = title_config(tmp_path, corpus_dir, "cut")
     out_dir = load_run_config(config).out_dir
-    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
     records = out_dir / "records.jsonl"
     records.write_bytes(records.read_bytes().splitlines(keepends=True)[0])
     return config, out_dir
 
 
-def test_a_resume_through_another_store_packs_every_title_into_it(runner, small_dir, small_corpus, tmp_path):
+def test_a_resume_through_another_store_packs_every_title_into_it(small_dir, small_corpus, tmp_path):
     """The title of the essay recorded through the first store too: the resume fetches it once more."""
-    cut_title_run(runner, small_dir, tmp_path)
+    cut_title_run(small_dir, tmp_path)
     config = title_config(tmp_path, small_dir, "other", store_dir=str(tmp_path / "other"))
-    assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+    assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
     model = gateway.HashEmbeddingBackend().model_name
     pack = gateway.ResponseStore(tmp_path / "other").embedding_pack_path(model)
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
@@ -951,11 +998,11 @@ def tree_bytes(root: Path) -> dict:
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
 @pytest.mark.parametrize("change", ["mock_mode", "embedding_dim", "corpus_byte", "prompt_constant"])
 def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
-    runner, small_dir, tmp_path, monkeypatch, change, dry_run
+    small_dir, tmp_path, monkeypatch, change, dry_run
 ):
     corpus_dir = tmp_path / "corpus"
     shutil.copytree(small_dir, corpus_dir)
-    config, out_dir = cut_title_run(runner, corpus_dir, tmp_path)
+    config, out_dir = cut_title_run(corpus_dir, tmp_path)
     backend, part = {}, {"mock_mode": "answer_source", "embedding_dim": "embedding_model",
                          "corpus_byte": "corpus_digest", "prompt_constant": "prompt_digest"}[change]
     if change == "mock_mode":
@@ -972,7 +1019,7 @@ def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
     if backend:
         config = title_config(tmp_path, corpus_dir, "changed", **backend)
     before = tree_bytes(tmp_path)
-    result = runner.invoke(main, ["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
+    result = invoke(["run", "--config", str(config), *(["--dry-run"] if dry_run else [])])
     assert isinstance(result.exception, AtcError)
     message = str(result.exception)
     assert "\n" not in message and str(out_dir) in message and part in message
@@ -982,7 +1029,7 @@ def test_a_resume_with_other_inputs_is_refused_before_anything_is_written(
 ONE_BY_ONE = {"mode": "one_by_one", "fts": True}
 
 
-def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations(runner, small_dir, small_corpus,
+def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations(small_dir, small_corpus,
                                                                                   tmp_path):
     changed = tmp_path / "changed"
     shutil.copytree(small_dir, changed)
@@ -1002,7 +1049,7 @@ def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations
     requests = []
     for name, corpus_dir in (("first", small_dir), ("second", changed)):
         config = write_config(tmp_path / f"{name}.yaml", corpus_dir, tmp_path / name, icl=ONE_BY_ONE, backend=backend)
-        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
         assert (tmp_path / name / "records.jsonl").read_bytes() == (tmp_path / "first" / "records.jsonl").read_bytes()
         manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["backend_tags_used"] == ["mock"]  # no request of the second run is one of the first's
@@ -1015,7 +1062,7 @@ def test_two_runs_over_corpora_with_the_same_ids_ask_each_its_own_demonstrations
     assert not any(line in text for line in lines for text in first.values())
 
 
-def test_a_replayed_one_by_one_run_never_joins_a_user_text(runner, small_dir, tmp_path, monkeypatch):
+def test_a_replayed_one_by_one_run_never_joins_a_user_text(small_dir, tmp_path, monkeypatch):
     joins, real_getattr = [], gateway.ChatRequest.__getattr__
 
     def counting_getattr(request, name):
@@ -1029,7 +1076,7 @@ def test_a_replayed_one_by_one_run_never_joins_a_user_text(runner, small_dir, tm
                           ("replayed", {"chat": "replay", "store_dir": store})):
         joins.clear()
         config = write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl=ONE_BY_ONE, backend=backend)
-        assert runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
+        assert invoke(["run", "--config", str(config)], catch_exceptions=False).exit_code == 0
         counts.append(joins.count("user_text"))
     records = [(tmp_path / name / "records.jsonl").read_bytes() for name in ("recorded", "replayed")]
     assert records[0] == records[1]
@@ -1037,14 +1084,14 @@ def test_a_replayed_one_by_one_run_never_joins_a_user_text(runner, small_dir, tm
     assert counts == [manifest["chat_calls"], 0]  # the mock reads each request's text; the replay reads none
 
 
-def test_a_store_of_inline_and_context_records_resumes_and_replays_to_the_same_records(runner, small_dir, tmp_path,
+def test_a_store_of_inline_and_context_records_resumes_and_replays_to_the_same_records(small_dir, tmp_path,
                                                                                        monkeypatch):
     def config(name, **backend):
         return write_config(tmp_path / f"{name}.yaml", small_dir, tmp_path / name, icl=ONE_BY_ONE,
                             backend={"store_dir": str(tmp_path / "store"), **backend})
 
     def run(path):
-        assert runner.invoke(main, ["run", "--config", str(path)], catch_exceptions=False).exit_code == 0
+        assert invoke(["run", "--config", str(path)], catch_exceptions=False).exit_code == 0
 
     recorded = write_config(tmp_path / "recorded.yaml", small_dir, tmp_path / "recorded", icl=ONE_BY_ONE,
                             backend={"chat": "cache", "cache_upstream": "mock", "store_dir": str(tmp_path / "first")})
@@ -1066,7 +1113,7 @@ def test_a_store_of_inline_and_context_records_resumes_and_replays_to_the_same_r
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "run_ensemble", stops_before_the_second_essay)
-        assert isinstance(runner.invoke(main, ["run", "--config", str(cache)]).exception, RuntimeError)
+        assert isinstance(invoke(["run", "--config", str(cache)]).exception, RuntimeError)
     assert len((tmp_path / "resumed" / "records.jsonl").read_bytes().splitlines()) == 1
     run(cache)
     assert (tmp_path / "resumed" / "records.jsonl").read_bytes() == full
@@ -1104,20 +1151,20 @@ def test_the_prompt_digest_covers_the_retry_budget_and_the_label_spellings(monke
     assert cli._prompt_digest() != before
 
 
-def test_a_manifest_without_inputs_is_refused(runner, small_dir, tmp_path):
-    config, out_dir = cut_title_run(runner, small_dir, tmp_path)
+def test_a_manifest_without_inputs_is_refused(small_dir, tmp_path):
+    config, out_dir = cut_title_run(small_dir, tmp_path)
     manifest = out_dir / "manifest.json"
     manifest.write_text(json.dumps({"config_digest": json.loads(manifest.read_text())["config_digest"]}))
-    result = runner.invoke(main, ["run", "--config", str(config)])
+    result = invoke(["run", "--config", str(config)])
     assert isinstance(result.exception, AtcError)
     assert str(out_dir) in str(result.exception) and "records no inputs" in str(result.exception)
 
 
-def test_a_cache_run_resumes_as_a_replay_and_keeps_its_answer_source(runner, small_dir, tmp_path):
-    config, out_dir = cut_title_run(runner, small_dir, tmp_path)
+def test_a_cache_run_resumes_as_a_replay_and_keeps_its_answer_source(small_dir, tmp_path):
+    config, out_dir = cut_title_run(small_dir, tmp_path)
     full = {name: (out_dir / name).read_bytes() for name in ("report.json", "report.txt")}
     replay = title_config(tmp_path, small_dir, "replay", chat="replay", embedding="replay")
-    result = runner.invoke(main, ["run", "--config", str(replay)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(replay)], catch_exceptions=False)
     assert result.exit_code == 0
     assert {name: (out_dir / name).read_bytes() for name in full} == full
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -1125,7 +1172,7 @@ def test_a_cache_run_resumes_as_a_replay_and_keeps_its_answer_source(runner, sma
     assert manifest["backend_tags_used"] == ["replay"]
     # The kept answer source still refuses a constant mock after the replay.
     constant = title_config(tmp_path, small_dir, "constant", mock_mode="constant")
-    assert "answer_source 'gold_echo'" in str(runner.invoke(main, ["run", "--config", str(constant)]).exception)
+    assert "answer_source 'gold_echo'" in str(invoke(["run", "--config", str(constant)]).exception)
 
 
 def test_live_and_a_cache_over_live_have_the_same_inputs(small_dir, small_corpus, tmp_path):
@@ -1155,10 +1202,10 @@ class TornFile:
         raise OSError(28, "No space left on device")
 
 
-def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, small_dir, tmp_path, monkeypatch):
+def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(small_dir, tmp_path, monkeypatch):
     full_dir = tmp_path / "full"
-    runner.invoke(main, ["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
-                  catch_exceptions=False)
+    invoke(["run", "--config", str(write_config(tmp_path / "full.yaml", small_dir, full_dir))],
+           catch_exceptions=False)
 
     out_dir = tmp_path / "stopped"
     config = write_config(tmp_path / "stopped.yaml", small_dir, out_dir)
@@ -1178,7 +1225,7 @@ def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, smal
 
     monkeypatch.setattr(cli, "run_ensemble", dies_on_second_essay)
     monkeypatch.setattr(gateway, "open", open_tearing_the_manifest, raising=False)
-    stopped = runner.invoke(main, ["run", "--config", str(config)])
+    stopped = invoke(["run", "--config", str(config)])
     monkeypatch.undo()
     assert isinstance(stopped.exception, AtcError) and isinstance(stopped.exception.__cause__, OSError) and tear
     assert str(stopped.exception) == f"cannot write {out_dir / 'manifest.json'}: No space left on device"
@@ -1188,18 +1235,18 @@ def test_a_manifest_write_that_fails_partway_keeps_the_previous_one(runner, smal
     assert (out_dir / "manifest.json").read_text(encoding="utf-8") == previous
     assert sorted(path.name for path in out_dir.iterdir()) == ["manifest.json", "records.jsonl"]
 
-    assert runner.invoke(main, ["run", "--config", str(config), "--dry-run"], catch_exceptions=False).exit_code == 0
-    resumed = runner.invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    assert invoke(["run", "--config", str(config), "--dry-run"], catch_exceptions=False).exit_code == 0
+    resumed = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert resumed.exit_code == 0
     for name in ("records.jsonl", "report.json", "report.txt"):
         assert (out_dir / name).read_bytes() == (full_dir / name).read_bytes()
 
 
-def test_manifest_counts_add_up_across_resumes(runner, small_dir, tmp_path, monkeypatch):
+def test_manifest_counts_add_up_across_resumes(small_dir, tmp_path, monkeypatch):
     def run(out_dir):
         config = write_config(tmp_path / f"{out_dir.name}.yaml", small_dir, out_dir,
                               icl={"strategy": "knn_title"}, backend={"embedding": "hash"})
-        return runner.invoke(main, ["run", "--config", str(config)])
+        return invoke(["run", "--config", str(config)])
 
     def manifest(out_dir):
         return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -1271,7 +1318,7 @@ cli.entrypoint()
 """
 
 
-def test_sigterm_keeps_the_session_counts_in_the_manifest(runner, small_dir, tmp_path):
+def test_sigterm_keeps_the_session_counts_in_the_manifest(small_dir, tmp_path):
     def config(out_dir):
         return write_config(tmp_path / f"{out_dir.name}.yaml", small_dir, out_dir,
                             icl={"strategy": "knn_title"}, backend={"embedding": "hash"})
@@ -1280,7 +1327,7 @@ def test_sigterm_keeps_the_session_counts_in_the_manifest(runner, small_dir, tmp
         return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
 
     full_dir, stopped_dir = tmp_path / "full", tmp_path / "stopped"
-    assert runner.invoke(main, ["run", "--config", str(config(full_dir))]).exit_code == 0
+    assert invoke(["run", "--config", str(config(full_dir))]).exit_code == 0
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     stopped = subprocess.run([sys.executable, "-c", SIGTERM_ON_SECOND_ESSAY, str(config(stopped_dir))],
@@ -1289,7 +1336,7 @@ def test_sigterm_keeps_the_session_counts_in_the_manifest(runner, small_dir, tmp
     assert len((stopped_dir / "records.jsonl").read_bytes().splitlines()) == 1
     assert (manifest(stopped_dir)["chat_calls"], manifest(stopped_dir)["embed_calls"]) == (3, 9)
 
-    assert runner.invoke(main, ["run", "--config", str(config(stopped_dir))]).exit_code == 0
+    assert invoke(["run", "--config", str(config(stopped_dir))]).exit_code == 0
     counts = [(manifest(d)["chat_calls"], manifest(d)["embed_calls"]) for d in (stopped_dir, full_dir)]
     assert counts[0] == counts[1] == (12, 36)
     assert (stopped_dir / "records.jsonl").read_bytes() == (full_dir / "records.jsonl").read_bytes()
@@ -1301,19 +1348,20 @@ from atc_icl import cli
 
 if sys.argv[1:]:
     cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("atc_icl.") or name == "dataclasses")))
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("atc_icl.") or name in ("click", "dataclasses"))))
 """
 
 
 @pytest.mark.parametrize("command", ["import", "replay", "mock", "export"])
-def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(runner, small_dir, small_corpus, tmp_path,
+def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(small_dir, small_corpus, tmp_path,
                                                                          command):
-    """In a fresh interpreter, where no test has imported them already; no command generates a dataclass."""
+    """In a fresh interpreter, where no test has imported them already; no command generates a dataclass or loads
+    click."""
     store, out = tmp_path / "store", tmp_path / "out"
     if command == "replay":
         record = write_config(tmp_path / "record.yaml", small_dir, tmp_path / "recorded",
                               backend={"chat": "cache", "cache_upstream": "mock", "store_dir": str(store)})
-        assert runner.invoke(main, ["run", "--config", str(record)]).exit_code == 0
+        assert invoke(["run", "--config", str(record)]).exit_code == 0
     backend = {"chat": "replay", "store_dir": str(store)} if command == "replay" else {}
     config = write_config(tmp_path / "run.yaml", small_dir, out, backend=backend)
     args = {
@@ -1329,7 +1377,7 @@ def test_only_a_mock_run_loads_the_mocks_and_only_export_loads_finetune(runner, 
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert ("atc_icl.mocks" in loaded, "atc_icl.finetune" in loaded) == (command == "mock", command == "export")
-    assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded and "click" not in loaded
     if command in ("replay", "mock"):
         assert "macro F1: 1.0000" in done.stdout
     if command == "export":
@@ -1342,7 +1390,7 @@ def finished_run(small_dir, tmp_path_factory):
     """Records and report of an uninterrupted 4-essay gold-echo run."""
     root = tmp_path_factory.mktemp("finished")
     config = write_config(root / "full.yaml", small_dir, root / "full")
-    CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    invoke(["run", "--config", str(config)], catch_exceptions=False)
     return tuple((root / "full" / name).read_bytes() for name in ("records.jsonl", "report.json"))
 
 
@@ -1356,7 +1404,7 @@ def test_run_resumes_after_a_cut_at_any_byte(small_dir, finished_run, data):
         out_dir.mkdir()
         (out_dir / "records.jsonl").write_bytes(records[:cut])
         config = write_config(Path(tmp) / "resume.yaml", small_dir, out_dir)
-        result = CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+        result = invoke(["run", "--config", str(config)], catch_exceptions=False)
         assert result.exit_code == 0
         assert (out_dir / "records.jsonl").read_bytes() == records
         assert (out_dir / "report.json").read_bytes() == report

@@ -17,7 +17,6 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from atc_icl import cli, gateway
 from atc_icl.gateway import (BackendTag, ChatRequest, Gateway, GatewayConfigError, HttpSession, LiveChatBackend,
@@ -25,7 +24,7 @@ from atc_icl.gateway import (BackendTag, ChatRequest, Gateway, GatewayConfigErro
 from atc_icl.mocks import gold_echo_responder
 from atc_icl.prompting import QUERY_HEADER, TITLE_LINE
 
-from conftest import OpenAIServer
+from conftest import OpenAIServer, invoke
 from test_live import live_config
 
 
@@ -154,7 +153,7 @@ def test_a_proxy_without_a_host_and_port_is_a_config_error(
     with pytest.raises(GatewayConfigError, match=refused):
         HttpSession(openai_server.url, OpenAIServer.KEY_ENV)
     config = live_config(tmp_path, small_dir, openai_server, "out", 2)
-    result = CliRunner().invoke(cli.main, ["run", "--config", str(config)])
+    result = invoke(["run", "--config", str(config)])
     assert isinstance(result.exception, GatewayConfigError)
     assert not (tmp_path / "out").exists()
     assert not openai_server.received

@@ -14,15 +14,13 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from click.testing import CliRunner
 
 from atc_icl import cli
-from atc_icl.cli import main
 from atc_icl.gateway import (BackendTag, EmbeddingVector, GatewayConfigError, ResponseStore, StoreEmbeddingBackend,
                              embedding_digest)
 from atc_icl.prompting import QUERY_HEADER, TITLE_LINE
 
-from conftest import OpenAIServer
+from conftest import OpenAIServer, invoke
 from test_cli import SIGTERM_ON_SECOND_ESSAY, write_config
 
 OUTPUTS = ("records.jsonl", "report.json", "report.txt")
@@ -37,7 +35,7 @@ def live_config(tmp_path: Path, corpus_dir: Path, server: OpenAIServer, name: st
 
 
 def run(config: Path):
-    return CliRunner().invoke(main, ["run", "--config", str(config)])
+    return invoke(["run", "--config", str(config)])
 
 
 def outputs(out_dir: Path) -> tuple[bytes, ...]:

@@ -28,11 +28,10 @@ import shutil
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from atc_icl.cli import main
 from atc_icl.gateway import ResponseStore, _EmbeddingPack
 from atc_icl.synth import SPLIT_FILE_NAME, generate_corpus, small_shape
+from conftest import invoke
 
 FIXTURE = Path(__file__).parent / "data" / "replay_fixture"
 RUNS = {
@@ -70,7 +69,7 @@ def replay_config(name: str, corpus: Path, store: Path, out_dir: Path) -> Path:
 def replay_run(name: str, corpus: Path, store: Path, out_dir: Path) -> dict:
     """Replay run ``name``, check its records and counts against the recording, and return its manifest."""
     config = replay_config(name, corpus, store, out_dir)
-    result = CliRunner().invoke(main, ["run", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["run", "--config", str(config)], catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert (out_dir / "records.jsonl").read_bytes() == (FIXTURE / f"{name}.records.jsonl").read_bytes()
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -111,7 +110,7 @@ def test_committed_store_repacked_with_a_distance_block_replays_byte_for_byte(na
     store = tmp_path / "store"
     shutil.copytree(FIXTURE / "store", store)
     config = replay_config(name, fixture_corpus, store, tmp_path / "embed-out")
-    result = CliRunner().invoke(main, ["embed", "--config", str(config)], catch_exceptions=False)
+    result = invoke(["embed", "--config", str(config)], catch_exceptions=False)
     assert "embedded 6 titles (0 live fetches, 0 cache hits, 6 replay/mock)" in result.output
     pack = ResponseStore(store).embedding_pack_path("text-embedding-ada-002")
     header = json.loads(pack.read_bytes().split(b"\n", 1)[0])
